@@ -9,6 +9,12 @@ target uses a delta-method quadratic form: a small covariance matrix
 contracted with a weight vector. For the unknown-source regime the matrix is
 indexed by the distinct support paths through the node.
 
+There is one formula per regime, a reduction over a per-path table (path
+probability, ratio, target probability, raw response moments). The closed
+forms pass exact tables built by enumerating the support; the plug-in forms
+pass tables of the observed paths built from the dataset's grouped power
+sums; the naive estimators are the known-source regime with unit ratios.
+
 In the unknown-source variance formula the weight -2*mu*C(q) multiplies the
 per-path b block and C(q) the b^2 block. The pairing is pinned by the
 single-path case, where the value must collapse to the centered fourth
@@ -27,17 +33,20 @@ from scipy.special import ndtri
 
 from .errors import ModelError, NoDataError, StatisticalError
 from .estimators import (
+    KIND_NAIVE,
+    KIND_WEIGHTED,
     CellEstimate,
-    _cell_responses,
-    _distinct_cell_paths,
+    _canonical_kind,
+    _cell,
     _exact_weights,
+    _plugin_weights,
 )
 from .model import (
-    SUPPORT_ZERO,
     PathDataset,
+    PathGroups,
     QualityModel,
     TransitionKernel,
-    conditional_path_probability,
+    conditional_path_probabilities,
     enumerate_support_paths,
     kernels_equivalent,
 )
@@ -69,24 +78,73 @@ class AsymptoticVariance:
     clipped: bool = False
 
 
+@dataclass(frozen=True)
+class _PathTable:
+    """Per-path inputs of every asymptotic variance at one node.
+
+    For the closed forms, the support paths with their exact source and
+    target conditional probabilities and exact response moments. For the
+    plug-in forms, the distinct observed paths with their share of the
+    cell's records, their estimator weights and their empirical moments.
+    Only the unknown-source formula reads ``target``.
+    """
+
+    paths: np.ndarray  # (m, c)
+    prob: np.ndarray  # source conditional probability of each path
+    ratio: np.ndarray  # per-record weight C (target over source)
+    moments: np.ndarray  # (m, K + 1) raw moments E[b^k | path], k = 0..K
+    target: np.ndarray | None = None  # target conditional probabilities
+
+
+def _data_table(cell: PathGroups, ratio: np.ndarray, target=None) -> _PathTable:
+    return _PathTable(
+        paths=cell.paths,
+        prob=cell.counts / cell.n,
+        ratio=ratio,
+        moments=cell.sums / cell.counts[:, None],
+        target=target,
+    )
+
+
 def _finalize(
     node: tuple[int, int],
     target: str,
     regime: str,
-    matrix: np.ndarray,
-    contraction: np.ndarray,
+    diag,
+    contraction,
+    off=None,
+    diag2=None,
     support_paths=None,
 ) -> AsymptoticVariance:
-    matrix = np.asarray(matrix, dtype=float)
+    """Check and contract a covariance matrix given by its per-path blocks.
+
+    Each of the m paths owns a 1x1 block ``diag`` or, with ``off`` and
+    ``diag2``, the 2x2 block [[diag, off], [off, diag2]] at rows and
+    columns k and m + k of the dense 2m x 2m matrix. Positive
+    semidefiniteness is checked block by block.
+    """
+    diag = np.asarray(diag, dtype=float)
+    if off is None:
+        matrix = np.diag(diag)
+        min_eig = diag
+    else:
+        m = diag.size
+        k = np.arange(m)
+        matrix = np.zeros((2 * m, 2 * m))
+        matrix[k, k] = diag
+        matrix[m + k, m + k] = diag2
+        matrix[k, m + k] = matrix[m + k, k] = off
+        # the smaller eigenvalue of each 2x2 block
+        min_eig = (diag + diag2) / 2.0 - np.hypot((diag - diag2) / 2.0, off)
     contraction = np.asarray(contraction, dtype=float)
     scale = max(1.0, float(np.abs(matrix).max()))
     if float(np.abs(matrix - matrix.T).max()) > PSD_ATOL * scale:
         raise StatisticalError(f"asymptotic covariance at node {node} not symmetric")
-    min_eig = float(np.linalg.eigvalsh((matrix + matrix.T) / 2.0).min())
-    if min_eig < -PSD_ATOL * scale:
+    lowest = float(min_eig.min())
+    if lowest < -PSD_ATOL * scale:
         raise StatisticalError(
             f"asymptotic covariance at node {node} not positive semidefinite "
-            f"(min eigenvalue {min_eig:.3g})"
+            f"(min eigenvalue {lowest:.3g})"
         )
     value = float(contraction @ matrix @ contraction)
     clipped = False
@@ -108,6 +166,50 @@ def _finalize(
     )
 
 
+def _known_av(node: tuple[int, int], which: str, t: _PathTable) -> AsymptoticVariance:
+    """Known-source regime: the estimator averages y = b*C (mean) or
+    x - y^2 with x = b^2*C (variance) over records, so its limiting
+    variance is Var[y], or by the delta method the quadratic form of the
+    covariance of (x, y) with the mean weight folded in, contracted with
+    (1, -1)."""
+    pc = t.prob * t.ratio
+    pc2 = pc * t.ratio
+    m = t.moments
+    mu = float(np.sum(pc * m[:, 1]))  # E[y] = target mean
+    var_y = float(np.sum(pc2 * m[:, 2])) - mu * mu
+    if which == "mean":
+        return _finalize(node, "mean", REGIME_KNOWN, [var_y], [1.0])
+    ex = float(np.sum(pc * m[:, 2]))
+    var_x = float(np.sum(pc2 * m[:, 4])) - ex * ex
+    cov = float(np.sum(pc2 * m[:, 3])) - ex * mu
+    return _finalize(
+        node, "variance", REGIME_KNOWN, [var_x], [1.0, -1.0],
+        off=[2.0 * mu * cov], diag2=[4.0 * mu * mu * var_y],
+    )
+
+
+def _unknown_av(node: tuple[int, int], which: str, t: _PathTable) -> AsymptoticVariance:
+    """Unknown-source regime: per-path response variances scaled by the
+    path probabilities, contracted with the ratio vector (mean; a diagonal
+    matrix), or per-path 2x2 covariances of (b, b^2) contracted with
+    (-2*mu*C, C) (variance)."""
+    paths = tuple(tuple(int(x) for x in row) for row in t.paths)
+    m = t.moments
+    var_b = m[:, 2] - m[:, 1] ** 2
+    if which == "mean":
+        return _finalize(
+            node, "mean", REGIME_UNKNOWN, t.prob * var_b, t.ratio, support_paths=paths
+        )
+    var_b2 = m[:, 4] - m[:, 2] ** 2
+    cov_b2_b = m[:, 3] - m[:, 2] * m[:, 1]
+    mu = float(np.sum(t.target * m[:, 1]))
+    return _finalize(
+        node, "variance", REGIME_UNKNOWN, t.prob * var_b,
+        np.concatenate([-2.0 * mu * t.ratio, t.ratio]),
+        off=t.prob * cov_b2_b, diag2=t.prob * var_b2, support_paths=paths,
+    )
+
+
 def _cell_support(
     kernel: TransitionKernel,
     target: TransitionKernel,
@@ -115,7 +217,7 @@ def _cell_support(
     j: int,
     i: int,
     order: int,
-):
+) -> _PathTable:
     """Support paths through (i, j) with conditional probabilities under both
     kernels, their ratio, and per-path response moments."""
     if not kernels_equivalent(kernel, target):
@@ -125,12 +227,11 @@ def _cell_support(
         raise StatisticalError(
             f"conditioning on null event: node ({i}, {j}) is unreachable"
         )
-    paths = tuple(support)
-    p = np.array([conditional_path_probability(kernel, q, j, i) for q in paths])
-    pt = np.array([conditional_path_probability(target, q, j, i) for q in paths])
-    ratio = pt / p
-    moments = np.vstack([path_raw_moments(quality, q, order) for q in paths])
-    return paths, p, pt, ratio, moments
+    paths = np.array(support)
+    p, _ = conditional_path_probabilities(kernel, paths, j, i)
+    pt, _ = conditional_path_probabilities(target, paths, j, i)
+    moments = np.vstack([path_raw_moments(quality, q, order) for q in support])
+    return _PathTable(paths=paths, prob=p, ratio=pt / p, moments=moments, target=pt)
 
 
 def asym_var_mean_known(
@@ -142,12 +243,8 @@ def asym_var_mean_known(
 ) -> AsymptoticVariance:
     """Limiting variance of the exact-ratio weighted cell mean: the source
     kernel's conditional variance of the weighted response b*C."""
-    paths, p, pt, ratio, m = _cell_support(kernel, target, quality, j, i, order=2)
-    mu = float(np.sum(p * ratio * m[:, 1]))
-    second = float(np.sum(p * ratio * ratio * m[:, 2]))
-    return _finalize(
-        (i, j), "mean", REGIME_KNOWN, [[second - mu * mu]], [1.0]
-    )
+    table = _cell_support(kernel, target, quality, j, i, order=2)
+    return _known_av((i, j), "mean", table)
 
 
 def asym_var_variance_known(
@@ -162,21 +259,8 @@ def asym_var_variance_known(
     Delta method on the pair (b^2*C, b*C): covariance matrix with the mean
     weight folded in, contracted with (1, -1).
     """
-    paths, p, pt, ratio, m = _cell_support(kernel, target, quality, j, i, order=4)
-    ex = float(np.sum(p * ratio * m[:, 2]))  # E[b^2 C]
-    ey = float(np.sum(p * ratio * m[:, 1]))  # E[b C] = target mean
-    ex2 = float(np.sum(p * ratio * ratio * m[:, 4]))
-    ey2 = float(np.sum(p * ratio * ratio * m[:, 2]))
-    exy = float(np.sum(p * ratio * ratio * m[:, 3]))
-    var_x = ex2 - ex * ex
-    var_y = ey2 - ey * ey
-    cov = exy - ex * ey
-    mu = ey
-    matrix = [
-        [var_x, 2.0 * mu * cov],
-        [2.0 * mu * cov, 4.0 * mu * mu * var_y],
-    ]
-    return _finalize((i, j), "variance", REGIME_KNOWN, matrix, [1.0, -1.0])
+    table = _cell_support(kernel, target, quality, j, i, order=4)
+    return _known_av((i, j), "variance", table)
 
 
 def asym_var_mean_unknown(
@@ -189,11 +273,8 @@ def asym_var_mean_unknown(
     """Limiting variance of the plugin cell mean: per-path response variances
     scaled by conditional path probabilities, contracted with the ratio
     vector. Always a diagonal matrix."""
-    paths, p, pt, ratio, m = _cell_support(kernel, target, quality, j, i, order=2)
-    var_b = m[:, 2] - m[:, 1] ** 2
-    return _finalize(
-        (i, j), "mean", REGIME_UNKNOWN, np.diag(p * var_b), ratio, support_paths=paths
-    )
+    table = _cell_support(kernel, target, quality, j, i, order=2)
+    return _unknown_av((i, j), "mean", table)
 
 
 def asym_var_variance_unknown(
@@ -210,29 +291,13 @@ def asym_var_variance_unknown(
     scaled by the path's conditional probability; contracted with
     (-2*mu*C, C).
     """
-    paths, p, pt, ratio, m = _cell_support(kernel, target, quality, j, i, order=4)
-    n_paths = len(paths)
-    var_b = m[:, 2] - m[:, 1] ** 2
-    var_b2 = m[:, 4] - m[:, 2] ** 2
-    cov_b2_b = m[:, 3] - m[:, 2] * m[:, 1]
-    mu = float(np.sum(pt * m[:, 1]))
-    matrix = np.zeros((2 * n_paths, 2 * n_paths))
-    for idx in range(n_paths):
-        matrix[idx, idx] = p[idx] * var_b[idx]
-        matrix[n_paths + idx, n_paths + idx] = p[idx] * var_b2[idx]
-        matrix[idx, n_paths + idx] = p[idx] * cov_b2_b[idx]
-        matrix[n_paths + idx, idx] = p[idx] * cov_b2_b[idx]
-    contraction = np.concatenate([-2.0 * mu * ratio, ratio])
-    return _finalize(
-        (i, j), "variance", REGIME_UNKNOWN, matrix, contraction, support_paths=paths
-    )
+    table = _cell_support(kernel, target, quality, j, i, order=4)
+    return _unknown_av((i, j), "variance", table)
 
 
-def _empirical_moments(values: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty(order + 1)
-    for k in range(order + 1):
-        out[k] = float(np.mean(values**k))
-    return out
+def _check_which(which: str) -> None:
+    if which not in ("mean", "variance"):
+        raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
 
 
 def plugin_asym_var(
@@ -252,79 +317,25 @@ def plugin_asym_var(
     regime needs the source ``kernel`` and uses exact ratio weights with
     empirical moments of (b*C, b^2*C).
     """
-    if which not in ("mean", "variance"):
-        raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
+    _check_which(which)
     if regime not in (REGIME_KNOWN, REGIME_UNKNOWN):
         raise ModelError(f"unknown regime {regime!r}")
 
     if regime == REGIME_KNOWN:
         if kernel is None:
             raise ModelError("knownQ regime needs the source kernel")
-        b, w = _exact_weights(data, kernel, target, i, j)
-        y = b * w
-        x = b * b * w
-        mu = float(np.mean(y))
-        if which == "mean":
-            value = float(np.mean(y * y)) - mu * mu
-            return _finalize((i, j), "mean", REGIME_KNOWN, [[value]], [1.0])
-        ex = float(np.mean(x))
-        var_x = float(np.mean(x * x)) - ex * ex
-        var_y = float(np.mean(y * y)) - mu * mu
-        cov = float(np.mean(x * y)) - ex * mu
-        matrix = [
-            [var_x, 2.0 * mu * cov],
-            [2.0 * mu * cov, 4.0 * mu * mu * var_y],
-        ]
-        return _finalize((i, j), "variance", REGIME_KNOWN, matrix, [1.0, -1.0])
+        cell, ratio = _exact_weights(data, kernel, target, i, j)
+        return _known_av((i, j), which, _data_table(cell, ratio))
 
-    b, distinct, inverse, counts = _distinct_cell_paths(data, j, i)
-    n_cell = b.size
-    once = [tuple(int(x) for x in row) for row, c in zip(distinct, counts) if c < 2]
-    if once:
+    cell, ratio, cond = _plugin_weights(data, target, i, j)
+    once = cell.counts < 2
+    if once.any():
+        paths = [tuple(int(x) for x in row) for row in cell.paths[once]]
         raise StatisticalError(
             "insufficient per-path replication for plug-in asymptotics; "
-            f"paths seen once: {once}"
+            f"paths seen once: {paths}"
         )
-    cond = np.empty(distinct.shape[0])
-    for idx, row in enumerate(distinct):
-        cond[idx] = conditional_path_probability(target, row, j, i)
-        if cond[idx] <= SUPPORT_ZERO:
-            raise StatisticalError(
-                f"target measure excludes observed path {tuple(int(x) for x in row)}"
-            )
-    total = float(cond.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise StatisticalError(
-            f"observed paths through node ({i}, {j}) carry target conditional "
-            f"mass {total:.6g}, not 1; support paths are missing from the data"
-        )
-    p_hat = counts / n_cell
-    ratio = cond / p_hat
-    order = 2 if which == "mean" else 4
-    moments = np.vstack(
-        [_empirical_moments(b[inverse == idx], order) for idx in range(len(distinct))]
-    )
-    paths = tuple(tuple(int(x) for x in row) for row in distinct)
-    var_b = moments[:, 2] - moments[:, 1] ** 2
-    if which == "mean":
-        return _finalize(
-            (i, j), "mean", REGIME_UNKNOWN, np.diag(p_hat * var_b), ratio,
-            support_paths=paths,
-        )
-    var_b2 = moments[:, 4] - moments[:, 2] ** 2
-    cov_b2_b = moments[:, 3] - moments[:, 2] * moments[:, 1]
-    mu = float(np.sum(cond * moments[:, 1]))
-    n_paths = len(paths)
-    matrix = np.zeros((2 * n_paths, 2 * n_paths))
-    for idx in range(n_paths):
-        matrix[idx, idx] = p_hat[idx] * var_b[idx]
-        matrix[n_paths + idx, n_paths + idx] = p_hat[idx] * var_b2[idx]
-        matrix[idx, n_paths + idx] = p_hat[idx] * cov_b2_b[idx]
-        matrix[n_paths + idx, idx] = p_hat[idx] * cov_b2_b[idx]
-    contraction = np.concatenate([-2.0 * mu * ratio, ratio])
-    return _finalize(
-        (i, j), "variance", REGIME_UNKNOWN, matrix, contraction, support_paths=paths
-    )
+    return _unknown_av((i, j), which, _data_table(cell, ratio, cond))
 
 
 def naive_asym_var(
@@ -332,23 +343,29 @@ def naive_asym_var(
 ) -> AsymptoticVariance:
     """Asymptotic variance of the naive cell estimators (the unit-ratio
     special case of the known-source regime, so no kernel is needed)."""
-    if which not in ("mean", "variance"):
-        raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
-    b = _cell_responses(data, j, i)
-    mu = float(np.mean(b))
-    if which == "mean":
-        value = float(np.mean(b * b)) - mu * mu
-        return _finalize((i, j), "mean", REGIME_KNOWN, [[value]], [1.0])
-    x = b * b
-    ex = float(np.mean(x))
-    var_x = float(np.mean(x * x)) - ex * ex
-    var_y = float(np.mean(b * b)) - mu * mu
-    cov = float(np.mean(x * b)) - ex * mu
-    matrix = [
-        [var_x, 2.0 * mu * cov],
-        [2.0 * mu * cov, 4.0 * mu * mu * var_y],
-    ]
-    return _finalize((i, j), "variance", REGIME_KNOWN, matrix, [1.0, -1.0])
+    _check_which(which)
+    cell = _cell(data, j, i)
+    return _known_av((i, j), which, _data_table(cell, np.ones(cell.counts.size)))
+
+
+def cell_asym_var(
+    data: PathDataset,
+    i: int,
+    j: int,
+    kind: str,
+    which: str = "mean",
+    kernel: TransitionKernel | None = None,
+    target: TransitionKernel | None = None,
+) -> AsymptoticVariance:
+    """Plug-in asymptotic variance of :func:`cell_estimate` of the same
+    ``kind``: naive, known-source regime for weighted, unknown-source regime
+    for plugin."""
+    kind = _canonical_kind(kind)
+    if kind == KIND_NAIVE:
+        return naive_asym_var(data, i, j, which)
+    if kind == KIND_WEIGHTED:
+        return plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, kernel=kernel)
+    return plugin_asym_var(data, target, i, j, which, REGIME_UNKNOWN)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    REGIME_KNOWN,
-    REGIME_UNKNOWN,
-    confidence_interval,
-    naive_asym_var,
-    normal_quantile,
-    plugin_asym_var,
-)
-from .errors import DataError, ModelError, NoDataError, StatisticalError
+from .asymptotics import cell_asym_var, confidence_interval, normal_quantile
+from .errors import DataError, ModelError, StatisticalError
 from .estimators import cell_estimate
 from .model import (
     SUPPORT_ZERO,
@@ -250,14 +243,6 @@ def _report_markov(args, data) -> None:
         )
 
 
-def _av_for(kind, data, source, target, i, j, which):
-    if kind == "naive":
-        return naive_asym_var(data, i, j, which)
-    if kind == "weighted":
-        return plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, kernel=source)
-    return plugin_asym_var(data, target, i, j, which, REGIME_UNKNOWN)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -275,7 +260,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_rows(args, spec, data, model):
+def _all_nodes(spec) -> list[tuple[int, int]]:
+    return [(i, j) for j, r in enumerate(spec.levels, start=1) for i in range(1, r + 1)]
+
+
+_CELL_FIELDS = ("mean", "mean_se", "mean_lower", "mean_upper",
+                "variance", "variance_se", "variance_lower", "variance_upper")
+
+
+def _estimate_rows(args, spec, data, model, nodes):
+    """One report row per node (i, j) in ``nodes``: the cell estimates with
+    their standard errors and confidence limits, Bessel-scaled on request."""
     kind = args.estimator
     source = model.kernel if model is not None else None
     if kind == "weighted" and source is None:
@@ -287,70 +282,45 @@ def _estimate_rows(args, spec, data, model):
         if kind == "weighted" and not kernels_equivalent(source, target):
             raise ModelError("measures not equivalent: source vs target kernel")
     rows = []
-    for j, r in enumerate(spec.levels, start=1):
-        for i in range(1, r + 1):
-            base = {
-                "column": j,
-                "level_index": i,
-                "label": spec.label(j, i),
-                "count": data.count(j, i),
-            }
-            if base["count"] == 0:
-                rows.append(
-                    base
-                    | {
-                        "mean": None, "mean_se": None,
-                        "mean_lower": None, "mean_upper": None,
-                        "variance": None, "variance_se": None,
-                        "variance_lower": None, "variance_upper": None,
-                        "flags": ["no-data"],
-                    }
-                )
-                continue
-            cell = cell_estimate(data, i, j, kind, source, target, target_id)
-            flags = []
-            if cell.clipped:
-                flags.append("variance-clipped")
-            scale = 1.0
-            variance = cell.variance
-            if args.bessel and cell.count >= 2:
-                scale = cell.count / (cell.count - 1)
-                variance = cell.variance * scale
-            row = base | {"mean": cell.mean, "variance": variance, "flags": flags}
+    for i, j in nodes:
+        base = {
+            "column": j,
+            "level_index": i,
+            "label": spec.label(j, i),
+            "count": data.count(j, i),
+        }
+        if base["count"] == 0:
+            rows.append(base | dict.fromkeys(_CELL_FIELDS) | {"flags": ["no-data"]})
+            continue
+        cell = cell_estimate(data, i, j, kind, source, target, target_id)
+        flags = []
+        if cell.clipped:
+            flags.append("variance-clipped")
+        scale = 1.0
+        if args.bessel and cell.count >= 2:
+            scale = cell.count / (cell.count - 1)
+        row = base | {"mean": cell.mean, "variance": cell.variance * scale, "flags": flags}
+        for which, factor in (("mean", 1.0), ("variance", scale)):
             try:
-                av = _av_for(kind, data, source, target, i, j, "mean")
+                av = cell_asym_var(data, i, j, kind, which, source, target)
                 ci = confidence_interval(cell, av, args.level)
                 row |= {
-                    "mean_se": math.sqrt(av.value / cell.count),
-                    "mean_lower": ci.lower,
-                    "mean_upper": ci.upper,
+                    f"{which}_se": math.sqrt(av.value / cell.count) * factor,
+                    f"{which}_lower": ci.lower * factor,
+                    f"{which}_upper": ci.upper * factor,
                 }
             except StatisticalError as exc:
-                flags.append("mean-ci-unavailable")
+                flags.append(f"{which}-ci-unavailable")
                 print(f"note: node ({i}, {j}): {exc}", file=sys.stderr)
-                row |= {"mean_se": None, "mean_lower": None, "mean_upper": None}
-            try:
-                av = _av_for(kind, data, source, target, i, j, "variance")
-                ci = confidence_interval(cell, av, args.level)
-                row |= {
-                    "variance_se": math.sqrt(av.value / cell.count) * scale,
-                    "variance_lower": ci.lower * scale,
-                    "variance_upper": ci.upper * scale,
-                }
-            except StatisticalError as exc:
-                flags.append("variance-ci-unavailable")
-                print(f"note: node ({i}, {j}): {exc}", file=sys.stderr)
-                row |= {
-                    "variance_se": None, "variance_lower": None, "variance_upper": None,
-                }
-            rows.append(row)
+                row |= dict.fromkeys((f"{which}_se", f"{which}_lower", f"{which}_upper"))
+        rows.append(row)
     return rows, target_id
 
 
 def _cmd_estimate(args) -> int:
     table, spec, data, model = _load_inputs(args)
     _report_markov(args, data)
-    rows, target_id = _estimate_rows(args, spec, data, model)
+    rows, target_id = _estimate_rows(args, spec, data, model, _all_nodes(spec))
     doc = estimate_document(
         estimator=args.estimator,
         target=target_id,
@@ -365,16 +335,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    """Within-column differences of the rows ``estimate`` reports for the
+    same flags; the two cells' standard errors add in quadrature."""
     table, spec, data, model = _load_inputs(args)
     _report_markov(args, data)
-    kind = args.estimator
-    source = model.kernel if model is not None else None
-    if kind == "weighted" and source is None:
-        raise ModelError("weighted estimator requires --model with the source kernel")
-    if kind == "naive":
-        target, target_id = None, ""
-    else:
-        target, target_id = _resolve_target(args.target_kernel, spec)
 
     if args.column is None:
         columns = list(range(1, spec.c + 1))
@@ -397,8 +361,7 @@ def _cmd_compare(args) -> int:
             raise UsageError(f"--pair expects 'i,i2', got {args.pair!r}") from None
         pair = (a, b)
 
-    z = normal_quantile((1.0 + args.level) / 2.0)
-    rows = []
+    pairs = []
     for j in columns:
         r = spec.levels[j - 1]
         if pair is not None:
@@ -406,58 +369,40 @@ def _cmd_compare(args) -> int:
                 raise DataError(
                     f"pair {pair} outside 1..{r} for column {j}"
                 )
-            pairs = [pair]
+            pairs.append((j, *pair))
         else:
-            pairs = [
-                (i, i2) for i in range(1, r + 1) for i2 in range(i + 1, r + 1)
-            ]
-        for i, i2 in pairs:
-            for which in ("mean", "variance"):
-                base = {
-                    "column": j, "which": which,
-                    "level_a": i, "level_b": i2,
-                    "label_a": spec.label(j, i), "label_b": spec.label(j, i2),
-                }
-                try:
-                    cell_a = cell_estimate(data, i, j, kind, source, target, target_id)
-                    cell_b = cell_estimate(data, i2, j, kind, source, target, target_id)
-                except NoDataError as exc:
-                    print(f"note: {exc}", file=sys.stderr)
-                    rows.append(base | {
-                        "difference": None, "se": None,
-                        "lower": None, "upper": None, "flags": ["no-data"],
-                    })
-                    continue
-                value_a = cell_a.mean if which == "mean" else cell_a.variance
-                value_b = cell_b.mean if which == "mean" else cell_b.variance
-                scale = 1.0
-                if args.bessel and which == "variance":
-                    if min(cell_a.count, cell_b.count) >= 2:
-                        value_a *= cell_a.count / (cell_a.count - 1)
-                        value_b *= cell_b.count / (cell_b.count - 1)
-                diff = value_a - value_b
-                flags = []
-                try:
-                    av_a = _av_for(kind, data, source, target, i, j, which)
-                    av_b = _av_for(kind, data, source, target, i2, j, which)
-                    se = math.sqrt(
-                        av_a.value / cell_a.count + av_b.value / cell_b.count
-                    )
-                    row = base | {
-                        "difference": diff, "se": se,
-                        "lower": diff - z * se, "upper": diff + z * se,
-                        "flags": flags,
-                    }
-                except StatisticalError as exc:
-                    print(f"note: {exc}", file=sys.stderr)
-                    flags.append("ci-unavailable")
-                    row = base | {
-                        "difference": diff, "se": None,
-                        "lower": None, "upper": None, "flags": flags,
-                    }
-                rows.append(row)
+            pairs += [(j, i, i2) for i in range(1, r + 1) for i2 in range(i + 1, r + 1)]
+
+    wanted = {(i, j) for j, i, _ in pairs} | {(i2, j) for j, _, i2 in pairs}
+    nodes = [node for node in _all_nodes(spec) if node in wanted]
+    cell_rows, target_id = _estimate_rows(args, spec, data, model, nodes)
+    cells = {(row["level_index"], row["column"]): row for row in cell_rows}
+    z = normal_quantile((1.0 + args.level) / 2.0)
+    rows = []
+    for j, i, i2 in pairs:
+        a, b = cells[(i, j)], cells[(i2, j)]
+        for which in ("mean", "variance"):
+            row = {
+                "column": j, "which": which,
+                "level_a": i, "level_b": i2,
+                "label_a": spec.label(j, i), "label_b": spec.label(j, i2),
+                "difference": None, "se": None, "lower": None, "upper": None,
+                "flags": [],
+            }
+            if a["count"] == 0 or b["count"] == 0:
+                row["flags"].append("no-data")
+            else:
+                row["difference"] = diff = a[which] - b[which]
+                se_a, se_b = a[f"{which}_se"], b[f"{which}_se"]
+                if se_a is None or se_b is None:
+                    row["flags"].append("ci-unavailable")
+                else:
+                    se = math.sqrt(se_a * se_a + se_b * se_b)
+                    row |= {"se": se, "lower": diff - z * se, "upper": diff + z * se}
+            rows.append(row)
     doc = compare_document(
-        estimator=kind, target=target_id, level=args.level, n=data.n, rows=rows
+        estimator=args.estimator, target=target_id, level=args.level, n=data.n,
+        rows=rows,
     )
     _write(doc, args)
     return 0

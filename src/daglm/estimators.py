@@ -9,9 +9,12 @@ fixed node (i, j):
 * plugin: responses reweighted by the empirical ratio built from observed
   path frequencies (source kernel unknown).
 
-Weighted/plugin estimators share the naive reduction: the weight vector is
-applied per record and summed with the same floating-point sequence, so a
-ratio that is identically 1 reproduces the naive value bit for bit.
+All three reduce over the cell's distinct observed paths (record counts
+and response power sums, grouped once per dataset by
+:attr:`PathDataset.groups`). Each path carries one per-record weight, 1 for
+the naive kind; every kind sums weight times power sum with the same
+floating-point sequence, so a ratio that is identically 1 reproduces the
+naive value bit for bit.
 
 All functions are pure; datasets are immutable. Cell aggregation may be
 sharded by records and merged, with results equal up to floating-point
@@ -28,11 +31,12 @@ from .errors import ModelError, NoDataError, StatisticalError
 from .model import (
     SUPPORT_ZERO,
     PathDataset,
+    PathGroups,
     PathLike,
     TransitionKernel,
+    conditional_path_probabilities,
     conditional_path_probability,
     kernels_equivalent,
-    node_marginal,
     validate_path,
 )
 
@@ -70,11 +74,11 @@ def accumulate_counts(data: PathDataset) -> tuple[np.ndarray, np.ndarray]:
     return B, V
 
 
-def _cell_responses(data: PathDataset, j: int, i: int) -> np.ndarray:
-    sel = data.responses[data.node_mask(j, i)]
-    if sel.size == 0:
+def _cell(data: PathDataset, j: int, i: int) -> PathGroups:
+    cell = data.node_groups(j, i)
+    if cell.counts.size == 0:
         raise NoDataError(f"no data at node ({i}, {j})")
-    return sel
+    return cell
 
 
 def _clip_variance(value: float, strict: bool) -> tuple[float, bool]:
@@ -93,36 +97,34 @@ def _clip_variance(value: float, strict: bool) -> tuple[float, bool]:
     raise StatisticalError(f"variance {value} below the rounding-noise floor")
 
 
-def _mean_and_variance(b: np.ndarray, w: np.ndarray | None) -> tuple[float, float, bool]:
-    """Shared reduction for all estimator families; ``w`` of None means
-    unweighted."""
-    n = b.size
-    if w is None:
-        mean = float(np.sum(b) / n)
-        second = float(np.sum(b * b) / n)
-    else:
-        mean = float(np.sum(b * w) / n)
-        second = float(np.sum(b * b * w) / n)
-    variance, clipped = _clip_variance(second - mean * mean, strict=w is None)
+def _mean_and_variance(
+    cell: PathGroups, w: np.ndarray, strict: bool
+) -> tuple[float, float, bool]:
+    """Shared reduction for all estimator families: ``w`` holds each
+    distinct path's per-record weight; ``strict`` marks unit weights (see
+    :func:`_clip_variance`)."""
+    n = cell.n
+    mean = float(np.sum(w * cell.sums[:, 1]) / n)
+    second = float(np.sum(w * cell.sums[:, 2]) / n)
+    variance, clipped = _clip_variance(second - mean * mean, strict)
     return mean, variance, clipped
 
 
 def naive_mean(data: PathDataset, i: int, j: int) -> float:
     """Cell average of responses through node (i, j)."""
-    b = _cell_responses(data, j, i)
-    return _mean_and_variance(b, None)[0]
+    return cell_estimate(data, i, j, KIND_NAIVE).mean
 
 
 def naive_variance(data: PathDataset, i: int, j: int, bessel: bool = False) -> float:
     """Cell population variance; ``bessel`` opts into the n-1 correction."""
-    b = _cell_responses(data, j, i)
-    value = _mean_and_variance(b, None)[1]
+    est = cell_estimate(data, i, j, KIND_NAIVE)
+    value = est.variance
     if bessel:
-        if b.size < 2:
+        if est.count < 2:
             raise StatisticalError(
                 f"Bessel correction needs at least 2 records at node ({i}, {j})"
             )
-        value *= b.size / (b.size - 1)
+        value *= est.count / (est.count - 1)
     return value
 
 
@@ -146,18 +148,8 @@ def measure_change_ratio(
     return conditional_path_probability(target, nodes, j, i) / cond_q
 
 
-def _distinct_cell_paths(data: PathDataset, j: int, i: int):
-    """Distinct observed paths through (i, j) with per-record inverse index
-    and counts; also returns the cell's responses."""
-    mask = data.node_mask(j, i)
-    b = data.responses[mask]
-    if b.size == 0:
-        raise NoDataError(f"no data at node ({i}, {j})")
-    paths = data.paths[mask]
-    distinct, inverse, counts = np.unique(
-        paths, axis=0, return_inverse=True, return_counts=True
-    )
-    return b, distinct, inverse.ravel(), counts
+def _first_path(cell: PathGroups, mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(x) for x in cell.paths[np.argmax(mask)])
 
 
 def _exact_weights(
@@ -166,32 +158,19 @@ def _exact_weights(
     target: TransitionKernel,
     i: int,
     j: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[PathGroups, np.ndarray]:
+    """The cell at (i, j) and the exact measure-change ratio of each of its
+    distinct paths."""
     if not kernels_equivalent(kernel, target):
         raise ModelError("measures not equivalent")
-    b, distinct, inverse, _ = _distinct_cell_paths(data, j, i)
-    marg_q = node_marginal(kernel, j, i)
-    marg_t = node_marginal(target, j, i)
-    if marg_q <= SUPPORT_ZERO:
+    cell = _cell(data, j, i)
+    cond_q, in_support = conditional_path_probabilities(kernel, cell.paths, j, i)
+    if not in_support.all():
         raise StatisticalError(
-            f"conditioning on null event: node ({i}, {j}) is unreachable"
+            f"path {_first_path(cell, ~in_support)} outside the source kernel's support"
         )
-    ratios = np.empty(distinct.shape[0])
-    for idx, row in enumerate(distinct):
-        p_q = _raw_path_probability(kernel, row)
-        if p_q <= 0.0:
-            raise StatisticalError(
-                f"path {tuple(int(x) for x in row)} outside the source kernel's support"
-            )
-        ratios[idx] = (_raw_path_probability(target, row) / marg_t) / (p_q / marg_q)
-    return b, ratios[inverse]
-
-
-def _raw_path_probability(kernel: TransitionKernel, row: np.ndarray) -> float:
-    p = float(kernel.initial[row[0] - 1])
-    for k in range(kernel.c - 1):
-        p *= float(kernel.steps[k][row[k] - 1, row[k + 1] - 1])
-    return p
+    cond_t, _ = conditional_path_probabilities(target, cell.paths, j, i)
+    return cell, cond_t / cond_q
 
 
 def weighted_mean(
@@ -199,8 +178,7 @@ def weighted_mean(
 ) -> float:
     """Cell average of b times the exact measure-change ratio; estimates the
     target kernel's conditional mean at node (i, j)."""
-    b, w = _exact_weights(data, kernel, target, i, j)
-    return _mean_and_variance(b, w)[0]
+    return cell_estimate(data, i, j, KIND_WEIGHTED, kernel, target).mean
 
 
 def weighted_variance(
@@ -208,8 +186,7 @@ def weighted_variance(
 ) -> float:
     """Ratio-weighted second moment minus squared weighted mean; estimates
     the target kernel's conditional variance at node (i, j)."""
-    b, w = _exact_weights(data, kernel, target, i, j)
-    return _mean_and_variance(b, w)[1]
+    return cell_estimate(data, i, j, KIND_WEIGHTED, kernel, target).variance
 
 
 def empirical_ratio(
@@ -220,29 +197,18 @@ def empirical_ratio(
     nodes = validate_path(path, data.spec)
     if nodes[j - 1] != i:
         raise ModelError(f"path does not pass through node ({i}, {j})")
-    mask = data.node_mask(j, i)
-    n_cell = int(mask.sum())
-    if n_cell == 0:
-        raise NoDataError(f"no data at node ({i}, {j})")
-    n_path = int((data.paths[mask] == np.asarray(nodes)).all(axis=1).sum())
+    cell = _cell(data, j, i)
+    n_path = int(cell.counts[(cell.paths == nodes).all(axis=1)].sum())
     if n_path == 0:
         raise StatisticalError(f"zero empirical frequency: path {nodes} never observed")
-    return conditional_path_probability(target, nodes, j, i) * n_cell / n_path
-
-
-def _path_in_support(kernel: TransitionKernel, row) -> bool:
-    if kernel.initial[row[0] - 1] <= SUPPORT_ZERO:
-        return False
-    for k in range(kernel.c - 1):
-        if kernel.steps[k][row[k] - 1, row[k + 1] - 1] <= SUPPORT_ZERO:
-            return False
-    return True
+    return conditional_path_probability(target, nodes, j, i) * cell.n / n_path
 
 
 def _plugin_weights(
     data: PathDataset, target: TransitionKernel, i: int, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record empirical-ratio weights for the cell at (i, j).
+) -> tuple[PathGroups, np.ndarray, np.ndarray]:
+    """The cell at (i, j), the empirical-ratio weight of each of its
+    distinct paths, and their target conditional probabilities.
 
     Requires the observed paths to exhaust the target kernel's conditional
     support: every observed path must have positive target probability, and
@@ -251,37 +217,30 @@ def _plugin_weights(
     for this dataset, which is surfaced as an error rather than silently
     renormalized.
     """
-    b, distinct, inverse, counts = _distinct_cell_paths(data, j, i)
-    n_cell = b.size
-    cond = np.empty(distinct.shape[0])
-    for idx, row in enumerate(distinct):
-        if not _path_in_support(target, row):
-            raise StatisticalError(
-                "target measure excludes observed path "
-                f"{tuple(int(x) for x in row)}"
-            )
-        cond[idx] = conditional_path_probability(target, row, j, i)
+    cell = _cell(data, j, i)
+    cond, in_support = conditional_path_probabilities(target, cell.paths, j, i)
+    if not in_support.all():
+        raise StatisticalError(
+            f"target measure excludes observed path {_first_path(cell, ~in_support)}"
+        )
     total = float(cond.sum())
     if abs(total - 1.0) > 1e-9:
         raise StatisticalError(
             f"observed paths through node ({i}, {j}) carry target conditional "
             f"mass {total:.6g}, not 1; support paths are missing from the data"
         )
-    ratios = cond * n_cell / counts
-    return b, ratios[inverse]
+    return cell, cond * cell.n / cell.counts, cond
 
 
 def plugin_mean(data: PathDataset, target: TransitionKernel, i: int, j: int) -> float:
     """Cell average of b times the empirical ratio; the unknown-source
     counterpart of :func:`weighted_mean`."""
-    b, w = _plugin_weights(data, target, i, j)
-    return _mean_and_variance(b, w)[0]
+    return cell_estimate(data, i, j, KIND_PLUGIN, target=target).mean
 
 
 def plugin_variance(data: PathDataset, target: TransitionKernel, i: int, j: int) -> float:
     """Empirical-ratio-weighted second moment minus squared plugin mean."""
-    b, w = _plugin_weights(data, target, i, j)
-    return _mean_and_variance(b, w)[1]
+    return cell_estimate(data, i, j, KIND_PLUGIN, target=target).variance
 
 
 _KIND_ALIASES = {
@@ -294,26 +253,11 @@ _KIND_ALIASES = {
 }
 
 
-def _cell_values(
-    data: PathDataset,
-    i: int,
-    j: int,
-    kind: str,
-    kernel: TransitionKernel | None,
-    target: TransitionKernel | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _canonical_kind(kind: str) -> str:
     canonical = _KIND_ALIASES.get(kind)
     if canonical is None:
         raise ModelError(f"unknown estimator kind {kind!r}")
-    if canonical == KIND_NAIVE:
-        return _cell_responses(data, j, i), None
-    if canonical == KIND_WEIGHTED:
-        if kernel is None or target is None:
-            raise ModelError("weighted estimator needs both source and target kernels")
-        return _exact_weights(data, kernel, target, i, j)
-    if target is None:
-        raise ModelError("plugin estimator needs a target kernel")
-    return _plugin_weights(data, target, i, j)
+    return canonical
 
 
 def cell_estimate(
@@ -326,14 +270,25 @@ def cell_estimate(
     target_id: str = "",
 ) -> CellEstimate:
     """Full (mean, variance) estimate for one node under one estimator."""
-    b, w = _cell_values(data, i, j, kind, kernel, target)
-    mean, variance, clipped = _mean_and_variance(b, w)
+    kind = _canonical_kind(kind)
+    if kind == KIND_NAIVE:
+        cell = _cell(data, j, i)
+        w = np.ones(cell.counts.size)
+    elif kind == KIND_WEIGHTED:
+        if kernel is None or target is None:
+            raise ModelError("weighted estimator needs both source and target kernels")
+        cell, w = _exact_weights(data, kernel, target, i, j)
+    else:
+        if target is None:
+            raise ModelError("plugin estimator needs a target kernel")
+        cell, w, _ = _plugin_weights(data, target, i, j)
+    mean, variance, clipped = _mean_and_variance(cell, w, strict=kind == KIND_NAIVE)
     return CellEstimate(
         node=(i, j),
-        count=b.size,
+        count=cell.n,
         mean=mean,
         variance=variance,
-        kind=_KIND_ALIASES[kind],
+        kind=kind,
         target=target_id,
         clipped=clipped,
     )

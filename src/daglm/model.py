@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -314,6 +315,35 @@ def conditional_path_probability(
     return path_probability(kernel, nodes) / marginal
 
 
+def conditional_path_probabilities(
+    kernel: TransitionKernel, paths: np.ndarray, j: int, i: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`conditional_path_probability` for the rows of an
+    (m, c) array of 1-based paths, all passing through node (i, j).
+
+    Also returns a mask of the paths in the kernel's support, decided
+    entrywise as in :func:`enumerate_support_paths`: every factor of the
+    path's probability exceeds ``SUPPORT_ZERO`` (a factor from an
+    unobserved, all-NaN row does not).
+    """
+    paths = np.asarray(paths, dtype=np.int64)
+    if paths.shape[1:] != (kernel.c,) or ((paths < 1) | (paths > kernel.levels)).any():
+        raise ModelError(f"paths do not fit the kernel's levels {kernel.levels}")
+    marginal = node_marginal(kernel, j, i)
+    if marginal <= SUPPORT_ZERO:
+        raise StatisticalError(
+            f"conditioning on null event: node ({i}, {j}) is unreachable"
+        )
+    rows = paths - 1
+    factor = kernel.initial[rows[:, 0]]
+    prob, supported = factor, factor > SUPPORT_ZERO
+    for k, step in enumerate(kernel.steps):
+        factor = step[rows[:, k], rows[:, k + 1]]
+        prob = prob * factor
+        supported = supported & (factor > SUPPORT_ZERO)
+    return prob / marginal, supported
+
+
 def enumerate_support_paths(
     kernel: TransitionKernel,
     j: int | None = None,
@@ -584,6 +614,29 @@ class QualityModel:
 # datasets
 
 @dataclass(frozen=True)
+class PathGroups:
+    """Distinct observed paths with per-path record counts and response
+    power sums: the only summary of a dataset the estimators and plug-in
+    asymptotic variances need.
+
+    ``paths`` is an (m, c) array of distinct paths in lexicographic order,
+    ``counts`` the number of records on each, and ``sums[p, k]`` the sum of
+    b**k over the records of path p, for k = 0..ORDER (so column 0 repeats
+    the counts).
+    """
+
+    ORDER = 4
+
+    paths: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+
+@dataclass(frozen=True)
 class PathDataset:
     """n observed paths with their responses.
 
@@ -632,12 +685,47 @@ class PathDataset:
 
     def node_mask(self, j: int, i: int) -> np.ndarray:
         """Boolean mask of records whose path passes through node (i, j)."""
-        if not 1 <= j <= self.spec.c or not 1 <= i <= self.spec.levels[j - 1]:
-            raise ModelError(f"node ({i}, {j}) outside spec")
+        self._check_node(j, i)
         return self.paths[:, j - 1] == i
 
     def count(self, j: int, i: int) -> int:
-        return int(self.node_mask(j, i).sum())
+        return int(self.node_groups(j, i).counts.sum())
+
+    def _check_node(self, j: int, i: int) -> None:
+        if not 1 <= j <= self.spec.c or not 1 <= i <= self.spec.levels[j - 1]:
+            raise ModelError(f"node ({i}, {j}) outside spec")
+
+    @cached_property
+    def groups(self) -> PathGroups:
+        """The records grouped by distinct path; computed on first use and
+        kept, since the dataset never changes."""
+        # mixed-radix key of each path, lexicographic in the path; when the
+        # next column would overflow it, the key is first renumbered densely
+        key = np.zeros(self.n, dtype=np.int64)
+        bound = 1
+        for col, r in zip(self.paths.T, self.spec.levels):
+            if bound * r > 2**62:
+                key = np.unique(key, return_inverse=True)[1]
+                bound = self.n
+            key = key * r + (col - 1)
+            bound *= r
+        _, first, inverse, counts = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+        sums = np.empty((first.size, PathGroups.ORDER + 1))
+        power = np.ones(self.n)
+        for k in range(PathGroups.ORDER + 1):
+            sums[:, k] = np.bincount(inverse, weights=power, minlength=first.size)
+            power = power * self.responses
+        return PathGroups(self.paths[first], counts, sums)
+
+    def node_groups(self, j: int, i: int) -> PathGroups:
+        """The distinct observed paths through node (i, j) with their counts
+        and power sums."""
+        self._check_node(j, i)
+        g = self.groups
+        sel = g.paths[:, j - 1] == i
+        return PathGroups(g.paths[sel], g.counts[sel], g.sums[sel])
 
 
 def estimate_kernel(data: PathDataset, smoothing: float = 0.0) -> TransitionKernel:

@@ -20,14 +20,12 @@ from scipy import stats as sstats
 from .errors import ModelError, StatisticalError
 from .estimators import cell_estimate
 from .asymptotics import (
-    REGIME_KNOWN,
-    REGIME_UNKNOWN,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
     asym_var_variance_unknown,
+    cell_asym_var,
     confidence_interval,
-    plugin_asym_var,
 )
 from .model import (
     SUPPORT_ZERO,
@@ -215,38 +213,6 @@ def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:
     return config.kernel if kind == "naive" else resolve_target(config)
 
 
-def _replicate_estimate(
-    data: PathDataset,
-    config: ExperimentConfig,
-    kind: str,
-    target: TransitionKernel,
-    i: int,
-    j: int,
-):
-    if kind == "naive":
-        est = cell_estimate(data, i, j, "naive")
-    elif kind == "weighted":
-        est = cell_estimate(data, i, j, "weighted", kernel=config.kernel, target=target)
-    else:
-        est = cell_estimate(data, i, j, "plugin", target=target)
-    return est
-
-
-def _replicate_av(
-    data: PathDataset,
-    config: ExperimentConfig,
-    kind: str,
-    target: TransitionKernel,
-    i: int,
-    j: int,
-    which: str,
-):
-    if kind == "plugin":
-        return plugin_asym_var(data, target, i, j, which, REGIME_UNKNOWN)
-    source = config.kernel
-    return plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, kernel=source)
-
-
 def _exact_av(config: ExperimentConfig, kind: str, target, i: int, j: int, which: str):
     if kind == "plugin":
         fn = asym_var_mean_unknown if which == "mean" else asym_var_variance_unknown
@@ -306,8 +272,8 @@ def coverage_study(
     for rep in range(config.replicates):
         data = sample_dataset(config, rep)
         for i, j in nodes:
-            cell = _replicate_estimate(data, config, kind, target, i, j)
-            av = _replicate_av(data, config, kind, target, i, j, which)
+            cell = cell_estimate(data, i, j, kind, config.kernel, target)
+            av = cell_asym_var(data, i, j, kind, which, config.kernel, target)
             ci = confidence_interval(cell, av, level)
             est[(i, j)][rep] = ci.point
             low[(i, j)][rep] = ci.lower
@@ -362,7 +328,7 @@ def anscombe_study(
     for rep in range(config.replicates):
         data = sample_dataset(config, rep)
         for i, j in nodes:
-            cell = _replicate_estimate(data, config, kind, target, i, j)
+            cell = cell_estimate(data, i, j, kind, config.kernel, target)
             value = cell.mean if which == "mean" else cell.variance
             raw[(i, j)][rep] = math.sqrt(cell.count) * (
                 value - grid[i - 1, j - 1]

@@ -92,7 +92,11 @@ def sort_labels(labels) -> list[str]:
 def _open_text(source):
     if hasattr(source, "read"):
         return source, False
-    return open(source, "r", encoding="utf-8", newline=""), True
+    return open(source, "r", encoding="utf-8-sig", newline=""), True
+
+
+def _repeated(names) -> list[str]:
+    return sorted({name for name in names if names.count(name) > 1})
 
 
 def load_table(
@@ -117,6 +121,9 @@ def load_table(
         if should_close:
             fh.close()
 
+    if header:
+        # a file-like source opened as plain UTF-8 keeps the byte-order mark
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     if response_column is None:
         response_column = header[-1]
@@ -126,6 +133,10 @@ def load_table(
         factor_columns = [h for h in header if h != response_column]
     if not factor_columns:
         raise DataError("no factor columns")
+    for names in (header, list(factor_columns)):
+        repeated = _repeated(names)
+        if repeated:
+            raise DataError(f"duplicate column names {repeated}")
     for name in factor_columns:
         if name not in header:
             raise DataError(f"missing column {name!r}")

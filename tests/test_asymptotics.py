@@ -89,6 +89,23 @@ def test_asym_var_matrix_psd_and_contraction_shapes(
     assert av.support_paths == ((1, 1), (2, 1))
 
 
+def test_unrealizable_moments_fail_the_psd_check():
+    # raw moments (0, 1, 0, 0.2) give Var[b^2] = 0.2 - 1 < 0, which no
+    # distribution has; the other nodes add nothing to the response
+    spec = daglm.DagSpec(levels=(2, 2))
+    uniform = daglm.uniform_kernel(spec)
+    nodes = {(i, j): daglm.NodeQuality.point_mass(0.0) for i in (1, 2) for j in (1, 2)}
+    nodes[(1, 1)] = daglm.NodeQuality.from_raw_moments((0.0, 1.0, 0.0, 0.2))
+    quality = daglm.QualityModel(nodes=nodes)
+    for fn, lowest in ((asym_var_variance_unknown, "-0.4"),
+                       (asym_var_variance_known, "-0.8")):
+        with pytest.raises(
+            StatisticalError,
+            match=rf"not positive semidefinite \(min eigenvalue {lowest}\)",
+        ):
+            fn(uniform, uniform, quality, 1, 1)
+
+
 def test_plugin_asym_var_consistent(demo_config):
     config = daglm.ExperimentConfig(
         spec=demo_config.spec, kernel=demo_config.kernel,

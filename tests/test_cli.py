@@ -94,6 +94,28 @@ def test_weighted_without_model_exit_3(capsys, workdir):
     assert "requires --model" in err
 
 
+def test_duplicate_factor_names_exit_3(capsys, tmp_path):
+    data_path = tmp_path / "dup.csv"
+    data_path.write_text("a,a,y\n1,1,1.0\n2,2,2.0\n", encoding="utf-8")
+    code, _, err = run(["estimate", "--data", data_path, "--estimator", "naive"],
+                       capsys)
+    assert code == 3
+    assert "duplicate column names ['a']" in err
+
+
+def test_utf8_bom_header_names_columns(capsys, tmp_path):
+    data_path = tmp_path / "bom.csv"
+    rows = "".join(f"{a},{b},{k}.5\n" for k, (a, b) in enumerate(
+        [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v")] * 2))
+    data_path.write_bytes(b"\xef\xbb\xbf" + f"a,b,y\n{rows}".encode("utf-8"))
+    code, out, err = run(
+        ["compare", "--data", data_path, "--column", "a", "--estimator", "naive"],
+        capsys,
+    )
+    assert code == 0, err
+    check_report(json.loads(out))
+
+
 def test_target_excluding_observed_path_exit_4(capsys, workdir, tmp_path):
     target = {
         "schema_version": 1,
@@ -207,6 +229,24 @@ def test_estimate_bessel_scales_variance(capsys, workdir):
         assert b["variance"] == a["variance"] * scale
         assert b["variance_se"] == a["variance_se"] * scale
         assert b["mean"] == a["mean"]
+
+
+def test_compare_bessel_scales_se(capsys, workdir):
+    flags = ["--data", workdir / "toothgrowth.csv", "--estimator", "naive", "--bessel"]
+    code, out, err = run(["estimate", *flags], capsys)
+    assert code == 0, err
+    cells = {(r["level_index"], r["column"]): r for r in json.loads(out)["rows"]}
+    code, out, err = run(["compare", *flags], capsys)
+    assert code == 0, err
+    rows = [r for r in json.loads(out)["rows"] if r["which"] == "variance"]
+    assert len(rows) == 4  # one pair in supp, three in dose
+    for row in rows:
+        a = cells[(row["level_a"], row["column"])]
+        b = cells[(row["level_b"], row["column"])]
+        assert row["difference"] == a["variance"] - b["variance"]
+        assert row["se"] ** 2 == pytest.approx(
+            a["variance_se"] ** 2 + b["variance_se"] ** 2, rel=1e-12
+        )
 
 
 def test_no_data_rows_flagged(capsys, tmp_path):

@@ -325,7 +325,114 @@ def test_plugin_weights_average_to_one(seed):
             if data.count(j, i) == 0:
                 continue
             try:
-                b, w = _plugin_weights(data, target, i, j)
+                cell, w, _ = _plugin_weights(data, target, i, j)
             except StatisticalError:
                 continue  # support not exhausted at this n; checked elsewhere
-            assert np.sum(w) / b.size == pytest.approx(1.0, abs=1e-9)
+            # one weight per distinct path: the count-weighted mean is the
+            # mean over records
+            assert np.sum(cell.counts * w) / cell.counts.sum() == pytest.approx(
+                1.0, abs=1e-9
+            )
+
+
+def _known_av_per_record(b, w, which):
+    # delta method on the per-record pair (x, y) = (b^2 w, b w)
+    y, x = b * w, b * b * w
+    mu = np.mean(y)
+    var_y = np.mean(y * y) - mu * mu
+    if which == "mean":
+        return var_y
+    ex = np.mean(x)
+    var_x = np.mean(x * x) - ex * ex
+    cov = np.mean(x * y) - ex * mu
+    matrix = np.array([[var_x, 2 * mu * cov], [2 * mu * cov, 4 * mu * mu * var_y]])
+    return np.array([1.0, -1.0]) @ matrix @ np.array([1.0, -1.0])
+
+
+def _unknown_av_per_record(b, paths, cond, which):
+    # per-path moments from the records of each path, one block per path
+    n = b.size
+    value = 0.0
+    mu = sum(cond[q] * np.mean(b[paths == q]) for q in cond)
+    for q, c in cond.items():
+        bq = b[paths == q]
+        p_hat = bq.size / n
+        ratio = c / p_hat
+        m1, m2, m3, m4 = (np.mean(bq**k) for k in (1, 2, 3, 4))
+        var_b = m2 - m1 * m1
+        if which == "mean":
+            value += ratio * ratio * p_hat * var_b
+            continue
+        u, v = -2.0 * mu * ratio, ratio
+        value += p_hat * (
+            u * u * var_b + 2 * u * v * (m3 - m2 * m1) + v * v * (m4 - m2 * m2)
+        )
+    return value
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=30, deadline=None)
+def test_per_path_reductions_match_per_record_formulas(seed):
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, max_c=3, max_r=3, sparsify=0.2)
+    config = daglm.ExperimentConfig(
+        spec=spec, kernel=kernel, quality=quality,
+        n=int(rng.integers(20, 400)), seed=seed,
+    )
+    data = daglm.sample_dataset(config, 0)
+    close = dict(rel=1e-9, abs=1e-12)
+    for j in range(1, spec.c + 1):
+        for i in range(1, spec.levels[j - 1] + 1):
+            mask = data.node_mask(j, i)
+            b = data.responses[mask]
+            if b.size == 0:
+                continue
+            n = b.size
+            # one integer label per record's path
+            paths = np.ravel_multi_index(tuple((data.paths[mask] - 1).T), spec.levels)
+            rows = {int(q): tuple(int(x) for x in row)
+                    for q, row in zip(paths, data.paths[mask])}
+            cond_t = {q: daglm.conditional_path_probability(target, row, j, i)
+                      for q, row in rows.items()}
+            cond_q = {q: daglm.conditional_path_probability(kernel, row, j, i)
+                      for q, row in rows.items()}
+            counts = {q: int(np.sum(paths == q)) for q in rows}
+            weights = {
+                "naive": np.ones(n),
+                "weighted": np.array([cond_t[q] / cond_q[q] for q in paths]),
+                "plugin": np.array([cond_t[q] * n / counts[q] for q in paths]),
+            }
+            plugin_defined = abs(sum(cond_t.values()) - 1.0) <= 1e-9
+            for kind, w in weights.items():
+                if kind == "plugin" and not plugin_defined:
+                    with pytest.raises(StatisticalError, match="missing from the data"):
+                        cell_estimate(data, i, j, kind, kernel, target)
+                    continue
+                est = cell_estimate(data, i, j, kind, kernel, target)
+                mean = np.sum(b * w) / n
+                variance = np.sum(b * b * w) / n - mean * mean
+                assert est.count == n
+                assert est.mean == pytest.approx(mean, **close)
+                assert est.variance == pytest.approx(max(variance, 0.0), **close)
+            for which in ("mean", "variance"):
+                naive = daglm.naive_asym_var(data, i, j, which)
+                assert naive.value == pytest.approx(
+                    max(_known_av_per_record(b, weights["naive"], which), 0.0), **close
+                )
+                known = daglm.plugin_asym_var(
+                    data, target, i, j, which, daglm.REGIME_KNOWN, kernel=kernel
+                )
+                assert known.value == pytest.approx(
+                    max(_known_av_per_record(b, weights["weighted"], which), 0.0),
+                    **close,
+                )
+                if not plugin_defined:
+                    continue
+                if min(counts.values()) < 2:
+                    with pytest.raises(StatisticalError, match="seen once"):
+                        daglm.plugin_asym_var(data, target, i, j, which)
+                    continue
+                unknown = daglm.plugin_asym_var(data, target, i, j, which)
+                assert unknown.value == pytest.approx(
+                    max(_unknown_av_per_record(b, paths, cond_t, which), 0.0), **close
+                )

@@ -52,6 +52,22 @@ def test_load_table_errors():
         load_table(io.StringIO("a,b\n1,tall\n"))
 
 
+def test_load_table_drops_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + CSV.encode("utf-8"))
+    assert load_table(path).factor_names == ("supp", "dose")
+    assert load_table(io.StringIO("\ufeff" + CSV)).factor_names == ("supp", "dose")
+
+
+def test_load_table_refuses_duplicate_names():
+    with pytest.raises(DataError, match=r"duplicate column names \['a'\]"):
+        load_table(io.StringIO("a,a,y\n1,2,3.0\n"))
+    with pytest.raises(DataError, match=r"duplicate column names \['y'\]"):
+        load_table(io.StringIO("y,a,y\n1,2,3.0\n"))
+    with pytest.raises(DataError, match=r"duplicate column names \['dose'\]"):
+        load_table(io.StringIO(CSV), factor_columns=["dose", "dose"])
+
+
 def test_sort_labels():
     assert sort_labels({"10", "2", "1"}) == ["1", "2", "10"]
     assert sort_labels({"0.5", "2", "1"}) == ["0.5", "1", "2"]
