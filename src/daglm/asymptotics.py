@@ -46,11 +46,9 @@ from .model import (
     PathGroups,
     QualityModel,
     TransitionKernel,
-    conditional_path_probabilities,
-    enumerate_support_paths,
     kernels_equivalent,
 )
-from .oracle import path_raw_moments
+from .oracle import support_table
 
 #: tolerance (relative to the largest matrix entry) for symmetry/PSD checks
 PSD_ATOL = 1e-9
@@ -193,7 +191,7 @@ def _unknown_av(node: tuple[int, int], which: str, t: _PathTable) -> AsymptoticV
     path probabilities, contracted with the ratio vector (mean; a diagonal
     matrix), or per-path 2x2 covariances of (b, b^2) contracted with
     (-2*mu*C, C) (variance)."""
-    paths = tuple(tuple(int(x) for x in row) for row in t.paths)
+    paths = tuple(map(tuple, t.paths.tolist()))
     m = t.moments
     var_b = m[:, 2] - m[:, 1] ** 2
     if which == "mean":
@@ -222,15 +220,11 @@ def _cell_support(
     kernels, their ratio, and per-path response moments."""
     if not kernels_equivalent(kernel, target):
         raise ModelError("measures not equivalent")
-    support = enumerate_support_paths(kernel, j=j, i=i)
-    if not support:
+    paths, (p, pt), moments = support_table((kernel, target), quality, j, i, order)
+    if not len(paths):
         raise StatisticalError(
             f"conditioning on null event: node ({i}, {j}) is unreachable"
         )
-    paths = np.array(support)
-    p, _ = conditional_path_probabilities(kernel, paths, j, i)
-    pt, _ = conditional_path_probabilities(target, paths, j, i)
-    moments = np.vstack([path_raw_moments(quality, q, order) for q in support])
     return _PathTable(paths=paths, prob=p, ratio=pt / p, moments=moments, target=pt)
 
 

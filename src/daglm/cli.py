@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, estimate, compare, validate, discretize, kernel.
-Exit codes: 0 success, 2 usage error, 3 data/model validation error,
-4 statistical precondition error. Offending entities are named on stderr.
+Exit codes: 0 success, 1 standard output closed before the report was
+written, 2 usage error, 3 data/model validation error, 4 statistical
+precondition error. Offending entities are named on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -629,7 +631,16 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``daglm estimate ... | head``).
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # what is still buffered does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

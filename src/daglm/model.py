@@ -355,7 +355,24 @@ def enumerate_support_paths(
 
     Support is decided entrywise: kernel entries at or below
     ``SUPPORT_ZERO`` count as zero, so a path is included exactly when every
-    factor in its probability is positive.
+    factor in its probability is positive. Paths come in lexicographic
+    order.
+    """
+    return list(map(tuple, support_path_array(kernel, j, i, cap).tolist()))
+
+
+def support_path_array(
+    kernel: TransitionKernel,
+    j: int | None = None,
+    i: int | None = None,
+    cap: int = ENUMERATION_CAP,
+) -> np.ndarray:
+    """:func:`enumerate_support_paths` as an (m, c) array of 1-based levels.
+
+    Built one column at a time: every supported prefix is extended by each
+    level its kernel row (or the initial distribution) gives positive mass.
+    A prefix ending at an unobserved (all-NaN) row cannot be extended and
+    raises.
     """
     levels = kernel.levels
     if math.prod(levels) > cap:
@@ -368,32 +385,24 @@ def enumerate_support_paths(
     if j is not None and (not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]):
         raise ModelError(f"node ({i}, {j}) outside kernel shape")
 
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]) -> None:
-        col = len(prefix)  # columns filled so far
-        if col == len(levels):
-            out.append(prefix)
-            return
+    paths = np.zeros((1, 0), dtype=np.int64)
+    for col, r in enumerate(levels):
         if col == 0:
-            weights = kernel.initial
+            allowed = kernel.initial[None, :] > SUPPORT_ZERO
         else:
-            row = kernel.steps[col - 1][prefix[-1] - 1]
-            if np.isnan(row).all():
+            rows = kernel.steps[col - 1][paths[:, -1] - 1]
+            blocked = np.isnan(rows).all(axis=1)
+            if blocked.any():
+                lvl = int(paths[np.argmax(blocked), -1])
                 raise StatisticalError(
-                    f"cannot enumerate through unobserved row at node "
-                    f"({prefix[-1]}, {col})"
+                    f"cannot enumerate through unobserved row at node ({lvl}, {col})"
                 )
-            weights = row
-        choices = range(1, levels[col] + 1)
+            allowed = rows > SUPPORT_ZERO
         if j is not None and col == j - 1:
-            choices = (i,)
-        for lvl in choices:
-            if float(weights[lvl - 1]) > SUPPORT_ZERO:
-                extend(prefix + (lvl,))
-
-    extend(())
-    return out
+            allowed[:, np.arange(r) != i - 1] = False
+        prefix, lvl = np.nonzero(allowed)  # row-major, so lexicographic
+        paths = np.column_stack([paths[prefix], lvl + 1])
+    return paths
 
 
 def kernels_equivalent(a: TransitionKernel, b: TransitionKernel) -> bool:

@@ -454,15 +454,37 @@ def declared_entry_point():
     return scripts["daglm"]
 
 
-def run_daglm_process(argv, cwd, timeout=60):
-    """Run argv in a fresh process that imports the daglm under test."""
+def daglm_env():
+    """Environment of a fresh process that imports the daglm under test."""
     src = str(Path(daglm.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_daglm_process(argv, cwd, timeout=60):
+    """Run argv in a fresh process that imports the daglm under test."""
     return subprocess.run([str(a) for a in argv], capture_output=True,
-                          text=True, timeout=timeout, cwd=cwd, env=env)
+                          text=True, timeout=timeout, cwd=cwd, env=daglm_env())
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--data", "toothgrowth.csv", "--estimator", "plugin"],
+    ["validate", "--model", "demo_2x2.json"],
+])
+def test_closed_stdout_pipe_exits_1_without_traceback(workdir, argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "daglm.cli", *argv], cwd=workdir, env=daglm_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    # the reader goes away before the report is written (the interpreter
+    # alone takes longer than this to start)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def check_help(proc):

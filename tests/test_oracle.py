@@ -1,9 +1,20 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import daglm
 from daglm import ModelError, StatisticalError
+from daglm.asymptotics import (
+    _cell_support,
+    asym_var_mean_known,
+    asym_var_mean_unknown,
+    asym_var_variance_known,
+    asym_var_variance_unknown,
+)
+from daglm.model import SUPPORT_ZERO
 from daglm.oracle import (
     exact_conditional_moments,
     exact_estimator_targets,
@@ -143,3 +154,136 @@ def test_targets_match_plain_moments_when_target_is_source(seed):
             m1, m2 = exact_conditional_moments(kernel, quality, j, i)
             assert means[i - 1, j - 1] == pytest.approx(m1, abs=1e-10)
             assert variances[i - 1, j - 1] == pytest.approx(m2 - m1 * m1, abs=1e-10)
+
+
+def scalar_path_moments(quality, path, order):
+    """Raw moments of one path's response by a plain binomial convolution."""
+    m = [1.0] + [0.0] * order
+    for j, lvl in enumerate(path, start=1):
+        node = [quality.node(lvl, j).raw_moment(k) for k in range(order + 1)]
+        m = [
+            sum(math.comb(k, t) * m[t] * node[k - t] for t in range(k + 1))
+            for k in range(order + 1)
+        ]
+    return m
+
+
+def product_support(kernel, spec):
+    """Every path of the spec whose probability factors all exceed the
+    support threshold, in itertools.product (lexicographic) order."""
+    out = []
+    for path in itertools.product(*(range(1, r + 1) for r in spec.levels)):
+        factors = [kernel.initial[path[0] - 1]] + [
+            kernel.steps[k][path[k] - 1, path[k + 1] - 1] for k in range(spec.c - 1)
+        ]
+        if all(f > SUPPORT_ZERO for f in factors):
+            out.append(path)
+    return out
+
+
+def loop_asym_vars(probs, targets, moments):
+    """The four closed-form asymptotic variances (mean/variance, known and
+    unknown source) by a loop over the support paths."""
+    ratios = [t / p for p, t in zip(probs, targets)]
+    mu = ey2 = ex = ex2 = exy = 0.0
+    mean_u = var_u = 0.0
+    for p, c, m in zip(probs, ratios, moments):
+        mu += p * c * m[1]
+        ey2 += p * c * c * m[2]
+        ex += p * c * m[2]
+        ex2 += p * c * c * m[4]
+        exy += p * c * c * m[3]
+    var_y = ey2 - mu * mu
+    var_x = ex2 - ex * ex
+    cov = exy - ex * mu
+    for p, c, m in zip(probs, ratios, moments):
+        var_b = m[2] - m[1] ** 2
+        var_b2 = m[4] - m[2] ** 2
+        cov_b2_b = m[3] - m[2] * m[1]
+        mean_u += c * c * p * var_b
+        var_u += c * c * p * (4 * mu * mu * var_b - 4 * mu * cov_b2_b + var_b2)
+    return {
+        "mean_known": var_y,
+        "variance_known": var_x - 4 * mu * cov + 4 * mu * mu * var_y,
+        "mean_unknown": mean_u,
+        "variance_unknown": var_u,
+    }
+
+
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=30, deadline=None)
+def test_support_table_matches_per_path_loops(seed, sparsify):
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
+    support = product_support(kernel, spec)
+    assert daglm.enumerate_support_paths(kernel) == support
+    avs = {
+        "mean_known": asym_var_mean_known,
+        "variance_known": asym_var_variance_known,
+        "mean_unknown": asym_var_mean_unknown,
+        "variance_unknown": asym_var_variance_unknown,
+    }
+    for j in range(1, spec.c + 1):
+        for i in range(1, spec.levels[j - 1] + 1):
+            through = [p for p in support if p[j - 1] == i]
+            assert daglm.enumerate_support_paths(kernel, j, i) == through
+            if not through:
+                continue
+            table = _cell_support(kernel, target, quality, j, i, order=4)
+            assert list(map(tuple, table.paths.tolist())) == through
+            cond = daglm.conditional_path_probability
+            probs = [cond(kernel, p, j, i) for p in through]
+            targets = [cond(target, p, j, i) for p in through]
+            moments = [scalar_path_moments(quality, p, 4) for p in through]
+            np.testing.assert_allclose(table.prob, probs, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table.target, targets, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table.moments, moments, rtol=1e-12, atol=0)
+            for p, m in zip(through, moments):
+                np.testing.assert_allclose(
+                    path_raw_moments(quality, p, 4), m, rtol=1e-12, atol=0
+                )
+
+            mixed = [sum(c * m[k] for c, m in zip(probs, moments)) for k in range(1, 5)]
+            assert exact_conditional_moments(kernel, quality, j, i, order=4) == (
+                pytest.approx(mixed, rel=1e-9, abs=1e-12)
+            )
+            expected = loop_asym_vars(probs, targets, moments)
+            for name, fn in avs.items():
+                got = fn(kernel, target, quality, i, j).value
+                assert got == pytest.approx(expected[name], rel=1e-9, abs=1e-12), name
+
+
+def test_unreachable_node_needs_no_quality_spec():
+    # level 2 of column 1 has no mass, so node (2, 1) lies on no support
+    # path and its quality spec is never read
+    kernel = daglm.TransitionKernel(
+        initial=np.array([1.0, 0.0]),
+        steps=(np.array([[0.5, 0.5], [0.5, 0.5]]),),
+    )
+    target = daglm.TransitionKernel(
+        initial=np.array([1.0, 0.0]),
+        steps=(np.array([[0.25, 0.75], [0.9, 0.1]]),),
+    )
+    nodes = {
+        (1, 1): daglm.NodeQuality.gaussian(1.0, 1.0),
+        (1, 2): daglm.NodeQuality.gaussian(-1.0, 2.0),
+        (2, 2): daglm.NodeQuality.gaussian(3.0, 0.5),
+    }
+    quality = daglm.QualityModel(nodes=nodes)
+    means, variances = exact_estimator_targets(kernel, target, quality)
+    assert np.isnan(means[1, 0]) and np.isnan(variances[1, 0])
+    reached = np.ones((2, 2), dtype=bool)
+    reached[1, 0] = False
+    assert np.isfinite(means[reached]).all() and np.isfinite(variances[reached]).all()
+    av = asym_var_variance_unknown(kernel, target, quality, 1, 2)
+    assert np.isfinite(av.value)
+    assert verify_measure_change(kernel, target, quality, 2, 1, "b2") <= 1e-10
+
+    del nodes[(2, 2)]
+    missing = daglm.QualityModel(nodes=nodes)
+    with pytest.raises(ModelError, match=r"no quality spec for node \(2, 2\)"):
+        exact_estimator_targets(kernel, target, missing)
+    with pytest.raises(ModelError, match=r"no quality spec for node \(2, 2\)"):
+        asym_var_variance_unknown(kernel, target, missing, 2, 2)
+    with pytest.raises(ModelError, match=r"no quality spec for node \(2, 2\)"):
+        verify_measure_change(kernel, target, missing, 2, 2, "b2")
