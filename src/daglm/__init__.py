@@ -36,15 +36,7 @@ from .estimators import (
     accumulate_counts,
     cell_estimate,
     empirical_ratio,
-    estimate_all_cells,
     measure_change_ratio,
-    naive_mean,
-    naive_variance,
-    pairwise_difference,
-    plugin_mean,
-    plugin_variance,
-    weighted_mean,
-    weighted_variance,
 )
 from .model import (
     DagSpec,
@@ -52,12 +44,9 @@ from .model import (
     PathDataset,
     QualityModel,
     TransitionKernel,
-    check_column_exchangeable,
     conditional_path_probability,
-    cumulated_quality,
     enumerate_support_paths,
     estimate_kernel,
-    indicator_matrix,
     kernels_equivalent,
     node_marginal,
     path_probability,
@@ -81,15 +70,12 @@ from .simulation import (
     load_config,
     rng_for,
     sample_dataset,
-    sample_path,
     sample_paths,
-    with_replicates,
 )
 from .tabular import (
     DiscretizationRule,
     TabularDataset,
     apply_rules,
-    load_dataset,
     load_table,
     markov_discrepancy,
     quantile_discretize,
@@ -135,22 +121,17 @@ __all__ = [
     "asym_var_variance_known",
     "asym_var_variance_unknown",
     "cell_estimate",
-    "check_column_exchangeable",
     "conditional_path_probability",
     "confidence_interval",
     "coverage_study",
-    "cumulated_quality",
     "data_path",
     "empirical_ratio",
     "enumerate_support_paths",
-    "estimate_all_cells",
     "estimate_kernel",
     "exact_conditional_moments",
     "exact_estimator_targets",
-    "indicator_matrix",
     "kernels_equivalent",
     "load_config",
-    "load_dataset",
     "load_model",
     "load_table",
     "markov_discrepancy",
@@ -158,20 +139,14 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "naive_asym_var",
-    "naive_mean",
-    "naive_variance",
     "node_marginal",
     "normal_quantile",
-    "pairwise_difference",
     "path_probability",
     "path_raw_moments",
     "plugin_asym_var",
-    "plugin_mean",
-    "plugin_variance",
     "quantile_discretize",
     "rng_for",
     "sample_dataset",
-    "sample_path",
     "sample_paths",
     "save_model",
     "sort_labels",
@@ -179,8 +154,5 @@ __all__ = [
     "validate_dag",
     "validate_path",
     "verify_measure_change",
-    "weighted_mean",
-    "weighted_variance",
-    "with_replicates",
     "write_dataset_csv",
 ]

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ModelError, NoDataError, StatisticalError
 from .estimators import (
@@ -375,7 +375,7 @@ def normal_quantile(p: float) -> float:
     """Standard normal quantile (inverse CDF)."""
     if not 0.0 < p < 1.0:
         raise ModelError(f"quantile probability {p} outside (0, 1)")
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)
 
 
 def confidence_interval(

@@ -110,24 +110,6 @@ def _mean_and_variance(
     return mean, variance, clipped
 
 
-def naive_mean(data: PathDataset, i: int, j: int) -> float:
-    """Cell average of responses through node (i, j)."""
-    return cell_estimate(data, i, j, KIND_NAIVE).mean
-
-
-def naive_variance(data: PathDataset, i: int, j: int, bessel: bool = False) -> float:
-    """Cell population variance; ``bessel`` opts into the n-1 correction."""
-    est = cell_estimate(data, i, j, KIND_NAIVE)
-    value = est.variance
-    if bessel:
-        if est.count < 2:
-            raise StatisticalError(
-                f"Bessel correction needs at least 2 records at node ({i}, {j})"
-            )
-        value *= est.count / (est.count - 1)
-    return value
-
-
 def measure_change_ratio(
     kernel: TransitionKernel,
     target: TransitionKernel,
@@ -173,22 +155,6 @@ def _exact_weights(
     return cell, cond_t / cond_q
 
 
-def weighted_mean(
-    data: PathDataset, kernel: TransitionKernel, target: TransitionKernel, i: int, j: int
-) -> float:
-    """Cell average of b times the exact measure-change ratio; estimates the
-    target kernel's conditional mean at node (i, j)."""
-    return cell_estimate(data, i, j, KIND_WEIGHTED, kernel, target).mean
-
-
-def weighted_variance(
-    data: PathDataset, kernel: TransitionKernel, target: TransitionKernel, i: int, j: int
-) -> float:
-    """Ratio-weighted second moment minus squared weighted mean; estimates
-    the target kernel's conditional variance at node (i, j)."""
-    return cell_estimate(data, i, j, KIND_WEIGHTED, kernel, target).variance
-
-
 def empirical_ratio(
     data: PathDataset, target: TransitionKernel, path: PathLike, j: int, i: int
 ) -> float:
@@ -230,17 +196,6 @@ def _plugin_weights(
             f"mass {total:.6g}, not 1; support paths are missing from the data"
         )
     return cell, cond * cell.n / cell.counts, cond
-
-
-def plugin_mean(data: PathDataset, target: TransitionKernel, i: int, j: int) -> float:
-    """Cell average of b times the empirical ratio; the unknown-source
-    counterpart of :func:`weighted_mean`."""
-    return cell_estimate(data, i, j, KIND_PLUGIN, target=target).mean
-
-
-def plugin_variance(data: PathDataset, target: TransitionKernel, i: int, j: int) -> float:
-    """Empirical-ratio-weighted second moment minus squared plugin mean."""
-    return cell_estimate(data, i, j, KIND_PLUGIN, target=target).variance
 
 
 _KIND_ALIASES = {
@@ -292,49 +247,3 @@ def cell_estimate(
         target=target_id,
         clipped=clipped,
     )
-
-
-def pairwise_difference(
-    data: PathDataset,
-    kernel: TransitionKernel | None,
-    target: TransitionKernel | None,
-    j: int,
-    i: int,
-    i2: int,
-    which: str = "mean",
-    kind: str = "plugin",
-) -> float:
-    """Difference of two same-column cell estimates, est(i, j) - est(i2, j).
-
-    Under a uniform target kernel this estimates the difference of the two
-    nodes' own contribution means (or variances), which is the identifiable
-    quantity in this model family.
-    """
-    if which not in ("mean", "variance"):
-        raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
-    if i == i2:
-        return 0.0
-    a = cell_estimate(data, i, j, kind, kernel, target)
-    b = cell_estimate(data, i2, j, kind, kernel, target)
-    if which == "mean":
-        return a.mean - b.mean
-    return a.variance - b.variance
-
-
-def estimate_all_cells(
-    data: PathDataset,
-    kind: str,
-    kernel: TransitionKernel | None = None,
-    target: TransitionKernel | None = None,
-    target_id: str = "",
-) -> list[CellEstimate | None]:
-    """Cell estimates for every node in column-major order; empty cells
-    yield None entries (the explicit no-data marker)."""
-    out: list[CellEstimate | None] = []
-    for j, r in enumerate(data.spec.levels, start=1):
-        for i in range(1, r + 1):
-            try:
-                out.append(cell_estimate(data, i, j, kind, kernel, target, target_id))
-            except NoDataError:
-                out.append(None)
-    return out

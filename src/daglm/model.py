@@ -30,8 +30,6 @@ from .errors import DataError, ModelError, StatisticalError
 ROW_SUM_ATOL = 1e-12
 #: entries at or below this are treated as exact zeros for support purposes
 SUPPORT_ZERO = 1e-15
-#: default tolerance for exchangeability and other entrywise kernel checks
-ENTRY_ATOL = 1e-12
 #: default cap on the number of paths any enumeration is allowed to visit
 ENUMERATION_CAP = 10_000_000
 #: beyond this many columns, path probabilities are accumulated in log space
@@ -120,34 +118,6 @@ def validate_path(path: PathLike, spec: DagSpec) -> tuple[int, ...]:
         if not 1 <= lvl <= r:
             raise ModelError(f"path out of range: level {lvl} in column {j} (1..{r})")
     return nodes
-
-
-def indicator_matrix(path: PathLike, spec: DagSpec) -> np.ndarray:
-    """0/1 matrix of shape (r_max, c) with a single 1 per column at the
-    path's level."""
-    nodes = validate_path(path, spec)
-    out = np.zeros((spec.r_max, spec.c))
-    for j, lvl in enumerate(nodes):
-        out[lvl - 1, j] = 1.0
-    return out
-
-
-def cumulated_quality(path: PathLike, s_realization) -> float:
-    """Response of a path: the sum of its nodes' values in ``s_realization``.
-
-    ``s_realization`` is a (levels x columns) array of node values; every
-    node on the path must have a finite entry.
-    """
-    s = np.asarray(s_realization, dtype=float)
-    total = 0.0
-    for j, lvl in enumerate(path, start=1):
-        if lvl < 1 or s.ndim != 2 or lvl > s.shape[0] or j > s.shape[1]:
-            raise DataError(f"missing node value for node ({lvl}, {j})")
-        v = s[lvl - 1, j - 1]
-        if not np.isfinite(v):
-            raise DataError(f"missing node value for node ({lvl}, {j})")
-        total += float(v)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -419,36 +389,6 @@ def kernels_equivalent(a: TransitionKernel, b: TransitionKernel) -> bool:
         if ((sa > SUPPORT_ZERO) != (sb > SUPPORT_ZERO)).any():
             return False
     return True
-
-
-def check_column_exchangeable(
-    kernel: TransitionKernel, j: int, i: int, i2: int, atol: float = ENTRY_ATOL
-) -> bool:
-    """True iff levels ``i`` and ``i2`` of column ``j`` have entrywise equal
-    incoming kernel columns and outgoing kernel rows.
-
-    When true, naive per-node averages estimate the pair's difference
-    consistently even under a dependent kernel.
-    """
-    _refuse_unobserved(kernel, "exchangeability test")
-    for lvl in (i, i2):
-        if node_marginal(kernel, j, lvl) <= SUPPORT_ZERO:
-            raise StatisticalError(f"unreachable node ({lvl}, {j})")
-    if i == i2:
-        return True
-    if j == 1:
-        incoming_equal = abs(kernel.initial[i - 1] - kernel.initial[i2 - 1]) <= atol
-    else:
-        cols = kernel.steps[j - 2]
-        incoming_equal = bool(
-            np.all(np.abs(cols[:, i - 1] - cols[:, i2 - 1]) <= atol)
-        )
-    if j <= kernel.c - 1:
-        rows = kernel.steps[j - 1]
-        outgoing_equal = bool(np.all(np.abs(rows[i - 1] - rows[i2 - 1]) <= atol))
-    else:
-        outgoing_equal = True  # forced hop to the sink
-    return incoming_equal and outgoing_equal
 
 
 # ---------------------------------------------------------------------------

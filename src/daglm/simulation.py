@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import ModelError, StatisticalError
 from .estimators import cell_estimate
@@ -33,6 +32,7 @@ from .model import (
     PathDataset,
     QualityModel,
     TransitionKernel,
+    _refuse_unobserved,
     node_marginal,
     uniform_kernel,
 )
@@ -141,18 +141,12 @@ def rng_for(seed: int, replicate: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(replicate)]))
 
 
-def _refuse_unobserved(kernel: TransitionKernel) -> None:
-    if kernel.unobserved:
-        rows = ", ".join(f"({i}, {j})" for j, i in sorted(kernel.unobserved))
-        raise StatisticalError(f"cannot sample: kernel has unobserved rows at {rows}")
-
-
 def sample_paths(
     kernel: TransitionKernel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Draw ``size`` independent paths, one uniform variate per column per
     record, consumed column by column (inverse-CDF within each row)."""
-    _refuse_unobserved(kernel)
+    _refuse_unobserved(kernel, "cannot sample")
     levels = kernel.levels
     out = np.empty((size, len(levels)), dtype=np.int64)
     cdf = np.cumsum(kernel.initial)
@@ -166,11 +160,6 @@ def sample_paths(
             np.minimum((thresh <= u[:, None]).sum(axis=1), levels[k + 1] - 1) + 1
         )
     return out
-
-
-def sample_path(kernel: TransitionKernel, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw a single path."""
-    return tuple(int(x) for x in sample_paths(kernel, rng, 1)[0])
 
 
 def sample_dataset(config: ExperimentConfig, replicate: int = 0) -> PathDataset:
@@ -303,6 +292,20 @@ class NormalityDiagnostics:
     degenerate: bool
 
 
+def _skewness_and_ks(x: np.ndarray) -> tuple[float, float]:
+    """Sample skewness m3 / m2**1.5 (biased moments; NaN for zero spread)
+    and the Kolmogorov-Smirnov distance max(D+, D-) of ``x`` to N(0, 1)."""
+    d = x - x.mean()
+    m2 = float(np.mean(d * d))
+    skew = float(np.mean(d * d * d)) / m2**1.5 if m2 > 0.0 else math.nan
+    z = np.sort(x)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+    n = z.size
+    d_plus = np.max(np.arange(1, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(n) / n)
+    return skew, float(max(d_plus, d_minus))
+
+
 def anscombe_study(
     config: ExperimentConfig,
     kind: str | None = None,
@@ -342,8 +345,7 @@ def anscombe_study(
             skew = float("nan")
             ks = float("nan")
         else:
-            skew = float(sstats.skew(statistics))
-            ks = float(sstats.kstest(statistics, "norm").statistic)
+            skew, ks = _skewness_and_ks(statistics)
         out[node] = NormalityDiagnostics(
             node=node,
             kind=kind,
@@ -359,8 +361,3 @@ def anscombe_study(
             degenerate=degenerate,
         )
     return out
-
-
-def with_replicates(config: ExperimentConfig, replicates: int) -> ExperimentConfig:
-    """Copy of the config with a different replicate count."""
-    return replace(config, replicates=replicates)

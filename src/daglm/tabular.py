@@ -167,17 +167,6 @@ def load_table(
     )
 
 
-def load_dataset(
-    source,
-    factor_columns: list[str] | None = None,
-    response_column: str | None = None,
-    label_order: dict[str, tuple[str, ...]] | None = None,
-) -> tuple[DagSpec, PathDataset]:
-    """CSV straight to (spec, dataset); see :func:`load_table`."""
-    table = load_table(source, factor_columns, response_column)
-    return table.to_path_dataset(label_order)
-
-
 # ---------------------------------------------------------------------------
 # discretization
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ def demo_config(demo_spec, demo_kernel, demo_quality):
 
 @pytest.fixture(scope="session")
 def demo_data(demo_config):
-    return daglm.sample_dataset(daglm.with_replicates(demo_config, 1), 0)
+    return daglm.sample_dataset(dataclasses.replace(demo_config, replicates=1), 0)
 
 
 def random_model(rng, max_c=4, max_r=4, sparsify=0.0):

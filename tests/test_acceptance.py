@@ -28,7 +28,7 @@ from daglm.estimators import cell_estimate
 from daglm.model import SUPPORT_ZERO, estimate_kernel, node_marginal, uniform_kernel
 from daglm.oracle import exact_estimator_targets, verify_measure_change
 from daglm.simulation import ExperimentConfig, sample_dataset
-from daglm.tabular import apply_rules, load_dataset, load_table, quantile_discretize
+from daglm.tabular import apply_rules, load_table, quantile_discretize
 
 NODES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -314,7 +314,7 @@ def test_06_ci_coverage(capsys, study):
 
 
 def test_07_toothgrowth_reference(capsys):
-    spec, data = load_dataset(daglm.data_path("toothgrowth.csv"))
+    spec, data = load_table(daglm.data_path("toothgrowth.csv")).to_path_dataset()
     u = uniform_kernel(spec)
     mean = {
         (i, j): cell_estimate(data, i, j, "plugin", target=u).mean

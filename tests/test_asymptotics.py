@@ -145,6 +145,18 @@ def test_normal_quantile_reference_values():
         normal_quantile(1.5)
 
 
+def test_normal_quantile_matches_scipy_ndtri():
+    from scipy.special import ndtri
+
+    grid = np.concatenate([
+        np.linspace(0.5, 1 - 1e-12, 2001)[1:],
+        0.5 + np.logspace(-15, -1, 100),
+        1 - np.logspace(-12, -1, 100),
+    ])
+    ours = np.array([normal_quantile(float(p)) for p in grid])
+    np.testing.assert_allclose(ours, ndtri(grid), rtol=1e-14, atol=0)
+
+
 def test_confidence_interval_widths(demo_config, demo_kernel, demo_uniform, demo_quality):
     data = daglm.sample_dataset(demo_config, 0)
     cell = cell_estimate(data, 1, 2, "weighted", demo_kernel, demo_uniform, "uniform")

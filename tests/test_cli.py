@@ -388,7 +388,7 @@ def test_discretize_workflow(capsys, workdir, tmp_path):
         assert len(row["breaks"]) == 6
         assert all(a < b for a, b in zip(row["breaks"], row["breaks"][1:]))
 
-    spec, data = daglm.load_dataset(binned_path)
+    spec, data = daglm.load_table(binned_path).to_path_dataset()
     assert spec.levels == (5, 5)
     assert data.n == 420
     # quintile binning is balanced by construction
@@ -516,3 +516,12 @@ def test_console_script_installed(workdir):
                     reason="no daglm executable on PATH (package not installed)")
 def test_console_script_on_path(workdir):
     check_help(run_daglm_process(["daglm", "--help"], workdir))
+
+
+def test_import_loads_no_scipy(workdir):
+    proc = run_daglm_process([sys.executable, "-c", (
+        "import sys, daglm, daglm.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )], workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import daglm
 from daglm import ModelError, NoDataError, StatisticalError
-from daglm.estimators import accumulate_counts, cell_estimate, estimate_all_cells
+from daglm.estimators import accumulate_counts, cell_estimate
 
 from conftest import random_model
 
@@ -13,6 +13,18 @@ def make_data(spec, rows):
     paths = np.array([r[0] for r in rows])
     responses = np.array([float(r[1]) for r in rows])
     return daglm.PathDataset(spec=spec, paths=paths, responses=responses)
+
+
+def naive_cell(data, i, j):
+    return cell_estimate(data, i, j, "naive")
+
+
+def weighted_cell(data, kernel, target, i, j):
+    return cell_estimate(data, i, j, "weighted", kernel, target)
+
+
+def plugin_cell(data, target, i, j):
+    return cell_estimate(data, i, j, "plugin", target=target)
 
 
 @pytest.fixture
@@ -46,22 +58,21 @@ def test_accumulate_counts_column_sums(demo_data):
 
 def test_naive_mean_average(demo_spec):
     data = make_data(demo_spec, [((1, 1), 2.0), ((1, 2), 4.0)])
-    assert daglm.naive_mean(data, 1, 1) == 3.0
+    assert naive_cell(data, 1, 1).mean == 3.0
 
 
 def test_naive_variance_small_cases(demo_spec):
     data = make_data(demo_spec, [((1, 1), 2.0), ((1, 2), 4.0)])
-    assert daglm.naive_variance(data, 1, 1) == pytest.approx(1.0)
+    assert naive_cell(data, 1, 1).variance == pytest.approx(1.0)
     const = make_data(demo_spec, [((1, 1), 5.0), ((1, 2), 5.0)])
-    assert daglm.naive_variance(const, 1, 1) == 0.0
+    assert naive_cell(const, 1, 1).variance == 0.0
 
 
 def test_naive_variance_bessel(demo_spec):
+    # the n/(n-1) factor the CLI's --bessel applies to cells of >= 2 records
     data = make_data(demo_spec, [((1, 1), 2.0), ((1, 2), 4.0)])
-    assert daglm.naive_variance(data, 1, 1, bessel=True) == pytest.approx(2.0)
-    single = make_data(demo_spec, [((1, 1), 2.0)])
-    with pytest.raises(StatisticalError, match="Bessel"):
-        daglm.naive_variance(single, 1, 1, bessel=True)
+    est = naive_cell(data, 1, 1)
+    assert est.variance * est.count / (est.count - 1) == pytest.approx(2.0)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 60))
@@ -77,9 +88,9 @@ def test_naive_variance_matches_brute_force(seed, n):
             sel = responses[paths[:, j - 1] == i]
             if sel.size == 0:
                 with pytest.raises(NoDataError):
-                    daglm.naive_variance(data, i, j)
+                    naive_cell(data, i, j)
                 continue
-            assert daglm.naive_variance(data, i, j) == pytest.approx(
+            assert naive_cell(data, i, j).variance == pytest.approx(
                 np.var(sel), abs=1e-12
             )
 
@@ -87,7 +98,7 @@ def test_naive_variance_matches_brute_force(seed, n):
 def test_no_data_signal(demo_spec):
     data = make_data(demo_spec, [((1, 1), 2.0)])
     with pytest.raises(NoDataError, match=r"no data at node \(2, 1\)"):
-        daglm.naive_mean(data, 2, 1)
+        naive_cell(data, 2, 1)
 
 
 def test_measure_change_ratio_values(demo_kernel, demo_uniform):
@@ -121,14 +132,14 @@ def test_measure_change_ratio_errors(demo_kernel, demo_uniform):
 def test_weighted_mean_hand_computed(tiny, demo_kernel, demo_uniform):
     # cell (1, col 2): b = (1, 3, 2), C = (2/3, 2/3, 2)
     want = (1 * 2 / 3 + 3 * 2 / 3 + 2 * 2) / 3
-    assert daglm.weighted_mean(tiny, demo_kernel, demo_uniform, 1, 2) == pytest.approx(want)
+    assert weighted_cell(tiny, demo_kernel, demo_uniform, 1, 2).mean == pytest.approx(want)
 
 
 def test_weighted_variance_clips_small_sample(tiny, demo_kernel, demo_uniform):
     # hand computation gives second moment 44/9 and mean 20/9, so the raw
     # value is 44/9 - 400/81 = -4/81: genuinely negative in this tiny sample,
     # reported as 0 with the clip flag
-    assert daglm.weighted_variance(tiny, demo_kernel, demo_uniform, 1, 2) == 0.0
+    assert weighted_cell(tiny, demo_kernel, demo_uniform, 1, 2).variance == 0.0
     est = cell_estimate(
         tiny, 1, 2, "weighted", demo_kernel, demo_uniform, "uniform"
     )
@@ -138,10 +149,9 @@ def test_weighted_variance_clips_small_sample(tiny, demo_kernel, demo_uniform):
 def test_weighted_equals_naive_same_kernel(demo_data, demo_kernel):
     for j in (1, 2):
         for i in (1, 2):
-            w = daglm.weighted_mean(demo_data, demo_kernel, demo_kernel, i, j)
-            assert w == daglm.naive_mean(demo_data, i, j)
-            wv = daglm.weighted_variance(demo_data, demo_kernel, demo_kernel, i, j)
-            assert wv == daglm.naive_variance(demo_data, i, j)
+            w = weighted_cell(demo_data, demo_kernel, demo_kernel, i, j)
+            assert w.mean == naive_cell(demo_data, i, j).mean
+            assert w.variance == naive_cell(demo_data, i, j).variance
 
 
 def test_empirical_ratio_balanced(demo_spec, demo_uniform):
@@ -170,9 +180,8 @@ def test_empirical_ratio_unseen_path(demo_spec, demo_uniform):
 
 
 def test_empirical_ratio_converges_to_exact(demo_config, demo_kernel, demo_uniform):
-    config = daglm.with_replicates(demo_config, 1)
     config = daglm.ExperimentConfig(
-        spec=config.spec, kernel=config.kernel, quality=config.quality,
+        spec=demo_config.spec, kernel=demo_config.kernel, quality=demo_config.quality,
         n=200_000, seed=41,
     )
     data = daglm.sample_dataset(config, 0)
@@ -192,11 +201,11 @@ def test_plugin_equals_naive_when_target_is_empirical(demo_spec):
     emp = daglm.estimate_kernel(data)
     for j in (1, 2):
         for i in (1, 2):
-            assert daglm.plugin_mean(data, emp, i, j) == pytest.approx(
-                daglm.naive_mean(data, i, j), rel=1e-12, abs=1e-12
+            assert plugin_cell(data, emp, i, j).mean == pytest.approx(
+                naive_cell(data, i, j).mean, rel=1e-12, abs=1e-12
             )
-            assert daglm.plugin_variance(data, emp, i, j) == pytest.approx(
-                daglm.naive_variance(data, i, j), rel=1e-12, abs=1e-12
+            assert plugin_cell(data, emp, i, j).variance == pytest.approx(
+                naive_cell(data, i, j).variance, rel=1e-12, abs=1e-12
             )
 
 
@@ -210,12 +219,9 @@ def test_plugin_balanced_equals_naive(demo_spec, demo_uniform):
     data = make_data(demo_spec, rows)
     for j in (1, 2):
         for i in (1, 2):
-            assert daglm.plugin_mean(data, demo_uniform, i, j) == daglm.naive_mean(
-                data, i, j
-            )
-            assert daglm.plugin_variance(
-                data, demo_uniform, i, j
-            ) == daglm.naive_variance(data, i, j)
+            p = plugin_cell(data, demo_uniform, i, j)
+            assert p.mean == naive_cell(data, i, j).mean
+            assert p.variance == naive_cell(data, i, j).variance
 
 
 def test_plugin_missing_support_mass(demo_spec, demo_uniform):
@@ -223,7 +229,7 @@ def test_plugin_missing_support_mass(demo_spec, demo_uniform):
     rows = [((1, 1), 1.0), ((1, 2), 2.0), ((2, 2), 0.5)]
     data = make_data(demo_spec, rows)
     with pytest.raises(StatisticalError, match="missing from the data"):
-        daglm.plugin_mean(data, demo_uniform, 1, 2)
+        plugin_cell(data, demo_uniform, 1, 2)
 
 
 def test_plugin_target_excludes_observed_path(demo_spec):
@@ -234,7 +240,7 @@ def test_plugin_target_excludes_observed_path(demo_spec):
     rows = [((1, 1), 1.0), ((1, 2), 2.0)]
     data = make_data(demo_spec, rows)
     with pytest.raises(StatisticalError, match="excludes observed path"):
-        daglm.plugin_mean(data, target, 1, 1)
+        plugin_cell(data, target, 1, 1)
 
 
 def test_cell_estimate_fields(tiny, demo_kernel, demo_uniform):
@@ -254,35 +260,12 @@ def test_cell_estimate_count_invariant(demo_data):
             assert est.count <= demo_data.n
 
 
-def test_pairwise_difference_same_level_exact_zero(demo_data, demo_uniform):
-    val = daglm.pairwise_difference(
-        demo_data, None, demo_uniform, 1, 1, 1, which="mean", kind="plugin"
-    )
-    assert val == 0.0
-
-
 def test_pairwise_difference_orders(demo_data, demo_kernel, demo_uniform):
-    d12 = daglm.pairwise_difference(
-        demo_data, demo_kernel, demo_uniform, 1, 1, 2, "mean", "weighted"
-    )
-    d21 = daglm.pairwise_difference(
-        demo_data, demo_kernel, demo_uniform, 1, 2, 1, "mean", "weighted"
-    )
+    # a within-column difference is the difference of two cell_estimate rows
+    rows = {i: weighted_cell(demo_data, demo_kernel, demo_uniform, i, 1) for i in (1, 2)}
+    d12 = rows[1].mean - rows[2].mean
+    d21 = rows[2].mean - rows[1].mean
     assert d12 == pytest.approx(-d21)
-    with pytest.raises(ModelError, match="which"):
-        daglm.pairwise_difference(
-            demo_data, demo_kernel, demo_uniform, 1, 1, 2, "median", "weighted"
-        )
-
-
-def test_estimate_all_cells_marks_empty(demo_spec):
-    data = make_data(demo_spec, [((1, 1), 2.0)])
-    cells = estimate_all_cells(data, "naive")
-    # column-major: (1,1), (2,1), (1,2), (2,2)
-    assert cells[0] is not None and cells[0].count == 1
-    assert cells[1] is None
-    assert cells[2] is not None
-    assert cells[3] is None
 
 
 @given(seed=st.integers(0, 100_000))
@@ -299,12 +282,9 @@ def test_weighted_and_naive_fp_equal_on_random_data(seed):
         for i in range(1, spec.levels[j - 1] + 1):
             if data.count(j, i) == 0:
                 continue
-            assert daglm.weighted_mean(data, kernel, kernel, i, j) == daglm.naive_mean(
-                data, i, j
-            )
-            assert daglm.weighted_variance(
-                data, kernel, kernel, i, j
-            ) == daglm.naive_variance(data, i, j)
+            w = weighted_cell(data, kernel, kernel, i, j)
+            assert w.mean == naive_cell(data, i, j).mean
+            assert w.variance == naive_cell(data, i, j).variance
 
 
 @given(seed=st.integers(0, 100_000))

@@ -31,26 +31,6 @@ def test_validate_path_bounds():
         daglm.validate_path((1,), spec)
 
 
-def test_indicator_matrix_one_hot():
-    spec = daglm.DagSpec(levels=(2, 3))
-    ind = daglm.indicator_matrix((2, 1), spec)
-    assert ind.shape == (3, 2)
-    assert ind[1, 0] == 1 and ind[0, 1] == 1
-    assert ind.sum() == 2
-
-
-def test_cumulated_quality_sums_path_entries():
-    s = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert daglm.cumulated_quality((1, 2), s) == 1.0 + 4.0
-    assert daglm.cumulated_quality((2, 1), s) == 3.0 + 2.0
-
-
-def test_cumulated_quality_missing_value():
-    s = np.array([[1.0, np.nan], [3.0, 4.0]])
-    with pytest.raises(DataError, match="missing node value"):
-        daglm.cumulated_quality((1, 1), s)
-
-
 def test_kernel_rejects_nonstochastic_rows():
     with pytest.raises(ModelError, match="sum"):
         daglm.TransitionKernel(
@@ -183,15 +163,6 @@ def test_kernels_equivalent_pattern(demo_kernel, demo_uniform):
     assert not daglm.kernels_equivalent(demo_kernel, blocked)
     other = daglm.TransitionKernel(initial=np.array([1.0]), steps=())
     assert not daglm.kernels_equivalent(demo_kernel, other)
-
-
-def test_check_column_exchangeable_uniform(demo_uniform):
-    assert daglm.check_column_exchangeable(demo_uniform, 2, 1, 2)
-
-
-def test_check_column_exchangeable_demo_kernel(demo_kernel):
-    # the sticky chain treats the two second-column nodes differently
-    assert not daglm.check_column_exchangeable(demo_kernel, 2, 1, 2)
 
 
 def test_node_quality_gaussian_moments():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,15 +7,14 @@ import pytest
 import daglm
 from daglm import ModelError, StatisticalError
 from daglm.simulation import (
+    _skewness_and_ks,
     anscombe_study,
     coverage_study,
     load_config,
     resolve_target,
     rng_for,
     sample_dataset,
-    sample_path,
     sample_paths,
-    with_replicates,
 )
 
 
@@ -58,10 +58,9 @@ def test_sample_paths_all_valid_and_frequencies_match(demo_spec, demo_kernel):
 
 
 def test_sample_path_single(demo_kernel):
-    path = sample_path(demo_kernel, rng_for(0))
-    assert isinstance(path, tuple)
-    assert len(path) == 2
-    assert all(level in (1, 2) for level in path)
+    paths = sample_paths(demo_kernel, rng_for(0), 1)
+    assert paths.shape == (1, 2)
+    assert all(level in (1, 2) for level in paths[0])
 
 
 def test_sampling_refuses_unobserved_rows(demo_spec):
@@ -76,9 +75,8 @@ def test_sampling_refuses_unobserved_rows(demo_spec):
 
 def test_response_is_sum_of_node_draws_on_average(demo_config, demo_quality):
     # per-cell response means should track the model's conditional targets
-    config = with_replicates(demo_config, 1)
     config = daglm.ExperimentConfig(
-        spec=config.spec, kernel=config.kernel, quality=config.quality,
+        spec=demo_config.spec, kernel=demo_config.kernel, quality=demo_config.quality,
         n=60_000, seed=41,
     )
     data = sample_dataset(config)
@@ -182,7 +180,7 @@ def test_load_config_rejects_bad_files(tmp_path):
 
 
 def test_coverage_study_needs_replicates(demo_config):
-    small = with_replicates(demo_config, 99)
+    small = dataclasses.replace(demo_config, replicates=99)
     with pytest.raises(StatisticalError, match=">= 100"):
         coverage_study(small)
 
@@ -206,7 +204,7 @@ def test_coverage_study_plugin_mean(demo_config):
 
 
 def test_anscombe_study_needs_replicates(demo_config):
-    small = with_replicates(demo_config, 499)
+    small = dataclasses.replace(demo_config, replicates=499)
     with pytest.raises(StatisticalError, match=">= 500"):
         anscombe_study(small)
 
@@ -227,6 +225,23 @@ def test_anscombe_study_plugin_mean_looks_normal(demo_config):
     assert diag.ks_distance < 0.08
 
 
+def test_skewness_and_ks_match_scipy():
+    from scipy import stats as sstats
+
+    rng = np.random.default_rng(2024)
+    for k in range(60):
+        n = int(rng.integers(500, 3000))
+        x = rng.standard_t(5, size=n) * rng.uniform(0.5, 2.0) + rng.normal(0.0, 0.3)
+        if k % 3 == 0:
+            x = np.round(x, 1)  # ties
+        skew, ks = _skewness_and_ks(x)
+        assert skew == pytest.approx(sstats.skew(x), rel=1e-12)
+        assert ks == pytest.approx(sstats.kstest(x, "norm").statistic, rel=1e-12)
+    skew, ks = _skewness_and_ks(np.full(500, 2.0))
+    assert np.isnan(skew)
+    assert ks == pytest.approx(sstats.norm.cdf(2.0), rel=1e-12)
+
+
 def test_anscombe_degenerate_when_av_zero(demo_spec, demo_kernel):
     # a per-column point mass makes the response identically 3, so the
     # limiting variance is zero and standardization is skipped and flagged
@@ -244,10 +259,3 @@ def test_anscombe_degenerate_when_av_zero(demo_spec, demo_kernel):
     diag = anscombe_study(config, kind="naive", which="mean")[(1, 2)]
     assert diag.degenerate
     assert np.isnan(diag.ks_distance)
-
-
-def test_with_replicates_copies(demo_config):
-    other = with_replicates(demo_config, 7)
-    assert other.replicates == 7
-    assert demo_config.replicates == 200
-    assert other.spec is demo_config.spec

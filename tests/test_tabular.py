@@ -8,7 +8,6 @@ from daglm import DataError, ModelError
 from daglm.tabular import (
     DiscretizationRule,
     apply_rules,
-    load_dataset,
     load_table,
     markov_discrepancy,
     quantile_discretize,
@@ -76,7 +75,7 @@ def test_sort_labels():
 
 
 def test_to_path_dataset_level_mapping():
-    spec, data = load_dataset(io.StringIO(CSV))
+    spec, data = load_table(io.StringIO(CSV)).to_path_dataset()
     assert spec.levels == (2, 3)
     assert spec.labels == (("OJ", "VC"), ("0.5", "1", "2"))
     # row 0 is VC at dose 0.5: levels (2, 1)
@@ -177,14 +176,14 @@ def test_markov_discrepancy_empty_for_two_columns(demo_data):
 def test_write_dataset_csv_round_trips_bitwise(demo_spec, demo_data, tmp_path):
     out = tmp_path / "data.csv"
     write_dataset_csv(out, demo_spec, demo_data)
-    spec2, data2 = load_dataset(out)
+    spec2, data2 = load_table(out).to_path_dataset()
     assert spec2.levels == demo_spec.levels
     assert np.array_equal(data2.paths, demo_data.paths)
     assert np.array_equal(data2.responses, demo_data.responses)
 
 
 def test_bundled_toothgrowth_loads():
-    spec, data = load_dataset(daglm.data_path("toothgrowth.csv"))
+    spec, data = load_table(daglm.data_path("toothgrowth.csv")).to_path_dataset()
     assert spec.labels == (("OJ", "VC"), ("0.5", "1", "2"))
     assert data.n == 60
     assert data.count(1, 1) == 30  # thirty OJ rows
