@@ -420,14 +420,7 @@ def _cmd_discretize(args) -> int:
         except ValueError as exc:
             raise DataError(f"column {name!r} is not numeric: {exc}") from None
         rules[name] = quantile_discretize(values, args.groups, column=name)
-    binned = apply_rules(table, rules)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(binned.factor_names) + [binned.response_name])
-        for row, b in zip(binned.factors, binned.responses):
-            writer.writerow(list(row) + [repr(float(b))])
+    apply_rules(table, rules).write_csv(args.out)
     doc = discretize_document([rules[name] for name in args.columns])
     if args.rules_out is None:
         write_document(doc, args.format, sys.stdout)

@@ -2,16 +2,19 @@
 discretization of numeric covariates.
 
 Input files are comma-separated UTF-8 text with a mandatory header row and
-``.`` as the decimal separator. Factor labels are mapped to level indices by
+``.`` as the decimal separator. Tables are held by column, and every step
+(parsing the responses, mapping labels to levels, writing a CSV) works on a
+whole column at a time. Factor labels are mapped to level indices by
 sorting the distinct labels of each column: numerically when every label
-parses as a number, lexicographically otherwise. That ordering is part of
-the reported output (level indices appear in pairwise reports), so it is
-fixed here rather than left to file order.
+parses as a number other than NaN, lexicographically otherwise. That
+ordering is part of the reported output (level indices appear in pairwise
+reports), so it is fixed here rather than left to file order.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,30 +25,39 @@ from .model import DagSpec, PathDataset
 
 @dataclass(frozen=True)
 class TabularDataset:
-    """Raw factor labels plus numeric responses, one row per observation."""
+    """Raw factor labels plus numeric responses, stored by column."""
 
     factor_names: tuple[str, ...]
     response_name: str
-    factors: tuple[tuple[str, ...], ...]  # row-major, one tuple per row
+    columns: tuple[tuple[str, ...], ...]  # one tuple of labels per factor
     responses: np.ndarray
 
     def __post_init__(self):
         responses = np.array(self.responses, dtype=float)
         responses.setflags(write=False)
         object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "factors", tuple(tuple(r) for r in self.factors))
+        # tuple() of a tuple is the same object, so columns built by
+        # load_table are not copied
+        object.__setattr__(self, "columns", tuple(tuple(c) for c in self.columns))
         object.__setattr__(self, "factor_names", tuple(self.factor_names))
+        if len(self.columns) != len(self.factor_names):
+            raise DataError(
+                f"{len(self.columns)} label columns for "
+                f"{len(self.factor_names)} factor names"
+            )
+        if any(len(col) != len(responses) for col in self.columns):
+            raise DataError("label columns and responses differ in length")
 
     @property
     def n(self) -> int:
-        return len(self.factors)
+        return len(self.responses)
 
     def column(self, name: str) -> list[str]:
         try:
             idx = self.factor_names.index(name)
         except ValueError:
             raise DataError(f"missing column {name!r}") from None
-        return [row[idx] for row in self.factors]
+        return list(self.columns[idx])
 
     def to_path_dataset(
         self, label_order: dict[str, tuple[str, ...]] | None = None
@@ -57,36 +69,51 @@ class TabularDataset:
         label must then appear in the given order.
         """
         orders: list[tuple[str, ...]] = []
-        for idx, name in enumerate(self.factor_names):
-            seen = [row[idx] for row in self.factors]
+        paths = np.empty((self.n, len(self.columns)), dtype=np.int64)
+        for idx, (name, col) in enumerate(zip(self.factor_names, self.columns)):
+            seen = set(col)
             if label_order is not None and name in label_order:
                 order = tuple(str(x) for x in label_order[name])
-                missing = sorted(set(seen) - set(order))
+                missing = sorted(seen - set(order))
                 if missing:
                     raise DataError(
                         f"column {name!r} has labels {missing} absent from the "
                         "model's label list"
                     )
             else:
-                order = tuple(sort_labels(set(seen)))
+                order = tuple(sort_labels(seen))
             orders.append(order)
+            level = {lab: k for k, lab in enumerate(order, start=1)}
+            paths[:, idx] = np.fromiter(
+                map(level.__getitem__, col), np.int64, count=self.n
+            )
         spec = DagSpec(tuple(len(o) for o in orders), tuple(orders))
-        maps = [{lab: k + 1 for k, lab in enumerate(o)} for o in orders]
-        paths = np.array(
-            [[maps[idx][row[idx]] for idx in range(len(orders))] for row in self.factors],
-            dtype=np.int64,
-        ).reshape(self.n, len(orders))
         return spec, PathDataset(spec, paths, self.responses)
+
+    def write_csv(self, dest) -> None:
+        """Write the table as CSV: the factor columns, then the response in
+        shortest exact decimal form."""
+        _write_columns(
+            dest, [*self.factor_names, self.response_name], self.columns,
+            self.responses,
+        )
 
 
 def sort_labels(labels) -> list[str]:
-    """Deterministic label order: numeric when all labels are numbers,
-    lexicographic otherwise."""
+    """Deterministic label order: numeric when every label is a number other
+    than NaN, lexicographic otherwise.
+
+    NaN compares neither less nor greater than anything, so a numeric sort
+    would leave it wherever the input put it.
+    """
     labels = [str(x) for x in labels]
     try:
-        return sorted(labels, key=lambda s: (float(s), s))
+        value = {s: float(s) for s in labels}
     except ValueError:
         return sorted(labels)
+    if any(math.isnan(v) for v in value.values()):
+        return sorted(labels)
+    return sorted(labels, key=lambda s: (value[s], s))
 
 
 def _open_text(source):
@@ -99,6 +126,23 @@ def _repeated(names) -> list[str]:
     return sorted({name for name in names if names.count(name) > 1})
 
 
+def _refuse_first_bad_record(records, width: int, r_idx: int) -> None:
+    """Raise for the first record, in file order, that is ragged or has a
+    non-numeric response. Data rows are numbered over every record after the
+    header, blank ones included."""
+    for k, row in enumerate(records, start=1):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataError(f"data row {k}: {len(row)} fields, expected {width}")
+        try:
+            float(row[r_idx])
+        except ValueError:
+            raise DataError(
+                f"data row {k}: non-numeric response {row[r_idx]!r}"
+            ) from None
+
+
 def load_table(
     source,
     factor_columns: list[str] | None = None,
@@ -107,7 +151,8 @@ def load_table(
     """Read a CSV file into a :class:`TabularDataset`.
 
     By default the last column is the response and all other columns are
-    factors.
+    factors. Blank records are skipped but counted when a refusal names a
+    data row.
     """
     fh, should_close = _open_text(source)
     try:
@@ -116,7 +161,7 @@ def load_table(
             header = next(reader)
         except StopIteration:
             raise DataError("empty file: no header row") from None
-        rows = [row for row in reader if row]
+        records = list(reader)
     finally:
         if should_close:
             fh.close()
@@ -126,6 +171,8 @@ def load_table(
         header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     if response_column is None:
+        if not header:
+            raise DataError("empty header row")
         response_column = header[-1]
     if response_column not in header:
         raise DataError(f"missing column {response_column!r}")
@@ -142,28 +189,28 @@ def load_table(
             raise DataError(f"missing column {name!r}")
         if name == response_column:
             raise DataError(f"column {name!r} cannot be both factor and response")
-    if not rows:
-        raise DataError("empty file: no data rows")
 
-    f_idx = [header.index(name) for name in factor_columns]
+    width = len(header)
     r_idx = header.index(response_column)
-    factors = []
-    responses = []
-    for k, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"data row {k}: {len(row)} fields, expected {len(header)}")
-        try:
-            responses.append(float(row[r_idx]))
-        except ValueError:
-            raise DataError(
-                f"data row {k}: non-numeric response {row[r_idx]!r}"
-            ) from None
-        factors.append(tuple(row[idx].strip() for idx in f_idx))
+    if set(map(len, records)) - {0, width}:
+        _refuse_first_bad_record(records, width, r_idx)
+    columns = list(zip(*filter(None, records)))  # blank records dropped
+    if not columns:
+        raise DataError("empty file: no data rows")
+    try:
+        responses = np.array(list(map(float, columns[r_idx])))
+    except ValueError:
+        _refuse_first_bad_record(records, width, r_idx)
+        raise
+    del records  # only the refusals need the row lists; free them now
     return TabularDataset(
         factor_names=tuple(factor_columns),
         response_name=response_column,
-        factors=tuple(factors),
-        responses=np.array(responses),
+        columns=tuple(
+            tuple(map(str.strip, columns[header.index(name)]))
+            for name in factor_columns
+        ),
+        responses=responses,
     )
 
 
@@ -239,26 +286,17 @@ def apply_rules(
     for name in rules:
         if name not in table.factor_names:
             raise DataError(f"missing column {name!r}")
-    new_cols: dict[str, list[str]] = {}
+    columns = dict(zip(table.factor_names, table.columns))
     for name, rule in rules.items():
-        raw = table.column(name)
         try:
-            numeric = np.array([float(x) for x in raw])
+            numeric = np.array(list(map(float, columns[name])))
         except ValueError as exc:
             raise DataError(f"column {name!r} is not numeric: {exc}") from None
-        new_cols[name] = [str(int(g)) for g in rule.assign(numeric)]
-    factors = []
-    for k, row in enumerate(table.factors):
-        factors.append(
-            tuple(
-                new_cols[name][k] if name in new_cols else row[idx]
-                for idx, name in enumerate(table.factor_names)
-            )
-        )
+        columns[name] = tuple(map(str, rule.assign(numeric).tolist()))
     return TabularDataset(
         factor_names=table.factor_names,
         response_name=table.response_name,
-        factors=tuple(factors),
+        columns=tuple(columns.values()),
         responses=table.responses,
     )
 
@@ -295,23 +333,30 @@ def markov_discrepancy(data: PathDataset) -> list[float]:
     return out
 
 
-def write_dataset_csv(dest, spec: DagSpec, data: PathDataset, factor_names=None) -> None:
-    """Write a dataset as CSV (labels plus response); responses use the
-    shortest exact decimal form, so a reload reproduces them bit for bit."""
-    if factor_names is None:
-        factor_names = [f"factor_{j}" for j in range(1, spec.c + 1)]
+def _write_columns(dest, header, columns, responses) -> None:
+    """Write ``header``, then one record per row of the label ``columns``
+    followed by its response in shortest exact decimal form (``repr`` of a
+    Python float), so a reload reproduces the responses bit for bit."""
     close = False
     if not hasattr(dest, "write"):
         dest = open(dest, "w", encoding="utf-8", newline="")
         close = True
     try:
         writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(list(factor_names) + ["response"])
-        for row, b in zip(data.paths, data.responses):
-            writer.writerow(
-                [spec.label(j, int(lvl)) for j, lvl in enumerate(row, start=1)]
-                + [repr(float(b))]
-            )
+        writer.writerow(header)
+        writer.writerows(zip(*columns, map(repr, responses.tolist())))
     finally:
         if close:
             dest.close()
+
+
+def write_dataset_csv(dest, spec: DagSpec, data: PathDataset, factor_names=None) -> None:
+    """Write a dataset as CSV: each level as its ``spec`` label, plus the
+    response."""
+    if factor_names is None:
+        factor_names = [f"factor_{j}" for j in range(1, spec.c + 1)]
+    columns = []
+    for j, levels in enumerate(data.paths.T.tolist(), start=1):
+        labels = [spec.label(j, i) for i in range(max(levels, default=0) + 1)]
+        columns.append(map(labels.__getitem__, levels))
+    _write_columns(dest, [*factor_names, "response"], columns, data.responses)

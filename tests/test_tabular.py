@@ -1,12 +1,16 @@
+import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import daglm
 from daglm import DataError, ModelError
 from daglm.tabular import (
     DiscretizationRule,
+    TabularDataset,
     apply_rules,
     load_table,
     markov_discrepancy,
@@ -14,6 +18,7 @@ from daglm.tabular import (
     sort_labels,
     write_dataset_csv,
 )
+from daglm.model import DagSpec, PathDataset
 
 CSV = "supp,dose,len\nVC,0.5,4.2\nOJ,1,19.7\nVC,2,23.6\nOJ,0.5,15.2\n"
 
@@ -23,8 +28,15 @@ def test_load_table_defaults_to_last_column_response():
     assert table.factor_names == ("supp", "dose")
     assert table.response_name == "len"
     assert table.n == 4
-    assert table.factors[1] == ("OJ", "1")
+    assert table.columns == (("VC", "OJ", "VC", "OJ"), ("0.5", "1", "2", "0.5"))
     assert table.responses[2] == pytest.approx(23.6)
+
+
+def test_tabular_dataset_refuses_misaligned_columns():
+    with pytest.raises(DataError, match="2 label columns for 1 factor names"):
+        TabularDataset(("a",), "y", (("1",), ("2",)), [1.0])
+    with pytest.raises(DataError, match="differ in length"):
+        TabularDataset(("a",), "y", (("1", "2"),), [1.0])
 
 
 def test_load_table_column_selection():
@@ -39,6 +51,10 @@ def test_load_table_errors():
         load_table(io.StringIO(""))
     with pytest.raises(DataError, match="no data rows"):
         load_table(io.StringIO("a,b\n"))
+    with pytest.raises(DataError, match="no data rows"):
+        load_table(io.StringIO("a,b\n\n\n"))
+    with pytest.raises(DataError, match="empty header row"):
+        load_table(io.StringIO("\n1,2\n"))
     with pytest.raises(DataError, match="missing column 'x'"):
         load_table(io.StringIO(CSV), factor_columns=["x"])
     with pytest.raises(DataError, match="missing column 'y'"):
@@ -49,6 +65,12 @@ def test_load_table_errors():
         load_table(io.StringIO("a,b,c\n1,2,3\n1,2\n"))
     with pytest.raises(DataError, match="non-numeric response 'tall'"):
         load_table(io.StringIO("a,b\n1,tall\n"))
+    # data rows are numbered over every record after the header, blank ones
+    # included
+    with pytest.raises(DataError, match="data row 3: 2 fields, expected 3"):
+        load_table(io.StringIO("a,b,y\n1,2,3\n\n1,2\n"))
+    with pytest.raises(DataError, match="data row 3: non-numeric response 'x'"):
+        load_table(io.StringIO("a,b,y\n1,2,3\n\n1,2,x\n"))
 
 
 def test_load_table_drops_utf8_bom(tmp_path):
@@ -72,6 +94,20 @@ def test_sort_labels():
     assert sort_labels({"0.5", "2", "1"}) == ["0.5", "1", "2"]
     assert sort_labels({"b", "a", "10"}) == ["10", "a", "b"]
     assert sort_labels({"VC", "OJ"}) == ["OJ", "VC"]
+
+
+def test_sort_labels_with_nan_ignores_input_order():
+    # NaN is unordered, so a column with a NaN label sorts lexicographically
+    labels = ["1", "2", "10", "nan"]
+    orders = {tuple(sort_labels(p)) for p in itertools.permutations(labels)}
+    assert orders == {("1", "10", "2", "nan")}
+    assert sort_labels(["2", "nan", "1"]) == ["1", "2", "nan"]
+    specs = {
+        load_table(io.StringIO("g,y\n" + "".join(f"{g},0\n" for g in p)))
+        .to_path_dataset()[0]
+        for p in itertools.permutations(labels)
+    }
+    assert specs == {daglm.DagSpec((4,), (("1", "10", "2", "nan"),))}
 
 
 def test_to_path_dataset_level_mapping():
@@ -188,3 +224,191 @@ def test_bundled_toothgrowth_loads():
     assert data.n == 60
     assert data.count(1, 1) == 30  # thirty OJ rows
     assert data.count(2, 3) == 20  # twenty high-dose rows
+
+
+# ---------------------------------------------------------------------------
+# the columnar loader, mapper and writers against the per-row code they
+# replaced, kept here as the reference
+
+def _ref_load_table(text):
+    """Per-row ``load_table`` for the default columns (last one the
+    response): (factor names, response name, row tuples, responses)."""
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip() for h in next(reader)]
+    rows = [(k, row) for k, row in enumerate(reader, start=1) if row]
+    if not rows:
+        raise DataError("empty file: no data rows")
+    factors, responses = [], []
+    for k, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"data row {k}: {len(row)} fields, expected {len(header)}")
+        try:
+            responses.append(float(row[-1]))
+        except ValueError:
+            raise DataError(f"data row {k}: non-numeric response {row[-1]!r}") from None
+        factors.append(tuple(cell.strip() for cell in row[:-1]))
+    return tuple(header[:-1]), header[-1], factors, np.array(responses)
+
+
+def _ref_to_path_dataset(names, factors, responses, label_order=None):
+    orders = []
+    for idx, name in enumerate(names):
+        seen = [row[idx] for row in factors]
+        if label_order is not None and name in label_order:
+            order = tuple(str(x) for x in label_order[name])
+            missing = sorted(set(seen) - set(order))
+            if missing:
+                raise DataError(
+                    f"column {name!r} has labels {missing} absent from the "
+                    "model's label list"
+                )
+        else:
+            order = tuple(sort_labels(set(seen)))
+        orders.append(order)
+    spec = DagSpec(tuple(len(o) for o in orders), tuple(orders))
+    maps = [{lab: k + 1 for k, lab in enumerate(o)} for o in orders]
+    paths = np.array(
+        [[maps[idx][row[idx]] for idx in range(len(orders))] for row in factors],
+        dtype=np.int64,
+    ).reshape(len(factors), len(orders))
+    return spec, PathDataset(spec, paths, responses)
+
+
+def _ref_write_rows(header, rows, responses):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row, b in zip(rows, responses):
+        writer.writerow(list(row) + [repr(float(b))])
+    return out.getvalue()
+
+
+def _ref_write_dataset_csv(spec, data, factor_names=None):
+    if factor_names is None:
+        factor_names = [f"factor_{j}" for j in range(1, spec.c + 1)]
+    rows = [
+        [spec.label(j, int(lvl)) for j, lvl in enumerate(row, start=1)]
+        for row in data.paths
+    ]
+    return _ref_write_rows(list(factor_names) + ["response"], rows, data.responses)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+LABELS = ("1", "2", "10", "0.5", "-3", "1e3", "inf", "nan", "a", "b", "OJ",
+          " x", "y ", " 2 ", "a,b", 'say "hi"', "'", "", "a\nb", "\u00e4")
+RESPONSES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+)
+RESPONSE_TEXT = (repr, "{:.6e}".format, " {!r} ".format)
+
+
+@st.composite
+def csv_texts(draw, messy):
+    """A CSV text over tricky labels and responses; ``messy`` adds blank,
+    ragged and non-numeric records."""
+    c = draw(st.integers(1, 3))
+    pools = [
+        draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
+        for _ in range(c)
+    ]
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        text = draw(st.sampled_from(RESPONSE_TEXT))(draw(RESPONSES))
+        records.append([draw(st.sampled_from(pool)) for pool in pools] + [text])
+    for _ in range(draw(st.integers(0, 3)) if messy else 0):
+        k = draw(st.integers(0, len(records)))
+        kind = draw(st.sampled_from(["blank", "short", "long", "text"]))
+        if kind == "blank":
+            records.insert(k, [])
+        elif k < len(records) and records[k]:
+            row = records[k]
+            records[k] = {"short": row[:-1], "long": row + ["1"],
+                          "text": row[:-1] + ["tall"]}[kind]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f"f,{j}" for j in range(1, c + 1)] + ["y"])
+    for row in records:
+        if row:
+            writer.writerow(row)
+        else:
+            out.write("\n")
+    return out.getvalue()
+
+
+@given(text=csv_texts(messy=True))
+@settings(max_examples=150, deadline=None)
+def test_load_table_matches_per_row_reference(text):
+    want = _outcome(_ref_load_table, text)
+    got = _outcome(load_table, io.StringIO(text))
+    if isinstance(want, str):
+        assert got == want
+        return
+    names, response_name, rows, responses = want
+    assert got.factor_names == names
+    assert got.response_name == response_name
+    assert got.columns == tuple(zip(*rows))
+    assert got.responses.tobytes() == responses.tobytes()
+    buf = io.StringIO()
+    got.write_csv(buf)
+    assert buf.getvalue() == _ref_write_rows([*names, response_name], rows, responses)
+
+
+@given(text=csv_texts(messy=False), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_to_path_dataset_matches_per_row_reference(text, data):
+    table = load_table(io.StringIO(text))
+    names, _, rows, responses = _ref_load_table(text)
+    label_order = None
+    if data.draw(st.booleans()):
+        # pin some columns: a shuffle of the observed labels, plus an unseen
+        # one or minus a seen one
+        label_order = {}
+        for name, col in zip(names, zip(*rows)):
+            if data.draw(st.booleans()):
+                order = data.draw(st.permutations(sorted(set(col))))
+                label_order[name] = data.draw(st.sampled_from(
+                    [order, order + ["unseen"], order[1:]]
+                ))
+    want = _outcome(_ref_to_path_dataset, names, rows, responses, label_order)
+    got = _outcome(table.to_path_dataset, label_order)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (spec, data_want), (spec_got, data_got) = want, got
+    assert spec_got == spec
+    assert data_got.paths.dtype == data_want.paths.dtype
+    assert np.array_equal(data_got.paths, data_want.paths)
+    assert data_got.responses.tobytes() == data_want.responses.tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_write_dataset_csv_matches_per_row_reference(data):
+    levels = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    labels = None
+    if data.draw(st.booleans()):
+        labels = tuple(
+            tuple(data.draw(st.lists(st.sampled_from(LABELS), min_size=r,
+                                     max_size=r, unique=True)))
+            for r in levels
+        )
+    spec = DagSpec(tuple(levels), labels)
+    n = data.draw(st.integers(0, 8))
+    paths = [[data.draw(st.integers(1, r)) for r in levels] for _ in range(n)]
+    responses = data.draw(st.lists(RESPONSES, min_size=n, max_size=n))
+    dataset = PathDataset(spec, np.array(paths, dtype=np.int64).reshape(n, len(levels)),
+                          responses)
+    factor_names = data.draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(LABELS), min_size=len(levels),
+                            max_size=len(levels)),
+    ))
+    buf = io.StringIO()
+    write_dataset_csv(buf, spec, dataset, factor_names)
+    assert buf.getvalue() == _ref_write_dataset_csv(spec, dataset, factor_names)
