@@ -40,8 +40,9 @@ def main() -> int:
 
     rules = {}
     for name in columns:
-        values = np.array([float(x) for x in table.column(name)])
-        rules[name] = quantile_discretize(values, args.groups, column=name)
+        rules[name] = quantile_discretize(
+            table.numeric_column(name), args.groups, column=name
+        )
         pretty = ", ".join(f"{b:.2f}" for b in rules[name].breaks)
         print(f"{name}: breaks [{pretty}]")
 

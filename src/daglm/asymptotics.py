@@ -34,16 +34,15 @@ import numpy as np
 from .errors import ModelError, NoDataError, StatisticalError
 from .estimators import (
     KIND_NAIVE,
+    KIND_PLUGIN,
     KIND_WEIGHTED,
     CellEstimate,
     _canonical_kind,
-    _cell,
-    _exact_weights,
-    _plugin_weights,
+    _cell_weights,
+    _CellWeights,
 )
 from .model import (
     PathDataset,
-    PathGroups,
     QualityModel,
     TransitionKernel,
     kernels_equivalent,
@@ -92,16 +91,6 @@ class _PathTable:
     ratio: np.ndarray  # per-record weight C (target over source)
     moments: np.ndarray  # (m, K + 1) raw moments E[b^k | path], k = 0..K
     target: np.ndarray | None = None  # target conditional probabilities
-
-
-def _data_table(cell: PathGroups, ratio: np.ndarray, target=None) -> _PathTable:
-    return _PathTable(
-        paths=cell.paths,
-        prob=cell.counts / cell.n,
-        ratio=ratio,
-        moments=cell.sums / cell.counts[:, None],
-        target=target,
-    )
 
 
 def _finalize(
@@ -289,9 +278,33 @@ def asym_var_variance_unknown(
     return _unknown_av((i, j), "variance", table)
 
 
-def _check_which(which: str) -> None:
+def _kind_regime(kind: str) -> str:
+    """The regime of an estimator kind's asymptotics: only the plugin
+    estimator's ratios are estimated from the data."""
+    return REGIME_UNKNOWN if _canonical_kind(kind) == KIND_PLUGIN else REGIME_KNOWN
+
+
+def _weights_av(weights: _CellWeights, which: str) -> AsymptoticVariance:
+    """Plug-in asymptotic variance of the ``which`` estimate of the cell, a
+    reduction over its weights and grouped power sums. The unknown-source
+    regime estimates per-path pieces and needs every distinct observed path
+    through the cell at least twice."""
     if which not in ("mean", "variance"):
         raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
+    cell = weights.cell
+    table = _PathTable(cell.paths, cell.counts / cell.n, weights.ratio,
+                       cell.sums / cell.counts[:, None], weights.target)
+    if _kind_regime(weights.kind) == REGIME_KNOWN:
+        return _known_av(weights.node, which, table)
+    weights.check_support()
+    once = cell.counts < 2
+    if once.any():
+        paths = [tuple(int(x) for x in row) for row in cell.paths[once]]
+        raise StatisticalError(
+            "insufficient per-path replication for plug-in asymptotics; "
+            f"paths seen once: {paths}"
+        )
+    return _unknown_av(weights.node, which, table)
 
 
 def plugin_asym_var(
@@ -304,32 +317,18 @@ def plugin_asym_var(
     kernel: TransitionKernel | None = None,
 ) -> AsymptoticVariance:
     """Asymptotic variance with all population quantities replaced by
-    empirical counterparts from the dataset.
-
-    The unknown-source regime estimates per-path pieces and needs every
-    distinct observed path through the cell at least twice. The known-source
-    regime needs the source ``kernel`` and uses exact ratio weights with
-    empirical moments of (b*C, b^2*C).
-    """
-    _check_which(which)
-    if regime not in (REGIME_KNOWN, REGIME_UNKNOWN):
-        raise ModelError(f"unknown regime {regime!r}")
-
+    empirical counterparts from the dataset: the unknown-source regime with
+    the plugin estimator's empirical ratios, or the known-source regime with
+    the source ``kernel``'s exact ratios (see :func:`_weights_av`)."""
     if regime == REGIME_KNOWN:
         if kernel is None:
             raise ModelError("knownQ regime needs the source kernel")
-        cell, ratio = _exact_weights(data, kernel, target, i, j)
-        return _known_av((i, j), which, _data_table(cell, ratio))
-
-    cell, ratio, cond = _plugin_weights(data, target, i, j)
-    once = cell.counts < 2
-    if once.any():
-        paths = [tuple(int(x) for x in row) for row in cell.paths[once]]
-        raise StatisticalError(
-            "insufficient per-path replication for plug-in asymptotics; "
-            f"paths seen once: {paths}"
-        )
-    return _unknown_av((i, j), which, _data_table(cell, ratio, cond))
+        kind = KIND_WEIGHTED
+    elif regime == REGIME_UNKNOWN:
+        kind = KIND_PLUGIN
+    else:
+        raise ModelError(f"unknown regime {regime!r}")
+    return _weights_av(_cell_weights(data, i, j, kind, kernel, target), which)
 
 
 def naive_asym_var(
@@ -337,9 +336,7 @@ def naive_asym_var(
 ) -> AsymptoticVariance:
     """Asymptotic variance of the naive cell estimators (the unit-ratio
     special case of the known-source regime, so no kernel is needed)."""
-    _check_which(which)
-    cell = _cell(data, j, i)
-    return _known_av((i, j), which, _data_table(cell, np.ones(cell.counts.size)))
+    return _weights_av(_cell_weights(data, i, j, KIND_NAIVE), which)
 
 
 def cell_asym_var(
@@ -354,12 +351,7 @@ def cell_asym_var(
     """Plug-in asymptotic variance of :func:`cell_estimate` of the same
     ``kind``: naive, known-source regime for weighted, unknown-source regime
     for plugin."""
-    kind = _canonical_kind(kind)
-    if kind == KIND_NAIVE:
-        return naive_asym_var(data, i, j, which)
-    if kind == KIND_WEIGHTED:
-        return plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, kernel=kernel)
-    return plugin_asym_var(data, target, i, j, which, REGIME_UNKNOWN)
+    return _weights_av(_cell_weights(data, i, j, kind, kernel, target), which)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import cell_asym_var, confidence_interval, normal_quantile
+from .asymptotics import _weights_av, confidence_interval, normal_quantile
 from .errors import DataError, ModelError, StatisticalError
-from .estimators import cell_estimate
+from .estimators import _cell_weights, _estimate
 from .model import (
     SUPPORT_ZERO,
     TransitionKernel,
@@ -294,7 +294,16 @@ def _estimate_rows(args, spec, data, model, nodes):
         if base["count"] == 0:
             rows.append(base | dict.fromkeys(_CELL_FIELDS) | {"flags": ["no-data"]})
             continue
-        cell = cell_estimate(data, i, j, kind, source, target, target_id)
+        weights = _cell_weights(data, i, j, kind, source, target)
+        try:
+            weights.check_support()
+        except StatisticalError as exc:
+            print(f"note: {exc}", file=sys.stderr)
+            rows.append(
+                base | dict.fromkeys(_CELL_FIELDS) | {"flags": ["support-incomplete"]}
+            )
+            continue
+        cell = _estimate(weights, target_id)
         flags = []
         if cell.clipped:
             flags.append("variance-clipped")
@@ -304,7 +313,7 @@ def _estimate_rows(args, spec, data, model, nodes):
         row = base | {"mean": cell.mean, "variance": cell.variance * scale, "flags": flags}
         for which, factor in (("mean", 1.0), ("variance", scale)):
             try:
-                av = cell_asym_var(data, i, j, kind, which, source, target)
+                av = _weights_av(weights, which)
                 ci = confidence_interval(cell, av, args.level)
                 row |= {
                     f"{which}_se": math.sqrt(av.value / cell.count) * factor,
@@ -391,8 +400,10 @@ def _cmd_compare(args) -> int:
                 "difference": None, "se": None, "lower": None, "upper": None,
                 "flags": [],
             }
-            if a["count"] == 0 or b["count"] == 0:
-                row["flags"].append("no-data")
+            missing = [flag for flag in ("no-data", "support-incomplete")
+                       if flag in a["flags"] + b["flags"]]
+            if missing:
+                row["flags"] += missing
             else:
                 row["difference"] = diff = a[which] - b[which]
                 se_a, se_b = a[f"{which}_se"], b[f"{which}_se"]
@@ -412,14 +423,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_discretize(args) -> int:
     table = load_table(args.data, args.factors, args.response)
-    rules = {}
-    for name in args.columns:
-        raw = table.column(name)
-        try:
-            values = np.array([float(x) for x in raw])
-        except ValueError as exc:
-            raise DataError(f"column {name!r} is not numeric: {exc}") from None
-        rules[name] = quantile_discretize(values, args.groups, column=name)
+    rules = {
+        name: quantile_discretize(table.numeric_column(name), args.groups, column=name)
+        for name in args.columns
+    }
     apply_rules(table, rules).write_csv(args.out)
     doc = discretize_document([rules[name] for name in args.columns])
     if args.rules_out is None:

@@ -97,19 +97,6 @@ def _clip_variance(value: float, strict: bool) -> tuple[float, bool]:
     raise StatisticalError(f"variance {value} below the rounding-noise floor")
 
 
-def _mean_and_variance(
-    cell: PathGroups, w: np.ndarray, strict: bool
-) -> tuple[float, float, bool]:
-    """Shared reduction for all estimator families: ``w`` holds each
-    distinct path's per-record weight; ``strict`` marks unit weights (see
-    :func:`_clip_variance`)."""
-    n = cell.n
-    mean = float(np.sum(w * cell.sums[:, 1]) / n)
-    second = float(np.sum(w * cell.sums[:, 2]) / n)
-    variance, clipped = _clip_variance(second - mean * mean, strict)
-    return mean, variance, clipped
-
-
 def measure_change_ratio(
     kernel: TransitionKernel,
     target: TransitionKernel,
@@ -134,27 +121,6 @@ def _first_path(cell: PathGroups, mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in cell.paths[np.argmax(mask)])
 
 
-def _exact_weights(
-    data: PathDataset,
-    kernel: TransitionKernel,
-    target: TransitionKernel,
-    i: int,
-    j: int,
-) -> tuple[PathGroups, np.ndarray]:
-    """The cell at (i, j) and the exact measure-change ratio of each of its
-    distinct paths."""
-    if not kernels_equivalent(kernel, target):
-        raise ModelError("measures not equivalent")
-    cell = _cell(data, j, i)
-    cond_q, in_support = conditional_path_probabilities(kernel, cell.paths, j, i)
-    if not in_support.all():
-        raise StatisticalError(
-            f"path {_first_path(cell, ~in_support)} outside the source kernel's support"
-        )
-    cond_t, _ = conditional_path_probabilities(target, cell.paths, j, i)
-    return cell, cond_t / cond_q
-
-
 def empirical_ratio(
     data: PathDataset, target: TransitionKernel, path: PathLike, j: int, i: int
 ) -> float:
@@ -168,34 +134,6 @@ def empirical_ratio(
     if n_path == 0:
         raise StatisticalError(f"zero empirical frequency: path {nodes} never observed")
     return conditional_path_probability(target, nodes, j, i) * cell.n / n_path
-
-
-def _plugin_weights(
-    data: PathDataset, target: TransitionKernel, i: int, j: int
-) -> tuple[PathGroups, np.ndarray, np.ndarray]:
-    """The cell at (i, j), the empirical-ratio weight of each of its
-    distinct paths, and their target conditional probabilities.
-
-    Requires the observed paths to exhaust the target kernel's conditional
-    support: every observed path must have positive target probability, and
-    the target conditional probabilities of the observed paths must total 1.
-    Anything else means the plugin estimator's normalization is undefined
-    for this dataset, which is surfaced as an error rather than silently
-    renormalized.
-    """
-    cell = _cell(data, j, i)
-    cond, in_support = conditional_path_probabilities(target, cell.paths, j, i)
-    if not in_support.all():
-        raise StatisticalError(
-            f"target measure excludes observed path {_first_path(cell, ~in_support)}"
-        )
-    total = float(cond.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise StatisticalError(
-            f"observed paths through node ({i}, {j}) carry target conditional "
-            f"mass {total:.6g}, not 1; support paths are missing from the data"
-        )
-    return cell, cond * cell.n / cell.counts, cond
 
 
 _KIND_ALIASES = {
@@ -215,6 +153,85 @@ def _canonical_kind(kind: str) -> str:
     return canonical
 
 
+@dataclass(frozen=True)
+class _CellWeights:
+    """One cell's distinct observed paths and each path's per-record weight
+    under one estimator kind; every estimate and plug-in asymptotic variance
+    of the cell reduces over this. ``target`` holds the paths' target
+    conditional probabilities where the estimator uses them (plugin)."""
+
+    node: tuple[int, int]  # (level i, column j)
+    kind: str
+    cell: PathGroups
+    ratio: np.ndarray
+    target: np.ndarray | None = None
+
+    def check_support(self) -> None:
+        """Refuse a plugin cell whose observed paths do not carry all of the
+        target conditional mass: the estimator's normalization is then
+        undefined, and it is refused rather than silently renormalized."""
+        if self.target is None:
+            return
+        total = float(self.target.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise StatisticalError(
+                f"observed paths through node {self.node} carry target conditional "
+                f"mass {total:.6g}, not 1; support paths are missing from the data"
+            )
+
+
+def _cell_weights(
+    data: PathDataset,
+    i: int,
+    j: int,
+    kind: str,
+    kernel: TransitionKernel | None = None,
+    target: TransitionKernel | None = None,
+) -> _CellWeights:
+    """The one dispatch on the estimator kind: the cell at (i, j) with unit
+    weights (naive), exact target-over-source ratios (weighted), or target
+    conditional probabilities over observed path shares (plugin)."""
+    kind = _canonical_kind(kind)
+    if kind == KIND_NAIVE:
+        cell = _cell(data, j, i)
+        return _CellWeights((i, j), kind, cell, np.ones(cell.counts.size))
+    if kind == KIND_WEIGHTED:
+        if kernel is None or target is None:
+            raise ModelError("weighted estimator needs both source and target kernels")
+        if not kernels_equivalent(kernel, target):
+            raise ModelError("measures not equivalent")
+        cell = _cell(data, j, i)
+        cond_q, in_support = conditional_path_probabilities(kernel, cell.paths, j, i)
+        if not in_support.all():
+            path = _first_path(cell, ~in_support)
+            raise StatisticalError(f"path {path} outside the source kernel's support")
+        cond_t, _ = conditional_path_probabilities(target, cell.paths, j, i)
+        return _CellWeights((i, j), kind, cell, cond_t / cond_q)
+    if target is None:
+        raise ModelError("plugin estimator needs a target kernel")
+    cell = _cell(data, j, i)
+    cond, in_support = conditional_path_probabilities(target, cell.paths, j, i)
+    if not in_support.all():
+        raise StatisticalError(
+            f"target measure excludes observed path {_first_path(cell, ~in_support)}"
+        )
+    return _CellWeights((i, j), kind, cell, cond * cell.n / cell.counts, cond)
+
+
+def _estimate(weights: _CellWeights, target_id: str = "") -> CellEstimate:
+    """Shared reduction for all estimator families, with the same
+    floating-point sequence for every kind; unit weights clip strictly (see
+    :func:`_clip_variance`)."""
+    weights.check_support()
+    cell, w, n = weights.cell, weights.ratio, weights.cell.n
+    mean = float(np.sum(w * cell.sums[:, 1]) / n)
+    second = float(np.sum(w * cell.sums[:, 2]) / n)
+    variance, clipped = _clip_variance(second - mean * mean, weights.kind == KIND_NAIVE)
+    return CellEstimate(
+        weights.node, n, mean, variance, weights.kind, target_id, clipped
+    )
+
+
 def cell_estimate(
     data: PathDataset,
     i: int,
@@ -225,25 +242,4 @@ def cell_estimate(
     target_id: str = "",
 ) -> CellEstimate:
     """Full (mean, variance) estimate for one node under one estimator."""
-    kind = _canonical_kind(kind)
-    if kind == KIND_NAIVE:
-        cell = _cell(data, j, i)
-        w = np.ones(cell.counts.size)
-    elif kind == KIND_WEIGHTED:
-        if kernel is None or target is None:
-            raise ModelError("weighted estimator needs both source and target kernels")
-        cell, w = _exact_weights(data, kernel, target, i, j)
-    else:
-        if target is None:
-            raise ModelError("plugin estimator needs a target kernel")
-        cell, w, _ = _plugin_weights(data, target, i, j)
-    mean, variance, clipped = _mean_and_variance(cell, w, strict=kind == KIND_NAIVE)
-    return CellEstimate(
-        node=(i, j),
-        count=cell.n,
-        mean=mean,
-        variance=variance,
-        kind=kind,
-        target=target_id,
-        clipped=clipped,
-    )
+    return _estimate(_cell_weights(data, i, j, kind, kernel, target), target_id)

@@ -17,13 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelError, StatisticalError
-from .estimators import cell_estimate
+from .estimators import _cell_weights, _estimate, cell_estimate
 from .asymptotics import (
+    REGIME_KNOWN,
+    _kind_regime,
+    _weights_av,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
     asym_var_variance_unknown,
-    cell_asym_var,
     confidence_interval,
 )
 from .model import (
@@ -73,6 +75,12 @@ class ExperimentConfig:
         for name in self.estimators:
             if name not in _ESTIMATOR_NAMES:
                 raise ModelError(f"unknown estimator {name!r}")
+        for role, kernel in (("kernel", self.kernel), ("target kernel", self.target)):
+            if isinstance(kernel, TransitionKernel) and kernel.levels != self.spec.levels:
+                raise ModelError(
+                    f"{role} levels {kernel.levels} do not match the spec's "
+                    f"levels {self.spec.levels}"
+                )
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.nodes is not None:
             object.__setattr__(
@@ -203,10 +211,10 @@ def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:
 
 
 def _exact_av(config: ExperimentConfig, kind: str, target, i: int, j: int, which: str):
-    if kind == "plugin":
-        fn = asym_var_mean_unknown if which == "mean" else asym_var_variance_unknown
-    else:
+    if _kind_regime(kind) == REGIME_KNOWN:
         fn = asym_var_mean_known if which == "mean" else asym_var_variance_known
+    else:
+        fn = asym_var_mean_unknown if which == "mean" else asym_var_variance_unknown
     return fn(config.kernel, target, config.quality, i, j)
 
 
@@ -261,9 +269,9 @@ def coverage_study(
     for rep in range(config.replicates):
         data = sample_dataset(config, rep)
         for i, j in nodes:
-            cell = cell_estimate(data, i, j, kind, config.kernel, target)
-            av = cell_asym_var(data, i, j, kind, which, config.kernel, target)
-            ci = confidence_interval(cell, av, level)
+            weights = _cell_weights(data, i, j, kind, config.kernel, target)
+            av = _weights_av(weights, which)
+            ci = confidence_interval(_estimate(weights), av, level)
             est[(i, j)][rep] = ci.point
             low[(i, j)][rep] = ci.lower
             up[(i, j)][rep] = ci.upper

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,23 @@ class TabularDataset:
         except ValueError:
             raise DataError(f"missing column {name!r}") from None
         return list(self.columns[idx])
+
+    @cached_property
+    def _numeric(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def numeric_column(self, name: str) -> np.ndarray:
+        """Column ``name`` parsed as floats: read-only, and parsed once per
+        table however often it is asked for."""
+        values = self._numeric.get(name)
+        if values is None:
+            try:
+                values = np.array(list(map(float, self.column(name))))
+            except ValueError as exc:
+                raise DataError(f"column {name!r} is not numeric: {exc}") from None
+            values.setflags(write=False)
+            self._numeric[name] = values
+        return values
 
     def to_path_dataset(
         self, label_order: dict[str, tuple[str, ...]] | None = None
@@ -283,16 +301,10 @@ def apply_rules(
     table: TabularDataset, rules: dict[str, DiscretizationRule]
 ) -> TabularDataset:
     """Replace numeric columns by their group labels ("1".."q")."""
-    for name in rules:
-        if name not in table.factor_names:
-            raise DataError(f"missing column {name!r}")
     columns = dict(zip(table.factor_names, table.columns))
     for name, rule in rules.items():
-        try:
-            numeric = np.array(list(map(float, columns[name])))
-        except ValueError as exc:
-            raise DataError(f"column {name!r} is not numeric: {exc}") from None
-        columns[name] = tuple(map(str, rule.assign(numeric).tolist()))
+        groups = rule.assign(table.numeric_column(name))
+        columns[name] = tuple(map(str, groups.tolist()))
     return TabularDataset(
         factor_names=table.factor_names,
         response_name=table.response_name,

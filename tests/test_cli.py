@@ -281,6 +281,81 @@ def test_no_data_rows_flagged(capsys, tmp_path):
     assert empty[0]["flags"] == ["no-data"]
 
 
+def test_support_incomplete_rows_flagged(capsys, tmp_path):
+    # column 1 level 2 and column 2 level 2 are each seen on one of their two
+    # uniform-target paths only, so the plugin estimator is undefined there
+    data_path = tmp_path / "gap.csv"
+    data_path.write_text("a,b,y\n1,1,1\n1,1,2\n1,2,3\n1,2,4\n2,1,5\n2,1,6\n",
+                         encoding="utf-8")
+    code, out, err = run(
+        ["estimate", "--data", data_path, "--estimator", "plugin"], capsys
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    check_report(doc)
+    rows = {(r["level_index"], r["column"]): r for r in doc["rows"]}
+    for node in ((2, 1), (2, 2)):
+        assert rows[node]["flags"] == ["support-incomplete"]
+        assert rows[node]["count"] == 2
+        assert all(rows[node][k] is None for k in
+                   ("mean", "mean_se", "mean_lower", "mean_upper",
+                    "variance", "variance_se", "variance_lower", "variance_upper"))
+        assert f"node {node}" in err and "target conditional mass 0.5" in err
+    _, data = daglm.load_table(data_path).to_path_dataset()
+    target = daglm.uniform_kernel(data.spec)
+    for i, j in ((1, 1), (1, 2)):
+        assert rows[(i, j)]["flags"] == []
+        assert rows[(i, j)]["mean"] == cell_estimate(data, i, j, "plugin",
+                                                     target=target).mean
+
+    code, out, err = run(
+        ["compare", "--data", data_path, "--estimator", "plugin"], capsys
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    check_report(doc)
+    assert len(doc["rows"]) == 4
+    for row in doc["rows"]:
+        assert row["flags"] == ["support-incomplete"]
+        assert row["difference"] is None and row["se"] is None
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls to ``fn`` from every daglm module that binds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("daglm")
+                and getattr(mod, fn.__name__, None) is fn):
+            monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls
+
+
+@pytest.mark.parametrize("estimator, per_cell", [("plugin", 1), ("weighted", 2)])
+def test_estimate_computes_each_cells_weights_once(
+    capsys, monkeypatch, workdir, tmp_path, estimator, per_cell
+):
+    # the point estimate and both asymptotic variances share one weights
+    # pass per cell; the weighted kind needs the source and the target
+    data_path = tmp_path / "sim.csv"
+    assert run(["simulate", "--config", workdir / "demo_config.json",
+                "--out", data_path], capsys)[0] == 0
+    calls = count_calls(monkeypatch, daglm.model.conditional_path_probabilities)
+    code, out, err = run(
+        ["estimate", "--data", data_path, "--estimator", estimator,
+         "--model", workdir / "demo_2x2.json"],
+        capsys,
+    )
+    assert code == 0, err
+    cells = [r for r in json.loads(out)["rows"] if r["count"] > 0]
+    assert len(cells) == 4
+    assert len(calls) == per_cell * len(cells)
+
+
 def test_compare_report_and_pair_restriction(capsys, workdir):
     code, out, _ = run(
         ["compare", "--data", workdir / "toothgrowth.csv", "--column", "dose"],

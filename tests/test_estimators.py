@@ -298,18 +298,20 @@ def test_plugin_weights_average_to_one(seed):
         spec=spec, kernel=kernel, quality=quality, n=600, seed=seed
     )
     data = daglm.sample_dataset(config, 0)
-    from daglm.estimators import _plugin_weights
+    from daglm.estimators import _cell_weights
 
     for j in range(1, spec.c + 1):
         for i in range(1, spec.levels[j - 1] + 1):
             if data.count(j, i) == 0:
                 continue
             try:
-                cell, w, _ = _plugin_weights(data, target, i, j)
+                weights = _cell_weights(data, i, j, "plugin", target=target)
+                weights.check_support()
             except StatisticalError:
                 continue  # support not exhausted at this n; checked elsewhere
             # one weight per distinct path: the count-weighted mean is the
             # mean over records
+            cell, w = weights.cell, weights.ratio
             assert np.sum(cell.counts * w) / cell.counts.sum() == pytest.approx(
                 1.0, abs=1e-9
             )

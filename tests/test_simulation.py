@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -103,6 +104,31 @@ def test_config_validation(demo_spec, demo_kernel, demo_quality):
         daglm.ExperimentConfig(**{**good, "level": 1.0})
     with pytest.raises(ModelError, match="unknown estimator"):
         daglm.ExperimentConfig(**{**good, "estimators": ("magic",)})
+
+
+def test_config_refuses_kernel_levels_off_spec(demo_spec, demo_kernel, demo_quality):
+    good = dict(spec=demo_spec, kernel=demo_kernel, quality=demo_quality,
+                n=10, seed=1)
+    wide = daglm.uniform_kernel(daglm.DagSpec(levels=(2, 3)))
+    with pytest.raises(ModelError, match=r"^kernel levels \(2, 3\) .*\(2, 2\)"):
+        daglm.ExperimentConfig(**{**good, "kernel": wide})
+    with pytest.raises(ModelError, match=r"^target kernel levels \(2, 3\) .*\(2, 2\)"):
+        daglm.ExperimentConfig(**{**good, "target": wide})
+
+
+def test_load_config_refuses_target_kernel_of_wrong_shape(tmp_path):
+    shutil.copy(daglm.data_path("demo_2x2.json"), tmp_path / "model.json")
+    (tmp_path / "target.json").write_text(json.dumps({
+        "schema_version": 1,
+        "columns": [3, 2],
+        "initial": [0.2, 0.3, 0.5],
+        "steps": [[[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]],
+    }), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "model-ref": "model.json", "n": 50, "seed": 3, "target-kernel": "target.json",
+    }), encoding="utf-8")
+    with pytest.raises(ModelError, match=r"target kernel levels \(3, 2\) .*\(2, 2\)"):
+        load_config(tmp_path / "config.json")
 
 
 def test_resolve_target(demo_config, demo_uniform, demo_kernel):
