@@ -4,10 +4,13 @@ versions computed from data, and normal-approximation confidence intervals.
 Every estimator error, scaled by the square root of the cell's visit count,
 is asymptotically normal; the limiting variance depends on the estimator
 family (regime "knownQ" for exact-ratio weighting, "unknownQ" for empirical
-ratios) and on the statistic (cell mean or cell variance). The variance
-target uses a delta-method quadratic form: a small covariance matrix
-contracted with a weight vector. For the unknown-source regime the matrix is
-indexed by the distinct support paths through the node.
+ratios) and on the statistic (cell mean or cell variance). Each limiting
+variance is a sum of per-path covariance blocks, each contracted with its
+path's weights: a 1x1 block of Var[b | path] for a mean, a 2x2 block of the
+covariance of (b, b^2) for a variance (the delta method). The known-source
+regime folds the paths into one block; the unknown-source regime keeps one
+block per distinct support path through the node. Positive
+semidefiniteness is checked block by block; no dense matrix is formed.
 
 There is one formula per regime, a reduction over a per-path table (path
 probability, ratio, target probability, raw response moments). The closed
@@ -16,7 +19,7 @@ pass tables of the observed paths built from the dataset's grouped power
 sums; the naive estimators are the known-source regime with unit ratios.
 
 In the unknown-source variance formula the weight -2*mu*C(q) multiplies the
-per-path b block and C(q) the b^2 block. The pairing is pinned by the
+b row of each path's block and C(q) its b^2 row. The pairing is pinned by the
 single-path case, where the value must collapse to the centered fourth
 moment minus the squared variance (the classical asymptotic variance of a
 population-variance estimate), and is confirmed by Monte-Carlo variance
@@ -49,7 +52,8 @@ from .model import (
 )
 from .oracle import support_table
 
-#: tolerance (relative to the largest matrix entry) for symmetry/PSD checks
+#: tolerance, relative to the largest block entry (at least 1), below which
+#: a block eigenvalue or a contracted value counts as negative
 PSD_ATOL = 1e-9
 
 REGIME_KNOWN = "knownQ"
@@ -60,19 +64,31 @@ REGIME_UNKNOWN = "unknownQ"
 class AsymptoticVariance:
     """Limiting variance of sqrt(count) * (estimator - target) for one cell.
 
-    ``value`` equals ``contraction @ matrix @ contraction``; the matrix is
-    the (empirical or exact) covariance structure and, for the unknown-source
-    regime, ``support_paths`` gives the path indexing of its blocks.
+    ``blocks`` holds one row per path: the 1x1 block (d,) of a mean, or the
+    (d, o, d2) of the 2x2 covariance block [[d, o], [o, d2]] of a variance.
+    ``contraction`` holds one weight per path, or the weights of the d
+    entries followed by those of the d2 entries; ``value`` is the sum over
+    paths of each block contracted with its weights.
     """
 
     node: tuple[int, int]
     target: str  # "mean" | "variance"
     regime: str  # "knownQ" | "unknownQ"
     value: float
-    matrix: np.ndarray
-    contraction: np.ndarray
-    support_paths: tuple[tuple[int, ...], ...] | None = None
+    blocks: np.ndarray  # (m, 1) or (m, 3)
+    contraction: np.ndarray  # (m,) or (2m,)
     clipped: bool = False
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense covariance matrix of the blocks, built on every read:
+        ``value`` equals ``contraction @ matrix @ contraction``. No daglm
+        code reads it; the benchmark's ``asymptotics.matrix_cells`` counter
+        and the tests do."""
+        d = [np.diag(column) for column in self.blocks.T]
+        matrix = d[0] if len(d) == 1 else np.block([[d[0], d[1]], [d[1], d[2]]])
+        matrix.setflags(write=False)
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -94,61 +110,48 @@ class _PathTable:
 
 
 def _finalize(
-    node: tuple[int, int],
-    target: str,
-    regime: str,
-    diag,
-    contraction,
-    off=None,
-    diag2=None,
-    support_paths=None,
+    node: tuple[int, int], target: str, regime: str, contraction, *blocks
 ) -> AsymptoticVariance:
-    """Check and contract a covariance matrix given by its per-path blocks.
+    """Check and contract a covariance given by its per-path blocks.
 
-    Each of the m paths owns a 1x1 block ``diag`` or, with ``off`` and
-    ``diag2``, the 2x2 block [[diag, off], [off, diag2]] at rows and
-    columns k and m + k of the dense 2m x 2m matrix. Positive
-    semidefiniteness is checked block by block.
+    ``blocks`` is the column d of 1x1 blocks, or the columns d, o, d2 of the
+    2x2 blocks [[d, o], [o, d2]], whose rows are contracted with the weight
+    pairs (c[k], c[m + k]). Positive semidefiniteness is checked block by
+    block.
     """
-    diag = np.asarray(diag, dtype=float)
-    if off is None:
-        matrix = np.diag(diag)
-        min_eig = diag
+    blocks = np.array(blocks, dtype=float).T
+    contraction = np.asarray(contraction, dtype=float)
+    if blocks.shape[1] == 1:
+        min_eig = blocks[:, 0]
+        weighted = contraction * min_eig
     else:
-        m = diag.size
-        k = np.arange(m)
-        matrix = np.zeros((2 * m, 2 * m))
-        matrix[k, k] = diag
-        matrix[m + k, m + k] = diag2
-        matrix[k, m + k] = matrix[m + k, k] = off
+        diag, off, diag2 = blocks.T
+        c1, c2 = contraction[: len(diag)], contraction[len(diag):]
         # the smaller eigenvalue of each 2x2 block
         min_eig = (diag + diag2) / 2.0 - np.hypot((diag - diag2) / 2.0, off)
-    contraction = np.asarray(contraction, dtype=float)
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > PSD_ATOL * scale:
-        raise StatisticalError(f"asymptotic covariance at node {node} not symmetric")
+        weighted = np.concatenate([c1 * diag + c2 * off, c1 * off + c2 * diag2])
+    scale = max(1.0, float(np.abs(blocks).max()))
     lowest = float(min_eig.min())
     if lowest < -PSD_ATOL * scale:
         raise StatisticalError(
             f"asymptotic covariance at node {node} not positive semidefinite "
             f"(min eigenvalue {lowest:.3g})"
         )
-    value = float(contraction @ matrix @ contraction)
+    value = float(weighted @ contraction)
     clipped = False
     if value < 0.0:
         if value < -PSD_ATOL * scale:
             raise StatisticalError(f"negative asymptotic variance {value:.3g}")
         value, clipped = 0.0, True
-    matrix.setflags(write=False)
+    blocks.setflags(write=False)
     contraction.setflags(write=False)
     return AsymptoticVariance(
         node=node,
         target=target,
         regime=regime,
         value=value,
-        matrix=matrix,
+        blocks=blocks,
         contraction=contraction,
-        support_paths=support_paths,
         clipped=clipped,
     )
 
@@ -165,35 +168,31 @@ def _known_av(node: tuple[int, int], which: str, t: _PathTable) -> AsymptoticVar
     mu = float(np.sum(pc * m[:, 1]))  # E[y] = target mean
     var_y = float(np.sum(pc2 * m[:, 2])) - mu * mu
     if which == "mean":
-        return _finalize(node, "mean", REGIME_KNOWN, [var_y], [1.0])
+        return _finalize(node, "mean", REGIME_KNOWN, [1.0], [var_y])
     ex = float(np.sum(pc * m[:, 2]))
     var_x = float(np.sum(pc2 * m[:, 4])) - ex * ex
     cov = float(np.sum(pc2 * m[:, 3])) - ex * mu
     return _finalize(
-        node, "variance", REGIME_KNOWN, [var_x], [1.0, -1.0],
-        off=[2.0 * mu * cov], diag2=[4.0 * mu * mu * var_y],
+        node, "variance", REGIME_KNOWN, [1.0, -1.0],
+        [var_x], [2.0 * mu * cov], [4.0 * mu * mu * var_y],
     )
 
 
 def _unknown_av(node: tuple[int, int], which: str, t: _PathTable) -> AsymptoticVariance:
     """Unknown-source regime: per-path response variances scaled by the
-    path probabilities, contracted with the ratio vector (mean; a diagonal
-    matrix), or per-path 2x2 covariances of (b, b^2) contracted with
+    path probabilities, contracted with the ratio vector (mean; 1x1
+    blocks), or per-path 2x2 covariances of (b, b^2) contracted with
     (-2*mu*C, C) (variance)."""
-    paths = tuple(map(tuple, t.paths.tolist()))
     m = t.moments
     var_b = m[:, 2] - m[:, 1] ** 2
     if which == "mean":
-        return _finalize(
-            node, "mean", REGIME_UNKNOWN, t.prob * var_b, t.ratio, support_paths=paths
-        )
+        return _finalize(node, "mean", REGIME_UNKNOWN, t.ratio, t.prob * var_b)
     var_b2 = m[:, 4] - m[:, 2] ** 2
     cov_b2_b = m[:, 3] - m[:, 2] * m[:, 1]
     mu = float(np.sum(t.target * m[:, 1]))
     return _finalize(
-        node, "variance", REGIME_UNKNOWN, t.prob * var_b,
-        np.concatenate([-2.0 * mu * t.ratio, t.ratio]),
-        off=t.prob * cov_b2_b, diag2=t.prob * var_b2, support_paths=paths,
+        node, "variance", REGIME_UNKNOWN, np.concatenate([-2.0 * mu * t.ratio, t.ratio]),
+        t.prob * var_b, t.prob * cov_b2_b, t.prob * var_b2,
     )
 
 
@@ -239,8 +238,8 @@ def asym_var_variance_known(
 ) -> AsymptoticVariance:
     """Limiting variance of the exact-ratio weighted cell variance.
 
-    Delta method on the pair (b^2*C, b*C): covariance matrix with the mean
-    weight folded in, contracted with (1, -1).
+    Delta method on the pair (b^2*C, b*C): one 2x2 covariance block with
+    the mean weight folded in, contracted with (1, -1).
     """
     table = _cell_support(kernel, target, quality, j, i, order=4)
     return _known_av((i, j), "variance", table)
@@ -254,8 +253,8 @@ def asym_var_mean_unknown(
     j: int,
 ) -> AsymptoticVariance:
     """Limiting variance of the plugin cell mean: per-path response variances
-    scaled by conditional path probabilities, contracted with the ratio
-    vector. Always a diagonal matrix."""
+    scaled by conditional path probabilities (1x1 blocks), contracted with
+    the ratio vector."""
     table = _cell_support(kernel, target, quality, j, i, order=2)
     return _unknown_av((i, j), "mean", table)
 
@@ -269,10 +268,9 @@ def asym_var_variance_unknown(
 ) -> AsymptoticVariance:
     """Limiting variance of the plugin cell variance.
 
-    2m x 2m block structure over the m support paths: per-path variances of
-    b and b^2 on the diagonal, their covariance linking the blocks, each
-    scaled by the path's conditional probability; contracted with
-    (-2*mu*C, C).
+    One 2x2 block per support path: the variances of b and b^2 and their
+    covariance, scaled by the path's conditional probability; contracted
+    with (-2*mu*C, C).
     """
     table = _cell_support(kernel, target, quality, j, i, order=4)
     return _unknown_av((i, j), "variance", table)
@@ -337,21 +335,6 @@ def naive_asym_var(
     """Asymptotic variance of the naive cell estimators (the unit-ratio
     special case of the known-source regime, so no kernel is needed)."""
     return _weights_av(_cell_weights(data, i, j, KIND_NAIVE), which)
-
-
-def cell_asym_var(
-    data: PathDataset,
-    i: int,
-    j: int,
-    kind: str,
-    which: str = "mean",
-    kernel: TransitionKernel | None = None,
-    target: TransitionKernel | None = None,
-) -> AsymptoticVariance:
-    """Plug-in asymptotic variance of :func:`cell_estimate` of the same
-    ``kind``: naive, known-source regime for weighted, unknown-source regime
-    for plugin."""
-    return _weights_av(_cell_weights(data, i, j, kind, kernel, target), which)
 
 
 @dataclass(frozen=True)

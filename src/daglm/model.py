@@ -549,15 +549,6 @@ class QualityModel:
                     out[i - 1, j - 1] = self.node(i, j).mean_value
         return out
 
-    def variance_matrix(self, spec: DagSpec) -> np.ndarray:
-        """Per-node variances, shape (r_max, c); NaN where no spec exists."""
-        out = np.full((spec.r_max, spec.c), np.nan)
-        for j, r in enumerate(spec.levels, start=1):
-            for i in range(1, r + 1):
-                if self.has(i, j):
-                    out[i - 1, j - 1] = self.node(i, j).variance_value
-        return out
-
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -616,17 +607,6 @@ class PathDataset:
         responses.setflags(write=False)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "responses", responses)
-
-    @classmethod
-    def from_records(
-        cls, spec: DagSpec, records: Iterable[tuple[PathLike, float]]
-    ) -> "PathDataset":
-        records = list(records)
-        paths = np.array([tuple(p) for p, _ in records], dtype=np.int64).reshape(
-            len(records), spec.c
-        )
-        responses = np.array([b for _, b in records], dtype=float)
-        return cls(spec, paths, responses)
 
     @property
     def n(self) -> int:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import daglm
 from daglm import ModelError, NoDataError, StatisticalError
 from daglm.asymptotics import (
+    PSD_ATOL,
     REGIME_KNOWN,
     REGIME_UNKNOWN,
     asym_var_mean_known,
@@ -16,6 +19,8 @@ from daglm.asymptotics import (
     plugin_asym_var,
 )
 from daglm.estimators import cell_estimate
+
+from conftest import random_model
 
 
 def test_mean_known_equals_conditional_variance_when_targets_match(
@@ -75,18 +80,72 @@ def test_variance_unknown_single_path_collapses_to_fourth_moment():
     del spec
 
 
-def test_asym_var_matrix_psd_and_contraction_shapes(
-    demo_kernel, demo_uniform, demo_quality
-):
-    av = asym_var_variance_unknown(demo_kernel, demo_uniform, demo_quality, 1, 2)
-    m = np.asarray(av.matrix)
-    c = np.asarray(av.contraction)
-    assert m.shape == (4, 4)  # two support paths, b block and b^2 block
-    assert c.shape == (4,)
-    eig = np.linalg.eigvalsh(m)
-    assert eig.min() >= -1e-9 * max(1.0, eig.max())
-    assert av.value == pytest.approx(float(c @ m @ c))
-    assert av.support_paths == ((1, 1), (2, 1))
+CLOSED_FORMS = {
+    "mean-known": asym_var_mean_known,
+    "variance-known": asym_var_variance_known,
+    "mean-unknown": asym_var_mean_unknown,
+    "variance-unknown": asym_var_variance_unknown,
+}
+PLUG_IN_REGIMES = {"naive": None, "weighted": REGIME_KNOWN, "plugin": REGIME_UNKNOWN}
+AV_NAMES = [*CLOSED_FORMS,
+            *(f"{kind}-{which}" for kind in PLUG_IN_REGIMES for which in ("mean", "variance"))]
+
+
+def _av(name, kernel, target, quality, data, i, j):
+    if name in CLOSED_FORMS:
+        return CLOSED_FORMS[name](kernel, target, quality, i, j)
+    kind, which = name.split("-")
+    if kind == "naive":
+        return naive_asym_var(data, i, j, which)
+    return plugin_asym_var(data, target, i, j, which, PLUG_IN_REGIMES[kind], kernel=kernel)
+
+
+@pytest.fixture(scope="module")
+def av_models(demo_spec, demo_kernel, demo_uniform, demo_quality, demo_data):
+    """The demo model and three random models, each with a source sample in
+    which every path through a node is seen at least twice."""
+    models = [(demo_spec, demo_kernel, demo_uniform, demo_quality, demo_data)]
+    for seed in range(3):
+        spec, q, t, quality = random_model(np.random.default_rng(seed), max_c=3, max_r=3)
+        config = daglm.ExperimentConfig(spec=spec, kernel=q, quality=quality, n=5000,
+                                        seed=seed)
+        models.append((spec, q, t, quality, daglm.sample_dataset(config, 0)))
+    return models
+
+
+@pytest.mark.parametrize("name", AV_NAMES)
+def test_asym_var_matrix_psd_and_contraction_shapes(name, av_models):
+    # the dense view built from the blocks is the reference for the value
+    # and for positive semidefiniteness
+    for spec, q, t, quality, data in av_models:
+        for j, r in enumerate(spec.levels, start=1):
+            for i in range(1, r + 1):
+                av = _av(name, q, t, quality, data, i, j)
+                m, c = av.matrix, av.contraction
+                width = 1 if av.blocks.shape[1] == 1 else 2
+                assert c.shape == (width * len(av.blocks),)
+                assert m.shape == (c.size, c.size)
+                assert not m.flags.writeable and not av.blocks.flags.writeable
+                scale = max(1.0, float(np.abs(m).max()))
+                assert np.linalg.eigvalsh(m).min() >= -PSD_ATOL * scale
+                assert av.value == pytest.approx(float(c @ m @ c), rel=1e-12)
+
+
+def test_asym_var_variance_unknown_memory_is_linear_in_paths():
+    # 625 support paths through (1, 1): a dense 1250 x 1250 matrix alone
+    # would take 12.5 MB
+    spec = daglm.DagSpec(levels=(5,) * 5)
+    uniform = daglm.uniform_kernel(spec)
+    quality = daglm.QualityModel.gaussian_grid(
+        spec, means=np.arange(25.0).reshape(5, 5), variances=np.ones((5, 5))
+    )
+    tracemalloc.start()
+    try:
+        asym_var_variance_unknown(uniform, uniform, quality, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_unrealizable_moments_fail_the_psd_check():

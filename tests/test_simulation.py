@@ -8,8 +8,10 @@ import pytest
 import daglm
 from daglm import ModelError, StatisticalError
 from daglm.simulation import (
+    COVERAGE_ALPHA,
     _skewness_and_ks,
     anscombe_study,
+    binomial_tail,
     coverage_study,
     load_config,
     resolve_target,
@@ -227,6 +229,15 @@ def test_coverage_study_plugin_mean(demo_config):
     assert np.all(result.estimates[(1, 2)] <= result.uppers[(1, 2)])
     again = coverage_study(config, kind="plugin", which="mean")
     assert np.array_equal(result.covered[(1, 2)], again.covered[(1, 2)])
+
+
+def test_binomial_tail_coverage_rule():
+    # at R = 100 and level 0.95 a count of 85 covering replicates is
+    # explained by the nominal level and 81 is not
+    assert binomial_tail(85, 100, 0.95) >= COVERAGE_ALPHA
+    assert binomial_tail(81, 100, 0.95) < COVERAGE_ALPHA
+    # all replicates covering: the upper tail is P(X = R)
+    assert binomial_tail(100, 100, 0.95) == pytest.approx(0.95**100, rel=1e-12)
 
 
 def test_anscombe_study_needs_replicates(demo_config):
