@@ -17,6 +17,9 @@ probability, ratio, target probability, raw response moments). The closed
 forms pass exact tables built by enumerating the support; the plug-in forms
 pass tables of the observed paths built from the dataset's grouped power
 sums; the naive estimators are the known-source regime with unit ratios.
+Each table has one row per replicate: a closed form and one dataset are a
+table of one row, a Monte-Carlo study has a row for each of its replicates,
+and every check and value is computed row by row.
 
 In the unknown-source variance formula the weight -2*mu*C(q) multiplies the
 b row of each path's block and C(q) its b^2 row. The pairing is pinned by the
@@ -28,7 +31,6 @@ matching in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -43,6 +45,8 @@ from .estimators import (
     _canonical_kind,
     _cell_weights,
     _CellWeights,
+    _path_sum,
+    _refuse,
 )
 from .model import (
     PathDataset,
@@ -93,106 +97,123 @@ class AsymptoticVariance:
 
 @dataclass(frozen=True)
 class _PathTable:
-    """Per-path inputs of every asymptotic variance at one node.
+    """Per-path inputs of an asymptotic variance at one node, one row per
+    replicate (a single row for the closed forms and for one dataset).
 
     For the closed forms, the support paths with their exact source and
     target conditional probabilities and exact response moments. For the
     plug-in forms, the distinct observed paths with their share of the
-    cell's records, their estimator weights and their empirical moments.
-    Only the unknown-source formula reads ``target``.
+    cell's records, their estimator weights and their empirical moments,
+    all 0 on a path that a replicate never saw. Only the unknown-source
+    formula reads ``target``.
     """
 
-    paths: np.ndarray  # (m, c)
-    prob: np.ndarray  # source conditional probability of each path
-    ratio: np.ndarray  # per-record weight C (target over source)
-    moments: np.ndarray  # (m, K + 1) raw moments E[b^k | path], k = 0..K
-    target: np.ndarray | None = None  # target conditional probabilities
+    prob: np.ndarray  # (R, m) source conditional probability of each path
+    ratio: np.ndarray  # (R, m) or (m,) per-record weight C (target over source)
+    moments: np.ndarray  # (R, m, K + 1) raw moments E[b^k | path], k = 0..K
+    target: np.ndarray | None = None  # (R, m) target conditional probabilities
+
+
+@dataclass(frozen=True)
+class _Contracted:
+    """The asymptotic variance of every replicate row of a path table: the
+    per-path blocks (R, m, 1) or (R, m, 3), their weights (one or two arrays
+    (m,) or (R, m)) and the contracted values (R,)."""
+
+    node: tuple[int, int]
+    target: str
+    regime: str
+    blocks: np.ndarray
+    weights: tuple[np.ndarray, ...]
+    value: np.ndarray
+    clipped: np.ndarray
+
+    def row(self, r: int = 0) -> AsymptoticVariance:
+        """The asymptotic variance of row ``r``."""
+        blocks = self.blocks[r]
+        contraction = np.concatenate([c[r] if c.ndim == 2 else c for c in self.weights])
+        blocks.setflags(write=False)
+        contraction.setflags(write=False)
+        return AsymptoticVariance(
+            node=self.node, target=self.target, regime=self.regime,
+            value=float(self.value[r]), blocks=blocks, contraction=contraction,
+            clipped=bool(self.clipped[r]),
+        )
 
 
 def _finalize(
-    node: tuple[int, int], target: str, regime: str, contraction, *blocks
-) -> AsymptoticVariance:
-    """Check and contract a covariance given by its per-path blocks.
+    node: tuple[int, int], target: str, regime: str, weights: tuple, blocks: tuple
+) -> _Contracted:
+    """Check and contract, row by row, a covariance given by its per-path
+    blocks.
 
-    ``blocks`` is the column d of 1x1 blocks, or the columns d, o, d2 of the
-    2x2 blocks [[d, o], [o, d2]], whose rows are contracted with the weight
-    pairs (c[k], c[m + k]). Positive semidefiniteness is checked block by
-    block.
+    ``blocks`` is the column d of 1x1 blocks, contracted with the weight c
+    of each path, or the columns d, o, d2 of the 2x2 blocks
+    [[d, o], [o, d2]], contracted with the weight pair (c1, c2) of each path.
+    Positive semidefiniteness is checked block by block.
     """
-    blocks = np.array(blocks, dtype=float).T
-    contraction = np.asarray(contraction, dtype=float)
-    if blocks.shape[1] == 1:
-        min_eig = blocks[:, 0]
-        weighted = contraction * min_eig
+    if len(blocks) == 1:
+        (diag,), (c,) = blocks, weights
+        min_eig = diag
+        terms = c * diag * c
     else:
-        diag, off, diag2 = blocks.T
-        c1, c2 = contraction[: len(diag)], contraction[len(diag):]
+        (diag, off, diag2), (c1, c2) = blocks, weights
         # the smaller eigenvalue of each 2x2 block
         min_eig = (diag + diag2) / 2.0 - np.hypot((diag - diag2) / 2.0, off)
-        weighted = np.concatenate([c1 * diag + c2 * off, c1 * off + c2 * diag2])
-    scale = max(1.0, float(np.abs(blocks).max()))
-    lowest = float(min_eig.min())
-    if lowest < -PSD_ATOL * scale:
-        raise StatisticalError(
-            f"asymptotic covariance at node {node} not positive semidefinite "
-            f"(min eigenvalue {lowest:.3g})"
+        terms = np.concatenate(
+            [(c1 * diag + c2 * off) * c1, (c1 * off + c2 * diag2) * c2], axis=-1
         )
-    value = float(weighted @ contraction)
-    clipped = False
-    if value < 0.0:
-        if value < -PSD_ATOL * scale:
-            raise StatisticalError(f"negative asymptotic variance {value:.3g}")
-        value, clipped = 0.0, True
-    blocks.setflags(write=False)
-    contraction.setflags(write=False)
-    return AsymptoticVariance(
-        node=node,
-        target=target,
-        regime=regime,
-        value=value,
-        blocks=blocks,
-        contraction=contraction,
-        clipped=clipped,
-    )
+    blocks = np.stack(blocks, axis=-1)
+    scale = np.abs(blocks).max(axis=(1, 2), initial=1.0)
+    lowest = min_eig.min(axis=-1)
+    _refuse(lowest < -PSD_ATOL * scale, StatisticalError,
+            lambda r: f"asymptotic covariance at node {node} not positive semidefinite "
+            f"(min eigenvalue {lowest[r]:.3g})")
+    value = _path_sum(terms)
+    _refuse(value < -PSD_ATOL * scale, StatisticalError,
+            lambda r: f"negative asymptotic variance {value[r]:.3g}")
+    clipped = value < 0.0
+    return _Contracted(node, target, regime, blocks, weights,
+                       np.where(clipped, 0.0, value), clipped)
 
 
-def _known_av(node: tuple[int, int], which: str, t: _PathTable) -> AsymptoticVariance:
+def _known_av(node: tuple[int, int], which: str, t: _PathTable) -> _Contracted:
     """Known-source regime: the estimator averages y = b*C (mean) or
     x - y^2 with x = b^2*C (variance) over records, so its limiting
     variance is Var[y], or by the delta method the quadratic form of the
     covariance of (x, y) with the mean weight folded in, contracted with
-    (1, -1)."""
+    (1, -1). The paths fold into one block per row."""
     pc = t.prob * t.ratio
     pc2 = pc * t.ratio
     m = t.moments
-    mu = float(np.sum(pc * m[:, 1]))  # E[y] = target mean
-    var_y = float(np.sum(pc2 * m[:, 2])) - mu * mu
+    mu = _path_sum(pc * m[..., 1])  # E[y] = target mean
+    var_y = _path_sum(pc2 * m[..., 2]) - mu * mu
     if which == "mean":
-        return _finalize(node, "mean", REGIME_KNOWN, [1.0], [var_y])
-    ex = float(np.sum(pc * m[:, 2]))
-    var_x = float(np.sum(pc2 * m[:, 4])) - ex * ex
-    cov = float(np.sum(pc2 * m[:, 3])) - ex * mu
+        return _finalize(node, "mean", REGIME_KNOWN, (np.ones(1),), (var_y[:, None],))
+    ex = _path_sum(pc * m[..., 2])
+    var_x = _path_sum(pc2 * m[..., 4]) - ex * ex
+    cov = _path_sum(pc2 * m[..., 3]) - ex * mu
     return _finalize(
-        node, "variance", REGIME_KNOWN, [1.0, -1.0],
-        [var_x], [2.0 * mu * cov], [4.0 * mu * mu * var_y],
+        node, "variance", REGIME_KNOWN, (np.ones(1), -np.ones(1)),
+        (var_x[:, None], (2.0 * mu * cov)[:, None], (4.0 * mu * mu * var_y)[:, None]),
     )
 
 
-def _unknown_av(node: tuple[int, int], which: str, t: _PathTable) -> AsymptoticVariance:
+def _unknown_av(node: tuple[int, int], which: str, t: _PathTable) -> _Contracted:
     """Unknown-source regime: per-path response variances scaled by the
     path probabilities, contracted with the ratio vector (mean; 1x1
     blocks), or per-path 2x2 covariances of (b, b^2) contracted with
     (-2*mu*C, C) (variance)."""
     m = t.moments
-    var_b = m[:, 2] - m[:, 1] ** 2
+    var_b = m[..., 2] - m[..., 1] ** 2
     if which == "mean":
-        return _finalize(node, "mean", REGIME_UNKNOWN, t.ratio, t.prob * var_b)
-    var_b2 = m[:, 4] - m[:, 2] ** 2
-    cov_b2_b = m[:, 3] - m[:, 2] * m[:, 1]
-    mu = float(np.sum(t.target * m[:, 1]))
+        return _finalize(node, "mean", REGIME_UNKNOWN, (t.ratio,), (t.prob * var_b,))
+    var_b2 = m[..., 4] - m[..., 2] ** 2
+    cov_b2_b = m[..., 3] - m[..., 2] * m[..., 1]
+    mu = _path_sum(t.target * m[..., 1])
     return _finalize(
-        node, "variance", REGIME_UNKNOWN, np.concatenate([-2.0 * mu * t.ratio, t.ratio]),
-        t.prob * var_b, t.prob * cov_b2_b, t.prob * var_b2,
+        node, "variance", REGIME_UNKNOWN, (-2.0 * mu[:, None] * t.ratio, t.ratio),
+        (t.prob * var_b, t.prob * cov_b2_b, t.prob * var_b2),
     )
 
 
@@ -213,7 +234,7 @@ def _cell_support(
         raise StatisticalError(
             f"conditioning on null event: node ({i}, {j}) is unreachable"
         )
-    return _PathTable(paths=paths, prob=p, ratio=pt / p, moments=moments, target=pt)
+    return _PathTable(prob=p[None], ratio=pt / p, moments=moments[None], target=pt[None])
 
 
 def asym_var_mean_known(
@@ -226,7 +247,7 @@ def asym_var_mean_known(
     """Limiting variance of the exact-ratio weighted cell mean: the source
     kernel's conditional variance of the weighted response b*C."""
     table = _cell_support(kernel, target, quality, j, i, order=2)
-    return _known_av((i, j), "mean", table)
+    return _known_av((i, j), "mean", table).row()
 
 
 def asym_var_variance_known(
@@ -242,7 +263,7 @@ def asym_var_variance_known(
     the mean weight folded in, contracted with (1, -1).
     """
     table = _cell_support(kernel, target, quality, j, i, order=4)
-    return _known_av((i, j), "variance", table)
+    return _known_av((i, j), "variance", table).row()
 
 
 def asym_var_mean_unknown(
@@ -256,7 +277,7 @@ def asym_var_mean_unknown(
     scaled by conditional path probabilities (1x1 blocks), contracted with
     the ratio vector."""
     table = _cell_support(kernel, target, quality, j, i, order=2)
-    return _unknown_av((i, j), "mean", table)
+    return _unknown_av((i, j), "mean", table).row()
 
 
 def asym_var_variance_unknown(
@@ -273,7 +294,7 @@ def asym_var_variance_unknown(
     with (-2*mu*C, C).
     """
     table = _cell_support(kernel, target, quality, j, i, order=4)
-    return _unknown_av((i, j), "variance", table)
+    return _unknown_av((i, j), "variance", table).row()
 
 
 def _kind_regime(kind: str) -> str:
@@ -282,27 +303,33 @@ def _kind_regime(kind: str) -> str:
     return REGIME_UNKNOWN if _canonical_kind(kind) == KIND_PLUGIN else REGIME_KNOWN
 
 
-def _weights_av(weights: _CellWeights, which: str) -> AsymptoticVariance:
-    """Plug-in asymptotic variance of the ``which`` estimate of the cell, a
-    reduction over its weights and grouped power sums. The unknown-source
-    regime estimates per-path pieces and needs every distinct observed path
-    through the cell at least twice."""
+def _weights_avs(weights: _CellWeights, which: str) -> _Contracted:
+    """Plug-in asymptotic variance of the ``which`` estimate of the cell in
+    every replicate, a reduction over its weights and grouped power sums.
+    The unknown-source regime estimates per-path pieces and needs every
+    distinct observed path through the cell at least twice."""
     if which not in ("mean", "variance"):
         raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
     cell = weights.cell
-    table = _PathTable(cell.paths, cell.counts / cell.n, weights.ratio,
-                       cell.sums / cell.counts[:, None], weights.target)
+    observed = cell.counts > 0
+    moments = np.divide(cell.sums, cell.counts[..., None],
+                        out=np.zeros(cell.sums.shape), where=observed[..., None])
+    table = _PathTable(cell.counts / weights.n[:, None], weights.ratio, moments,
+                       weights.target)
     if _kind_regime(weights.kind) == REGIME_KNOWN:
         return _known_av(weights.node, which, table)
     weights.check_support()
-    once = cell.counts < 2
-    if once.any():
-        paths = [tuple(int(x) for x in row) for row in cell.paths[once]]
-        raise StatisticalError(
-            "insufficient per-path replication for plug-in asymptotics; "
-            f"paths seen once: {paths}"
-        )
+    once = cell.counts == 1
+    _refuse(once.any(axis=-1), StatisticalError,
+            lambda r: "insufficient per-path replication for plug-in asymptotics; "
+            f"paths seen once: {[tuple(int(x) for x in p) for p in cell.paths[once[r]]]}")
     return _unknown_av(weights.node, which, table)
+
+
+def _weights_av(weights: _CellWeights, which: str) -> AsymptoticVariance:
+    """The plug-in asymptotic variance of a one-replicate cell (see
+    :func:`_weights_avs`)."""
+    return _weights_avs(weights, which).row()
 
 
 def plugin_asym_var(
@@ -353,23 +380,36 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
+def _quantile(level: float) -> float:
+    """The two-sided normal quantile of a confidence level."""
+    if not 0.0 < level < 1.0:
+        raise ModelError(f"confidence level {level} outside (0, 1)")
+    return normal_quantile((1.0 + level) / 2.0)
+
+
+def _limits(node, point, value, count, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-approximation limits point +/- z * sqrt(value / count), for
+    every replicate row."""
+    _refuse(~np.isfinite(value), StatisticalError,
+            lambda r: f"non-finite asymptotic variance at {node}")
+    half = z * np.sqrt(value / count)
+    return point - half, point + half
+
+
 def confidence_interval(
     estimate: CellEstimate, av: AsymptoticVariance, level: float = 0.95
 ) -> ConfidenceInterval:
     """Normal-approximation interval: point +/- z * sqrt(av / count)."""
-    if not 0.0 < level < 1.0:
-        raise ModelError(f"confidence level {level} outside (0, 1)")
+    z = _quantile(level)
     if estimate.count <= 0:
         raise NoDataError(f"no data at node {estimate.node}")
     if estimate.node != av.node:
         raise ModelError(
             f"estimate node {estimate.node} does not match variance node {av.node}"
         )
-    if not math.isfinite(av.value):
-        raise StatisticalError(f"non-finite asymptotic variance at {av.node}")
     point = estimate.mean if av.target == "mean" else estimate.variance
-    half = normal_quantile((1.0 + level) / 2.0) * math.sqrt(av.value / estimate.count)
+    lower, upper = _limits(av.node, point, av.value, estimate.count, z)
     return ConfidenceInterval(
-        point=point, lower=point - half, upper=point + half, level=level,
+        point=point, lower=float(lower), upper=float(upper), level=level,
         count=estimate.count,
     )

@@ -16,6 +16,12 @@ the naive kind; every kind sums weight times power sum with the same
 floating-point sequence, so a ratio that is identically 1 reproduces the
 naive value bit for bit.
 
+The reductions run over a table of replicates (:meth:`PathGroups.stack`),
+one row per replicate, and one dataset is the table of one replicate. Sums
+over paths add one path after another in path order, so a path that a
+replicate never saw adds an exact 0.0 and each row is the same bits as the
+reduction of that replicate alone.
+
 All functions are pure; datasets are immutable. Cell aggregation may be
 sharded by records and merged, with results equal up to floating-point
 reassociation.
@@ -74,15 +80,30 @@ def accumulate_counts(data: PathDataset) -> tuple[np.ndarray, np.ndarray]:
     return B, V
 
 
-def _cell(data: PathDataset, j: int, i: int) -> PathGroups:
-    cell = data.node_groups(j, i)
-    if cell.counts.size == 0:
-        raise NoDataError(f"no data at node ({i}, {j})")
-    return cell
+def _refuse(bad, error: type[Exception], message) -> None:
+    """Raise ``error(message(r))`` for the first replicate row r that the
+    mask ``bad`` flags (a 0-d mask is row 0)."""
+    if np.count_nonzero(bad):
+        raise error(message(int(np.argmax(bad))))
 
 
-def _clip_variance(value: float, strict: bool) -> tuple[float, bool]:
-    """Clip a negative variance estimate to 0, flagging the clip.
+def _path_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last (path) axis, adding one path after another in path
+    order: a path that a replicate never saw adds an exact 0.0, so a row's
+    sum is the same bits whichever other paths the table holds."""
+    return x.cumsum(axis=-1)[..., -1]
+
+
+def _records(cell: PathGroups, i: int, j: int) -> np.ndarray:
+    """The record count of the cell at (i, j) in each replicate; a replicate
+    with none is refused."""
+    n = cell.counts.sum(axis=-1)
+    _refuse(n == 0, NoDataError, lambda r: f"no data at node ({i}, {j})")
+    return n
+
+
+def _clip_variance(variance: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Clip negative variance estimates to 0, flagging each clip.
 
     Unweighted cell variances are nonnegative by construction, so a strict
     floor of VARIANCE_CLIP guards against real bugs there. Reweighted
@@ -90,11 +111,11 @@ def _clip_variance(value: float, strict: bool) -> tuple[float, bool]:
     need not average to exactly 1 over the cell), so any negative value is
     clipped and flagged.
     """
-    if value >= 0.0:
-        return value, False
-    if not strict or value >= VARIANCE_CLIP:
-        return 0.0, True
-    raise StatisticalError(f"variance {value} below the rounding-noise floor")
+    clipped = ~(variance >= 0.0)
+    if strict:
+        _refuse(clipped & ~(variance >= VARIANCE_CLIP), StatisticalError,
+                lambda r: f"variance {float(variance[r])} below the rounding-noise floor")
+    return np.where(clipped, 0.0, variance), clipped
 
 
 def measure_change_ratio(
@@ -129,11 +150,12 @@ def empirical_ratio(
     nodes = validate_path(path, data.spec)
     if nodes[j - 1] != i:
         raise ModelError(f"path does not pass through node ({i}, {j})")
-    cell = _cell(data, j, i)
+    cell = data.node_groups(j, i)
+    n = int(_records(cell, i, j))
     n_path = int(cell.counts[(cell.paths == nodes).all(axis=1)].sum())
     if n_path == 0:
         raise StatisticalError(f"zero empirical frequency: path {nodes} never observed")
-    return conditional_path_probability(target, nodes, j, i) * cell.n / n_path
+    return conditional_path_probability(target, nodes, j, i) * n / n_path
 
 
 _KIND_ALIASES = {
@@ -155,14 +177,19 @@ def _canonical_kind(kind: str) -> str:
 
 @dataclass(frozen=True)
 class _CellWeights:
-    """One cell's distinct observed paths and each path's per-record weight
-    under one estimator kind; every estimate and plug-in asymptotic variance
-    of the cell reduces over this. ``target`` holds the paths' target
-    conditional probabilities where the estimator uses them (plugin)."""
+    """A cell's distinct observed paths and each path's per-record weight
+    under one estimator kind, for every replicate of a table (one replicate
+    for one dataset); every estimate and plug-in asymptotic variance of the
+    cell reduces over this. ``ratio`` is (m,) where it does not depend on
+    the replicate (naive, weighted) and (R, m) where it does (plugin; 0 on a
+    path that a replicate never saw). ``target`` holds the observed paths'
+    target conditional probabilities (R, m) where the estimator uses them
+    (plugin)."""
 
     node: tuple[int, int]  # (level i, column j)
     kind: str
-    cell: PathGroups
+    cell: PathGroups  # a table of replicates (PathGroups.stack)
+    n: np.ndarray  # the cell's record count in each replicate
     ratio: np.ndarray
     target: np.ndarray | None = None
 
@@ -172,12 +199,53 @@ class _CellWeights:
         undefined, and it is refused rather than silently renormalized."""
         if self.target is None:
             return
-        total = float(self.target.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise StatisticalError(
-                f"observed paths through node {self.node} carry target conditional "
-                f"mass {total:.6g}, not 1; support paths are missing from the data"
-            )
+        total = _path_sum(self.target)
+        _refuse(
+            np.abs(total - 1.0) > 1e-9, StatisticalError,
+            lambda r: f"observed paths through node {self.node} carry target conditional "
+            f"mass {total[r]:.6g}, not 1; support paths are missing from the data",
+        )
+
+
+def _table_weights(
+    cell: PathGroups,
+    i: int,
+    j: int,
+    kind: str,
+    kernel: TransitionKernel | None = None,
+    target: TransitionKernel | None = None,
+) -> _CellWeights:
+    """The one dispatch on the estimator kind, over a table of replicates of
+    the cell at (i, j): unit weights (naive), exact target-over-source
+    ratios (weighted), or target conditional probabilities over each
+    replicate's observed path shares (plugin)."""
+    kind = _canonical_kind(kind)
+    if kind == KIND_WEIGHTED:
+        if kernel is None or target is None:
+            raise ModelError("weighted estimator needs both source and target kernels")
+        if not kernels_equivalent(kernel, target):
+            raise ModelError("measures not equivalent")
+    elif kind == KIND_PLUGIN and target is None:
+        raise ModelError("plugin estimator needs a target kernel")
+    n = _records(cell, i, j)
+    observed = cell.counts > 0
+    if kind == KIND_NAIVE:
+        return _CellWeights((i, j), kind, cell, n, np.ones(len(cell.paths)))
+    if kind == KIND_WEIGHTED:
+        cond_q, in_support = conditional_path_probabilities(kernel, cell.paths, j, i)
+        outside = observed & ~in_support
+        _refuse(outside.any(axis=-1), StatisticalError,
+                lambda r: f"path {_first_path(cell, outside[r])} outside the source "
+                "kernel's support")
+        cond_t, _ = conditional_path_probabilities(target, cell.paths, j, i)
+        return _CellWeights((i, j), kind, cell, n, cond_t / cond_q)
+    cond, in_support = conditional_path_probabilities(target, cell.paths, j, i)
+    outside = observed & ~in_support
+    _refuse(outside.any(axis=-1), StatisticalError,
+            lambda r: f"target measure excludes observed path {_first_path(cell, outside[r])}")
+    ratio = np.divide(cond * n[:, None], cell.counts,
+                      out=np.zeros(cell.counts.shape), where=observed)
+    return _CellWeights((i, j), kind, cell, n, ratio, np.where(observed, cond, 0.0))
 
 
 def _cell_weights(
@@ -188,47 +256,32 @@ def _cell_weights(
     kernel: TransitionKernel | None = None,
     target: TransitionKernel | None = None,
 ) -> _CellWeights:
-    """The one dispatch on the estimator kind: the cell at (i, j) with unit
-    weights (naive), exact target-over-source ratios (weighted), or target
-    conditional probabilities over observed path shares (plugin)."""
-    kind = _canonical_kind(kind)
-    if kind == KIND_NAIVE:
-        cell = _cell(data, j, i)
-        return _CellWeights((i, j), kind, cell, np.ones(cell.counts.size))
-    if kind == KIND_WEIGHTED:
-        if kernel is None or target is None:
-            raise ModelError("weighted estimator needs both source and target kernels")
-        if not kernels_equivalent(kernel, target):
-            raise ModelError("measures not equivalent")
-        cell = _cell(data, j, i)
-        cond_q, in_support = conditional_path_probabilities(kernel, cell.paths, j, i)
-        if not in_support.all():
-            path = _first_path(cell, ~in_support)
-            raise StatisticalError(f"path {path} outside the source kernel's support")
-        cond_t, _ = conditional_path_probabilities(target, cell.paths, j, i)
-        return _CellWeights((i, j), kind, cell, cond_t / cond_q)
-    if target is None:
-        raise ModelError("plugin estimator needs a target kernel")
-    cell = _cell(data, j, i)
-    cond, in_support = conditional_path_probabilities(target, cell.paths, j, i)
-    if not in_support.all():
-        raise StatisticalError(
-            f"target measure excludes observed path {_first_path(cell, ~in_support)}"
-        )
-    return _CellWeights((i, j), kind, cell, cond * cell.n / cell.counts, cond)
+    """The cell at (i, j) of one dataset, weighted as :func:`_table_weights`
+    weighs a table of one replicate."""
+    cell = data.node_groups(j, i)
+    one = PathGroups(cell.paths, cell.counts[None], cell.sums[None])
+    return _table_weights(one, i, j, kind, kernel, target)
+
+
+def _estimates(weights: _CellWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each replicate's cell mean, variance and clip flag: the shared
+    reduction for all estimator families, with the same floating-point
+    sequence for every kind; unit weights clip strictly (see
+    :func:`_clip_variance`)."""
+    weights.check_support()
+    sums, w, n = weights.cell.sums, weights.ratio, weights.n
+    mean = _path_sum(w * sums[..., 1]) / n
+    second = _path_sum(w * sums[..., 2]) / n
+    variance, clipped = _clip_variance(second - mean * mean, weights.kind == KIND_NAIVE)
+    return mean, variance, clipped
 
 
 def _estimate(weights: _CellWeights, target_id: str = "") -> CellEstimate:
-    """Shared reduction for all estimator families, with the same
-    floating-point sequence for every kind; unit weights clip strictly (see
-    :func:`_clip_variance`)."""
-    weights.check_support()
-    cell, w, n = weights.cell, weights.ratio, weights.cell.n
-    mean = float(np.sum(w * cell.sums[:, 1]) / n)
-    second = float(np.sum(w * cell.sums[:, 2]) / n)
-    variance, clipped = _clip_variance(second - mean * mean, weights.kind == KIND_NAIVE)
+    """The estimate of a one-replicate cell (see :func:`_estimates`)."""
+    (mean,), (variance,), (clipped,) = _estimates(weights)
     return CellEstimate(
-        weights.node, n, mean, variance, weights.kind, target_id, clipped
+        weights.node, int(weights.n[0]), float(mean), float(variance), weights.kind,
+        target_id, bool(clipped),
     )
 
 

@@ -553,6 +553,30 @@ class QualityModel:
 # ---------------------------------------------------------------------------
 # datasets
 
+def _group_paths(
+    paths: np.ndarray, levels: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of an (n, c) array of 1-based paths whose columns stay
+    within ``levels``: the index of each distinct row's first occurrence,
+    in lexicographic order of the rows, the group of every row, and the
+    group sizes."""
+    # mixed-radix key of each path, lexicographic in the path; when the
+    # next column would overflow it, the key is first renumbered densely
+    key = np.zeros(len(paths), dtype=np.int64)
+    bound = 1
+    for col, r in zip(paths.T, levels):
+        r = int(r)
+        if bound * r > 2**62:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = len(paths)
+        key = key * r + (col - 1)
+        bound *= r
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, counts
+
+
 @dataclass(frozen=True)
 class PathGroups:
     """Distinct observed paths with per-path record counts and response
@@ -563,6 +587,10 @@ class PathGroups:
     ``counts`` the number of records on each, and ``sums[p, k]`` the sum of
     b**k over the records of path p, for k = 0..ORDER (so column 0 repeats
     the counts).
+
+    A table of replicates (:meth:`stack`) puts a leading replicate axis on
+    ``counts`` (R, m) and ``sums`` (R, m, ORDER + 1); both are 0 on a path
+    that a replicate never saw.
     """
 
     ORDER = 4
@@ -571,9 +599,32 @@ class PathGroups:
     counts: np.ndarray
     sums: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+    @classmethod
+    def stack(cls, groups: Sequence["PathGroups"]) -> "PathGroups":
+        """The table of several datasets' groups, one replicate each, over
+        the union of their paths in lexicographic order."""
+        paths = np.concatenate([g.paths for g in groups])
+        first, inverse, _ = _group_paths(paths, np.max(paths, axis=0, initial=1))
+        rows = np.repeat(np.arange(len(groups)), [g.counts.size for g in groups])
+        counts = np.zeros((len(groups), first.size), dtype=np.int64)
+        counts[rows, inverse] = np.concatenate([g.counts for g in groups])
+        sums = np.zeros((len(groups), first.size, cls.ORDER + 1))
+        sums[rows, inverse] = np.concatenate([g.sums for g in groups])
+        return cls(paths[first], counts, sums)
+
+    def replicates(self, start: int, stop: int) -> "PathGroups":
+        """Replicates ``start`` to ``stop - 1`` of a table, over the union of
+        their own paths: what :meth:`stack` gives for those replicates."""
+        counts = self.counts[start:stop]
+        seen = counts.any(axis=0)
+        return PathGroups(self.paths[seen], counts[:, seen], self.sums[start:stop, seen])
+
+    def through(self, j: int, i: int) -> "PathGroups":
+        """The paths through node (i, j), with their counts and power sums."""
+        at = np.flatnonzero(self.paths[:, j - 1] == i)
+        return PathGroups(
+            self.paths[at], self.counts.take(at, axis=-1), self.sums.take(at, axis=-2)
+        )
 
 
 @dataclass(frozen=True)
@@ -628,19 +679,7 @@ class PathDataset:
     def groups(self) -> PathGroups:
         """The records grouped by distinct path; computed on first use and
         kept, since the dataset never changes."""
-        # mixed-radix key of each path, lexicographic in the path; when the
-        # next column would overflow it, the key is first renumbered densely
-        key = np.zeros(self.n, dtype=np.int64)
-        bound = 1
-        for col, r in zip(self.paths.T, self.spec.levels):
-            if bound * r > 2**62:
-                key = np.unique(key, return_inverse=True)[1]
-                bound = self.n
-            key = key * r + (col - 1)
-            bound *= r
-        _, first, inverse, counts = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True
-        )
+        first, inverse, counts = _group_paths(self.paths, self.spec.levels)
         sums = np.empty((first.size, PathGroups.ORDER + 1))
         power = np.ones(self.n)
         for k in range(PathGroups.ORDER + 1):
@@ -652,9 +691,7 @@ class PathDataset:
         """The distinct observed paths through node (i, j) with their counts
         and power sums."""
         self._check_node(j, i)
-        g = self.groups
-        sel = g.paths[:, j - 1] == i
-        return PathGroups(g.paths[sel], g.counts[sel], g.sums[sel])
+        return self.groups.through(j, i)
 
 
 def estimate_kernel(data: PathDataset, smoothing: float = 0.0) -> TransitionKernel:

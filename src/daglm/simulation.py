@@ -5,6 +5,14 @@ counter-based generator keyed by ``(master_seed, replicate_index)``. Each
 replicate owns an independent stream, so results are byte-identical for a
 given (seed, config) no matter how replicates are scheduled across workers;
 any parallel driver only needs to merge results by replicate index.
+
+A study groups each replicate by path as it is drawn, keeps only the
+grouped counts and power sums, and stacks them into one replicate x path
+table (:meth:`PathGroups.stack`). Estimates, asymptotic variances and
+intervals are then reduced for all replicates together, node by node. A
+replicate's row depends only on its own stream: it is the same bits as the
+single-dataset estimate, asymptotic variance and interval of that
+replicate, whichever other replicates the study holds.
 """
 
 from __future__ import annotations
@@ -16,22 +24,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelError, StatisticalError
-from .estimators import _cell_weights, _estimate, cell_estimate
+from .errors import DaglmError, ModelError, StatisticalError
+from .estimators import _estimates, _table_weights
 from .asymptotics import (
     REGIME_KNOWN,
     _kind_regime,
-    _weights_av,
+    _limits,
+    _quantile,
+    _weights_avs,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
     asym_var_variance_unknown,
-    confidence_interval,
 )
 from .model import (
     SUPPORT_ZERO,
     DagSpec,
     PathDataset,
+    PathGroups,
     QualityModel,
     TransitionKernel,
     _refuse_unobserved,
@@ -156,16 +166,14 @@ def sample_paths(
     record, consumed column by column (inverse-CDF within each row)."""
     _refuse_unobserved(kernel, "cannot sample")
     levels = kernel.levels
+    u = rng.random((len(levels), size))  # row k: the variates of column k + 1
     out = np.empty((size, len(levels)), dtype=np.int64)
-    cdf = np.cumsum(kernel.initial)
-    u = rng.random(size)
-    out[:, 0] = np.minimum((cdf <= u[:, None]).sum(axis=1), levels[0] - 1) + 1
+    first = np.searchsorted(np.cumsum(kernel.initial), u[0], side="right")
+    out[:, 0] = np.minimum(first, levels[0] - 1) + 1
     for k, step in enumerate(kernel.steps):
-        cdfs = np.cumsum(step, axis=1)
-        u = rng.random(size)
-        thresh = cdfs[out[:, k] - 1]
+        thresh = np.cumsum(step, axis=1)[out[:, k] - 1]
         out[:, k + 1] = (
-            np.minimum((thresh <= u[:, None]).sum(axis=1), levels[k + 1] - 1) + 1
+            np.minimum((thresh <= u[k + 1, :, None]).sum(axis=1), levels[k + 1] - 1) + 1
         )
     return out
 
@@ -183,10 +191,9 @@ def sample_dataset(config: ExperimentConfig, replicate: int = 0) -> PathDataset:
     for j, r in enumerate(config.spec.levels, start=1):
         col = paths[:, j - 1]
         for i in range(1, r + 1):
-            mask = col == i
-            hits = int(mask.sum())
-            if hits:
-                responses[mask] += config.quality.node(i, j).sample(rng, hits)
+            at = np.flatnonzero(col == i)
+            if at.size:
+                responses[at] += config.quality.node(i, j).sample(rng, at.size)
     return PathDataset(config.spec, paths, responses)
 
 
@@ -216,6 +223,41 @@ def _exact_av(config: ExperimentConfig, kind: str, target, i: int, j: int, which
     else:
         fn = asym_var_mean_unknown if which == "mean" else asym_var_variance_unknown
     return fn(config.kernel, target, config.quality, i, j)
+
+
+def _replicate_table(config: ExperimentConfig) -> PathGroups:
+    """Every replicate of a study, grouped by path as it is drawn (its
+    records are then dropped), in one replicate x path table."""
+    return PathGroups.stack(
+        [sample_dataset(config, rep).groups for rep in range(config.replicates)]
+    )
+
+
+def _per_node(table: PathGroups, nodes, reduce) -> dict:
+    """``reduce(table, node)`` at every node. A refusal is raised where a
+    loop over replicates, and over nodes within each, meets its first one:
+    at the lowest replicate that any node refuses and the first node that
+    refuses it, with the refusal of that replicate's own reduction."""
+    out, refusals = {}, []
+    for k, node in enumerate(nodes):
+        try:
+            out[node] = reduce(table, node)
+        except DaglmError:
+            # replicates are independent: bisect for the shortest refusing
+            # prefix, which ends at the node's first refusing replicate
+            lo, hi = 0, len(table.counts)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    reduce(table.replicates(0, mid), node)
+                    lo = mid
+                except DaglmError:
+                    hi = mid
+            refusals.append((hi - 1, k))
+    if refusals:
+        rep, k = min(refusals)
+        reduce(table.replicates(rep, rep + 1), nodes[k])  # raises
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +309,7 @@ def coverage_study(
     level: float | None = None,
     which: str = "mean",
 ) -> CoverageResult:
-    """Simulate-estimate-cover loop: fraction of replicates whose CI
+    """Simulate, estimate and cover: the fraction of replicates whose CI
     contains the exact estimator target."""
     if config.replicates < 100:
         raise StatisticalError(
@@ -283,20 +325,22 @@ def coverage_study(
     grid = mean_targets if which == "mean" else var_targets
     targets = {(i, j): float(grid[i - 1, j - 1]) for i, j in nodes}
 
-    est = {node: np.empty(config.replicates) for node in nodes}
-    low = {node: np.empty(config.replicates) for node in nodes}
-    up = {node: np.empty(config.replicates) for node in nodes}
-    cov = {node: np.empty(config.replicates, dtype=bool) for node in nodes}
-    for rep in range(config.replicates):
-        data = sample_dataset(config, rep)
-        for i, j in nodes:
-            weights = _cell_weights(data, i, j, kind, config.kernel, target)
-            av = _weights_av(weights, which)
-            ci = confidence_interval(_estimate(weights), av, level)
-            est[(i, j)][rep] = ci.point
-            low[(i, j)][rep] = ci.lower
-            up[(i, j)][rep] = ci.upper
-            cov[(i, j)][rep] = ci.lower <= targets[(i, j)] <= ci.upper
+    z = _quantile(level)
+
+    def reduce(table, node):
+        i, j = node
+        weights = _table_weights(table.through(j, i), i, j, kind, config.kernel, target)
+        av = _weights_avs(weights, which)
+        mean, variance, _ = _estimates(weights)
+        point = mean if which == "mean" else variance
+        return (point, *_limits(node, point, av.value, weights.n, z))
+
+    rows = _per_node(_replicate_table(config), nodes, reduce)
+    est = {node: rows[node][0] for node in nodes}
+    low = {node: rows[node][1] for node in nodes}
+    up = {node: rows[node][2] for node in nodes}
+    cov = {node: (low[node] <= targets[node]) & (targets[node] <= up[node])
+           for node in nodes}
     return CoverageResult(
         kind=kind, which=which, level=level, nodes=nodes, targets=targets,
         estimates=est, lowers=low, uppers=up, covered=cov,
@@ -356,15 +400,15 @@ def anscombe_study(
     avs = {
         (i, j): _exact_av(config, kind, target, i, j, which).value for i, j in nodes
     }
-    raw = {node: np.empty(config.replicates) for node in nodes}
-    for rep in range(config.replicates):
-        data = sample_dataset(config, rep)
-        for i, j in nodes:
-            cell = cell_estimate(data, i, j, kind, config.kernel, target)
-            value = cell.mean if which == "mean" else cell.variance
-            raw[(i, j)][rep] = math.sqrt(cell.count) * (
-                value - grid[i - 1, j - 1]
-            )
+
+    def reduce(table, node):
+        i, j = node
+        weights = _table_weights(table.through(j, i), i, j, kind, config.kernel, target)
+        mean, variance, _ = _estimates(weights)
+        value = mean if which == "mean" else variance
+        return np.sqrt(weights.n) * (value - grid[i - 1, j - 1])
+
+    raw = _per_node(_replicate_table(config), nodes, reduce)
     out = {}
     for node in nodes:
         av = avs[node]

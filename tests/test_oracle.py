@@ -19,6 +19,7 @@ from daglm.oracle import (
     exact_conditional_moments,
     exact_estimator_targets,
     path_raw_moments,
+    support_table,
     verify_measure_change,
 )
 
@@ -229,15 +230,16 @@ def test_support_table_matches_per_path_loops(seed, sparsify):
             assert daglm.enumerate_support_paths(kernel, j, i) == through
             if not through:
                 continue
+            paths, _, _ = support_table((kernel, target), quality, j, i, order=4)
+            assert list(map(tuple, paths.tolist())) == through
             table = _cell_support(kernel, target, quality, j, i, order=4)
-            assert list(map(tuple, table.paths.tolist())) == through
             cond = daglm.conditional_path_probability
             probs = [cond(kernel, p, j, i) for p in through]
             targets = [cond(target, p, j, i) for p in through]
             moments = [scalar_path_moments(quality, p, 4) for p in through]
-            np.testing.assert_allclose(table.prob, probs, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(table.target, targets, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(table.moments, moments, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table.prob[0], probs, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table.target[0], targets, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table.moments[0], moments, rtol=1e-12, atol=0)
             for p, m in zip(through, moments):
                 np.testing.assert_allclose(
                     path_raw_moments(quality, p, 4), m, rtol=1e-12, atol=0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -36,6 +37,57 @@ def test_sample_dataset_bitwise_reproducible(demo_config):
     two = sample_dataset(demo_config, 3)
     assert np.array_equal(one.paths, two.paths)
     assert np.array_equal(one.responses, two.responses)
+
+
+def _mixed_quality_config():
+    """A 2 x 3 x 2 model whose nodes mix gaussian, bernoulli and point-mass
+    qualities, so every sampling branch draws."""
+    Q = daglm.NodeQuality
+    return daglm.ExperimentConfig(
+        spec=daglm.DagSpec(levels=(2, 3, 2)),
+        kernel=daglm.TransitionKernel(
+            initial=np.array([0.3, 0.7]),
+            steps=(np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]),
+                   np.array([[0.5, 0.5], [0.9, 0.1], [0.25, 0.75]])),
+        ),
+        quality=daglm.QualityModel(nodes={
+            (1, 1): Q.gaussian(0.5, 2.0), (2, 1): Q.bernoulli(0.3),
+            (1, 2): Q.point_mass(-1.5), (2, 2): Q.gaussian(2.0, 0.5),
+            (3, 2): Q.bernoulli(0.8), (1, 3): Q.bernoulli(0.5),
+            (2, 3): Q.point_mass(4.0),
+        }),
+        n=1500,
+        seed=2024,
+    )
+
+
+# sha256 of the little-endian bytes of (paths, responses); any change to
+# the sampler that moves a single drawn value changes them
+SAMPLE_HASHES = {
+    ("demo", 0): ("89b53af80c6ae0ce4a661c7009667d0ea4e3444b4496748d98f1d8b265aab005",
+                  "a53aecfd1158ca889969e1a18bd4b4074b108b650eac97487314b0e32db38cb8"),
+    ("demo", 3): ("3a64dad9567e29d4bf3d435433480c0bf8f1debe9a22b4b05449655770188d40",
+                  "b0c2160b25f1cd9269dbfbc00a82c1eb5e90b90d27845bc4fdba0ddf64d2a496"),
+    ("mixed", 0): ("1f8460c4267a5d99f5117017857a282d6965d5ed03c3ee808cacdf3c9564e6d9",
+                   "0c7d0ea329c82bc417b7563109cf055e64435956b63c97435bcf0ac719f5d916"),
+    ("mixed", 5): ("4a723b2b746c6fc2cbfc0a44253330226f293e157f42f636ef441164126d0af9",
+                   "c754ca2f92bc0d8192fbe454cac4c58070ab013d6a41fef5bc5852f074210c56"),
+}
+
+
+@pytest.mark.parametrize("name, replicate", sorted(SAMPLE_HASHES))
+def test_sample_dataset_bytes_pinned(name, replicate):
+    if name == "demo":
+        config = load_config(daglm.data_path("demo_config.json"))
+    else:
+        config = _mixed_quality_config()
+    data = sample_dataset(config, replicate)
+    got = tuple(
+        hashlib.sha256(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+        .hexdigest()
+        for a in (data.paths, data.responses)
+    )
+    assert got == SAMPLE_HASHES[(name, replicate)]
 
 
 def test_replicates_independent_of_generation_order(demo_config):

@@ -1,0 +1,346 @@
+"""The Monte-Carlo studies reduce every replicate together over one
+replicate x path table. These tests hold them to the per-replicate loop they
+replaced, row by row and refusal by refusal."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import daglm
+from daglm import simulation
+from daglm.asymptotics import (
+    REGIME_KNOWN,
+    _weights_av,
+    confidence_interval,
+    naive_asym_var,
+    plugin_asym_var,
+)
+from daglm.errors import DaglmError
+from daglm.estimators import _cell_weights, _estimate, cell_estimate
+from daglm.oracle import exact_estimator_targets
+
+from conftest import random_model
+
+KINDS = ("naive", "weighted", "plugin")
+WHICH = ("mean", "variance")
+
+
+# ---------------------------------------------------------------------------
+# the per-replicate loops the studies ran before, kept as the reference
+
+def loop_coverage(config, kind="plugin", level=None, which="mean"):
+    """coverage_study as one pass per replicate and node."""
+    if level is None:
+        level = config.level
+    target = simulation._effective_target(config, kind)
+    nodes = simulation._study_nodes(config)
+    mean_targets, var_targets = exact_estimator_targets(
+        config.kernel, target, config.quality
+    )
+    grid = mean_targets if which == "mean" else var_targets
+    targets = {(i, j): float(grid[i - 1, j - 1]) for i, j in nodes}
+
+    est = {node: np.empty(config.replicates) for node in nodes}
+    low = {node: np.empty(config.replicates) for node in nodes}
+    up = {node: np.empty(config.replicates) for node in nodes}
+    cov = {node: np.empty(config.replicates, dtype=bool) for node in nodes}
+    for rep in range(config.replicates):
+        data = simulation.sample_dataset(config, rep)
+        for i, j in nodes:
+            weights = _cell_weights(data, i, j, kind, config.kernel, target)
+            av = _weights_av(weights, which)
+            ci = confidence_interval(_estimate(weights), av, level)
+            est[(i, j)][rep] = ci.point
+            low[(i, j)][rep] = ci.lower
+            up[(i, j)][rep] = ci.upper
+            cov[(i, j)][rep] = ci.lower <= targets[(i, j)] <= ci.upper
+    return est, low, up, cov
+
+
+def loop_anscombe_raw(config, kind, which="mean"):
+    """anscombe_study's sqrt(count) * (estimate - target) as one pass per
+    replicate and node."""
+    target = simulation._effective_target(config, kind)
+    nodes = simulation._study_nodes(config)
+    mean_t, var_t = exact_estimator_targets(config.kernel, target, config.quality)
+    grid = mean_t if which == "mean" else var_t
+    raw = {node: np.empty(config.replicates) for node in nodes}
+    for rep in range(config.replicates):
+        data = simulation.sample_dataset(config, rep)
+        for i, j in nodes:
+            cell = cell_estimate(data, i, j, kind, config.kernel, target)
+            value = cell.mean if which == "mean" else cell.variance
+            raw[(i, j)][rep] = np.sqrt(cell.count) * (value - grid[i - 1, j - 1])
+    return raw
+
+
+def loop_refusals(config, kind, which):
+    """Every (replicate, node) of the loop that refuses, with its error."""
+    target = simulation._effective_target(config, kind)
+    out = []
+    for rep in range(config.replicates):
+        data = simulation.sample_dataset(config, rep)
+        for i, j in simulation._study_nodes(config):
+            try:
+                weights = _cell_weights(data, i, j, kind, config.kernel, target)
+                av = _weights_av(weights, which)
+                confidence_interval(_estimate(weights), av, config.level)
+            except DaglmError as exc:
+                out.append((rep, (i, j), exc))
+    return out
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except DaglmError as exc:
+        return type(exc), str(exc)
+
+
+def assert_coverage_matches_loop(config, kind, which):
+    expected = outcome(loop_coverage, config, kind, which=which)
+    got = outcome(simulation.coverage_study, config, kind, which=which)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+        return
+    est, low, up, cov = expected
+    assert set(got.nodes) == set(est)
+    for node in got.nodes:
+        assert np.array_equal(got.estimates[node], est[node]), node
+        assert np.array_equal(got.covered[node], cov[node]), node
+        np.testing.assert_allclose(got.lowers[node], low[node], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.uppers[node], up[node], rtol=1e-12, atol=0)
+
+
+def random_config(seed, sparsify, n, replicates):
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, max_c=3, max_r=3, sparsify=sparsify)
+    return daglm.ExperimentConfig(
+        spec=spec, kernel=kernel, quality=quality, n=n, seed=seed,
+        replicates=replicates, target=target,
+    )
+
+
+# ---------------------------------------------------------------------------
+# batched studies against the loop
+
+@given(
+    seed=st.integers(0, 100_000),
+    sparsify=st.sampled_from([0.0, 0.3]),
+    kind=st.sampled_from(KINDS),
+    which=st.sampled_from(WHICH),
+    n=st.sampled_from([150, 1500]),
+)
+@settings(max_examples=20, deadline=None)
+def test_coverage_study_matches_loop_on_random_models(seed, sparsify, kind, which, n):
+    # small n makes many (replicate, node) cells refuse; the study must
+    # then raise what the loop raises first
+    assert_coverage_matches_loop(random_config(seed, sparsify, n, 100), kind, which)
+
+
+@given(
+    seed=st.integers(0, 100_000),
+    sparsify=st.sampled_from([0.0, 0.3]),
+    kind=st.sampled_from(KINDS),
+    which=st.sampled_from(WHICH),
+)
+@settings(max_examples=5, deadline=None)
+def test_anscombe_study_matches_loop_on_random_models(seed, sparsify, kind, which):
+    config = random_config(seed, sparsify, 1000, 500)
+    expected = outcome(loop_anscombe_raw, config, kind, which)
+    got = outcome(simulation.anscombe_study, config, kind, which)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert set(got) == set(expected)
+    for node, diag in got.items():
+        np.testing.assert_allclose(diag.raw, expected[node], rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# refusals: one (replicate, node) fails, or several in an order that
+# differs between replicate-major and node-major
+
+DEMO_THREE_NODES = ((1, 1), (2, 1), (1, 2))  # path (1, 2) meets only (1, 1)
+
+
+def doctor(monkeypatch, edits):
+    """Replace the records of chosen replicates: ``edits`` maps a replicate
+    to a function of (paths, responses) returning new ones."""
+    sample = simulation.sample_dataset
+
+    def doctored(config, replicate=0):
+        data = sample(config, replicate)
+        if replicate not in edits:
+            return data
+        paths, responses = edits[replicate](data.paths.copy(), data.responses.copy())
+        return daglm.PathDataset(data.spec, paths, responses)
+
+    monkeypatch.setattr(simulation, "sample_dataset", doctored)
+
+
+def drop_level_in_column_1(level):
+    def edit(paths, responses):
+        keep = paths[:, 0] != level
+        return paths[keep], responses[keep]
+    return edit
+
+
+def keep_path(path, records):
+    def edit(paths, responses):
+        on = np.flatnonzero((paths == path).all(axis=1))
+        keep = np.ones(len(paths), dtype=bool)
+        keep[on[records:]] = False
+        return paths[keep], responses[keep]
+    return edit
+
+
+def put_path(path):
+    def edit(paths, responses):
+        paths[0] = path
+        return paths, responses
+    return edit
+
+
+def exclusive_kernels():
+    """A source kernel that never draws path (1, 2) and a target that gives
+    it no mass."""
+    source = daglm.TransitionKernel(
+        initial=np.array([0.5, 0.5]), steps=(np.array([[1.0, 0.0], [0.25, 0.75]]),)
+    )
+    target = daglm.TransitionKernel(
+        initial=np.array([0.5, 0.5]), steps=(np.array([[1.0, 0.0], [0.5, 0.5]]),)
+    )
+    return source, target
+
+
+FAULTS = {
+    "no-data": ("naive", "mean", None, drop_level_in_column_1(2),
+                "no data at node (2, 1)"),
+    "support-incomplete": ("plugin", "mean", DEMO_THREE_NODES, keep_path((1, 2), 0),
+                           "carry target conditional mass 0.5, not 1"),
+    "seen-once": ("plugin", "variance", DEMO_THREE_NODES, keep_path((1, 2), 1),
+                  "paths seen once: [(1, 2)]"),
+    "target-excludes": ("plugin", "mean", DEMO_THREE_NODES, put_path((1, 2)),
+                        "target measure excludes observed path (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_one_refusing_cell_raises_what_the_loop_raises(monkeypatch, demo_config, fault):
+    kind, which, nodes, edit, message = FAULTS[fault]
+    config = dataclasses.replace(demo_config, replicates=100, n=500, nodes=nodes)
+    if fault == "target-excludes":
+        source, target = exclusive_kernels()
+        config = dataclasses.replace(config, kernel=source, target=target)
+    doctor(monkeypatch, {37: edit})
+    refusals = loop_refusals(config, kind, which)
+    assert [rep for rep, _, _ in refusals] == [37]
+    expected = refusals[0][2]
+    assert message in str(expected)
+    assert outcome(loop_coverage, config, kind, which=which) == (
+        type(expected), str(expected)
+    )
+    assert outcome(simulation.coverage_study, config, kind, which=which) == (
+        type(expected), str(expected)
+    )
+
+
+@pytest.mark.parametrize("first, second", [
+    (drop_level_in_column_1(2), keep_path((1, 2), 1)),
+    (keep_path((1, 2), 1), drop_level_in_column_1(2)),
+])
+def test_refusals_raise_in_replicate_order(monkeypatch, demo_config, first, second):
+    # node (1, 1) refuses one replicate and node (2, 1) another: the loop
+    # meets the lower replicate first, whichever node comes first
+    config = dataclasses.replace(demo_config, replicates=100, n=500,
+                                 nodes=DEMO_THREE_NODES)
+    doctor(monkeypatch, {40: first, 60: second})
+    refusals = loop_refusals(config, "plugin", "mean")
+    assert sorted({rep for rep, _, _ in refusals}) == [40, 60]
+    expected = outcome(loop_coverage, config, "plugin", which="mean")
+    assert expected == (type(refusals[0][2]), str(refusals[0][2]))
+    assert outcome(simulation.coverage_study, config, "plugin", which="mean") == expected
+
+
+# ---------------------------------------------------------------------------
+# a study's row depends only on its own replicate
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("which", WHICH)
+def test_study_row_is_the_single_dataset_interval(demo_config, kind, which):
+    config = dataclasses.replace(demo_config, replicates=100, n=300)
+    result = simulation.coverage_study(config, kind, which=which)
+    target = simulation._effective_target(config, kind)
+    rows = {(node, field): np.empty(config.replicates)
+            for node in result.nodes for field in ("point", "lower", "upper")}
+    for rep in range(config.replicates):
+        data = simulation.sample_dataset(config, rep)
+        for i, j in result.nodes:
+            cell = cell_estimate(data, i, j, kind, config.kernel, target)
+            if kind == "naive":
+                av = naive_asym_var(data, i, j, which)
+            elif kind == "weighted":
+                av = plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, config.kernel)
+            else:
+                av = plugin_asym_var(data, target, i, j, which)
+            ci = confidence_interval(cell, av, config.level)
+            for field in ("point", "lower", "upper"):
+                rows[((i, j), field)][rep] = getattr(ci, field)
+    for node in result.nodes:
+        assert np.array_equal(result.estimates[node], rows[(node, "point")])
+        assert np.array_equal(result.lowers[node], rows[(node, "lower")])
+        assert np.array_equal(result.uppers[node], rows[(node, "upper")])
+
+
+def rare_level_config(replicates):
+    """Ten levels in column 1, the first with probability 2e-4: at seed 8
+    and n = 40 no replicate below 100 draws it, and replicate 139 does. The
+    study looks at column 2, whose cells have up to ten paths, enough for a
+    pairwise sum to group its terms differently when a path is added."""
+    spec = daglm.DagSpec(levels=(10, 2))
+    initial = np.full(10, (1.0 - 2e-4) / 9)
+    initial[0] = 2e-4
+    kernel = daglm.TransitionKernel(initial=initial, steps=(np.full((10, 2), 0.5),))
+    quality = daglm.QualityModel.gaussian_grid(
+        spec, means=np.arange(20.0).reshape(10, 2) * 0.3 - 2.0, variances=np.ones((10, 2))
+    )
+    return daglm.ExperimentConfig(
+        spec=spec, kernel=kernel, quality=quality, n=40, seed=8,
+        replicates=replicates, nodes=((1, 2), (2, 2)),
+    )
+
+
+@pytest.mark.parametrize("kind", ("naive", "weighted"))
+@pytest.mark.parametrize("which", WHICH)
+def test_study_rows_do_not_depend_on_the_other_replicates(kind, which):
+    short, long = rare_level_config(100), rare_level_config(150)
+    short_levels = simulation._replicate_table(short).paths[:, 0]
+    long_levels = simulation._replicate_table(long).paths[:, 0]
+    assert 1 in long_levels and 1 not in short_levels
+    a = simulation.coverage_study(short, kind, which=which)
+    b = simulation.coverage_study(long, kind, which=which)
+    for node in a.nodes:
+        for field in ("estimates", "lowers", "uppers", "covered"):
+            assert np.array_equal(getattr(a, field)[node],
+                                  getattr(b, field)[node][:100]), (node, field)
+
+
+# ---------------------------------------------------------------------------
+# memory: replicates are grouped as they are drawn
+
+def test_coverage_study_holds_grouped_replicates_only(demo_config):
+    # the records of 100 replicates of 20000 paths (two int64 levels and a
+    # float64 response each) take 48 MB; their grouped table takes kilobytes
+    config = dataclasses.replace(demo_config, replicates=100, n=20_000)
+    tracemalloc.start()
+    try:
+        simulation.coverage_study(config, "plugin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
