@@ -27,7 +27,6 @@ from .model import (
     estimate_kernel,
     kernels_equivalent,
     node_marginal,
-    uniform_kernel,
     validate_dag,
 )
 from .modelfile import load_model, model_to_dict
@@ -42,6 +41,7 @@ from .report import (
 from .simulation import (
     COVERAGE_ALPHA,
     ExperimentConfig,
+    _target_kernel,
     binomial_tail,
     coverage_study,
     load_config,
@@ -221,15 +221,18 @@ def _load_inputs(args):
 
 
 def _resolve_target(name: str, spec) -> tuple[TransitionKernel, str]:
-    if name == "uniform":
-        return uniform_kernel(spec), "uniform"
-    model = load_model(name)
-    if model.spec.levels != spec.levels:
-        raise DataError(
-            f"target kernel levels {model.spec.levels} do not match data "
-            f"{spec.levels}"
-        )
-    return model.kernel, Path(name).name
+    """The target kernel for data of ``spec`` and its id in reports:
+    "uniform", or the kernel of the model file ``name``."""
+    target = name
+    if name != "uniform":
+        model = load_model(name)
+        if model.spec.levels != spec.levels:
+            raise DataError(
+                f"target kernel levels {model.spec.levels} do not match data "
+                f"{spec.levels}"
+            )
+        target = model.kernel
+    return _target_kernel(target, spec), Path(name).name
 
 
 def _report_markov(args, data) -> None:

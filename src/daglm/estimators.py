@@ -16,11 +16,12 @@ the naive kind; every kind sums weight times power sum with the same
 floating-point sequence, so a ratio that is identically 1 reproduces the
 naive value bit for bit.
 
-The reductions run over a table of replicates (:meth:`PathGroups.stack`),
-one row per replicate, and one dataset is the table of one replicate. Sums
-over paths add one path after another in path order, so a path that a
-replicate never saw adds an exact 0.0 and each row is the same bits as the
-reduction of that replicate alone.
+The reductions run over a table of replicates (a study's, built by
+:func:`simulation._replicate_table`), one row per replicate, and one
+dataset is the table of one replicate. Sums over paths add one path after
+another in path order, so a path that a replicate never saw adds an exact
+0.0 and each row is the same bits as the reduction of that replicate
+alone.
 
 All functions are pure; datasets are immutable. Cell aggregation may be
 sharded by records and merged, with results equal up to floating-point
@@ -188,7 +189,7 @@ class _CellWeights:
 
     node: tuple[int, int]  # (level i, column j)
     kind: str
-    cell: PathGroups  # a table of replicates (PathGroups.stack)
+    cell: PathGroups  # a table of replicates, one row each
     n: np.ndarray  # the cell's record count in each replicate
     ratio: np.ndarray
     target: np.ndarray | None = None

@@ -553,28 +553,65 @@ class QualityModel:
 # ---------------------------------------------------------------------------
 # datasets
 
-def _group_paths(
-    paths: np.ndarray, levels: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the rows of an (n, c) array of 1-based paths whose columns stay
-    within ``levels``: the index of each distinct row's first occurrence,
-    in lexicographic order of the rows, the group of every row, and the
-    group sizes."""
+def _path_cells(
+    paths: np.ndarray,
+    levels: Sequence[int],
+    replicate: np.ndarray | None = None,
+    replicates: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index the rows of an (n, c) array of 1-based paths whose columns stay
+    within ``levels``, each row belonging to one of ``replicates``
+    replicates (``replicate``; all to one when None): the m distinct rows
+    in lexicographic order, and each row's cell ``replicate * m + p`` of a
+    (replicates, m) table, where p is the index of its path."""
+    n = len(paths)
     # mixed-radix key of each path, lexicographic in the path; when the
     # next column would overflow it, the key is first renumbered densely
-    key = np.zeros(len(paths), dtype=np.int64)
+    key = np.zeros(n, dtype=np.int64)
     bound = 1
     for col, r in zip(paths.T, levels):
         r = int(r)
         if bound * r > 2**62:
             key = np.unique(key, return_inverse=True)[1]
-            bound = len(paths)
+            bound = n
         key = key * r + (col - 1)
         bound *= r
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
+    if replicates * bound > n:
+        # the key space is larger than the records: renumber it densely
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        distinct = paths[first]
+    else:
+        seen = np.bincount(key, minlength=bound) > 0
+        distinct = np.stack(np.unravel_index(np.flatnonzero(seen), levels), axis=1) + 1
+        key = (np.cumsum(seen) - 1)[key]
+    if replicate is not None:
+        key = replicate * len(distinct) + key
+    return distinct, key
+
+
+def _group_records(
+    paths: np.ndarray,
+    responses: np.ndarray,
+    levels: Sequence[int],
+    replicate: np.ndarray | None = None,
+    replicates: int = 1,
+) -> "PathGroups":
+    """Records grouped by distinct path: the groups of one dataset, or, with
+    each record's ``replicate``, the table of ``replicates`` replicates.
+    Every group sums its records' powers in record order."""
+    distinct, cells = _path_cells(paths, levels, replicate, replicates)
+    size = replicates * len(distinct)
+    counts = np.bincount(cells, minlength=size)
+    sums = np.empty((size, PathGroups.ORDER + 1))
+    sums[:, 0] = counts
+    power = responses
+    for k in range(1, PathGroups.ORDER + 1):
+        sums[:, k] = np.bincount(cells, weights=power, minlength=size)
+        power = power * responses
+    shape = (len(distinct),) if replicate is None else (replicates, len(distinct))
+    return PathGroups(
+        distinct, counts.reshape(shape), sums.reshape(*shape, PathGroups.ORDER + 1)
     )
-    return first, inverse, counts
 
 
 @dataclass(frozen=True)
@@ -588,9 +625,9 @@ class PathGroups:
     b**k over the records of path p, for k = 0..ORDER (so column 0 repeats
     the counts).
 
-    A table of replicates (:meth:`stack`) puts a leading replicate axis on
-    ``counts`` (R, m) and ``sums`` (R, m, ORDER + 1); both are 0 on a path
-    that a replicate never saw.
+    A table of replicates (a study's, :func:`_group_records`) puts a
+    leading replicate axis on ``counts`` (R, m) and ``sums``
+    (R, m, ORDER + 1); both are 0 on a path that a replicate never saw.
     """
 
     ORDER = 4
@@ -599,22 +636,9 @@ class PathGroups:
     counts: np.ndarray
     sums: np.ndarray
 
-    @classmethod
-    def stack(cls, groups: Sequence["PathGroups"]) -> "PathGroups":
-        """The table of several datasets' groups, one replicate each, over
-        the union of their paths in lexicographic order."""
-        paths = np.concatenate([g.paths for g in groups])
-        first, inverse, _ = _group_paths(paths, np.max(paths, axis=0, initial=1))
-        rows = np.repeat(np.arange(len(groups)), [g.counts.size for g in groups])
-        counts = np.zeros((len(groups), first.size), dtype=np.int64)
-        counts[rows, inverse] = np.concatenate([g.counts for g in groups])
-        sums = np.zeros((len(groups), first.size, cls.ORDER + 1))
-        sums[rows, inverse] = np.concatenate([g.sums for g in groups])
-        return cls(paths[first], counts, sums)
-
     def replicates(self, start: int, stop: int) -> "PathGroups":
         """Replicates ``start`` to ``stop - 1`` of a table, over the union of
-        their own paths: what :meth:`stack` gives for those replicates."""
+        their own paths: the table of those replicates alone."""
         counts = self.counts[start:stop]
         seen = counts.any(axis=0)
         return PathGroups(self.paths[seen], counts[:, seen], self.sums[start:stop, seen])
@@ -679,13 +703,7 @@ class PathDataset:
     def groups(self) -> PathGroups:
         """The records grouped by distinct path; computed on first use and
         kept, since the dataset never changes."""
-        first, inverse, counts = _group_paths(self.paths, self.spec.levels)
-        sums = np.empty((first.size, PathGroups.ORDER + 1))
-        power = np.ones(self.n)
-        for k in range(PathGroups.ORDER + 1):
-            sums[:, k] = np.bincount(inverse, weights=power, minlength=first.size)
-            power = power * self.responses
-        return PathGroups(self.paths[first], counts, sums)
+        return _group_records(self.paths, self.responses, self.spec.levels)
 
     def node_groups(self, j: int, i: int) -> PathGroups:
         """The distinct observed paths through node (i, j) with their counts

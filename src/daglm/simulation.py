@@ -6,13 +6,16 @@ replicate owns an independent stream, so results are byte-identical for a
 given (seed, config) no matter how replicates are scheduled across workers;
 any parallel driver only needs to merge results by replicate index.
 
-A study groups each replicate by path as it is drawn, keeps only the
-grouped counts and power sums, and stacks them into one replicate x path
-table (:meth:`PathGroups.stack`). Estimates, asymptotic variances and
-intervals are then reduced for all replicates together, node by node. A
-replicate's row depends only on its own stream: it is the same bits as the
-single-dataset estimate, asymptotic variance and interval of that
-replicate, whichever other replicates the study holds.
+A study draws its replicates in blocks of consecutive replicates, about
+``_BLOCK_RECORDS`` records each, and groups each block by (replicate, path)
+as it is drawn, keeping only the grouped counts and power sums; the blocks
+join into one replicate x path table. Within a block every replicate still
+draws from its own stream exactly what :func:`sample_dataset`, the block of
+one replicate, draws. Estimates, asymptotic variances and intervals are
+then reduced for all replicates together, node by node. A replicate's row
+depends only on its own stream: it is the same bits as the single-dataset
+estimate, asymptotic variance and interval of that replicate, whichever
+other replicates the study holds.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DaglmError, ModelError, StatisticalError
+from .errors import DaglmError, DataError, ModelError, StatisticalError
 from .estimators import _estimates, _table_weights
 from .asymptotics import (
     REGIME_KNOWN,
@@ -44,6 +47,8 @@ from .model import (
     PathGroups,
     QualityModel,
     TransitionKernel,
+    _group_records,
+    _path_cells,
     _refuse_unobserved,
     node_marginal,
     uniform_kernel,
@@ -98,12 +103,18 @@ class ExperimentConfig:
             )
 
 
+def _target_kernel(target: str | TransitionKernel, spec: DagSpec) -> TransitionKernel:
+    """The kernel a target names: itself, or for "uniform" the uniform
+    kernel of ``spec``."""
+    if isinstance(target, TransitionKernel):
+        return target
+    if target == "uniform":
+        return uniform_kernel(spec)
+    raise ModelError(f"unknown target kernel {target!r}")
+
+
 def resolve_target(config: ExperimentConfig) -> TransitionKernel:
-    if isinstance(config.target, TransitionKernel):
-        return config.target
-    if config.target == "uniform":
-        return uniform_kernel(config.spec)
-    raise ModelError(f"unknown target kernel {config.target!r}")
+    return _target_kernel(config.target, config.spec)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -159,41 +170,82 @@ def rng_for(seed: int, replicate: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(replicate)]))
 
 
+#: a study draws and groups consecutive replicates together, about this
+#: many records at a time; a replicate is never split across blocks
+_BLOCK_RECORDS = 2**14
+
+
+def _inverse_cdf(kernel: TransitionKernel, u: np.ndarray) -> np.ndarray:
+    """The paths of the records whose column-k variates are ``u[k - 1]``:
+    inverse-CDF sampling column by column, each level the count of
+    cumulative probabilities at or below its variate. ``u`` is (c, ...)
+    and the paths (..., c)."""
+    levels = kernel.levels
+    out = np.empty((*u.shape[1:], len(levels)), dtype=np.int64)
+    cdfs = [np.cumsum(kernel.initial)[None]] + [np.cumsum(s, axis=1) for s in kernel.steps]
+    rows = np.zeros(1, dtype=np.int64)  # column 1: one row of thresholds for all
+    for k, (cdf, r) in enumerate(zip(cdfs, levels)):
+        level = np.zeros(u.shape[1:], dtype=np.int64)
+        for threshold in cdf.T:
+            level += threshold[rows] <= u[k]
+        rows = np.minimum(level, r - 1, out=level)
+        out[..., k] = rows + 1
+    return out
+
+
 def sample_paths(
     kernel: TransitionKernel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Draw ``size`` independent paths, one uniform variate per column per
     record, consumed column by column (inverse-CDF within each row)."""
     _refuse_unobserved(kernel, "cannot sample")
-    levels = kernel.levels
-    u = rng.random((len(levels), size))  # row k: the variates of column k + 1
-    out = np.empty((size, len(levels)), dtype=np.int64)
-    first = np.searchsorted(np.cumsum(kernel.initial), u[0], side="right")
-    out[:, 0] = np.minimum(first, levels[0] - 1) + 1
-    for k, step in enumerate(kernel.steps):
-        thresh = np.cumsum(step, axis=1)[out[:, k] - 1]
-        out[:, k + 1] = (
-            np.minimum((thresh <= u[k + 1, :, None]).sum(axis=1), levels[k + 1] - 1) + 1
-        )
-    return out
+    return _inverse_cdf(kernel, rng.random((len(kernel.levels), size)))
+
+
+def _sample_block(
+    config: ExperimentConfig, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The records of replicates ``start`` to ``stop - 1`` in replicate
+    order: each record's replicate, counted from ``start``, its path and
+    its response.
+
+    Each replicate draws from its own stream: one uniform variate per
+    column per record, then the values of the nodes its records visit,
+    grouped by node in column-major order, which is deterministic and
+    record-independent. A node's quality spec is read only where it has
+    records.
+    """
+    _refuse_unobserved(config.kernel, "cannot sample")
+    levels, n, count = config.spec.levels, config.n, stop - start
+    rngs = [rng_for(config.seed, rep) for rep in range(start, stop)]
+    u = np.empty((count, len(levels), n))
+    for rng, variates in zip(rngs, u):
+        rng.random(out=variates)
+    paths = _inverse_cdf(config.kernel, u.transpose(1, 0, 2)).reshape(-1, len(levels))
+    replicate = np.repeat(np.arange(count), n)
+    responses = np.zeros(count * n)
+    values = np.empty(count * n)
+    for j, r in enumerate(levels, start=1):
+        col = paths[:, j - 1]
+        visits = np.bincount(replicate * r + (col - 1), minlength=count * r).reshape(count, r)
+        for i in range(1, r + 1):
+            drawn = np.flatnonzero(visits[:, i - 1])
+            if drawn.size:
+                node = config.quality.node(i, j)
+                values[np.flatnonzero(col == i)] = np.concatenate(
+                    [node.sample(rngs[k], visits[k, i - 1]) for k in drawn]
+                )
+        responses += values  # each record visits one node of the column
+    if not np.isfinite(responses).all():
+        raise DataError("responses must be finite")
+    return replicate, paths, responses
 
 
 def sample_dataset(config: ExperimentConfig, replicate: int = 0) -> PathDataset:
     """Simulate one dataset: n paths from the kernel, each with a fresh
-    response built from per-node draws at the visited nodes only.
-
-    Node values are drawn grouped by node in column-major order, which is
-    deterministic and record-independent.
-    """
-    rng = rng_for(config.seed, replicate)
-    paths = sample_paths(config.kernel, rng, config.n)
-    responses = np.zeros(config.n)
-    for j, r in enumerate(config.spec.levels, start=1):
-        col = paths[:, j - 1]
-        for i in range(1, r + 1):
-            at = np.flatnonzero(col == i)
-            if at.size:
-                responses[at] += config.quality.node(i, j).sample(rng, at.size)
+    response built from per-node draws at the visited nodes only (see
+    :func:`_sample_block`)."""
+    _, paths, responses = _sample_block(config, replicate, replicate + 1)
     return PathDataset(config.spec, paths, responses)
 
 
@@ -226,11 +278,28 @@ def _exact_av(config: ExperimentConfig, kind: str, target, i: int, j: int, which
 
 
 def _replicate_table(config: ExperimentConfig) -> PathGroups:
-    """Every replicate of a study, grouped by path as it is drawn (its
-    records are then dropped), in one replicate x path table."""
-    return PathGroups.stack(
-        [sample_dataset(config, rep).groups for rep in range(config.replicates)]
-    )
+    """Every replicate of a study in one replicate x path table, drawn and
+    grouped block by block (the records of a block are then dropped); the
+    blocks join over the union of their paths in lexicographic order."""
+    per_block = max(1, _BLOCK_RECORDS // config.n)
+    starts = range(0, config.replicates, per_block)
+    blocks = []
+    for start in starts:
+        stop = min(start + per_block, config.replicates)
+        replicate, paths, responses = _sample_block(config, start, stop)
+        blocks.append(
+            _group_records(paths, responses, config.spec.levels, replicate, stop - start)
+        )
+    union, columns = _path_cells(np.concatenate([b.paths for b in blocks]),
+                                 config.spec.levels)
+    columns = np.split(columns, np.cumsum([len(b.paths) for b in blocks])[:-1])
+    counts = np.zeros((config.replicates, len(union)), dtype=np.int64)
+    sums = np.zeros((config.replicates, len(union), PathGroups.ORDER + 1))
+    for start, block, at in zip(starts, blocks, columns):
+        rows = slice(start, start + len(block.counts))
+        counts[rows, at] = block.counts
+        sums[rows, at] = block.sums
+    return PathGroups(union, counts, sums)
 
 
 def _per_node(table: PathGroups, nodes, reduce) -> dict:

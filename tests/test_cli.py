@@ -182,6 +182,31 @@ def test_estimate_from_simulated_csv_matches_in_memory(capsys, workdir, tmp_path
         assert row["count"] == cell.count
 
 
+def test_target_kernel_file_levels_checked_and_named(capsys, workdir, tmp_path):
+    code, _, err = run(
+        ["estimate", "--data", workdir / "toothgrowth.csv",
+         "--target-kernel", workdir / "demo_2x2.json"],
+        capsys,
+    )
+    assert code == 3
+    assert "target kernel levels (2, 2) do not match data (2, 3)" in err
+    target = {
+        "schema_version": 1,
+        "columns": [2, 3],
+        "initial": [0.5, 0.5],
+        "steps": [[[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]],
+    }
+    target_path = tmp_path / "skew.json"
+    target_path.write_text(json.dumps(target), encoding="utf-8")
+    code, out, err = run(
+        ["estimate", "--data", workdir / "toothgrowth.csv",
+         "--target-kernel", target_path],
+        capsys,
+    )
+    assert code == 0, err
+    assert json.loads(out)["target_kernel"] == "skew.json"
+
+
 # ---------------------------------------------------------------------------
 # estimate / compare reports
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import daglm
 from daglm import DataError, ModelError, StatisticalError
+from daglm.model import PathGroups
 
 from conftest import random_model
 
@@ -223,6 +224,65 @@ def test_path_dataset_counts(demo_data):
     assert total == demo_data.n
     mask = demo_data.node_mask(2, 1)
     assert mask.sum() == demo_data.count(2, 1)
+
+
+# ---------------------------------------------------------------------------
+# grouping by path: a bincount over the dense path key, held to the stable
+# argsort (np.unique) it replaced
+
+def unique_groups(data):
+    """The groups of a dataset by np.unique over the mixed-radix path key."""
+    key = np.zeros(data.n, dtype=np.int64)
+    bound = 1
+    for col, r in zip(data.paths.T, data.spec.levels):
+        if bound * r > 2**62:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = data.n
+        key = key * r + (col - 1)
+        bound *= r
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    sums = np.empty((first.size, PathGroups.ORDER + 1))
+    power = np.ones(data.n)
+    for k in range(PathGroups.ORDER + 1):
+        sums[:, k] = np.bincount(inverse, weights=power, minlength=first.size)
+        power = power * data.responses
+    return PathGroups(data.paths[first], counts, sums)
+
+
+def assert_same_groups(got, expected):
+    for field in ("paths", "counts", "sums"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    sparsify=st.sampled_from([0.0, 0.3]),
+    n=st.sampled_from([1, 5, 40, 300]),
+)
+@settings(max_examples=40, deadline=None)
+def test_groups_match_unique_reference(seed, sparsify, n):
+    # n below the number of paths (up to 256) takes the np.unique branch
+    rng = np.random.default_rng(seed)
+    spec, kernel, _, quality = random_model(rng, sparsify=sparsify)
+    config = daglm.ExperimentConfig(
+        spec=spec, kernel=kernel, quality=quality, n=n, seed=seed
+    )
+    data = daglm.sample_dataset(config, 0)
+    assert_same_groups(data.groups, unique_groups(data))
+
+
+def test_groups_renumber_keys_past_64_bits():
+    rng = np.random.default_rng(4)
+    spec = daglm.DagSpec(levels=(2,) * 70)
+    data = daglm.PathDataset(spec, rng.integers(1, 3, size=(60, 70)), rng.normal(size=60))
+    data = daglm.PathDataset(spec, np.concatenate([data.paths, data.paths[:20]]),
+                             np.concatenate([data.responses, -data.responses[:20]]))
+    assert len(data.groups.paths) == 60
+    assert_same_groups(data.groups, unique_groups(data))
 
 
 def test_estimate_kernel_exact_frequencies():

@@ -1,6 +1,7 @@
-"""The Monte-Carlo studies reduce every replicate together over one
-replicate x path table. These tests hold them to the per-replicate loop they
-replaced, row by row and refusal by refusal."""
+"""The Monte-Carlo studies draw their replicates in blocks and reduce every
+replicate together over one replicate x path table. These tests hold them to
+the per-replicate loop they replaced, row by row and refusal by refusal, and
+the table to the stack of each replicate's own dataset."""
 
 import dataclasses
 import tracemalloc
@@ -20,6 +21,7 @@ from daglm.asymptotics import (
 )
 from daglm.errors import DaglmError
 from daglm.estimators import _cell_weights, _estimate, cell_estimate
+from daglm.model import PathGroups
 from daglm.oracle import exact_estimator_targets
 
 from conftest import random_model
@@ -30,6 +32,20 @@ WHICH = ("mean", "variance")
 
 # ---------------------------------------------------------------------------
 # the per-replicate loops the studies ran before, kept as the reference
+
+def stack(groups):
+    """The table of several datasets' groups, one replicate each, over the
+    union of their paths in lexicographic order."""
+    paths = np.concatenate([g.paths for g in groups])
+    union, inverse = np.unique(paths, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    rows = np.repeat(np.arange(len(groups)), [len(g.paths) for g in groups])
+    counts = np.zeros((len(groups), len(union)), dtype=np.int64)
+    counts[rows, inverse] = np.concatenate([g.counts for g in groups])
+    sums = np.zeros((len(groups), len(union), PathGroups.ORDER + 1))
+    sums[rows, inverse] = np.concatenate([g.sums for g in groups])
+    return PathGroups(union, counts, sums)
+
 
 def loop_coverage(config, kind="plugin", level=None, which="mean"):
     """coverage_study as one pass per replicate and node."""
@@ -170,17 +186,21 @@ DEMO_THREE_NODES = ((1, 1), (2, 1), (1, 2))  # path (1, 2) meets only (1, 1)
 
 def doctor(monkeypatch, edits):
     """Replace the records of chosen replicates: ``edits`` maps a replicate
-    to a function of (paths, responses) returning new ones."""
-    sample = simulation.sample_dataset
+    to a function of (paths, responses) returning new ones. The edit is made
+    in the block sampler, so studies and single datasets both see it."""
+    sample = simulation._sample_block
 
-    def doctored(config, replicate=0):
-        data = sample(config, replicate)
-        if replicate not in edits:
-            return data
-        paths, responses = edits[replicate](data.paths.copy(), data.responses.copy())
-        return daglm.PathDataset(data.spec, paths, responses)
+    def doctored(config, start, stop):
+        replicate, paths, responses = sample(config, start, stop)
+        parts = []
+        for k in range(stop - start):
+            records = paths[replicate == k], responses[replicate == k]
+            if start + k in edits:
+                records = edits[start + k](*records)
+            parts.append((np.full(len(records[0]), k), *records))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-    monkeypatch.setattr(simulation, "sample_dataset", doctored)
+    monkeypatch.setattr(simulation, "_sample_block", doctored)
 
 
 def drop_level_in_column_1(level):
@@ -344,3 +364,82 @@ def test_coverage_study_holds_grouped_replicates_only(demo_config):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_replicate_table_holds_no_study_wide_records(demo_config):
+    # the records of 5000 replicates of 50 paths (two int64 levels, two
+    # float64 variates and a float64 response each) take 10 MB; a block of
+    # them, and the grouped table, take a few
+    config = dataclasses.replace(demo_config, replicates=5000, n=50)
+    tracemalloc.start()
+    try:
+        simulation._replicate_table(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the block sampler: each replicate draws what its own dataset draws
+
+def mixed_quality_config(seed, sparsify, n, replicates):
+    """A random model whose nodes draw gaussian, bernoulli or point-mass
+    values."""
+    rng = np.random.default_rng(seed)
+    spec, kernel, _, _ = random_model(rng, max_c=3, max_r=3, sparsify=sparsify)
+    kinds = (
+        lambda: daglm.NodeQuality.gaussian(rng.normal(), rng.uniform(0.1, 2.0)),
+        lambda: daglm.NodeQuality.bernoulli(rng.uniform()),
+        lambda: daglm.NodeQuality.point_mass(rng.normal()),
+    )
+    nodes = {(i, j): kinds[rng.integers(3)]()
+             for j, r in enumerate(spec.levels, start=1) for i in range(1, r + 1)}
+    return daglm.ExperimentConfig(
+        spec=spec, kernel=kernel, quality=daglm.QualityModel(nodes), n=n, seed=seed,
+        replicates=replicates,
+    )
+
+
+@given(
+    seed=st.integers(0, 100_000),
+    sparsify=st.sampled_from([0.0, 0.3]),
+    # records per replicate: one, a few, a third of the block budget, and
+    # more than the budget (one replicate per block)
+    n=st.sampled_from([1, 7, simulation._BLOCK_RECORDS // 3,
+                       simulation._BLOCK_RECORDS + 5]),
+    replicates=st.integers(1, 8),
+)
+@settings(max_examples=25, deadline=None)
+def test_replicate_table_is_the_stack_of_the_datasets(seed, sparsify, n, replicates):
+    config = mixed_quality_config(seed, sparsify, n, replicates)
+    got = simulation._replicate_table(config)
+    expected = stack(
+        [simulation.sample_dataset(config, rep).groups for rep in range(replicates)]
+    )
+    for field in ("paths", "counts", "sums"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def test_unreachable_node_needs_no_quality_spec(demo_spec):
+    # node (2, 1) is never drawn, so it needs no quality spec
+    kernel = daglm.TransitionKernel(
+        initial=np.array([1.0, 0.0]), steps=(np.array([[0.5, 0.5], [0.5, 0.5]]),)
+    )
+    quality = daglm.QualityModel({
+        (1, 1): daglm.NodeQuality.gaussian(0.0, 1.0),
+        (1, 2): daglm.NodeQuality.bernoulli(0.4),
+        (2, 2): daglm.NodeQuality.point_mass(2.0),
+    })
+    config = daglm.ExperimentConfig(
+        spec=demo_spec, kernel=kernel, quality=quality, n=300, seed=5,
+        replicates=100, target=kernel,
+    )
+    data = simulation.sample_dataset(config, 3)
+    assert data.count(1, 2) == 0 and data.count(1, 1) == 300
+    result = simulation.coverage_study(config, "naive")
+    assert result.nodes == ((1, 1), (1, 2), (2, 2))
+    with pytest.raises(daglm.ModelError, match=r"no quality spec for node \(2, 1\)"):
+        quality.node(2, 1)
