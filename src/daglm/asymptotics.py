@@ -7,22 +7,27 @@ family (regime "knownQ" for exact-ratio weighting, "unknownQ" for empirical
 ratios) and on the statistic (cell mean or cell variance). Each limiting
 variance is a sum of per-path covariance blocks, each contracted with its
 path's weights: a 1x1 block of Var[b | path] for a mean, a 2x2 block of the
-covariance of (b, b^2) for a variance (the delta method). The known-source
-regime folds the paths into one block; the unknown-source regime keeps one
-block per distinct support path through the node. Positive
+covariance of (b, b^2) for a variance (the delta method). Positive
 semidefiniteness is checked block by block; no dense matrix is formed.
 
-There is one formula per regime, a reduction over a per-path table (path
-probability, ratio, target probability, raw response moments). The closed
-forms pass exact tables built by enumerating the support; the plug-in forms
-pass tables of the observed paths built from the dataset's grouped power
-sums; the naive estimators are the known-source regime with unit ratios.
-Each table has one row per replicate: a closed form and one dataset are a
-table of one row, a Monte-Carlo study has a row for each of its replicates,
-and every check and value is computed row by row.
+The plug-in forms reduce a per-path table of the observed paths through the
+cell (share of records, ratio, target probability, raw response moments),
+built from the dataset's grouped power sums; the naive estimators are the
+known-source regime with unit ratios. The known-source regime folds the
+paths into one block; the unknown-source regime keeps one block per distinct
+observed path. Each table has one row per replicate: one dataset is a table
+of one row, a Monte-Carlo study has a row for each of its replicates, and
+every check and value is computed row by row.
+
+The closed forms fold every regime into one block per node. Its entries are
+sums over the support paths, which the forward-backward recursion of
+:mod:`daglm.oracle` gives under the target kernel T and the tilted T^2/Q
+without listing the paths: a path's weight C^2 p is its T^2/Q product times
+p_Q / p_T^2, the node marginals.
 
 In the unknown-source variance formula the weight -2*mu*C(q) multiplies the
-b row of each path's block and C(q) its b^2 row. The pairing is pinned by the
+b row of each path's block and C(q) its b^2 row (in the folded closed form,
+-2*mu and 1 multiply the summed rows). The pairing is pinned by the
 single-path case, where the value must collapse to the centered fourth
 moment minus the squared variance (the classical asymptotic variance of a
 population-variance estimate), and is confirmed by Monte-Carlo variance
@@ -52,9 +57,8 @@ from .model import (
     PathDataset,
     QualityModel,
     TransitionKernel,
-    kernels_equivalent,
 )
-from .oracle import support_table
+from .oracle import _closed_form_sums
 
 #: tolerance, relative to the largest block entry (at least 1), below which
 #: a block eigenvalue or a contracted value counts as negative
@@ -68,11 +72,13 @@ REGIME_UNKNOWN = "unknownQ"
 class AsymptoticVariance:
     """Limiting variance of sqrt(count) * (estimator - target) for one cell.
 
-    ``blocks`` holds one row per path: the 1x1 block (d,) of a mean, or the
+    ``blocks`` holds one row per block: the 1x1 block (d,) of a mean, or the
     (d, o, d2) of the 2x2 covariance block [[d, o], [o, d2]] of a variance.
-    ``contraction`` holds one weight per path, or the weights of the d
-    entries followed by those of the d2 entries; ``value`` is the sum over
-    paths of each block contracted with its weights.
+    A closed form and a known-source plug-in form have one block, the paths
+    folded into it; an unknown-source plug-in form has one per observed
+    path. ``contraction`` holds one weight per block, or the weights of the
+    d entries followed by those of the d2 entries; ``value`` is the sum over
+    blocks of each block contracted with its weights.
     """
 
     node: tuple[int, int]
@@ -97,15 +103,11 @@ class AsymptoticVariance:
 
 @dataclass(frozen=True)
 class _PathTable:
-    """Per-path inputs of an asymptotic variance at one node, one row per
-    replicate (a single row for the closed forms and for one dataset).
-
-    For the closed forms, the support paths with their exact source and
-    target conditional probabilities and exact response moments. For the
-    plug-in forms, the distinct observed paths with their share of the
-    cell's records, their estimator weights and their empirical moments,
-    all 0 on a path that a replicate never saw. Only the unknown-source
-    formula reads ``target``.
+    """Per-path inputs of a plug-in asymptotic variance at one node, one row
+    per replicate (a single row for one dataset): the distinct observed
+    paths with their share of the cell's records, their estimator weights
+    and their empirical moments, all 0 on a path that a replicate never saw.
+    Only the unknown-source formula reads ``target``.
     """
 
     prob: np.ndarray  # (R, m) source conditional probability of each path
@@ -177,26 +179,33 @@ def _finalize(
                        np.where(clipped, 0.0, value), clipped)
 
 
-def _known_av(node: tuple[int, int], which: str, t: _PathTable) -> _Contracted:
+def _known_fold(
+    node: tuple[int, int], which: str, y: np.ndarray, w: np.ndarray
+) -> _Contracted:
     """Known-source regime: the estimator averages y = b*C (mean) or
     x - y^2 with x = b^2*C (variance) over records, so its limiting
     variance is Var[y], or by the delta method the quadratic form of the
     covariance of (x, y) with the mean weight folded in, contracted with
-    (1, -1). The paths fold into one block per row."""
-    pc = t.prob * t.ratio
-    pc2 = pc * t.ratio
-    m = t.moments
-    mu = _path_sum(pc * m[..., 1])  # E[y] = target mean
-    var_y = _path_sum(pc2 * m[..., 2]) - mu * mu
+    (1, -1). ``y[k]`` and ``w[k]`` are E[C b^k] and E[C^2 b^k] under the
+    source, one entry per row: the paths fold into one block per row."""
+    mu = y[1]  # E[y] = target mean
+    var_y = w[2] - mu * mu
     if which == "mean":
         return _finalize(node, "mean", REGIME_KNOWN, (np.ones(1),), (var_y[:, None],))
-    ex = _path_sum(pc * m[..., 2])
-    var_x = _path_sum(pc2 * m[..., 4]) - ex * ex
-    cov = _path_sum(pc2 * m[..., 3]) - ex * mu
+    ex = y[2]
+    var_x = w[4] - ex * ex
+    cov = w[3] - ex * mu
     return _finalize(
         node, "variance", REGIME_KNOWN, (np.ones(1), -np.ones(1)),
         (var_x[:, None], (2.0 * mu * cov)[:, None], (4.0 * mu * mu * var_y)[:, None]),
     )
+
+
+def _known_av(node: tuple[int, int], which: str, t: _PathTable) -> _Contracted:
+    """The known-source regime (:func:`_known_fold`) of a path table."""
+    pc = t.prob * t.ratio
+    m = np.moveaxis(t.moments, -1, 0)
+    return _known_fold(node, which, _path_sum(pc * m), _path_sum(pc * t.ratio * m))
 
 
 def _unknown_av(node: tuple[int, int], which: str, t: _PathTable) -> _Contracted:
@@ -217,24 +226,46 @@ def _unknown_av(node: tuple[int, int], which: str, t: _PathTable) -> _Contracted
     )
 
 
-def _cell_support(
+#: the entries of the Hankel matrix of raw moments m_0..m_4
+_HANKEL = np.add.outer(np.arange(3), np.arange(3))
+
+
+def _check_realizable(moments: np.ndarray, levels: tuple[int, ...]) -> None:
+    """Refuse a node, read at order 4, whose raw moments no distribution
+    has: its Hankel matrix [[1, m1, m2], [m1, m2, m3], [m2, m3, m4]] is not
+    positive semidefinite. ``moments`` has one row per node of ``levels``,
+    column by column. Folding the unknown-source paths into one block could
+    hide a path block that is not PSD; this check is at least as strict,
+    since a path's (b, b^2) covariance is PSD exactly when its Hankel matrix
+    is, and PSD Hankel sequences stay PSD under the convolution that adds a
+    node."""
+    hankel = moments[:, _HANKEL]
+    lowest = np.linalg.eigvalsh(hankel)[:, 0]
+    bad = lowest < -PSD_ATOL * np.abs(hankel).max(axis=(1, 2), initial=1.0)
+    if bad.any():
+        at = int(np.argmax(bad))
+        ends = np.cumsum(levels)
+        j = int(np.searchsorted(ends, at, side="right"))
+        i = at - int(ends[j - 1] if j else 0) + 1
+        raise StatisticalError(
+            f"moments of node ({i}, {j + 1}) not realizable: Hankel matrix not "
+            f"positive semidefinite (min eigenvalue {lowest[at]:.3g})"
+        )
+
+
+def _known_closed_form(
     kernel: TransitionKernel,
     target: TransitionKernel,
     quality: QualityModel,
-    j: int,
     i: int,
-    order: int,
-) -> _PathTable:
-    """Support paths through (i, j) with conditional probabilities under both
-    kernels, their ratio, and per-path response moments."""
-    if not kernels_equivalent(kernel, target):
-        raise ModelError("measures not equivalent")
-    paths, (p, pt), moments = support_table((kernel, target), quality, j, i, order)
-    if not len(paths):
-        raise StatisticalError(
-            f"conditioning on null event: node ({i}, {j}) is unreachable"
-        )
-    return _PathTable(prob=p[None], ratio=pt / p, moments=moments[None], target=pt[None])
+    j: int,
+    which: str,
+) -> AsymptoticVariance:
+    """The known-source regime folded from the path sums E[C b^k] (the
+    target's conditional moments) and E[C^2 b^k]."""
+    order = 2 if which == "mean" else 4
+    y, w, _ = _closed_form_sums(kernel, target, quality, j, i, order)
+    return _known_fold((i, j), which, y[:, None], w[:, None]).row()
 
 
 def asym_var_mean_known(
@@ -246,8 +277,7 @@ def asym_var_mean_known(
 ) -> AsymptoticVariance:
     """Limiting variance of the exact-ratio weighted cell mean: the source
     kernel's conditional variance of the weighted response b*C."""
-    table = _cell_support(kernel, target, quality, j, i, order=2)
-    return _known_av((i, j), "mean", table).row()
+    return _known_closed_form(kernel, target, quality, i, j, "mean")
 
 
 def asym_var_variance_known(
@@ -262,8 +292,7 @@ def asym_var_variance_known(
     Delta method on the pair (b^2*C, b*C): one 2x2 covariance block with
     the mean weight folded in, contracted with (1, -1).
     """
-    table = _cell_support(kernel, target, quality, j, i, order=4)
-    return _known_av((i, j), "variance", table).row()
+    return _known_closed_form(kernel, target, quality, i, j, "variance")
 
 
 def asym_var_mean_unknown(
@@ -273,11 +302,13 @@ def asym_var_mean_unknown(
     i: int,
     j: int,
 ) -> AsymptoticVariance:
-    """Limiting variance of the plugin cell mean: per-path response variances
-    scaled by conditional path probabilities (1x1 blocks), contracted with
-    the ratio vector."""
-    table = _cell_support(kernel, target, quality, j, i, order=2)
-    return _unknown_av((i, j), "mean", table).row()
+    """Limiting variance of the plugin cell mean: the sum over the support
+    paths of C^2 p Var[b | path], folded into one 1x1 block with weight 1:
+    the sum of C^2 p (E[Y^2 | path] - E[Y | path]^2) for Y = b - mu, from
+    the same pass over the pair (Y, Y') as the plugin cell variance."""
+    _, x, _ = _closed_form_sums(kernel, target, quality, j, i, 2, pairs=True)
+    return _finalize((i, j), "mean", REGIME_UNKNOWN, (np.ones(1),),
+                     (np.array([[x[2, 0] - x[1, 1]]]),)).row()
 
 
 def asym_var_variance_unknown(
@@ -287,14 +318,27 @@ def asym_var_variance_unknown(
     i: int,
     j: int,
 ) -> AsymptoticVariance:
-    """Limiting variance of the plugin cell variance.
+    """Limiting variance of the plugin cell variance: the sum over the
+    support paths of C^2 p times the 2x2 covariance of (b, b^2) given the
+    path, folded into one block and contracted with (-2*mu, 1).
 
-    One 2x2 block per support path: the variances of b and b^2 and their
-    covariance, scaled by the path's conditional probability; contracted
-    with (-2*mu*C, C).
+    With Y = b - mu, Var[Y^2 | path] = E[Y^4 | path] - E[Y^2 Y'^2 | path]
+    for a copy Y' of Y independent given the path. So one pass under T^2/Q
+    over the pair (Y, Y'), started at -mu and carried to degree 4 in Y and 2
+    in Y', gives the sums of the covariance of (Y, Y^2); the block of
+    (b, b^2) is their image under b = Y + mu. Nodes whose moments no
+    distribution has are refused first (:func:`_check_realizable`).
     """
-    table = _cell_support(kernel, target, quality, j, i, order=4)
-    return _unknown_av((i, j), "variance", table).row()
+    y, x, moments = _closed_form_sums(kernel, target, quality, j, i, 4, pairs=True)
+    _check_realizable(moments, kernel.levels)
+    mu = y[1]
+    # covariance sums of Y and Y^2, then of b = Y + mu and b^2 = Y^2 + 2 mu Y + mu^2
+    var, cov, var2 = x[2, 0] - x[1, 1], x[3, 0] - x[2, 1], x[4, 0] - x[2, 2]
+    blocks = (var, cov + 2.0 * mu * var, var2 + 4.0 * mu * cov + 4.0 * mu * mu * var)
+    return _finalize(
+        (i, j), "variance", REGIME_UNKNOWN, (np.array([-2.0 * mu]), np.ones(1)),
+        tuple(np.array([[b]]) for b in blocks),
+    ).row()
 
 
 def _kind_regime(kind: str) -> str:

@@ -22,11 +22,10 @@ from .asymptotics import _weights_av, confidence_interval, normal_quantile
 from .errors import DataError, ModelError, StatisticalError
 from .estimators import _cell_weights, _estimate
 from .model import (
-    SUPPORT_ZERO,
     TransitionKernel,
+    _reachable_nodes,
     estimate_kernel,
     kernels_equivalent,
-    node_marginal,
     validate_dag,
 )
 from .modelfile import load_model, model_to_dict
@@ -474,12 +473,7 @@ def _cmd_validate(args) -> int:
         raise ModelError(f"{args.model}: validation needs a quality section")
     spec, kernel, quality = model.spec, model.kernel, model.quality
     target, target_id = _resolve_target(args.target_kernel, spec)
-    reachable = [
-        (i, j)
-        for j, r in enumerate(spec.levels, start=1)
-        for i in range(1, r + 1)
-        if node_marginal(kernel, j, i) > SUPPORT_ZERO
-    ]
+    reachable = _reachable_nodes(kernel)
     rows = []
 
     problems = validate_dag(spec)

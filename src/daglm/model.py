@@ -242,24 +242,73 @@ def path_probability(kernel: TransitionKernel, path: PathLike) -> float:
     return float(arr.prod())
 
 
-def _forward(kernel: TransitionKernel, j: int) -> np.ndarray:
-    """Marginal distribution over the levels of column ``j`` by forward
-    propagation (no enumeration)."""
-    v = kernel.initial.copy()
-    for k in range(j - 1):
-        step = kernel.steps[k]
-        clean = step
-        if np.isnan(step).any():
-            bad = np.isnan(step).all(axis=1)
-            carrying = bad & (v > SUPPORT_ZERO)
+def _multiply(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Multiply the coefficient vector of every level, column l of ``v``
+    (..., D, r), by its node's matrix ``nodes[..., l]`` (..., r, D, D)."""
+    return np.einsum("...lnt,...tl->...nl", nodes, v)
+
+
+def _forward(
+    initial: np.ndarray,
+    steps: Sequence[np.ndarray],
+    nodes: Sequence[np.ndarray] | None = None,
+    start: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Forward vectors of columns 1..len(steps) + 1 under the weights
+    ``initial`` and ``steps`` (a kernel's, or any others of its shape,
+    optionally stacked along leading axes).
+
+    Order 0 (``nodes`` None): entry l of column k is the total weight of the
+    prefixes ending at level l, so under a kernel the marginal distribution
+    of column k. A kernel step whose unobserved (all-NaN) row carries weight
+    refuses; otherwise its NaNs count as 0.
+
+    With ``nodes``, each level carries instead a (D,) vector of
+    coefficients: column k is (..., D, r_k), the weighted sum over those
+    prefixes of the coefficients of the prefix's response, which starts from
+    ``start`` (D,) and is multiplied at every node by ``nodes[k]``
+    (r_k, D, D). The weights then hold no NaN.
+    """
+    if nodes is None:
+        v = initial
+    else:
+        v = _multiply(nodes[0], start[:, None] * initial[..., None, :])
+    out = [v]
+    for k, step in enumerate(steps):
+        if nodes is None and step.dtype.kind == "f" and np.isnan(step).any():
+            carrying = np.isnan(step).all(axis=1) & (v > SUPPORT_ZERO)
             if carrying.any():
                 i = int(np.flatnonzero(carrying)[0]) + 1
                 raise StatisticalError(
                     f"cannot propagate through unobserved row at node ({i}, {k + 1})"
                 )
-            clean = np.where(np.isnan(step), 0.0, step)
-        v = v @ clean
-    return v
+            step = np.where(np.isnan(step), 0.0, step)
+        v = v @ step
+        if nodes is not None:
+            v = _multiply(nodes[k + 1], v)
+        out.append(v)
+    return out
+
+
+def _backward(
+    steps: Sequence[np.ndarray],
+    end: np.ndarray,
+    nodes: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Backward vectors of the columns that ``steps`` join, the counterpart
+    of :func:`_forward`: entry l of a column is the total weight of the
+    suffixes after level l, the last column's being ``end``. With ``nodes``,
+    each level carries the weighted sum of the coefficients of the suffix's
+    response, ``nodes[k]`` being the matrices of the column that
+    ``steps[k]`` leads to, and ``end`` is (..., D, r)."""
+    v = end
+    out = [v]
+    for k in reversed(range(len(steps))):
+        if nodes is not None:
+            v = _multiply(nodes[k], v)
+        v = v @ steps[k].swapaxes(-1, -2)
+        out.append(v)
+    return out[::-1]
 
 
 def node_marginal(kernel: TransitionKernel, j: int, i: int) -> float:
@@ -267,7 +316,15 @@ def node_marginal(kernel: TransitionKernel, j: int, i: int) -> float:
     levels = kernel.levels
     if not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]:
         raise ModelError(f"node ({i}, {j}) outside kernel shape")
-    return float(_forward(kernel, j)[i - 1])
+    return float(_forward(kernel.initial, kernel.steps[: j - 1])[-1][i - 1])
+
+
+def _reachable_nodes(kernel: TransitionKernel) -> list[tuple[int, int]]:
+    """The nodes (i, j) whose marginal exceeds ``SUPPORT_ZERO``, column by
+    column, from one forward pass of the kernel."""
+    marginals = _forward(kernel.initial, kernel.steps)
+    return [(int(i) + 1, j) for j, v in enumerate(marginals, start=1)
+            for i in np.flatnonzero(v > SUPPORT_ZERO)]
 
 
 def conditional_path_probability(
@@ -462,8 +519,27 @@ class NodeQuality:
         return self.moments[k - 1]
 
     def raw_moments(self, order: int) -> np.ndarray:
-        """Vector (m_0, m_1, ..., m_order)."""
-        return np.array([self.raw_moment(k) for k in range(order + 1)])
+        """Vector (m_0, m_1, ..., m_order), each entry the value of
+        :meth:`raw_moment`, with the gaussian recursion run once."""
+        if order < 1:
+            return np.ones(order + 1) if order == 0 else np.zeros(0)
+        if self.kind == "gaussian":
+            mu, var = float(self.mean), float(self.variance)
+            m = [1.0, mu]
+            for k in range(2, order + 1):
+                m.append(mu * m[k - 1] + (k - 1) * var * m[k - 2])
+            return np.array(m)
+        if self.kind == "bernoulli":
+            return np.array([1.0] + [float(self.prob)] * order)
+        if self.kind == "point-mass":
+            value = float(self.value)
+            return np.array([1.0] + [value**k for k in range(1, order + 1)])
+        if order > len(self.moments):
+            raise ModelError(
+                f"moment order {len(self.moments) + 1} not available "
+                f"(have m1..m{len(self.moments)})"
+            )
+        return np.array((1.0,) + self.moments[:order])
 
     @property
     def mean_value(self) -> float:

@@ -1,16 +1,40 @@
-"""Exact reference computations on small DAGs by full path enumeration.
+"""Exact quantities of a model: the estimator targets, the path sums behind
+the closed-form asymptotic variances, and the measure-change check, by a
+forward-backward moment recursion; and the brute-force path enumeration that
+the recursion is tested against.
 
-Everything here is brute force on purpose: these functions are the ground
-truth that the estimator and asymptotics modules are tested against. Each
-sums over every support path through a node, vectorized with numpy over the
-node's support table (paths, conditional probabilities, raw response
-moments), and refuses models beyond the enumeration cap.
+Given its node in column j, a path's prefix and its suffix are independent,
+so a sum over the support paths through node (i, j) of a path weight times a
+moment of the path's response factors into a forward vector (over the
+prefixes ending at the node) and a backward vector (over the suffixes after
+it), each propagated one column at a time (Rabiner 1989; the expectation
+semiring of Eisner 2002). Every level carries the exponential generating
+coefficients E[b^n]/n! of the response up to the order needed, so adding a
+node's independent contribution is a Cauchy product, one lower-triangular
+Toeplitz matrix per node, and so is joining a forward vector to a backward
+one. A pass costs O(c r^2) per coefficient under any weight matrix: a
+kernel, the tilted T^2/Q, or Q (T/Q).
+
+Support is decided entrywise as by the enumeration (entries at or below
+``SUPPORT_ZERO`` count as 0), and the refusals are the enumeration's: a node
+on no support path is a null event, and a node's quality spec is read only
+when the node lies on a support path through the node asked about, which a
+0/1 reachability pass decides.
+
+The closed forms of :mod:`daglm.asymptotics` read their sums, already
+weighted and rescaled, from :func:`_closed_form_sums`.
+
+``path_raw_moments``, ``support_table`` and ``exact_conditional_moments`` sum
+over every support path explicitly and refuse models beyond the enumeration
+cap; they are the reference the recursion is tested against.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -22,6 +46,10 @@ from .model import (
     PathLike,
     QualityModel,
     TransitionKernel,
+    _backward,
+    _check_same_shape,
+    _forward,
+    _multiply,
     conditional_path_probabilities,
     kernels_equivalent,
     node_marginal,
@@ -114,6 +142,267 @@ def exact_conditional_moments(
     return (cond @ moments)[1:].tolist()
 
 
+# ---------------------------------------------------------------------------
+# the forward-backward recursion
+
+#: n! for the orders up to MAX_MOMENT_ORDER
+_FACTORIALS = np.array([math.factorial(n) for n in range(MAX_MOMENT_ORDER + 1)], dtype=float)
+
+#: an initial vector and step matrices of a kernel's shape
+_Weights = tuple[np.ndarray, list[np.ndarray]]
+
+
+def _null_event(i: int, j: int) -> StatisticalError:
+    return StatisticalError(f"conditioning on null event: node ({i}, {j}) is unreachable")
+
+
+def _flat(kernel: TransitionKernel) -> np.ndarray:
+    """The initial vector and the step matrices of a kernel, end to end."""
+    return np.concatenate([kernel.initial, *(s.ravel() for s in kernel.steps)])
+
+
+def _weights(
+    kernel: TransitionKernel,
+    target: TransitionKernel | None = None,
+    *entries: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> _Weights:
+    """Weights on the support of ``kernel`` and 0 off it: the kernel's own
+    entries; or ``entry(q, t)`` of its entries q and the entries t of
+    ``target``, for each of ``entries``, stacked along a leading axis when
+    there are several (one pass then runs under all of them)."""
+    q = _flat(kernel)
+    on = q > SUPPORT_ZERO
+    if entries:
+        q, t = np.where(on, q, 1.0), _flat(target)
+        flat = np.where(on, np.stack([entry(q, t) for entry in entries]), 0.0)
+        if len(entries) == 1:
+            flat = flat[0]
+    else:
+        flat = np.where(on, q, 0.0)
+    initial = flat[..., : len(kernel.initial)]
+    steps, start = [], len(kernel.initial)
+    for s in kernel.steps:
+        steps.append(flat[..., start: start + s.size].reshape(flat.shape[:-1] + s.shape))
+        start += s.size
+    return initial, steps
+
+
+def _target(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """T: a path's target probability."""
+    return t
+
+
+def _tilted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """T^2/Q: a path's target probability times its ratio."""
+    return t * t / q
+
+
+def _reweighted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Q (T/Q): a path's source probability times its ratio."""
+    return q * (t / q)
+
+
+def _on_paths(kernel: TransitionKernel, j: int, i: int) -> list[np.ndarray]:
+    """For every column, the levels on a support path of ``kernel`` through
+    node (i, j). Refuses where the enumeration of those paths meets an
+    unobserved row (it extends every supported prefix before column j, and
+    after it only those through the node)."""
+    initial, steps = kernel.initial > SUPPORT_ZERO, [s > SUPPORT_ZERO for s in kernel.steps]
+    ahead = _forward(initial, steps[: j - 1])  # columns 1..j
+    start = (np.arange(1, len(ahead[-1]) + 1) == i) & ahead[-1]
+    after = _forward(start, steps[j - 1:])  # columns j..c
+    reached = ahead[:-1] + after
+    for col, lvl in sorted(kernel.unobserved):
+        if reached[col - 1][lvl - 1]:
+            raise StatisticalError(
+                f"cannot enumerate through unobserved row at node ({lvl}, {col})"
+            )
+    behind = _backward(steps[j - 1:], np.ones(len(after[-1]), dtype=bool))  # j..c
+    before = _backward(steps[: j - 1], start & behind[0])  # columns 1..j
+    return [a & b for a, b in zip(reached, before[:-1] + behind)]
+
+
+def _node_moments(
+    quality: QualityModel, on_path: Sequence[np.ndarray], order: int
+) -> np.ndarray:
+    """Raw moments to ``order`` of the nodes that ``on_path`` flags, one
+    row per node column by column (sum r_k rows), read in that order as the
+    enumeration reads them; 0 at every other node."""
+    table = np.zeros((sum(len(flags) for flags in on_path), order + 1))
+    row = 0
+    for j, flags in enumerate(on_path, start=1):
+        for i in np.flatnonzero(flags).tolist():
+            table[row + i] = quality.node(i + 1, j).raw_moments(order)
+        row += len(flags)
+    return table
+
+
+def _reach(
+    kernels: Sequence[TransitionKernel], j: int, i: int
+) -> tuple[list[np.ndarray], list[float]] | None:
+    """The levels on the support paths of ``kernels[0]`` through node
+    (i, j) (:func:`_on_paths`) and the node's marginal under each of
+    ``kernels``; None when no support path passes through the node. Refuses
+    in the enumeration's order: a node outside the shape, an unobserved row
+    on the way, then a marginal at or below ``SUPPORT_ZERO``."""
+    levels = kernels[0].levels
+    if not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]:
+        raise ModelError(f"node ({i}, {j}) outside kernel shape")
+    on_path = _on_paths(kernels[0], j, i)
+    if not on_path[j - 1].any():
+        return None
+    marginals = []
+    for kernel in kernels:
+        marginals.append(node_marginal(kernel, j, i))
+        if marginals[-1] <= SUPPORT_ZERO:
+            raise _null_event(i, j)
+    return on_path, marginals
+
+
+def _through(
+    kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
+) -> tuple[list[float], np.ndarray] | None:
+    """The marginal of node (i, j) under each of ``kernels`` and the raw
+    moments to ``order`` of the nodes on its support paths
+    (:func:`_reach`, :func:`_node_moments`); None when no support path
+    passes through the node. After the refusals of :func:`_reach`, refuses
+    the first node spec that cannot be read."""
+    found = _reach(kernels, j, i)
+    if found is None:
+        return None
+    on_path, marginals = found
+    return marginals, _node_moments(quality, on_path, order)
+
+
+@functools.cache
+def _cauchy_index(shape: tuple[int, ...]) -> np.ndarray:
+    """Gather index of the Cauchy-product matrix of coefficient arrays of
+    ``shape``, flattened: entry (n, t) points at coefficient n - t, or past
+    the end (at a 0) where an axis of n - t is negative."""
+    grid = np.indices(shape).reshape(len(shape), -1)
+    diff = grid[:, :, None] - grid[:, None, :]
+    inside = (diff >= 0).all(axis=0)
+    flat = np.ravel_multi_index(tuple(np.where(inside, diff, 0)), shape)
+    index = np.where(inside, flat, grid.shape[1])
+    index.setflags(write=False)
+    return index
+
+
+def _cauchy(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The matrices (..., D, D) that multiply a coefficient array by each of
+    the arrays ``x`` (..., D), D = prod(shape), in the Cauchy product."""
+    padded = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+    return padded[..., _cauchy_index(shape)]
+
+
+def _path_sums(
+    weights: _Weights,
+    table: np.ndarray,
+    shape: tuple[int, ...],
+    start: np.ndarray,
+    j: int | None = None,
+) -> list[np.ndarray]:
+    """For every level of column j (of every column when j is None), the
+    weighted sum over the support paths through it of the coefficients of
+    the path's response: one (..., D, r) array per column, the leading axes
+    those of stacked ``weights``. ``table`` holds the coefficients (D,) of
+    every node, one row per node column by column, and ``start`` those of
+    the response before column 1."""
+    initial, steps = weights
+    bounds = list(itertools.accumulate([initial.shape[-1]] + [s.shape[-1] for s in steps]))
+    matrices = _cauchy(table, shape)
+    nodes = [matrices[a:b] for a, b in zip([0] + bounds, bounds)]
+    first, last = (1, len(nodes)) if j is None else (j, j)
+    ahead = _forward(initial, steps[: last - 1], nodes[:last], start)[first - 1:]
+    end = np.zeros(initial.shape[:-1] + (len(start), len(nodes[-1])))
+    end[..., 0, :] = 1.0
+    behind = _backward(steps[first - 1:], end, nodes[first:])
+    return [_multiply(_cauchy(b.swapaxes(-1, -2), shape), a) for a, b in zip(ahead, behind)]
+
+
+def _moment_sums(
+    weights: _Weights, moments: np.ndarray, j: int, i: int, shift: float = 0.0
+) -> np.ndarray:
+    """Sum over the support paths through (i, j) of the path weight times
+    E[(b - shift)^n | path], for n = 0 up to the order of the node
+    ``moments``: (..., n) for stacked ``weights``."""
+    fact = _FACTORIALS[: moments.shape[1]]
+    start = (-shift) ** np.arange(len(fact)) / fact
+    sums = _path_sums(weights, moments / fact, (len(fact),), start, j)[0]
+    return sums[..., i - 1] * fact
+
+
+def _pair_sums(
+    weights: _Weights, moments: np.ndarray, j: int, i: int, shift: float
+) -> np.ndarray:
+    """Sum over the support paths through (i, j) of the path weight times
+    E[Y^a | path] E[Y^b | path], Y = b - shift, for a up to the order of
+    the node ``moments`` and b = 0..2, as (a, b): the sum of
+    E[Y^a Y'^b | path] for a copy Y' of Y independent given the path, in
+    one pass over the pair."""
+    fact = _FACTORIALS[: moments.shape[1]]
+    shape = (len(fact), 3)
+    e = moments / fact
+    table = np.einsum("la,lb->lab", e, e[:, :3]).reshape(len(e), -1)
+    start = (-shift) ** np.arange(len(fact)) / fact
+    sums = _path_sums(weights, table, shape, np.outer(start, start[:3]).ravel(), j)[0]
+    return sums[:, i - 1].reshape(shape) * np.outer(fact, fact[:3])
+
+
+def _conditional_moments(
+    target: TransitionKernel, quality: QualityModel, j: int, i: int, order: int
+) -> np.ndarray:
+    """E[b^k | node (i, j)] under ``target`` for k = 0..order: what
+    :func:`exact_conditional_moments` enumerates, by the recursion."""
+    found = _through((target,), quality, j, i, order)
+    if found is None:
+        raise _null_event(i, j)
+    (marginal,), moments = found
+    return _moment_sums(_weights(target), moments, j, i) / marginal
+
+
+def _closed_form_sums(
+    kernel: TransitionKernel,
+    target: TransitionKernel,
+    quality: QualityModel,
+    j: int,
+    i: int,
+    order: int,
+    pairs: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The path sums behind the closed-form asymptotic variances at node
+    (i, j), each an expectation under ``kernel`` given the node, with C the
+    path's ratio of target to source conditional probability:
+
+    - ``y``, E[C b^k] = E_T[b^k | node] for k = 0..order, from a pass
+      under T;
+    - without ``pairs``, ``w``, E[C^2 b^k] for k = 0..order; with them,
+      ``w`` (order + 1, 3), E[C^2 E[Y^a | path] E[Y^b | path]] for
+      Y = b - y[1], a = 0..order and b = 0..2, from one pass over the pair
+      (Y, Y') (:func:`_pair_sums`). Either comes from a pass under the
+      tilted T^2/Q, since a path's C^2 times its source probability is its
+      T^2/Q product times p_Q / p_T^2, the node marginals;
+    - and the raw moments of the nodes on the support paths through the
+      node (:func:`_node_moments`).
+
+    Refuses non-equivalent measures, then as :func:`_through`, and a node on
+    no support path as a null event.
+    """
+    if not kernels_equivalent(kernel, target):
+        raise ModelError("measures not equivalent")
+    found = _through((kernel, target), quality, j, i, order)
+    if found is None:
+        raise _null_event(i, j)
+    (p_q, p_t), moments = found
+    scale = p_q / p_t**2
+    if not pairs:
+        y, w = _moment_sums(_weights(kernel, target, _target, _tilted), moments, j, i)
+        return y / p_t, w * scale, moments
+    y = _moment_sums(_weights(target), moments, j, i) / p_t
+    w = _pair_sums(_weights(kernel, target, _tilted), moments, j, i, shift=y[1])
+    return y, w * scale, moments
+
+
 def verify_measure_change(
     kernel: TransitionKernel,
     target: TransitionKernel,
@@ -126,24 +415,27 @@ def verify_measure_change(
 
     Compares E[f(b)·C | node] under ``kernel`` against E[f(b) | node] under
     ``target``, where C is the ratio of conditional path probabilities. The
-    two sides are computed through different code paths (ratio-weighted mix
-    over the source support vs direct mix over the target support), so a
-    small residual genuinely certifies the identity.
+    two sides are separate recursions: the left runs under the entrywise
+    product Q (T/Q) over the support paths of the source, its ratios formed
+    on the source support, and mixes by the source marginal; the right
+    (:func:`_conditional_moments`) runs under T over the support paths of
+    the target and mixes by the target marginal. So a small residual
+    certifies the identity. A node on no support path has residual 0.
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
     if not kernels_equivalent(kernel, target):
         raise ModelError("measures not equivalent")
     order = 1 if f == "b" else 2
-
-    _, (cond_q, cond_t), moments = support_table((kernel, target), quality, j, i, order)
-    ratio = cond_t / cond_q
-    lhs = float(np.sum(moments[:, order] * ratio * cond_q))
-
-    _, (cond_t,), moments = support_table((target,), quality, j, i, order)
-    rhs = float(np.sum(moments[:, order] * cond_t))
-
-    return abs(lhs - rhs)
+    found = _through((kernel, target), quality, j, i, order)
+    if found is None:
+        return 0.0
+    (p_q, p_t), moments = found
+    ratio_sum = _moment_sums(_weights(kernel, target, _reweighted), moments, j, i)[order]
+    # a path's ratio C is its product of entrywise ratios times p_q / p_t
+    lhs = ratio_sum * (p_q / p_t) / p_q
+    rhs = _conditional_moments(target, quality, j, i, order)[order]
+    return abs(float(lhs - rhs))
 
 
 def exact_estimator_targets(
@@ -153,19 +445,36 @@ def exact_estimator_targets(
     cap: int = ENUMERATION_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limits of the reweighted estimators: conditional means and variances
-    of b under ``target`` for every node, as (r_max, c) matrices.
+    of b under ``target`` for every node, as (r_max, c) matrices, from one
+    forward-backward pass under ``target``.
 
     Nodes unreachable under ``kernel`` (no data would ever arrive there) and
-    level slots beyond a column's range hold NaN.
+    level slots beyond a column's range hold NaN. The nodes are first
+    checked one at a time in column order, so the refusal raised is that of
+    the first node whose :func:`exact_conditional_moments` under ``target``
+    refuses; each quality spec is read once. ``cap`` is kept for
+    compatibility and unused: nothing is enumerated.
     """
+    _check_same_shape(kernel, target)
     spec: DagSpec = kernel.spec()
+    on_path = [np.zeros(r, dtype=bool) for r in spec.levels]
+    marginals = [np.full(r, np.nan) for r in spec.levels]
+    table = np.zeros((sum(spec.levels), 3))
+    for j in range(1, spec.c + 1):
+        reached = _forward(kernel.initial, kernel.steps[: j - 1])[-1] > SUPPORT_ZERO
+        for i in (np.flatnonzero(reached) + 1).tolist():
+            found = _reach((target,), j, i)
+            if found is None:
+                raise _null_event(i, j)
+            paths, (marginals[j - 1][i - 1],) = found
+            table += _node_moments(quality, [p & ~o for p, o in zip(paths, on_path)], 2)
+            on_path = [p | o for p, o in zip(paths, on_path)]
+    fact = _FACTORIALS[:3]
+    sums = _path_sums(_weights(target), table / fact, (3,), np.array([1.0, 0.0, 0.0]))
     means = np.full((spec.r_max, spec.c), np.nan)
     variances = np.full((spec.r_max, spec.c), np.nan)
-    for j, r in enumerate(spec.levels, start=1):
-        for i in range(1, r + 1):
-            if node_marginal(kernel, j, i) <= SUPPORT_ZERO:
-                continue
-            m1, m2 = exact_conditional_moments(target, quality, j, i, order=2, cap=cap)
-            means[i - 1, j - 1] = m1
-            variances[i - 1, j - 1] = m2 - m1 * m1
+    for j, (s, marginal) in enumerate(zip(sums, marginals)):
+        m = s * fact[:, None] / marginal
+        means[: len(marginal), j] = m[1]
+        variances[: len(marginal), j] = m[2] - m[1] * m[1]
     return means, variances

@@ -41,7 +41,6 @@ from .asymptotics import (
     asym_var_variance_unknown,
 )
 from .model import (
-    SUPPORT_ZERO,
     DagSpec,
     PathDataset,
     PathGroups,
@@ -49,8 +48,8 @@ from .model import (
     TransitionKernel,
     _group_records,
     _path_cells,
+    _reachable_nodes,
     _refuse_unobserved,
-    node_marginal,
     uniform_kernel,
 )
 from .modelfile import load_model
@@ -255,12 +254,7 @@ def sample_dataset(config: ExperimentConfig, replicate: int = 0) -> PathDataset:
 def _study_nodes(config: ExperimentConfig) -> tuple[tuple[int, int], ...]:
     if config.nodes is not None:
         return config.nodes
-    nodes = []
-    for j, r in enumerate(config.spec.levels, start=1):
-        for i in range(1, r + 1):
-            if node_marginal(config.kernel, j, i) > SUPPORT_ZERO:
-                nodes.append((i, j))
-    return tuple(nodes)
+    return tuple(_reachable_nodes(config.kernel))
 
 
 def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:

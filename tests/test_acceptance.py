@@ -26,7 +26,11 @@ from daglm.asymptotics import (
 )
 from daglm.estimators import cell_estimate
 from daglm.model import SUPPORT_ZERO, estimate_kernel, node_marginal, uniform_kernel
-from daglm.oracle import exact_estimator_targets, verify_measure_change
+from daglm.oracle import (
+    exact_conditional_moments,
+    exact_estimator_targets,
+    verify_measure_change,
+)
 from daglm.simulation import ExperimentConfig, sample_dataset
 from daglm.tabular import apply_rules, load_table, quantile_discretize
 
@@ -129,22 +133,32 @@ def test_01_measure_change_identity(capsys, demo_kernel, demo_uniform,
                 verify_measure_change(demo_kernel, demo_uniform, demo_quality,
                                       j, i, f),
             )
+    # the recursion's E_T[f(b) | node] against the brute-force enumeration
+    gap = 0.0
     rng = np.random.default_rng(20260823)
     for _ in range(20):
         spec, kernel, target, quality = random_model(
             rng, max_c=4, max_r=4, sparsify=0.3
         )
+        means, variances = exact_estimator_targets(kernel, target, quality)
         for i, j in reachable_nodes(kernel):
             for f in ("b", "b2"):
                 worst = max(
                     worst,
                     verify_measure_change(kernel, target, quality, j, i, f),
                 )
+            mean = means[i - 1, j - 1]
+            for got, want in zip(
+                (mean, variances[i - 1, j - 1] + mean * mean),
+                exact_conditional_moments(target, quality, j, i),
+            ):
+                gap = max(gap, abs(got - want) / max(1.0, abs(want)))
     elapsed = time.perf_counter() - start
     announce(
-        capsys, 1, worst <= 1e-10 and elapsed < 5.0,
+        capsys, 1, worst <= 1e-10 and gap <= 1e-10 and elapsed < 5.0,
         f"reweighting identity residual {worst:.2e} <= 1e-10 over the demo "
-        f"model and 20 random equivalent pairs ({elapsed:.1f}s)",
+        f"model and 20 random equivalent pairs, and E_T[f(b) | node] within "
+        f"{gap:.1e} of the enumeration oracle ({elapsed:.1f}s)",
     )
 
 

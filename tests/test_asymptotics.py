@@ -156,12 +156,14 @@ def test_unrealizable_moments_fail_the_psd_check():
     nodes = {(i, j): daglm.NodeQuality.point_mass(0.0) for i in (1, 2) for j in (1, 2)}
     nodes[(1, 1)] = daglm.NodeQuality.from_raw_moments((0.0, 1.0, 0.0, 0.2))
     quality = daglm.QualityModel(nodes=nodes)
-    for fn, lowest in ((asym_var_variance_unknown, "-0.4"),
-                       (asym_var_variance_known, "-0.8")):
-        with pytest.raises(
-            StatisticalError,
-            match=rf"not positive semidefinite \(min eigenvalue {lowest}\)",
-        ):
+    # the unknown-source form refuses the node itself: the Hankel matrix
+    # [[1, 0, 1], [0, 1, 0], [1, 0, 0.2]] has eigenvalue 0.6 - sqrt(1.16)
+    for fn, refusal in (
+        (asym_var_variance_unknown, r"moments of node \(1, 1\) not realizable: Hankel "
+                                    r"matrix not positive semidefinite \(min eigenvalue -0.477\)"),
+        (asym_var_variance_known, r"not positive semidefinite \(min eigenvalue -0.8\)"),
+    ):
+        with pytest.raises(StatisticalError, match=refusal):
             fn(uniform, uniform, quality, 1, 1)
 
 

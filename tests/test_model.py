@@ -183,6 +183,25 @@ def test_node_quality_bernoulli_and_point_mass():
     assert p.variance_value == 0.0
 
 
+@pytest.mark.parametrize("quality", [
+    daglm.NodeQuality.gaussian(1.5, 0.7),
+    daglm.NodeQuality.gaussian(-2.25, 0.0),
+    daglm.NodeQuality.bernoulli(0.3),
+    daglm.NodeQuality.point_mass(-1.7),
+    daglm.NodeQuality.from_raw_moments((0.5, 1.1, 0.9, 2.3)),
+    daglm.NodeQuality.from_raw_moments((0.5, 1.1)),
+])
+def test_raw_moments_equal_raw_moment_bitwise(quality):
+    top = 4 if quality.moments is None else len(quality.moments)
+    for order in range(top + 1):
+        assert quality.raw_moments(order).tolist() == [
+            quality.raw_moment(k) for k in range(order + 1)
+        ]
+    if quality.moments is not None:
+        with pytest.raises(ModelError, match=rf"moment order {top + 1} not available"):
+            quality.raw_moments(top + 2)
+
+
 def test_node_quality_empirical_moments():
     q = daglm.NodeQuality.from_raw_moments([1.0, 2.0])
     assert q.mean_value == 1.0

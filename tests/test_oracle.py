@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import daglm
 from daglm import ModelError, StatisticalError
 from daglm.asymptotics import (
-    _cell_support,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
@@ -16,6 +15,7 @@ from daglm.asymptotics import (
 )
 from daglm.model import SUPPORT_ZERO
 from daglm.oracle import (
+    _conditional_moments,
     exact_conditional_moments,
     exact_estimator_targets,
     path_raw_moments,
@@ -24,6 +24,13 @@ from daglm.oracle import (
 )
 
 from conftest import random_model
+
+CLOSED_FORMS = {
+    "mean_known": asym_var_mean_known,
+    "variance_known": asym_var_variance_known,
+    "mean_unknown": asym_var_mean_unknown,
+    "variance_unknown": asym_var_variance_unknown,
+}
 
 
 def test_path_raw_moments_two_gaussians(demo_quality):
@@ -218,28 +225,23 @@ def test_support_table_matches_per_path_loops(seed, sparsify):
     spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
     support = product_support(kernel, spec)
     assert daglm.enumerate_support_paths(kernel) == support
-    avs = {
-        "mean_known": asym_var_mean_known,
-        "variance_known": asym_var_variance_known,
-        "mean_unknown": asym_var_mean_unknown,
-        "variance_unknown": asym_var_variance_unknown,
-    }
     for j in range(1, spec.c + 1):
         for i in range(1, spec.levels[j - 1] + 1):
             through = [p for p in support if p[j - 1] == i]
             assert daglm.enumerate_support_paths(kernel, j, i) == through
             if not through:
                 continue
-            paths, _, _ = support_table((kernel, target), quality, j, i, order=4)
+            paths, (prob, target_prob), table_moments = support_table(
+                (kernel, target), quality, j, i, order=4
+            )
             assert list(map(tuple, paths.tolist())) == through
-            table = _cell_support(kernel, target, quality, j, i, order=4)
             cond = daglm.conditional_path_probability
             probs = [cond(kernel, p, j, i) for p in through]
             targets = [cond(target, p, j, i) for p in through]
             moments = [scalar_path_moments(quality, p, 4) for p in through]
-            np.testing.assert_allclose(table.prob[0], probs, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(table.target[0], targets, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(table.moments[0], moments, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(prob, probs, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(target_prob, targets, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table_moments, moments, rtol=1e-12, atol=0)
             for p, m in zip(through, moments):
                 np.testing.assert_allclose(
                     path_raw_moments(quality, p, 4), m, rtol=1e-12, atol=0
@@ -250,7 +252,7 @@ def test_support_table_matches_per_path_loops(seed, sparsify):
                 pytest.approx(mixed, rel=1e-9, abs=1e-12)
             )
             expected = loop_asym_vars(probs, targets, moments)
-            for name, fn in avs.items():
+            for name, fn in CLOSED_FORMS.items():
                 got = fn(kernel, target, quality, i, j).value
                 assert got == pytest.approx(expected[name], rel=1e-9, abs=1e-12), name
 
@@ -289,3 +291,256 @@ def test_unreachable_node_needs_no_quality_spec():
         asym_var_variance_unknown(kernel, target, missing, 2, 2)
     with pytest.raises(ModelError, match=r"no quality spec for node \(2, 2\)"):
         verify_measure_change(kernel, target, missing, 2, 2, "b2")
+
+
+# ---------------------------------------------------------------------------
+# the forward-backward recursion against the enumeration
+
+def folded_blocks(probs, targets, moments):
+    """The value, the one block per node and its contraction of each closed
+    form, by a loop over the support paths."""
+    ratios = [t / p for p, t in zip(probs, targets)]
+    mu = sum(t * m[1] for t, m in zip(targets, moments))
+    ex = sum(t * m[2] for t, m in zip(targets, moments))
+    tilted = [p * c * c for p, c in zip(probs, ratios)]
+    ey2, exy, ex2 = (sum(w * m[k] for w, m in zip(tilted, moments)) for k in (2, 3, 4))
+    var_b = sum(w * (m[2] - m[1] ** 2) for w, m in zip(tilted, moments))
+    cov_b = sum(w * (m[3] - m[2] * m[1]) for w, m in zip(tilted, moments))
+    var_b2 = sum(w * (m[4] - m[2] ** 2) for w, m in zip(tilted, moments))
+    var_y = ey2 - mu * mu
+    values = loop_asym_vars(probs, targets, moments)
+    return {
+        "mean_known": (values["mean_known"], [var_y], [1.0]),
+        "variance_known": (values["variance_known"],
+                           [ex2 - ex * ex, 2 * mu * (exy - ex * mu), 4 * mu * mu * var_y],
+                           [1.0, -1.0]),
+        "mean_unknown": (values["mean_unknown"], [var_b], [1.0]),
+        "variance_unknown": (values["variance_unknown"], [var_b, cov_b, var_b2],
+                             [-2 * mu, 1.0]),
+    }
+
+
+def enumerated_targets(kernel, target, quality):
+    """The estimator targets node by node from the enumerated support."""
+    spec = kernel.spec()
+    means = np.full((spec.r_max, spec.c), np.nan)
+    variances = np.full((spec.r_max, spec.c), np.nan)
+    for j, r in enumerate(spec.levels, start=1):
+        for i in range(1, r + 1):
+            if daglm.node_marginal(kernel, j, i) > SUPPORT_ZERO:
+                m1, m2 = exact_conditional_moments(target, quality, j, i)
+                means[i - 1, j - 1], variances[i - 1, j - 1] = m1, m2 - m1 * m1
+    return means, variances
+
+
+def enumerated_closed_forms(kernel, target, quality, i, j):
+    """The folded blocks of the four closed forms from the enumerated
+    support table, with the refusals the enumeration makes."""
+    if not daglm.kernels_equivalent(kernel, target):
+        raise ModelError("measures not equivalent")
+    paths, (p, pt), m = support_table((kernel, target), quality, j, i, order=4)
+    if not len(paths):
+        raise StatisticalError(f"conditioning on null event: node ({i}, {j}) is unreachable")
+    return folded_blocks(p, pt, m)
+
+
+def enumerated_measure_change(kernel, target, quality, j, i, f):
+    """The change-of-measure residual from two enumerated support tables."""
+    if not daglm.kernels_equivalent(kernel, target):
+        raise ModelError("measures not equivalent")
+    order = 1 if f == "b" else 2
+    _, (cond_q, cond_t), moments = support_table((kernel, target), quality, j, i, order)
+    lhs = float(np.sum(moments[:, order] * (cond_t / cond_q) * cond_q))
+    _, (cond_t,), moments = support_table((target,), quality, j, i, order)
+    return abs(lhs - float(np.sum(moments[:, order] * cond_t)))
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of its refusal."""
+    try:
+        return fn(*args)
+    except (ModelError, StatisticalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def refused(result):
+    return isinstance(result, tuple) and isinstance(result[0], str)
+
+
+def assert_relatively_close(got, want, rel=1e-10):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * scale)
+
+
+def nodes_of(spec):
+    return [(i, j) for j, r in enumerate(spec.levels, start=1) for i in range(1, r + 1)]
+
+
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=30, deadline=None)
+def test_recursion_matches_enumeration(seed, sparsify):
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
+    means, variances = exact_estimator_targets(kernel, target, quality)
+    want_means, want_variances = enumerated_targets(kernel, target, quality)
+    assert (np.isnan(means) == np.isnan(want_means)).all()
+    reached = ~np.isnan(want_means)
+    assert_relatively_close(means[reached], want_means[reached])
+    assert_relatively_close(variances[reached], want_variances[reached])
+    for i, j in nodes_of(spec):
+        want = outcome(enumerated_closed_forms, kernel, target, quality, i, j)
+        for name, fn in CLOSED_FORMS.items():
+            av = outcome(fn, kernel, target, quality, i, j)
+            if refused(want):
+                assert av == want, name
+                continue
+            value, blocks, contraction = want[name]
+            assert av.value == pytest.approx(value, rel=1e-10, abs=1e-12), name
+            assert_relatively_close(av.blocks[0], blocks)
+            assert_relatively_close(av.contraction, contraction)
+            assert av.value == pytest.approx(
+                float(av.contraction @ av.matrix @ av.contraction), rel=1e-10, abs=1e-12)
+        for f in ("b", "b2"):
+            assert verify_measure_change(kernel, target, quality, j, i, f) <= 1e-10
+            assert enumerated_measure_change(kernel, target, quality, j, i, f) <= 1e-10
+
+
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]),
+       pick=st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_recursion_refuses_where_enumeration_does(seed, sparsify, pick):
+    # one node loses its quality spec: the nodes whose support paths pass
+    # through it refuse, naming it, and every other node does not
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
+    nodes = dict(quality.nodes)
+    gone = sorted(nodes)[pick % len(nodes)]
+    del nodes[gone]
+    missing = daglm.QualityModel(nodes=nodes)
+    got = outcome(exact_estimator_targets, kernel, target, missing)
+    want = outcome(enumerated_targets, kernel, target, missing)
+    assert got == want if refused(want) else not refused(got)
+    seen = set()
+    for i, j in nodes_of(spec):
+        want = outcome(enumerated_closed_forms, kernel, target, missing, i, j)
+        seen.add(refused(want))
+        for name, fn in CLOSED_FORMS.items():
+            got = outcome(fn, kernel, target, missing, i, j)
+            assert got == want if refused(want) else not refused(got), name
+        for f in ("b", "b2"):
+            got = outcome(verify_measure_change, kernel, target, missing, j, i, f)
+            want = outcome(enumerated_measure_change, kernel, target, missing, j, i, f)
+            assert got == want if refused(want) else got <= 1e-10
+        want = outcome(exact_conditional_moments, target, missing, j, i)
+        got = outcome(_conditional_moments, target, missing, j, i, 2)
+        assert got == want if refused(want) else not refused(got)
+    if sparsify == 0.0:
+        assert False in seen  # another level of the deleted node's column never reads it
+
+
+@given(seed=st.integers(0, 100_000), pick=st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_recursion_refuses_unobserved_rows_where_enumeration_does(seed, pick):
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=0.3)
+    rows = [(k, lvl) for k in range(1, spec.c) for lvl in range(1, spec.levels[k - 1] + 1)]
+    k, lvl = rows[pick % len(rows)]
+
+    def blanked(source):
+        steps = [s.copy() for s in source.steps]
+        steps[k - 1][lvl - 1] = np.nan
+        return daglm.TransitionKernel(source.initial, tuple(steps), {(k, lvl)})
+
+    for source, aim in ((kernel, blanked(target)), (blanked(kernel), target)):
+        got = outcome(exact_estimator_targets, source, aim, quality)
+        want = outcome(enumerated_targets, source, aim, quality)
+        if refused(want):
+            assert got == want
+        else:
+            assert (np.isnan(got[0]) == np.isnan(want[0])).all()
+            reached = ~np.isnan(want[0])
+            assert_relatively_close(got[0][reached], want[0][reached])
+        for i, j in nodes_of(spec):
+            want = outcome(exact_conditional_moments, aim, quality, j, i)
+            got = outcome(_conditional_moments, aim, quality, j, i, 2)
+            if refused(want):
+                assert got == want
+            else:
+                assert_relatively_close(got[1:], want)
+            want = outcome(enumerated_closed_forms, source, aim, quality, i, j)
+            for fn in CLOSED_FORMS.values():
+                assert outcome(fn, source, aim, quality, i, j) == want
+            assert outcome(verify_measure_change, source, aim, quality, j, i, "b") == want
+
+
+@given(seed=st.integers(0, 100_000), pick=st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_targets_refuse_as_the_first_refusing_node(seed, pick):
+    # the target loses a support entry, so some nodes that data reaches are
+    # null events under it, and one node loses its quality spec: the
+    # targets raise the refusal of the first refusing node in column order
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=0.3)
+    rows = [(k, row) for k, step in enumerate(target.steps) for row in range(len(step))
+            if (step[row] > SUPPORT_ZERO).sum() > 1]
+    if rows:
+        k, row = rows[pick % len(rows)]
+        steps = [s.copy() for s in target.steps]
+        steps[k][row, np.flatnonzero(steps[k][row] > SUPPORT_ZERO)[0]] = 0.0
+        steps[k][row] /= steps[k][row].sum()
+        target = daglm.TransitionKernel(target.initial, tuple(steps))
+    nodes = dict(quality.nodes)
+    del nodes[sorted(nodes)[pick % len(nodes)]]
+    for aim, specs in ((target, quality.nodes), (target, nodes), (kernel, nodes)):
+        missing = daglm.QualityModel(nodes=specs)
+        got = outcome(exact_estimator_targets, kernel, aim, missing)
+        want = outcome(enumerated_targets, kernel, aim, missing)
+        if refused(want):
+            assert got == want
+        else:
+            assert (np.isnan(got[0]) == np.isnan(want[0])).all()
+            reached = ~np.isnan(want[0])
+            assert_relatively_close(got[0][reached], want[0][reached])
+            assert_relatively_close(got[1][reached], want[1][reached])
+
+
+def test_targets_refuse_a_target_of_another_shape():
+    spec = daglm.DagSpec(levels=(2, 2))
+    quality = daglm.QualityModel.gaussian_grid(spec, np.zeros((2, 2)), np.ones((2, 2)))
+    other = daglm.uniform_kernel(daglm.DagSpec(levels=(3, 2)))
+    with pytest.raises(ModelError, match=r"kernel shape mismatch: \(2, 2\) vs \(3, 2\)"):
+        exact_estimator_targets(daglm.uniform_kernel(spec), other, quality)
+
+
+def test_recursion_beyond_the_enumeration_cap():
+    # 6^10 = 6e7 support paths: the enumeration refuses, the recursion
+    # gives every target and every closed form
+    rng = np.random.default_rng(2026)
+    spec = daglm.DagSpec(levels=(6,) * 10)
+
+    def distribution():
+        raw = rng.uniform(0.1, 1.0, size=6)
+        return raw / raw.sum()
+
+    kernel = daglm.TransitionKernel(
+        distribution(), tuple(np.stack([distribution() for _ in range(6)]) for _ in range(9))
+    )
+    mu = rng.normal(0.0, 2.0, size=(6, 10))
+    var = rng.uniform(0.5, 2.0, size=(6, 10))
+    quality = daglm.QualityModel.gaussian_grid(spec, mu, var)
+    uniform = daglm.uniform_kernel(spec)
+    assert spec.n_paths() > daglm.model.ENUMERATION_CAP
+    with pytest.raises(ModelError, match="exceeds cap"):
+        exact_conditional_moments(uniform, quality, 1, 1)
+
+    means, variances = exact_estimator_targets(kernel, uniform, quality)
+    # under the uniform target the columns are independent and uniform
+    col_mean = mu.mean(axis=0)
+    col_var = (var + mu**2).mean(axis=0) - col_mean**2
+    assert_relatively_close(means, mu + col_mean.sum() - col_mean, rel=1e-12)
+    assert_relatively_close(variances, var + col_var.sum() - col_var, rel=1e-12)
+    for i, j in nodes_of(spec):
+        for fn in CLOSED_FORMS.values():
+            value = fn(kernel, uniform, quality, i, j).value
+            assert math.isfinite(value) and value >= 0.0
