@@ -33,10 +33,7 @@ from .errors import (
 )
 from .estimators import (
     CellEstimate,
-    accumulate_counts,
     cell_estimate,
-    empirical_ratio,
-    measure_change_ratio,
 )
 from .model import (
     DagSpec,
@@ -49,7 +46,6 @@ from .model import (
     estimate_kernel,
     kernels_equivalent,
     node_marginal,
-    path_probability,
     uniform_kernel,
     validate_dag,
     validate_path,
@@ -70,7 +66,6 @@ from .simulation import (
     load_config,
     rng_for,
     sample_dataset,
-    sample_paths,
 )
 from .tabular import (
     DiscretizationRule,
@@ -113,7 +108,6 @@ __all__ = [
     "StatisticalError",
     "TabularDataset",
     "TransitionKernel",
-    "accumulate_counts",
     "anscombe_study",
     "apply_rules",
     "asym_var_mean_known",
@@ -125,7 +119,6 @@ __all__ = [
     "confidence_interval",
     "coverage_study",
     "data_path",
-    "empirical_ratio",
     "enumerate_support_paths",
     "estimate_kernel",
     "exact_conditional_moments",
@@ -135,19 +128,16 @@ __all__ = [
     "load_model",
     "load_table",
     "markov_discrepancy",
-    "measure_change_ratio",
     "model_from_dict",
     "model_to_dict",
     "naive_asym_var",
     "node_marginal",
     "normal_quantile",
-    "path_probability",
     "path_raw_moments",
     "plugin_asym_var",
     "quantile_discretize",
     "rng_for",
     "sample_dataset",
-    "sample_paths",
     "save_model",
     "sort_labels",
     "uniform_kernel",

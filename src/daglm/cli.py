@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import _weights_av, confidence_interval, normal_quantile
+from .asymptotics import _quantile, _weights_av, confidence_interval
 from .errors import DataError, ModelError, StatisticalError
 from .estimators import _cell_weights, _estimate
 from .model import (
@@ -28,7 +28,7 @@ from .model import (
     kernels_equivalent,
     validate_dag,
 )
-from .modelfile import load_model, model_to_dict
+from .modelfile import load_model, model_to_dict, save_model
 from .oracle import exact_estimator_targets, verify_measure_change
 from .report import (
     compare_document,
@@ -191,12 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _write(doc, args) -> None:
-    if args.out is None:
-        write_document(doc, args.format, sys.stdout)
+def _write(doc, out: str | None, fmt: str) -> None:
+    """Write a report to the file ``out``, or to stdout when it is None."""
+    if out is None:
+        write_document(doc, fmt, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_document(doc, args.format, fh)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            write_document(doc, fmt, fh)
 
 
 def _load_inputs(args):
@@ -345,7 +346,7 @@ def _cmd_estimate(args) -> int:
         labels=spec.labels or [tuple(str(k + 1) for k in range(r)) for r in spec.levels],
         rows=rows,
     )
-    _write(doc, args)
+    _write(doc, args.out, args.format)
     return 0
 
 
@@ -392,7 +393,7 @@ def _cmd_compare(args) -> int:
     nodes = [node for node in _all_nodes(spec) if node in wanted]
     cell_rows, target_id = _estimate_rows(args, spec, data, model, nodes)
     cells = {(row["level_index"], row["column"]): row for row in cell_rows}
-    z = normal_quantile((1.0 + args.level) / 2.0)
+    z = _quantile(args.level)
     rows = []
     for j, i, i2 in pairs:
         a, b = cells[(i, j)], cells[(i2, j)]
@@ -421,7 +422,7 @@ def _cmd_compare(args) -> int:
         estimator=args.estimator, target=target_id, level=args.level, n=data.n,
         rows=rows,
     )
-    _write(doc, args)
+    _write(doc, args.out, args.format)
     return 0
 
 
@@ -433,11 +434,7 @@ def _cmd_discretize(args) -> int:
     }
     apply_rules(table, rules).write_csv(args.out)
     doc = discretize_document([rules[name] for name in args.columns])
-    if args.rules_out is None:
-        write_document(doc, args.format, sys.stdout)
-    else:
-        with open(args.rules_out, "w", encoding="utf-8", newline="") as fh:
-            write_document(doc, args.format, fh)
+    _write(doc, args.rules_out, args.format)
     return 0
 
 
@@ -456,14 +453,12 @@ def _cmd_kernel(args) -> int:
         raise StatisticalError(
             f"no observed transitions out of {rows}; re-run with --smoothing > 0"
         )
-    doc = model_to_dict(kern, labels=spec.labels)
     if args.out is None:
-        json.dump(doc, sys.stdout, indent=2, allow_nan=False)
+        json.dump(model_to_dict(kern, labels=spec.labels), sys.stdout, indent=2,
+                  allow_nan=False)
         sys.stdout.write("\n")
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        save_model(args.out, kern, labels=spec.labels)
     return 0
 
 
@@ -590,7 +585,7 @@ def _cmd_validate(args) -> int:
         })
 
     doc = validate_document(rows)
-    _write(doc, args)
+    _write(doc, args.out, args.format)
     failed = [row["name"] for row in rows if not row["passed"]]
     if failed:
         print(f"validation failed: {', '.join(failed)}", file=sys.stderr)

@@ -36,15 +36,11 @@ import numpy as np
 
 from .errors import ModelError, NoDataError, StatisticalError
 from .model import (
-    SUPPORT_ZERO,
     PathDataset,
     PathGroups,
-    PathLike,
     TransitionKernel,
     conditional_path_probabilities,
-    conditional_path_probability,
     kernels_equivalent,
-    validate_path,
 )
 
 #: variances this far below zero are attributed to rounding and clipped
@@ -67,18 +63,6 @@ class CellEstimate:
     kind: str
     target: str = ""
     clipped: bool = False
-
-
-def accumulate_counts(data: PathDataset) -> tuple[np.ndarray, np.ndarray]:
-    """One-pass response sums B and visit counts V, shape (r_max, c)."""
-    spec = data.spec
-    B = np.zeros((spec.r_max, spec.c))
-    V = np.zeros((spec.r_max, spec.c))
-    cols = np.broadcast_to(np.arange(spec.c), data.paths.shape)
-    rows = data.paths - 1
-    np.add.at(V, (rows, cols), 1.0)
-    np.add.at(B, (rows, cols), data.responses[:, None])
-    return B, V
 
 
 def _refuse(bad, error: type[Exception], message) -> None:
@@ -119,44 +103,8 @@ def _clip_variance(variance: np.ndarray, strict: bool) -> tuple[np.ndarray, np.n
     return np.where(clipped, 0.0, variance), clipped
 
 
-def measure_change_ratio(
-    kernel: TransitionKernel,
-    target: TransitionKernel,
-    path: PathLike,
-    j: int,
-    i: int,
-) -> float:
-    """Ratio of conditional path probabilities (target over source) given
-    passage through node (i, j); the importance weight of the path."""
-    if not kernels_equivalent(kernel, target):
-        raise ModelError("measures not equivalent")
-    nodes = validate_path(path, kernel.spec())
-    if nodes[j - 1] != i:
-        raise ModelError(f"path does not pass through node ({i}, {j})")
-    cond_q = conditional_path_probability(kernel, nodes, j, i)
-    if cond_q <= SUPPORT_ZERO:
-        raise StatisticalError(f"path {nodes} outside the source kernel's support")
-    return conditional_path_probability(target, nodes, j, i) / cond_q
-
-
 def _first_path(cell: PathGroups, mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in cell.paths[np.argmax(mask)])
-
-
-def empirical_ratio(
-    data: PathDataset, target: TransitionKernel, path: PathLike, j: int, i: int
-) -> float:
-    """Plugin importance weight: target conditional path probability divided
-    by the observed relative frequency of the path within the cell."""
-    nodes = validate_path(path, data.spec)
-    if nodes[j - 1] != i:
-        raise ModelError(f"path does not pass through node ({i}, {j})")
-    cell = data.node_groups(j, i)
-    n = int(_records(cell, i, j))
-    n_path = int(cell.counts[(cell.paths == nodes).all(axis=1)].sum())
-    if n_path == 0:
-        raise StatisticalError(f"zero empirical frequency: path {nodes} never observed")
-    return conditional_path_probability(target, nodes, j, i) * n / n_path
 
 
 _KIND_ALIASES = {

@@ -32,8 +32,6 @@ ROW_SUM_ATOL = 1e-12
 SUPPORT_ZERO = 1e-15
 #: default cap on the number of paths any enumeration is allowed to visit
 ENUMERATION_CAP = 10_000_000
-#: beyond this many columns, path probabilities are accumulated in log space
-_LOG_SPACE_COLUMNS = 30
 
 PathLike = Sequence[int]
 
@@ -219,29 +217,6 @@ def uniform_kernel(spec: DagSpec) -> TransitionKernel:
     return TransitionKernel(initial, steps)
 
 
-def _as_path(path: PathLike, kernel: TransitionKernel) -> tuple[int, ...]:
-    return validate_path(path, kernel.spec())
-
-
-def path_probability(kernel: TransitionKernel, path: PathLike) -> float:
-    """Probability of drawing ``path``: initial entry times step entries."""
-    nodes = _as_path(path, kernel)
-    factors = [kernel.initial[nodes[0] - 1]]
-    for k in range(kernel.c - 1):
-        factors.append(kernel.steps[k][nodes[k] - 1, nodes[k + 1] - 1])
-    arr = np.array(factors)
-    if np.isnan(arr).any():
-        k = int(np.flatnonzero(np.isnan(arr))[0])
-        raise StatisticalError(
-            f"path traverses unobserved transition row at node ({nodes[k - 1]}, {k})"
-        )
-    if kernel.c > _LOG_SPACE_COLUMNS:
-        if (arr <= 0.0).any():
-            return 0.0
-        return float(np.exp(np.log(arr).sum()))
-    return float(arr.prod())
-
-
 def _multiply(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Multiply the coefficient vector of every level, column l of ``v``
     (..., D, r), by its node's matrix ``nodes[..., l]`` (..., r, D, D)."""
@@ -330,23 +305,25 @@ def _reachable_nodes(kernel: TransitionKernel) -> list[tuple[int, int]]:
 def conditional_path_probability(
     kernel: TransitionKernel, path: PathLike, j: int, i: int
 ) -> float:
-    """Probability of ``path`` given that the path passes through (i, j)."""
-    nodes = _as_path(path, kernel)
-    marginal = node_marginal(kernel, j, i)
-    if marginal <= SUPPORT_ZERO:
-        raise StatisticalError(
-            f"conditioning on null event: node ({i}, {j}) is unreachable"
-        )
+    """Probability of ``path`` given that the path passes through (i, j):
+    one row of :func:`conditional_path_probabilities`."""
+    nodes = validate_path(path, kernel.spec())
+    (prob,), _ = conditional_path_probabilities(kernel, np.array([nodes]), j, i)
     if nodes[j - 1] != i:
         return 0.0
-    return path_probability(kernel, nodes) / marginal
+    if np.isnan(prob):
+        k = next(k for k in range(1, kernel.c) if (k, nodes[k - 1]) in kernel.unobserved)
+        raise StatisticalError(
+            f"path traverses unobserved transition row at node ({nodes[k - 1]}, {k})"
+        )
+    return float(prob)
 
 
 def conditional_path_probabilities(
     kernel: TransitionKernel, paths: np.ndarray, j: int, i: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`conditional_path_probability` for the rows of an
-    (m, c) array of 1-based paths, all passing through node (i, j).
+    """Probabilities of the rows of an (m, c) array of 1-based paths, all
+    passing through node (i, j), given that the path passes through (i, j).
 
     Also returns a mask of the paths in the kernel's support, decided
     entrywise as in :func:`enumerate_support_paths`: every factor of the
@@ -451,7 +428,14 @@ def kernels_equivalent(a: TransitionKernel, b: TransitionKernel) -> bool:
 # ---------------------------------------------------------------------------
 # quality models
 
-_QUALITY_KINDS = ("gaussian", "bernoulli", "point-mass", "empirical-moments")
+#: each quality kind and its parameter fields, in the order model files
+#: hold them; every field but ``moments`` (a list) is a scalar
+_QUALITY_FIELDS = {
+    "gaussian": ("mean", "variance"),
+    "bernoulli": ("prob",),
+    "point-mass": ("value",),
+    "empirical-moments": ("moments",),
+}
 
 
 @dataclass(frozen=True)
@@ -471,7 +455,7 @@ class NodeQuality:
     moments: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _QUALITY_KINDS:
+        if self.kind not in _QUALITY_FIELDS:
             raise ModelError(f"unknown quality kind {self.kind!r}")
         if self.kind == "gaussian":
             if self.mean is None or self.variance is None:
@@ -500,27 +484,11 @@ class NodeQuality:
         """k-th raw moment E[X^k]; raises when the order is not available."""
         if k < 0:
             raise ModelError(f"moment order {k} invalid")
-        if k == 0:
-            return 1.0
-        if self.kind == "gaussian":
-            mu, var = float(self.mean), float(self.variance)
-            m = [1.0, mu]
-            for order in range(2, k + 1):
-                m.append(mu * m[order - 1] + (order - 1) * var * m[order - 2])
-            return m[k]
-        if self.kind == "bernoulli":
-            return float(self.prob)
-        if self.kind == "point-mass":
-            return float(self.value) ** k
-        if k > len(self.moments):
-            raise ModelError(
-                f"moment order {k} not available (have m1..m{len(self.moments)})"
-            )
-        return self.moments[k - 1]
+        return float(self.raw_moments(k)[k])
 
     def raw_moments(self, order: int) -> np.ndarray:
-        """Vector (m_0, m_1, ..., m_order), each entry the value of
-        :meth:`raw_moment`, with the gaussian recursion run once."""
+        """Vector (m_0, m_1, ..., m_order) of raw moments, with the gaussian
+        recursion run once."""
         if order < 1:
             return np.ones(order + 1) if order == 0 else np.zeros(0)
         if self.kind == "gaussian":
@@ -612,18 +580,6 @@ class QualityModel:
             return self.nodes[(i, j)]
         except KeyError:
             raise ModelError(f"no quality spec for node ({i}, {j})") from None
-
-    def has(self, i: int, j: int) -> bool:
-        return (i, j) in self.nodes
-
-    def mean_matrix(self, spec: DagSpec) -> np.ndarray:
-        """Per-node means, shape (r_max, c); NaN where no spec exists."""
-        out = np.full((spec.r_max, spec.c), np.nan)
-        for j, r in enumerate(spec.levels, start=1):
-            for i in range(1, r + 1):
-                if self.has(i, j):
-                    out[i - 1, j - 1] = self.node(i, j).mean_value
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +718,6 @@ class PathDataset:
     @property
     def n(self) -> int:
         return self.paths.shape[0]
-
-    def node_mask(self, j: int, i: int) -> np.ndarray:
-        """Boolean mask of records whose path passes through node (i, j)."""
-        self._check_node(j, i)
-        return self.paths[:, j - 1] == i
 
     def count(self, j: int, i: int) -> int:
         return int(self.node_groups(j, i).counts.sum())

@@ -14,17 +14,20 @@ A model file is a JSON document with fields::
 Quality keys are "level,column" pairs. Per-kind parameters: gaussian uses
 mean/variance, bernoulli uses prob, point-mass uses value, and
 empirical-moments uses moments (raw moments m_1..m_K). Unknown fields at any
-level are rejected, as are NaN/Infinity literals.
+level are rejected, as are NaN/Infinity literals and numbers that are not
+finite as floats.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ModelError
 from .model import (
+    _QUALITY_FIELDS,
     DagSpec,
     NodeQuality,
     QualityModel,
@@ -33,12 +36,6 @@ from .model import (
 )
 
 _TOP_FIELDS = {"schema_version", "columns", "labels", "initial", "steps", "quality"}
-_QUALITY_FIELDS = {
-    "gaussian": {"mean", "variance"},
-    "bernoulli": {"prob"},
-    "point-mass": {"value"},
-    "empirical-moments": {"moments"},
-}
 
 
 @dataclass(frozen=True)
@@ -52,11 +49,16 @@ def _reject_constant(token: str):
     raise ModelError(f"non-finite literal {token!r} not allowed in model files")
 
 
+def _finite_number(x) -> bool:
+    """Whether ``x`` is a JSON number, not a boolean, that is finite as a
+    float: not NaN or infinite, and not an integer too large to convert."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
 def _number_list(obj, what: str) -> list[float]:
-    if not isinstance(obj, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
-    ):
-        raise ModelError(f"{what} must be a list of numbers")
+    if not isinstance(obj, list) or not all(map(_finite_number, obj)):
+        raise ModelError(f"{what} must be a list of finite numbers")
     return [float(x) for x in obj]
 
 
@@ -135,29 +137,25 @@ def _quality_from_dict(raw, spec: DagSpec) -> QualityModel:
         if not isinstance(val, dict) or "kind" not in val:
             raise ModelError(f"quality entry {key!r} must be an object with a kind")
         kind = val["kind"]
-        if kind not in _QUALITY_FIELDS:
+        if not isinstance(kind, str) or kind not in _QUALITY_FIELDS:
             raise ModelError(f"quality entry {key!r} has unknown kind {kind!r}")
-        unknown = set(val) - {"kind"} - _QUALITY_FIELDS[kind]
+        unknown = set(val) - {"kind", *_QUALITY_FIELDS[kind]}
         if unknown:
             raise ModelError(
                 f"quality entry {key!r} has unknown fields: {', '.join(sorted(unknown))}"
             )
-        try:
-            if kind == "gaussian":
-                nodes[(i, j)] = NodeQuality(
-                    "gaussian", mean=float(val["mean"]), variance=float(val["variance"])
-                )
-            elif kind == "bernoulli":
-                nodes[(i, j)] = NodeQuality("bernoulli", prob=float(val["prob"]))
-            elif kind == "point-mass":
-                nodes[(i, j)] = NodeQuality("point-mass", value=float(val["value"]))
+        params = {}
+        for name in _QUALITY_FIELDS[kind]:
+            if name not in val:
+                raise ModelError(f"quality entry {key!r} missing field {name!r}")
+            x, what = val[name], f"quality entry {key!r} field {name!r}"
+            if name == "moments":
+                params[name] = tuple(_number_list(x, what))
+            elif not _finite_number(x):
+                raise ModelError(f"{what} must be a finite number, got {x!r}")
             else:
-                nodes[(i, j)] = NodeQuality(
-                    "empirical-moments",
-                    moments=tuple(_number_list(val["moments"], "moments")),
-                )
-        except KeyError as exc:
-            raise ModelError(f"quality entry {key!r} missing field {exc}") from None
+                params[name] = float(x)
+        nodes[(i, j)] = NodeQuality(kind, **params)
     return QualityModel(nodes)
 
 
@@ -182,15 +180,9 @@ def model_to_dict(
         qdoc = {}
         for (i, j), node in sorted(quality.nodes.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             entry: dict = {"kind": node.kind}
-            if node.kind == "gaussian":
-                entry["mean"] = node.mean
-                entry["variance"] = node.variance
-            elif node.kind == "bernoulli":
-                entry["prob"] = node.prob
-            elif node.kind == "point-mass":
-                entry["value"] = node.value
-            else:
-                entry["moments"] = list(node.moments)
+            for name in _QUALITY_FIELDS[node.kind]:
+                x = getattr(node, name)
+                entry[name] = list(x) if name == "moments" else x
             qdoc[f"{i},{j}"] = entry
         doc["quality"] = qdoc
     return doc

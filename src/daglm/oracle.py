@@ -442,7 +442,6 @@ def exact_estimator_targets(
     kernel: TransitionKernel,
     target: TransitionKernel,
     quality: QualityModel,
-    cap: int = ENUMERATION_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limits of the reweighted estimators: conditional means and variances
     of b under ``target`` for every node, as (r_max, c) matrices, from one
@@ -452,8 +451,7 @@ def exact_estimator_targets(
     level slots beyond a column's range hold NaN. The nodes are first
     checked one at a time in column order, so the refusal raised is that of
     the first node whose :func:`exact_conditional_moments` under ``target``
-    refuses; each quality spec is read once. ``cap`` is kept for
-    compatibility and unused: nothing is enumerated.
+    refuses; each quality spec is read once.
     """
     _check_same_shape(kernel, target)
     spec: DagSpec = kernel.spec()

@@ -112,10 +112,6 @@ def _target_kernel(target: str | TransitionKernel, spec: DagSpec) -> TransitionK
     raise ModelError(f"unknown target kernel {target!r}")
 
 
-def resolve_target(config: ExperimentConfig) -> TransitionKernel:
-    return _target_kernel(config.target, config.spec)
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an experiment config file (JSON; fields "model-ref", "n",
     "seed", and optional "replicates", "target-kernel", "estimators",
@@ -136,6 +132,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for required in ("model-ref", "n", "seed"):
         if required not in obj:
             raise ModelError(f"{path}: missing config field {required!r}")
+    for name in ("n", "seed", "replicates"):
+        value = obj.get(name, 1)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ModelError(f"{path}: config field {name!r} must be an integer, got {value!r}")
 
     model = load_model((path.parent / str(obj["model-ref"])).resolve())
     if model.quality is None:
@@ -150,9 +150,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             spec=model.spec,
             kernel=model.kernel,
             quality=model.quality,
-            n=int(obj["n"]),
-            seed=int(obj["seed"]),
-            replicates=int(obj.get("replicates", 1)),
+            n=obj["n"],
+            seed=obj["seed"],
+            replicates=obj.get("replicates", 1),
             target=target,
             estimators=tuple(obj.get("estimators", ("plugin",))),
             level=float(obj.get("level", 0.95)),
@@ -190,15 +190,6 @@ def _inverse_cdf(kernel: TransitionKernel, u: np.ndarray) -> np.ndarray:
         rows = np.minimum(level, r - 1, out=level)
         out[..., k] = rows + 1
     return out
-
-
-def sample_paths(
-    kernel: TransitionKernel, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draw ``size`` independent paths, one uniform variate per column per
-    record, consumed column by column (inverse-CDF within each row)."""
-    _refuse_unobserved(kernel, "cannot sample")
-    return _inverse_cdf(kernel, rng.random((len(kernel.levels), size)))
 
 
 def _sample_block(
@@ -260,7 +251,7 @@ def _study_nodes(config: ExperimentConfig) -> tuple[tuple[int, int], ...]:
 def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:
     # the naive estimator is only consistent for the source kernel's own
     # conditional moments, so its study target is the source kernel
-    return config.kernel if kind == "naive" else resolve_target(config)
+    return config.kernel if kind == "naive" else _target_kernel(config.target, config.spec)
 
 
 def _exact_av(config: ExperimentConfig, kind: str, target, i: int, j: int, which: str):

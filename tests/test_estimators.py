@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import daglm
 from daglm import ModelError, NoDataError, StatisticalError
-from daglm.estimators import accumulate_counts, cell_estimate
+from daglm.estimators import _cell_weights, cell_estimate
 
 from conftest import random_model
 
@@ -36,9 +36,22 @@ def tiny(demo_spec):
     )
 
 
+def node_sums(data):
+    """Per-node response sums B and record counts V, shape (r_max, c), from
+    the dataset's path groups."""
+    B = np.zeros((data.spec.r_max, data.spec.c))
+    V = np.zeros((data.spec.r_max, data.spec.c))
+    for j, r in enumerate(data.spec.levels, start=1):
+        for i in range(1, r + 1):
+            cell = data.node_groups(j, i)
+            V[i - 1, j - 1] = cell.counts.sum()
+            B[i - 1, j - 1] = cell.sums[:, 1].sum()
+    return B, V
+
+
 def test_accumulate_counts_single_record(demo_spec):
     data = make_data(demo_spec, [((1, 1), 3.0)])
-    B, V = accumulate_counts(data)
+    B, V = node_sums(data)
     np.testing.assert_array_equal(V, [[1, 1], [0, 0]])
     np.testing.assert_array_equal(B, [[3, 3], [0, 0]])
 
@@ -47,12 +60,12 @@ def test_accumulate_counts_empty(demo_spec):
     data = daglm.PathDataset(
         spec=demo_spec, paths=np.empty((0, 2), dtype=int), responses=np.empty(0)
     )
-    B, V = accumulate_counts(data)
+    B, V = node_sums(data)
     assert not B.any() and not V.any()
 
 
 def test_accumulate_counts_column_sums(demo_data):
-    B, V = accumulate_counts(demo_data)
+    B, V = node_sums(demo_data)
     np.testing.assert_array_equal(V.sum(axis=0), [demo_data.n, demo_data.n])
 
 
@@ -101,32 +114,28 @@ def test_no_data_signal(demo_spec):
         naive_cell(data, 2, 1)
 
 
-def test_measure_change_ratio_values(demo_kernel, demo_uniform):
-    assert daglm.measure_change_ratio(
-        demo_kernel, demo_uniform, (1, 1), 2, 1
-    ) == pytest.approx(2 / 3)
-    assert daglm.measure_change_ratio(
-        demo_kernel, demo_uniform, (2, 1), 2, 1
-    ) == pytest.approx(2.0)
+def test_measure_change_ratio_values(tiny, demo_kernel, demo_uniform):
+    # the weighted estimator's per-path ratio at node (1, col 2)
+    weights = _cell_weights(tiny, 1, 2, "weighted", demo_kernel, demo_uniform)
+    assert weights.cell.paths.tolist() == [[1, 1], [2, 1]]
+    np.testing.assert_allclose(weights.ratio, [2 / 3, 2.0], rtol=1e-15)
 
 
-def test_measure_change_ratio_identity(demo_kernel):
-    for path in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        for j in (1, 2):
-            assert daglm.measure_change_ratio(
-                demo_kernel, demo_kernel, path, j, path[j - 1]
-            ) == 1.0
+def test_measure_change_ratio_identity(demo_spec, demo_kernel):
+    data = make_data(demo_spec, [(path, 0.0) for path in [(1, 1), (1, 2), (2, 1), (2, 2)]])
+    for j in (1, 2):
+        for i in (1, 2):
+            weights = _cell_weights(data, i, j, "weighted", demo_kernel, demo_kernel)
+            assert weights.ratio.tolist() == [1.0, 1.0]
 
 
-def test_measure_change_ratio_errors(demo_kernel, demo_uniform):
+def test_measure_change_ratio_errors(tiny, demo_kernel):
     blocked = daglm.TransitionKernel(
         initial=np.array([0.5, 0.5]),
         steps=(np.array([[1.0, 0.0], [0.0, 1.0]]),),
     )
     with pytest.raises(ModelError, match="not equivalent"):
-        daglm.measure_change_ratio(demo_kernel, blocked, (1, 1), 1, 1)
-    with pytest.raises(ModelError, match="does not pass"):
-        daglm.measure_change_ratio(demo_kernel, demo_uniform, (1, 1), 2, 2)
+        _cell_weights(tiny, 1, 1, "weighted", demo_kernel, blocked)
 
 
 def test_weighted_mean_hand_computed(tiny, demo_kernel, demo_uniform):
@@ -154,29 +163,37 @@ def test_weighted_equals_naive_same_kernel(demo_data, demo_kernel):
             assert w.variance == naive_cell(demo_data, i, j).variance
 
 
+def plugin_ratio(data, target, i, j):
+    """The plug-in estimator's per-path ratio at node (i, j), by path."""
+    weights = _cell_weights(data, i, j, "plugin", target=target)
+    return dict(zip(map(tuple, weights.cell.paths.tolist()), weights.ratio[0].tolist()))
+
+
 def test_empirical_ratio_balanced(demo_spec, demo_uniform):
     rows = [((1, 1), 0.0), ((1, 2), 0.0), ((2, 1), 0.0), ((2, 2), 0.0)]
     data = make_data(demo_spec, rows)
-    for path in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        for j in (1, 2):
-            assert daglm.empirical_ratio(
-                data, demo_uniform, path, j, path[j - 1]
-            ) == pytest.approx(1.0)
+    for j in (1, 2):
+        for i in (1, 2):
+            ratio = plugin_ratio(data, demo_uniform, i, j)
+            assert list(ratio.values()) == pytest.approx([1.0, 1.0])
 
 
 def test_empirical_ratio_skewed_cell(demo_spec, demo_uniform):
     # path (1,1) at 3 of 4 records through node (1, col 2)
     rows = [((1, 1), 0.0)] * 3 + [((2, 1), 0.0)]
     data = make_data(demo_spec, rows)
-    assert daglm.empirical_ratio(data, demo_uniform, (1, 1), 2, 1) == pytest.approx(2 / 3)
-    assert daglm.empirical_ratio(data, demo_uniform, (2, 1), 2, 1) == pytest.approx(2.0)
+    ratio = plugin_ratio(data, demo_uniform, 1, 2)
+    assert ratio == pytest.approx({(1, 1): 2 / 3, (2, 1): 2.0})
 
 
 def test_empirical_ratio_unseen_path(demo_spec, demo_uniform):
+    # an unseen path through the node has no weight; the cell is refused
     rows = [((1, 1), 0.0), ((1, 2), 0.0)]
     data = make_data(demo_spec, rows)
-    with pytest.raises(StatisticalError, match="zero empirical frequency"):
-        daglm.empirical_ratio(data, demo_uniform, (2, 1), 2, 1)
+    weights = _cell_weights(data, 1, 2, "plugin", target=demo_uniform)
+    assert weights.cell.paths.tolist() == [[1, 1]]
+    with pytest.raises(StatisticalError, match="missing from the data"):
+        weights.check_support()
 
 
 def test_empirical_ratio_converges_to_exact(demo_config, demo_kernel, demo_uniform):
@@ -185,10 +202,10 @@ def test_empirical_ratio_converges_to_exact(demo_config, demo_kernel, demo_unifo
         n=200_000, seed=41,
     )
     data = daglm.sample_dataset(config, 0)
-    for path in [(1, 1), (2, 1)]:
-        exact = daglm.measure_change_ratio(demo_kernel, demo_uniform, path, 2, 1)
-        est = daglm.empirical_ratio(data, demo_uniform, path, 2, 1)
-        assert est == pytest.approx(exact, rel=0.02)
+    exact = _cell_weights(data, 1, 2, "weighted", demo_kernel, demo_uniform)
+    est = _cell_weights(data, 1, 2, "plugin", target=demo_uniform)
+    assert exact.cell.paths.tolist() == [[1, 1], [2, 1]]
+    np.testing.assert_allclose(est.ratio[0], exact.ratio, rtol=0.02)
 
 
 def test_plugin_equals_naive_when_target_is_empirical(demo_spec):
@@ -252,11 +269,10 @@ def test_cell_estimate_fields(tiny, demo_kernel, demo_uniform):
 
 
 def test_cell_estimate_count_invariant(demo_data):
-    B, V = accumulate_counts(demo_data)
     for j in (1, 2):
         for i in (1, 2):
             est = cell_estimate(demo_data, i, j, "naive")
-            assert est.count == int(V[i - 1, j - 1])
+            assert est.count == int(np.sum(demo_data.paths[:, j - 1] == i))
             assert est.count <= demo_data.n
 
 
@@ -298,8 +314,6 @@ def test_plugin_weights_average_to_one(seed):
         spec=spec, kernel=kernel, quality=quality, n=600, seed=seed
     )
     data = daglm.sample_dataset(config, 0)
-    from daglm.estimators import _cell_weights
-
     for j in range(1, spec.c + 1):
         for i in range(1, spec.levels[j - 1] + 1):
             if data.count(j, i) == 0:
@@ -365,7 +379,7 @@ def test_per_path_reductions_match_per_record_formulas(seed):
     close = dict(rel=1e-9, abs=1e-12)
     for j in range(1, spec.c + 1):
         for i in range(1, spec.levels[j - 1] + 1):
-            mask = data.node_mask(j, i)
+            mask = data.paths[:, j - 1] == i
             b = data.responses[mask]
             if b.size == 0:
                 continue

@@ -53,17 +53,30 @@ def test_kernel_shape_chain_checked():
         )
 
 
+def path_probability(kernel, path):
+    """Probability of drawing ``path``: initial entry times step entries."""
+    prob = kernel.initial[path[0] - 1]
+    for step, a, b in zip(kernel.steps, path, path[1:]):
+        prob *= step[a - 1, b - 1]
+    return float(prob)
+
+
 def test_path_probability_demo_values(demo_kernel):
     # source kernel: joint probabilities 3/8, 1/8, 1/8, 3/8
-    assert daglm.path_probability(demo_kernel, (1, 1)) == pytest.approx(3 / 8)
-    assert daglm.path_probability(demo_kernel, (1, 2)) == pytest.approx(1 / 8)
-    assert daglm.path_probability(demo_kernel, (2, 1)) == pytest.approx(1 / 8)
-    assert daglm.path_probability(demo_kernel, (2, 2)) == pytest.approx(3 / 8)
+    assert path_probability(demo_kernel, (1, 1)) == pytest.approx(3 / 8)
+    assert path_probability(demo_kernel, (1, 2)) == pytest.approx(1 / 8)
+    assert path_probability(demo_kernel, (2, 1)) == pytest.approx(1 / 8)
+    assert path_probability(demo_kernel, (2, 2)) == pytest.approx(3 / 8)
+    # conditioning on the path's first node divides by that node's marginal
+    for path in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        cond = daglm.conditional_path_probability(demo_kernel, path, 1, path[0])
+        first = daglm.node_marginal(demo_kernel, 1, path[0])
+        assert cond * first == pytest.approx(path_probability(demo_kernel, path))
 
 
 def test_uniform_kernel_paths(demo_spec, demo_uniform):
     for path in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        assert daglm.path_probability(demo_uniform, path) == pytest.approx(1 / 4)
+        assert path_probability(demo_uniform, path) == pytest.approx(1 / 4)
     assert daglm.node_marginal(demo_uniform, 1, 2) == pytest.approx(0.5)
 
 
@@ -78,6 +91,8 @@ def test_conditional_path_probability_demo(demo_kernel):
     assert daglm.conditional_path_probability(demo_kernel, (2, 1), 2, 1) == pytest.approx(1 / 4)
     # path not through the node contributes nothing
     assert daglm.conditional_path_probability(demo_kernel, (1, 2), 2, 1) == 0.0
+    with pytest.raises(ModelError, match=r"path out of range: level 3 in column 2"):
+        daglm.conditional_path_probability(demo_kernel, (1, 3), 2, 1)
 
 
 def test_conditional_on_null_event():
@@ -108,7 +123,7 @@ def test_path_probabilities_sum_to_one(seed):
     rng = np.random.default_rng(seed)
     spec, kernel, _, _ = random_model(rng)
     total = sum(
-        daglm.path_probability(kernel, p)
+        path_probability(kernel, p)
         for p in daglm.enumerate_support_paths(kernel)
     )
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -144,15 +159,6 @@ def test_enumerate_support_cap():
     kernel = daglm.uniform_kernel(spec)
     with pytest.raises(ModelError, match="sampling"):
         daglm.enumerate_support_paths(kernel, cap=1000)
-
-
-def test_log_space_path_probability_agrees_with_direct():
-    # many columns forces the log-space route; compare against plain products
-    c = 35
-    spec = daglm.DagSpec(levels=(2,) * c)
-    kernel = daglm.uniform_kernel(spec)
-    path = tuple(1 for _ in range(c))
-    assert daglm.path_probability(kernel, path) == pytest.approx(0.5 ** c, rel=1e-12)
 
 
 def test_kernels_equivalent_pattern(demo_kernel, demo_uniform):
@@ -212,13 +218,12 @@ def test_node_quality_empirical_moments():
         q.sample(np.random.default_rng(0), 5)
 
 
-def test_quality_model_lookup(demo_spec, demo_quality):
+def test_quality_model_lookup(demo_quality):
     node = demo_quality.node(2, 1)
     assert node.mean_value == -2.0
     with pytest.raises(ModelError, match="quality"):
         demo_quality.node(3, 1)
-    means = demo_quality.mean_matrix(demo_spec)
-    assert means.shape == (2, 2)
+    means = [[demo_quality.node(i, j).mean_value for j in (1, 2)] for i in (1, 2)]
     np.testing.assert_allclose(means, [[0.0, 1.0], [-2.0, 2.0]])
 
 
@@ -241,7 +246,7 @@ def test_path_dataset_validation():
 def test_path_dataset_counts(demo_data):
     total = sum(demo_data.count(1, i) for i in (1, 2))
     assert total == demo_data.n
-    mask = demo_data.node_mask(2, 1)
+    mask = demo_data.paths[:, 1] == 1  # node (1, 2)
     assert mask.sum() == demo_data.count(2, 1)
 
 
@@ -336,8 +341,11 @@ def test_unobserved_row_with_inbound_mass_refuses():
     )
     with pytest.raises(StatisticalError, match="unobserved"):
         daglm.node_marginal(k, 2, 1)
-    with pytest.raises(StatisticalError, match="unobserved"):
-        daglm.path_probability(k, (2, 1))
+    # conditioning on a column-1 node: the marginal is defined, the path is not
+    with pytest.raises(StatisticalError,
+                       match=r"traverses unobserved transition row at node \(2, 1\)"):
+        daglm.conditional_path_probability(k, (2, 1), 1, 2)
+    assert daglm.conditional_path_probability(k, (1, 2), 1, 1) == pytest.approx(0.5)
     with pytest.raises(StatisticalError):
         daglm.enumerate_support_paths(k)
     with pytest.raises(StatisticalError, match="unobserved"):

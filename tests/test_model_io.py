@@ -5,6 +5,7 @@ import pytest
 
 import daglm
 from daglm import ModelError
+from daglm.cli import run_command
 
 
 def demo_doc():
@@ -62,6 +63,14 @@ def test_unknown_quality_field_rejected():
         daglm.model_from_dict(doc)
 
 
+@pytest.mark.parametrize("kind", ["gamma", ["gaussian"], None])
+def test_unknown_quality_kind_rejected(kind):
+    doc = demo_doc()
+    doc["quality"]["1,1"]["kind"] = kind
+    with pytest.raises(ModelError, match=r"quality entry '1,1' has unknown kind"):
+        daglm.model_from_dict(doc)
+
+
 def test_wrong_schema_version_rejected():
     doc = demo_doc()
     doc["schema_version"] = 2
@@ -74,6 +83,15 @@ def test_nan_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ModelError):
+        daglm.load_model(path)
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["overflow", "huge-int"])
+def test_kernel_entry_must_be_a_finite_number(tmp_path, literal):
+    text = json.dumps(demo_doc()).replace("0.75", literal, 1)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ModelError, match="step 1 row must be a list of finite numbers"):
         daglm.load_model(path)
 
 
@@ -116,6 +134,33 @@ def test_all_quality_kinds_roundtrip():
     assert again.quality.node(1, 1).kind == "bernoulli"
     assert again.quality.node(2, 1).kind == "point-mass"
     assert again.quality.node(1, 2).moments == (1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("key, entry, field, literal", [
+    ("1,1", {"kind": "gaussian", "variance": 1.0}, "mean", "true"),
+    ("1,1", {"kind": "gaussian", "variance": 1.0}, "mean", '"1.5"'),
+    ("1,1", {"kind": "gaussian", "variance": 1.0}, "mean", '"nan"'),
+    ("2,1", {"kind": "gaussian", "variance": 1.0}, "mean", "1e400"),
+    ("1,2", {"kind": "gaussian", "mean": 0.0}, "variance", "1e400"),
+    ("1,2", {"kind": "gaussian", "mean": 0.0}, "variance", "null"),
+    ("2,2", {"kind": "bernoulli"}, "prob", "false"),
+    ("2,2", {"kind": "point-mass"}, "value", '"2"'),
+    ("2,2", {"kind": "point-mass"}, "value", "1" + "0" * 400),
+    ("2,2", {"kind": "empirical-moments"}, "moments", "[1.0, 1e400]"),
+    ("2,2", {"kind": "empirical-moments"}, "moments", "[1, " + "1" + "0" * 400 + "]"),
+], ids=["mean-true", "mean-string", "mean-string-nan", "mean-overflow", "variance-overflow",
+        "variance-null", "prob-false", "value-string", "value-huge-int", "moments-overflow",
+        "moments-huge-int"])
+def test_quality_field_must_be_a_finite_number(tmp_path, key, entry, field, literal):
+    # the schema types every quality field as a number or a list of numbers
+    doc = demo_doc()
+    doc["quality"][key] = {**entry, field: "LITERAL"}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc).replace('"LITERAL"', literal), encoding="utf-8")
+    with pytest.raises(ModelError, match=rf"quality entry '{key}' field '{field}' "
+                                         "must be a (list of )?finite number"):
+        daglm.load_model(path)
+    assert run_command(["validate", "--model", str(path)]) == 3
 
 
 def test_model_to_dict_refuses_unobserved_rows():

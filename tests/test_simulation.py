@@ -8,17 +8,17 @@ import pytest
 
 import daglm
 from daglm import ModelError, StatisticalError
+from daglm.cli import run_command
 from daglm.simulation import (
     COVERAGE_ALPHA,
+    _effective_target,
     _skewness_and_ks,
     anscombe_study,
     binomial_tail,
     coverage_study,
     load_config,
-    resolve_target,
     rng_for,
     sample_dataset,
-    sample_paths,
 )
 
 
@@ -100,9 +100,9 @@ def test_replicates_independent_of_generation_order(demo_config):
     assert not np.array_equal(in_order[0].responses, in_order[1].responses)
 
 
-def test_sample_paths_all_valid_and_frequencies_match(demo_spec, demo_kernel):
-    rng = rng_for(99)
-    paths = sample_paths(demo_kernel, rng, 40_000)
+def test_sample_paths_all_valid_and_frequencies_match(demo_spec, demo_config):
+    config = dataclasses.replace(demo_config, n=40_000, seed=99)
+    paths = sample_dataset(config).paths
     for row in paths[:50]:
         daglm.validate_path(tuple(int(x) for x in row), demo_spec)
     # empirical path frequencies against the exact law (3/8, 1/8, 1/8, 3/8)
@@ -112,20 +112,21 @@ def test_sample_paths_all_valid_and_frequencies_match(demo_spec, demo_kernel):
         assert freq == pytest.approx(prob, abs=0.01), path
 
 
-def test_sample_path_single(demo_kernel):
-    paths = sample_paths(demo_kernel, rng_for(0), 1)
+def test_sample_path_single(demo_config):
+    paths = sample_dataset(dataclasses.replace(demo_config, n=1, seed=0)).paths
     assert paths.shape == (1, 2)
     assert all(level in (1, 2) for level in paths[0])
 
 
-def test_sampling_refuses_unobserved_rows(demo_spec):
+def test_sampling_refuses_unobserved_rows(demo_config):
     kernel = daglm.TransitionKernel(
         initial=np.array([1.0, 0.0]),
         steps=(np.array([[0.5, 0.5], [np.nan, np.nan]]),),
         unobserved=frozenset({(1, 2)}),
     )
+    config = dataclasses.replace(demo_config, kernel=kernel, n=10, seed=0)
     with pytest.raises(StatisticalError, match="unobserved"):
-        sample_paths(kernel, rng_for(0), 10)
+        sample_dataset(config)
 
 
 def test_response_is_sum_of_node_draws_on_average(demo_config, demo_quality):
@@ -140,7 +141,7 @@ def test_response_is_sum_of_node_draws_on_average(demo_config, demo_quality):
     )[0]
     for j in (1, 2):
         for i in (1, 2):
-            sel = data.responses[data.node_mask(j, i)]
+            sel = data.responses[data.paths[:, j - 1] == i]
             assert float(sel.mean()) == pytest.approx(
                 float(means[i - 1, j - 1]), abs=0.05
             ), (i, j)
@@ -186,19 +187,21 @@ def test_load_config_refuses_target_kernel_of_wrong_shape(tmp_path):
 
 
 def test_resolve_target(demo_config, demo_uniform, demo_kernel):
-    resolved = resolve_target(demo_config)
+    # a study's target: the config's, except the source kernel for naive
+    resolved = _effective_target(demo_config, "plugin")
     assert np.array_equal(resolved.initial, demo_uniform.initial)
+    assert _effective_target(demo_config, "naive") is demo_config.kernel
     explicit = daglm.ExperimentConfig(
         spec=demo_config.spec, kernel=demo_config.kernel,
         quality=demo_config.quality, n=10, seed=1, target=demo_kernel,
     )
-    assert resolve_target(explicit) is demo_kernel
+    assert _effective_target(explicit, "plugin") is demo_kernel
     bad = daglm.ExperimentConfig(
         spec=demo_config.spec, kernel=demo_config.kernel,
         quality=demo_config.quality, n=10, seed=1, target="zipf",
     )
     with pytest.raises(ModelError, match="zipf"):
-        resolve_target(bad)
+        _effective_target(bad, "plugin")
 
 
 def test_load_config_bundled_demo():
@@ -257,6 +260,17 @@ def test_load_config_rejects_bad_files(tmp_path):
                        encoding="utf-8")
     with pytest.raises(ModelError, match="missing config field 'seed'"):
         load_config(partial)
+    # n, seed and replicates are JSON integers, never truncated or coerced
+    for field, value in [("n", 2.7), ("n", True), ("n", "40"), ("seed", 1.5),
+                         ("seed", False), ("replicates", 2.5), ("replicates", "3")]:
+        inexact = tmp_path / "inexact.json"
+        inexact.write_text(json.dumps({"model-ref": "model.json", "n": 5, "seed": 0,
+                                       field: value}), encoding="utf-8")
+        with pytest.raises(ModelError, match=rf"inexact.json: config field '{field}' "
+                                             rf"must be an integer, got {value!r}"):
+            load_config(inexact)
+        argv = ["simulate", "--config", str(inexact), "--out", str(tmp_path / "out.csv")]
+        assert run_command(argv) == 3
 
 
 def test_coverage_study_needs_replicates(demo_config):
