@@ -19,7 +19,8 @@ class DataError(DaglmError):
 
 class StatisticalError(DaglmError):
     """A statistical precondition fails (empty cell, zero empirical
-    frequency, unobserved transition row, insufficient replication)."""
+    frequency, a level with no observed transitions, insufficient
+    replication)."""
 
 
 class NoDataError(StatisticalError):

@@ -127,15 +127,12 @@ class TransitionKernel:
     per remaining column.
 
     ``steps[k]`` has shape (r_{k+1}, r_{k+2}) and maps levels of column k+1
-    to levels of column k+2 (0-based list index). ``unobserved`` holds
-    ``(j, i)`` node addresses whose outgoing row carries no information (all
-    NaN); only :func:`estimate_kernel` produces such kernels, and operations
-    that would condition on those rows refuse.
+    to levels of column k+2 (0-based list index). Every row is a
+    probability vector.
     """
 
     initial: np.ndarray
     steps: tuple[np.ndarray, ...] = ()
-    unobserved: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
         initial = np.array(self.initial, dtype=float)
@@ -145,7 +142,6 @@ class TransitionKernel:
             s.setflags(write=False)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "unobserved", frozenset(self.unobserved))
         self._validate()
 
     def _validate(self) -> None:
@@ -158,20 +154,9 @@ class TransitionKernel:
                 raise ModelError(
                     f"step {k + 1} has shape {s.shape}, expected ({prev}, *)"
                 )
-            for i in range(s.shape[0]):
-                row = s[i]
-                if (k + 1, i + 1) in self.unobserved:
-                    if not np.isnan(row).all():
-                        raise ModelError(
-                            f"row flagged unobserved at node ({i + 1}, {k + 1}) "
-                            "must be all-NaN"
-                        )
-                    continue
-                _check_distribution(row, f"step {k + 1} row {i + 1}")
+            for i, row in enumerate(s, start=1):
+                _check_distribution(row, f"step {k + 1} row {i}")
             prev = s.shape[1]
-        for j, i in self.unobserved:
-            if not 1 <= j <= len(self.steps) or not 1 <= i <= self.steps[j - 1].shape[0]:
-                raise ModelError(f"unobserved flag ({j}, {i}) outside kernel shape")
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -202,12 +187,6 @@ def _check_same_shape(a: TransitionKernel, b: TransitionKernel) -> None:
         raise ModelError(f"kernel shape mismatch: {a.levels} vs {b.levels}")
 
 
-def _refuse_unobserved(kernel: TransitionKernel, what: str) -> None:
-    if kernel.unobserved:
-        rows = ", ".join(f"({i}, {j})" for j, i in sorted(kernel.unobserved))
-        raise StatisticalError(f"{what}: kernel has unobserved rows at nodes {rows}")
-
-
 def uniform_kernel(spec: DagSpec) -> TransitionKernel:
     """Kernel under which columns are independent and uniform."""
     _require_valid(spec)
@@ -235,14 +214,13 @@ def _forward(
 
     Order 0 (``nodes`` None): entry l of column k is the total weight of the
     prefixes ending at level l, so under a kernel the marginal distribution
-    of column k. A kernel step whose unobserved (all-NaN) row carries weight
-    refuses; otherwise its NaNs count as 0.
+    of column k.
 
     With ``nodes``, each level carries instead a (D,) vector of
     coefficients: column k is (..., D, r_k), the weighted sum over those
     prefixes of the coefficients of the prefix's response, which starts from
     ``start`` (D,) and is multiplied at every node by ``nodes[k]``
-    (r_k, D, D). The weights then hold no NaN.
+    (r_k, D, D).
     """
     if nodes is None:
         v = initial
@@ -250,14 +228,6 @@ def _forward(
         v = _multiply(nodes[0], start[:, None] * initial[..., None, :])
     out = [v]
     for k, step in enumerate(steps):
-        if nodes is None and step.dtype.kind == "f" and np.isnan(step).any():
-            carrying = np.isnan(step).all(axis=1) & (v > SUPPORT_ZERO)
-            if carrying.any():
-                i = int(np.flatnonzero(carrying)[0]) + 1
-                raise StatisticalError(
-                    f"cannot propagate through unobserved row at node ({i}, {k + 1})"
-                )
-            step = np.where(np.isnan(step), 0.0, step)
         v = v @ step
         if nodes is not None:
             v = _multiply(nodes[k + 1], v)
@@ -309,14 +279,7 @@ def conditional_path_probability(
     one row of :func:`conditional_path_probabilities`."""
     nodes = validate_path(path, kernel.spec())
     (prob,), _ = conditional_path_probabilities(kernel, np.array([nodes]), j, i)
-    if nodes[j - 1] != i:
-        return 0.0
-    if np.isnan(prob):
-        k = next(k for k in range(1, kernel.c) if (k, nodes[k - 1]) in kernel.unobserved)
-        raise StatisticalError(
-            f"path traverses unobserved transition row at node ({nodes[k - 1]}, {k})"
-        )
-    return float(prob)
+    return float(prob) if nodes[j - 1] == i else 0.0
 
 
 def conditional_path_probabilities(
@@ -327,8 +290,7 @@ def conditional_path_probabilities(
 
     Also returns a mask of the paths in the kernel's support, decided
     entrywise as in :func:`enumerate_support_paths`: every factor of the
-    path's probability exceeds ``SUPPORT_ZERO`` (a factor from an
-    unobserved, all-NaN row does not).
+    path's probability exceeds ``SUPPORT_ZERO``.
     """
     paths = np.asarray(paths, dtype=np.int64)
     if paths.shape[1:] != (kernel.c,) or ((paths < 1) | (paths > kernel.levels)).any():
@@ -375,8 +337,6 @@ def support_path_array(
 
     Built one column at a time: every supported prefix is extended by each
     level its kernel row (or the initial distribution) gives positive mass.
-    A prefix ending at an unobserved (all-NaN) row cannot be extended and
-    raises.
     """
     levels = kernel.levels
     if math.prod(levels) > cap:
@@ -394,14 +354,7 @@ def support_path_array(
         if col == 0:
             allowed = kernel.initial[None, :] > SUPPORT_ZERO
         else:
-            rows = kernel.steps[col - 1][paths[:, -1] - 1]
-            blocked = np.isnan(rows).all(axis=1)
-            if blocked.any():
-                lvl = int(paths[np.argmax(blocked), -1])
-                raise StatisticalError(
-                    f"cannot enumerate through unobserved row at node ({lvl}, {col})"
-                )
-            allowed = rows > SUPPORT_ZERO
+            allowed = kernel.steps[col - 1][paths[:, -1] - 1] > SUPPORT_ZERO
         if j is not None and col == j - 1:
             allowed[:, np.arange(r) != i - 1] = False
         prefix, lvl = np.nonzero(allowed)  # row-major, so lexicographic
@@ -415,8 +368,6 @@ def kernels_equivalent(a: TransitionKernel, b: TransitionKernel) -> bool:
     not equivalent."""
     if a.levels != b.levels:
         return False
-    _refuse_unobserved(a, "equivalence test")
-    _refuse_unobserved(b, "equivalence test")
     if ((a.initial > SUPPORT_ZERO) != (b.initial > SUPPORT_ZERO)).any():
         return False
     for sa, sb in zip(a.steps, b.steps):
@@ -739,13 +690,23 @@ class PathDataset:
         return self.groups.through(j, i)
 
 
+def _joint_counts(data: PathDataset, columns: Sequence[int]) -> np.ndarray:
+    """Number of records at each combination of levels of ``columns``
+    (1-based), an array with one axis per column: one ``bincount`` over the
+    distinct paths of ``data.groups``, weighted by their counts."""
+    groups = data.groups
+    shape = tuple(data.spec.levels[j - 1] for j in columns)
+    cell = np.ravel_multi_index(tuple(groups.paths[:, j - 1] - 1 for j in columns), shape)
+    counts = np.bincount(cell, weights=groups.counts, minlength=math.prod(shape))
+    return counts.reshape(shape)
+
+
 def estimate_kernel(data: PathDataset, smoothing: float = 0.0) -> TransitionKernel:
     """Empirical transition kernel of a dataset.
 
     Raw frequencies by default; ``smoothing`` adds that pseudocount to every
-    transition cell. With zero smoothing, levels never visited get an
-    all-NaN outgoing row flagged in ``unobserved`` and downstream operations
-    conditioning on those rows refuse.
+    transition cell. A level with no transitions out of it (one no record
+    visits) is refused unless ``smoothing`` is positive.
     """
     if data.n == 0:
         raise DataError("cannot estimate a kernel from an empty dataset")
@@ -754,21 +715,16 @@ def estimate_kernel(data: PathDataset, smoothing: float = 0.0) -> TransitionKern
     r = data.spec.levels
     alpha = float(smoothing)
 
-    first = np.bincount(data.paths[:, 0] - 1, minlength=r[0]).astype(float)
-    initial = (first + alpha) / (data.n + alpha * r[0])
-
-    steps = []
-    unobserved = set()
-    for k in range(data.spec.c - 1):
-        counts = np.zeros((r[k], r[k + 1]))
-        np.add.at(counts, (data.paths[:, k] - 1, data.paths[:, k + 1] - 1), 1.0)
-        counts += alpha
-        totals = counts.sum(axis=1)
-        step = np.full((r[k], r[k + 1]), np.nan)
-        for a in range(r[k]):
-            if totals[a] > 0:
-                step[a] = counts[a] / totals[a]
-            else:
-                unobserved.add((k + 1, a + 1))
-        steps.append(step)
-    return TransitionKernel(initial, tuple(steps), frozenset(unobserved))
+    initial = (_joint_counts(data, (1,)) + alpha) / (data.n + alpha * r[0])
+    counts = [_joint_counts(data, (j, j + 1)) + alpha for j in range(1, data.spec.c)]
+    empty = [(j, i + 1) for j, pair in enumerate(counts, start=1)
+             for i in np.flatnonzero(pair.sum(axis=1) == 0).tolist()]
+    if empty:
+        rows = ", ".join(
+            f"level {i} of column {j} ({data.spec.label(j, i)!r})" for j, i in empty
+        )
+        raise StatisticalError(
+            f"no observed transitions out of {rows}; re-run with --smoothing > 0"
+        )
+    steps = [pair / pair.sum(axis=1, keepdims=True) for pair in counts]
+    return TransitionKernel(initial, tuple(steps))

@@ -165,12 +165,6 @@ def model_to_dict(
     quality: QualityModel | None = None,
 ) -> dict:
     """Serializable document for a kernel with optional labels and quality."""
-    if kernel.unobserved:
-        rows = ", ".join(f"({i}, {j})" for j, i in sorted(kernel.unobserved))
-        raise ModelError(
-            f"cannot serialize a kernel with unobserved rows at nodes {rows}; "
-            "re-estimate with smoothing or drop the affected levels"
-        )
     doc: dict = {"schema_version": 1, "columns": list(kernel.levels)}
     if labels is not None:
         doc["labels"] = [list(col) for col in labels]

@@ -50,6 +50,7 @@ from .model import (
     _check_same_shape,
     _forward,
     _multiply,
+    _reachable_nodes,
     conditional_path_probabilities,
     kernels_equivalent,
     node_marginal,
@@ -204,19 +205,12 @@ def _reweighted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _on_paths(kernel: TransitionKernel, j: int, i: int) -> list[np.ndarray]:
     """For every column, the levels on a support path of ``kernel`` through
-    node (i, j). Refuses where the enumeration of those paths meets an
-    unobserved row (it extends every supported prefix before column j, and
-    after it only those through the node)."""
+    node (i, j)."""
     initial, steps = kernel.initial > SUPPORT_ZERO, [s > SUPPORT_ZERO for s in kernel.steps]
     ahead = _forward(initial, steps[: j - 1])  # columns 1..j
     start = (np.arange(1, len(ahead[-1]) + 1) == i) & ahead[-1]
     after = _forward(start, steps[j - 1:])  # columns j..c
     reached = ahead[:-1] + after
-    for col, lvl in sorted(kernel.unobserved):
-        if reached[col - 1][lvl - 1]:
-            raise StatisticalError(
-                f"cannot enumerate through unobserved row at node ({lvl}, {col})"
-            )
     behind = _backward(steps[j - 1:], np.ones(len(after[-1]), dtype=bool))  # j..c
     before = _backward(steps[: j - 1], start & behind[0])  # columns 1..j
     return [a & b for a, b in zip(reached, before[:-1] + behind)]
@@ -243,8 +237,8 @@ def _reach(
     """The levels on the support paths of ``kernels[0]`` through node
     (i, j) (:func:`_on_paths`) and the node's marginal under each of
     ``kernels``; None when no support path passes through the node. Refuses
-    in the enumeration's order: a node outside the shape, an unobserved row
-    on the way, then a marginal at or below ``SUPPORT_ZERO``."""
+    in the enumeration's order: a node outside the shape, then a marginal at
+    or below ``SUPPORT_ZERO``."""
     levels = kernels[0].levels
     if not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]:
         raise ModelError(f"node ({i}, {j}) outside kernel shape")
@@ -458,15 +452,13 @@ def exact_estimator_targets(
     on_path = [np.zeros(r, dtype=bool) for r in spec.levels]
     marginals = [np.full(r, np.nan) for r in spec.levels]
     table = np.zeros((sum(spec.levels), 3))
-    for j in range(1, spec.c + 1):
-        reached = _forward(kernel.initial, kernel.steps[: j - 1])[-1] > SUPPORT_ZERO
-        for i in (np.flatnonzero(reached) + 1).tolist():
-            found = _reach((target,), j, i)
-            if found is None:
-                raise _null_event(i, j)
-            paths, (marginals[j - 1][i - 1],) = found
-            table += _node_moments(quality, [p & ~o for p, o in zip(paths, on_path)], 2)
-            on_path = [p | o for p, o in zip(paths, on_path)]
+    for i, j in _reachable_nodes(kernel):
+        found = _reach((target,), j, i)
+        if found is None:
+            raise _null_event(i, j)
+        paths, (marginals[j - 1][i - 1],) = found
+        table += _node_moments(quality, [p & ~o for p, o in zip(paths, on_path)], 2)
+        on_path = [p | o for p, o in zip(paths, on_path)]
     fact = _FACTORIALS[:3]
     sums = _path_sums(_weights(target), table / fact, (3,), np.array([1.0, 0.0, 0.0]))
     means = np.full((spec.r_max, spec.c), np.nan)

@@ -49,7 +49,6 @@ from .model import (
     _group_records,
     _path_cells,
     _reachable_nodes,
-    _refuse_unobserved,
     uniform_kernel,
 )
 from .modelfile import load_model
@@ -136,6 +135,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         value = obj.get(name, 1)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ModelError(f"{path}: config field {name!r} must be an integer, got {value!r}")
+    level = obj.get("level", 0.95)
+    if isinstance(level, bool) or not isinstance(level, (int, float)):
+        raise ModelError(f"{path}: config field 'level' must be a number, got {level!r}")
+    estimators = obj.get("estimators", ["plugin"])
+    if not isinstance(estimators, list) or not all(isinstance(e, str) for e in estimators):
+        raise ModelError(
+            f"{path}: config field 'estimators' must be a list of strings, got {estimators!r}"
+        )
 
     model = load_model((path.parent / str(obj["model-ref"])).resolve())
     if model.quality is None:
@@ -154,10 +161,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             seed=obj["seed"],
             replicates=obj.get("replicates", 1),
             target=target,
-            estimators=tuple(obj.get("estimators", ("plugin",))),
-            level=float(obj.get("level", 0.95)),
+            estimators=tuple(estimators),
+            level=float(level),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{path}: bad config value ({exc})") from None
 
 
@@ -205,7 +212,6 @@ def _sample_block(
     record-independent. A node's quality spec is read only where it has
     records.
     """
-    _refuse_unobserved(config.kernel, "cannot sample")
     levels, n, count = config.spec.levels, config.n, stop - start
     rngs = [rng_for(config.seed, rep) for rep in range(start, stop)]
     u = np.empty((count, len(levels), n))

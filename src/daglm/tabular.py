@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ModelError
-from .model import DagSpec, PathDataset
+from .model import DagSpec, PathDataset, _joint_counts
 
 
 @dataclass(frozen=True)
@@ -325,23 +325,15 @@ def markov_discrepancy(data: PathDataset) -> list[float]:
     table with three or more factors need not follow the stepwise model, and
     this quantifies how far it is from doing so.
     """
-    c = data.spec.c
     out = []
-    for k in range(c - 2):
-        a, b_col, c_col = data.paths[:, k], data.paths[:, k + 1], data.paths[:, k + 2]
-        worst = 0.0
-        for b_val in np.unique(b_col):
-            sel_b = b_col == b_val
-            cond_b = np.bincount(
-                c_col[sel_b] - 1, minlength=data.spec.levels[k + 2]
-            ) / sel_b.sum()
-            for a_val in np.unique(a[sel_b]):
-                sel_ab = sel_b & (a == a_val)
-                cond_ab = np.bincount(
-                    c_col[sel_ab] - 1, minlength=data.spec.levels[k + 2]
-                ) / sel_ab.sum()
-                worst = max(worst, float(np.abs(cond_ab - cond_b).max()))
-        out.append(worst)
+    for j in range(1, data.spec.c - 1):
+        triple = _joint_counts(data, (j, j + 1, j + 2))
+        pair = triple.sum(axis=0)
+        history = triple.sum(axis=2)
+        a, b = np.nonzero(history)  # the observed histories (a, b)
+        cond_ab = triple[a, b] / history[a, b, None]
+        cond_b = pair[b] / pair[b].sum(axis=1, keepdims=True)
+        out.append(float(np.abs(cond_ab - cond_b).max(initial=0.0)))
     return out
 
 

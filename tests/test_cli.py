@@ -515,6 +515,24 @@ def test_validate_demo_model_passes(capsys, workdir):
     assert all(r["passed"] for r in doc["rows"])
 
 
+def test_validate_model_with_unreachable_level_passes(capsys, workdir, tmp_path):
+    # level a2 is never reached, so the sample has no transitions out of it
+    # and kernel-recovery compares only the rows it visits
+    doc = json.loads((workdir / "demo_2x2.json").read_text(encoding="utf-8"))
+    doc["initial"] = [1.0, 0.0]
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        ["validate", "--model", model, "--target-kernel", model,
+         "--n", "300", "--replicates", "100"],
+        capsys,
+    )
+    assert code == 0, err
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    assert all(r["passed"] for r in rows.values())
+    assert 0 < rows["kernel-recovery"]["value"] < 0.02
+
+
 def test_validate_csv_format(capsys, workdir):
     code, out, _ = run(
         ["validate", "--model", workdir / "demo_2x2.json",

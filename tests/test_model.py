@@ -38,6 +38,12 @@ def test_kernel_rejects_nonstochastic_rows():
             initial=np.array([0.6, 0.6]),
             steps=(np.array([[1.0, 0.0], [0.0, 1.0]]),),
         )
+    # a kernel is complete: a row without information is not a kernel row
+    with pytest.raises(ModelError, match=r"^step 1 row 2 contains NaN$"):
+        daglm.TransitionKernel(
+            initial=np.array([0.5, 0.5]),
+            steps=(np.array([[0.5, 0.5], [np.nan, np.nan]]),),
+        )
     with pytest.raises(ModelError, match="negative"):
         daglm.TransitionKernel(
             initial=np.array([1.5, -0.5]),
@@ -316,40 +322,18 @@ def test_estimate_kernel_exact_frequencies():
     k = daglm.estimate_kernel(data)
     np.testing.assert_allclose(k.initial, [0.5, 0.5])
     np.testing.assert_allclose(k.steps[0], [[0.75, 0.25], [0.25, 0.75]])
-    assert not k.unobserved
 
 
-def test_estimate_kernel_unobserved_row_flagged():
-    spec = daglm.DagSpec(levels=(2, 2))
-    paths = np.array([[1, 1], [1, 2]])
-    data = daglm.PathDataset(spec=spec, paths=paths, responses=np.zeros(2))
-    k = daglm.estimate_kernel(data)
-    # flags are (column, level) of the node whose outgoing row is unknown
-    assert (1, 2) in k.unobserved
-    assert np.isnan(k.steps[0][1]).all()
-    # here the flagged node also has zero estimated inbound mass, so
-    # downstream marginals are still well defined
-    assert daglm.node_marginal(k, 2, 1) == pytest.approx(0.5)
-
-
-def test_unobserved_row_with_inbound_mass_refuses():
-    # hand-built kernel where mass would flow through the unknown row
-    k = daglm.TransitionKernel(
-        initial=np.array([0.5, 0.5]),
-        steps=(np.array([[0.5, 0.5], [np.nan, np.nan]]),),
-        unobserved={(1, 2)},
+def test_estimate_kernel_refuses_rows_without_transitions():
+    spec = daglm.DagSpec(levels=(2, 2, 2), labels=(("a", "b"), ("x", "y"), ("u", "v")))
+    data = daglm.PathDataset(spec=spec, paths=np.array([[1, 1, 1], [1, 1, 2]]),
+                             responses=np.zeros(2))
+    with pytest.raises(StatisticalError) as info:
+        daglm.estimate_kernel(data)
+    assert str(info.value) == (
+        "no observed transitions out of level 2 of column 1 ('b'), "
+        "level 2 of column 2 ('y'); re-run with --smoothing > 0"
     )
-    with pytest.raises(StatisticalError, match="unobserved"):
-        daglm.node_marginal(k, 2, 1)
-    # conditioning on a column-1 node: the marginal is defined, the path is not
-    with pytest.raises(StatisticalError,
-                       match=r"traverses unobserved transition row at node \(2, 1\)"):
-        daglm.conditional_path_probability(k, (2, 1), 1, 2)
-    assert daglm.conditional_path_probability(k, (1, 2), 1, 1) == pytest.approx(0.5)
-    with pytest.raises(StatisticalError):
-        daglm.enumerate_support_paths(k)
-    with pytest.raises(StatisticalError, match="unobserved"):
-        daglm.kernels_equivalent(k, k)
 
 
 def test_estimate_kernel_smoothing_removes_gaps():
@@ -357,10 +341,67 @@ def test_estimate_kernel_smoothing_removes_gaps():
     paths = np.array([[1, 1], [1, 2]])
     data = daglm.PathDataset(spec=spec, paths=paths, responses=np.zeros(2))
     k = daglm.estimate_kernel(data, smoothing=0.5)
-    assert not k.unobserved
     np.testing.assert_allclose(k.steps[0].sum(axis=1), [1.0, 1.0])
     # smoothed unvisited row is uniform
     np.testing.assert_allclose(k.steps[0][1], [0.5, 0.5])
+
+
+def per_record_kernel(data, alpha):
+    """The transition frequencies by a scan of the records, None when a
+    row has no transitions."""
+    r = data.spec.levels
+    first = np.bincount(data.paths[:, 0] - 1, minlength=r[0]).astype(float)
+    initial = (first + alpha) / (data.n + alpha * r[0])
+    steps = []
+    for k in range(data.spec.c - 1):
+        counts = np.zeros((r[k], r[k + 1]))
+        np.add.at(counts, (data.paths[:, k] - 1, data.paths[:, k + 1] - 1), 1.0)
+        counts += alpha
+        totals = counts.sum(axis=1)
+        if not totals.all():
+            return None
+        steps.append(np.stack([counts[a] / totals[a] for a in range(r[k])]))
+    return initial, steps
+
+
+def per_record_markov(data):
+    """The Markov discrepancies by nested masks over the records."""
+    out = []
+    for k in range(data.spec.c - 2):
+        a, b_col, c_col = data.paths[:, k], data.paths[:, k + 1], data.paths[:, k + 2]
+        worst = 0.0
+        for b_val in np.unique(b_col):
+            sel_b = b_col == b_val
+            cond_b = np.bincount(c_col[sel_b] - 1, minlength=data.spec.levels[k + 2]) / sel_b.sum()
+            for a_val in np.unique(a[sel_b]):
+                sel_ab = sel_b & (a == a_val)
+                cond_ab = np.bincount(
+                    c_col[sel_ab] - 1, minlength=data.spec.levels[k + 2]
+                ) / sel_ab.sum()
+                worst = max(worst, float(np.abs(cond_ab - cond_b).max()))
+        out.append(worst)
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       alpha=st.sampled_from([0.0, 0.5, 1.0, 1 / 3]))
+@settings(max_examples=200, deadline=None)
+def test_path_count_reductions_equal_per_record_scans(seed, n, alpha):
+    rng = np.random.default_rng(seed)
+    levels = tuple(int(r) for r in rng.integers(1, 5, size=rng.integers(1, 5)))
+    # skewed level draws, so that some levels go unvisited
+    paths = np.stack([np.minimum(rng.geometric(rng.uniform(0.3, 0.9), n), r)
+                      for r in levels], axis=1)
+    data = daglm.PathDataset(daglm.DagSpec(levels), paths, rng.normal(size=n))
+    expected = per_record_kernel(data, alpha)
+    if expected is None:
+        with pytest.raises(StatisticalError, match="no observed transitions"):
+            daglm.estimate_kernel(data, smoothing=alpha)
+    else:
+        got = daglm.estimate_kernel(data, smoothing=alpha)
+        assert got.initial.tobytes() == expected[0].tobytes()
+        assert [s.tobytes() for s in got.steps] == [s.tobytes() for s in expected[1]]
+    assert daglm.markov_discrepancy(data) == per_record_markov(data)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(50, 400))

@@ -163,16 +163,6 @@ def test_quality_field_must_be_a_finite_number(tmp_path, key, entry, field, lite
     assert run_command(["validate", "--model", str(path)]) == 3
 
 
-def test_model_to_dict_refuses_unobserved_rows():
-    k = daglm.TransitionKernel(
-        initial=np.array([0.5, 0.5]),
-        steps=(np.array([[0.5, 0.5], [np.nan, np.nan]]),),
-        unobserved={(1, 2)},
-    )
-    with pytest.raises(ModelError, match="unobserved"):
-        daglm.model_to_dict(k)
-
-
 def test_bundled_demo_model_loads():
     model = daglm.load_model(daglm.data_path("demo_2x2.json"))
     assert model.spec.levels == (2, 2)

@@ -441,41 +441,6 @@ def test_recursion_refuses_where_enumeration_does(seed, sparsify, pick):
 
 @given(seed=st.integers(0, 100_000), pick=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
-def test_recursion_refuses_unobserved_rows_where_enumeration_does(seed, pick):
-    rng = np.random.default_rng(seed)
-    spec, kernel, target, quality = random_model(rng, sparsify=0.3)
-    rows = [(k, lvl) for k in range(1, spec.c) for lvl in range(1, spec.levels[k - 1] + 1)]
-    k, lvl = rows[pick % len(rows)]
-
-    def blanked(source):
-        steps = [s.copy() for s in source.steps]
-        steps[k - 1][lvl - 1] = np.nan
-        return daglm.TransitionKernel(source.initial, tuple(steps), {(k, lvl)})
-
-    for source, aim in ((kernel, blanked(target)), (blanked(kernel), target)):
-        got = outcome(exact_estimator_targets, source, aim, quality)
-        want = outcome(enumerated_targets, source, aim, quality)
-        if refused(want):
-            assert got == want
-        else:
-            assert (np.isnan(got[0]) == np.isnan(want[0])).all()
-            reached = ~np.isnan(want[0])
-            assert_relatively_close(got[0][reached], want[0][reached])
-        for i, j in nodes_of(spec):
-            want = outcome(exact_conditional_moments, aim, quality, j, i)
-            got = outcome(_conditional_moments, aim, quality, j, i, 2)
-            if refused(want):
-                assert got == want
-            else:
-                assert_relatively_close(got[1:], want)
-            want = outcome(enumerated_closed_forms, source, aim, quality, i, j)
-            for fn in CLOSED_FORMS.values():
-                assert outcome(fn, source, aim, quality, i, j) == want
-            assert outcome(verify_measure_change, source, aim, quality, j, i, "b") == want
-
-
-@given(seed=st.integers(0, 100_000), pick=st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
 def test_targets_refuse_as_the_first_refusing_node(seed, pick):
     # the target loses a support entry, so some nodes that data reaches are
     # null events under it, and one node loses its quality spec: the

@@ -118,17 +118,6 @@ def test_sample_path_single(demo_config):
     assert all(level in (1, 2) for level in paths[0])
 
 
-def test_sampling_refuses_unobserved_rows(demo_config):
-    kernel = daglm.TransitionKernel(
-        initial=np.array([1.0, 0.0]),
-        steps=(np.array([[0.5, 0.5], [np.nan, np.nan]]),),
-        unobserved=frozenset({(1, 2)}),
-    )
-    config = dataclasses.replace(demo_config, kernel=kernel, n=10, seed=0)
-    with pytest.raises(StatisticalError, match="unobserved"):
-        sample_dataset(config)
-
-
 def test_response_is_sum_of_node_draws_on_average(demo_config, demo_quality):
     # per-cell response means should track the model's conditional targets
     config = daglm.ExperimentConfig(
@@ -270,6 +259,22 @@ def test_load_config_rejects_bad_files(tmp_path):
                                              rf"must be an integer, got {value!r}"):
             load_config(inexact)
         argv = ["simulate", "--config", str(inexact), "--out", str(tmp_path / "out.csv")]
+        assert run_command(argv) == 3
+    # level is a JSON number and estimators a list of strings, never coerced
+    for field, value, kind in [("level", "0.9", "a number"), ("level", True, "a number"),
+                               ("level", None, "a number"), ("level", [0.9], "a number"),
+                               ("estimators", "plugin", "a list of strings"),
+                               ("estimators", ["plugin", 1], "a list of strings"),
+                               ("estimators", {"plugin": 1}, "a list of strings")]:
+        mistyped = tmp_path / "mistyped.json"
+        mistyped.write_text(json.dumps({"model-ref": "model.json", "n": 5, "seed": 0,
+                                        field: value}), encoding="utf-8")
+        with pytest.raises(ModelError) as info:
+            load_config(mistyped)
+        assert str(info.value) == (
+            f"{mistyped}: config field '{field}' must be {kind}, got {value!r}"
+        )
+        argv = ["simulate", "--config", str(mistyped), "--out", str(tmp_path / "out.csv")]
         assert run_command(argv) == 3
 
 
