@@ -20,7 +20,6 @@ from .asymptotics import (
     asym_var_variance_known,
     asym_var_variance_unknown,
     confidence_interval,
-    naive_asym_var,
     normal_quantile,
     plugin_asym_var,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "markov_discrepancy",
     "model_from_dict",
     "model_to_dict",
-    "naive_asym_var",
     "node_marginal",
     "normal_quantile",
     "path_raw_moments",

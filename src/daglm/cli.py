@@ -18,7 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import _quantile, _weights_av, confidence_interval
+from .asymptotics import (
+    _quantile,
+    _weights_av,
+    asym_var_mean_known,
+    asym_var_mean_unknown,
+    asym_var_variance_known,
+    asym_var_variance_unknown,
+    confidence_interval,
+)
 from .errors import DataError, ModelError, StatisticalError
 from .estimators import _cell_weights, _estimate
 from .model import (
@@ -510,13 +518,6 @@ def _cmd_validate(args) -> int:
             "name": "estimator-targets-finite", "passed": False, "value": None,
             "threshold": None, "detail": str(exc),
         })
-
-    from .asymptotics import (
-        asym_var_mean_known,
-        asym_var_mean_unknown,
-        asym_var_variance_known,
-        asym_var_variance_unknown,
-    )
 
     psd_detail, psd_ok = "all contractions nonnegative", True
     try:

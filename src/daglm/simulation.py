@@ -164,6 +164,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             estimators=tuple(estimators),
             level=float(level),
         )
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{path}: bad config value ({exc})") from None
 

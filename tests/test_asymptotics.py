@@ -9,16 +9,16 @@ from daglm.asymptotics import (
     PSD_ATOL,
     REGIME_KNOWN,
     REGIME_UNKNOWN,
+    _weights_av,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
     asym_var_variance_unknown,
     confidence_interval,
-    naive_asym_var,
     normal_quantile,
     plugin_asym_var,
 )
-from daglm.estimators import cell_estimate
+from daglm.estimators import _cell_weights, cell_estimate
 
 from conftest import random_model
 
@@ -96,7 +96,7 @@ def _av(name, kernel, target, quality, data, i, j):
         return CLOSED_FORMS[name](kernel, target, quality, i, j)
     kind, which = name.split("-")
     if kind == "naive":
-        return naive_asym_var(data, i, j, which)
+        return _weights_av(_cell_weights(data, i, j, "naive"), which)
     return plugin_asym_var(data, target, i, j, which, PLUG_IN_REGIMES[kind], kernel=kernel)
 
 
@@ -122,8 +122,7 @@ def test_asym_var_matrix_psd_and_contraction_shapes(name, av_models):
             for i in range(1, r + 1):
                 av = _av(name, q, t, quality, data, i, j)
                 m, c = av.matrix, av.contraction
-                width = 1 if av.blocks.shape[1] == 1 else 2
-                assert c.shape == (width * len(av.blocks),)
+                assert av.blocks.shape == (c.size, 1)
                 assert m.shape == (c.size, c.size)
                 assert not m.flags.writeable and not av.blocks.flags.writeable
                 scale = max(1.0, float(np.abs(m).max()))
@@ -156,13 +155,11 @@ def test_unrealizable_moments_fail_the_psd_check():
     nodes = {(i, j): daglm.NodeQuality.point_mass(0.0) for i in (1, 2) for j in (1, 2)}
     nodes[(1, 1)] = daglm.NodeQuality.from_raw_moments((0.0, 1.0, 0.0, 0.2))
     quality = daglm.QualityModel(nodes=nodes)
-    # the unknown-source form refuses the node itself: the Hankel matrix
+    # both variance forms refuse the node itself: the Hankel matrix
     # [[1, 0, 1], [0, 1, 0], [1, 0, 0.2]] has eigenvalue 0.6 - sqrt(1.16)
-    for fn, refusal in (
-        (asym_var_variance_unknown, r"moments of node \(1, 1\) not realizable: Hankel "
-                                    r"matrix not positive semidefinite \(min eigenvalue -0.477\)"),
-        (asym_var_variance_known, r"not positive semidefinite \(min eigenvalue -0.8\)"),
-    ):
+    refusal = (r"moments of node \(1, 1\) not realizable: Hankel "
+               r"matrix not positive semidefinite \(min eigenvalue -0.477\)")
+    for fn in (asym_var_variance_unknown, asym_var_variance_known):
         with pytest.raises(StatisticalError, match=refusal):
             fn(uniform, uniform, quality, 1, 1)
 
@@ -193,7 +190,7 @@ def test_plugin_asym_var_requires_replicated_paths(demo_spec, demo_uniform):
 
 def test_naive_asym_var_is_conditional_variance(demo_config):
     data = daglm.sample_dataset(demo_config, 0)
-    av = naive_asym_var(data, 1, 2, "mean")
+    av = _weights_av(_cell_weights(data, 1, 2, "naive"), "mean")
     sel = data.responses[data.paths[:, 1] == 1]  # node (1, 2)
     assert av.value == pytest.approx(float(np.var(sel)), rel=1e-12)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import daglm
 from daglm import ModelError, NoDataError, StatisticalError
+from daglm.asymptotics import _weights_av
 from daglm.estimators import _cell_weights, cell_estimate
 
 from conftest import random_model
@@ -411,7 +412,7 @@ def test_per_path_reductions_match_per_record_formulas(seed):
                 assert est.mean == pytest.approx(mean, **close)
                 assert est.variance == pytest.approx(max(variance, 0.0), **close)
             for which in ("mean", "variance"):
-                naive = daglm.naive_asym_var(data, i, j, which)
+                naive = _weights_av(_cell_weights(data, i, j, "naive"), which)
                 assert naive.value == pytest.approx(
                     max(_known_av_per_record(b, weights["naive"], which), 0.0), **close
                 )

@@ -312,11 +312,11 @@ def folded_blocks(probs, targets, moments):
     return {
         "mean_known": (values["mean_known"], [var_y], [1.0]),
         "variance_known": (values["variance_known"],
-                           [ex2 - ex * ex, 2 * mu * (exy - ex * mu), 4 * mu * mu * var_y],
-                           [1.0, -1.0]),
+                           [ex2 - ex * ex - 4 * mu * (exy - ex * mu) + 4 * mu * mu * var_y],
+                           [1.0]),
         "mean_unknown": (values["mean_unknown"], [var_b], [1.0]),
-        "variance_unknown": (values["variance_unknown"], [var_b, cov_b, var_b2],
-                             [-2 * mu, 1.0]),
+        "variance_unknown": (values["variance_unknown"],
+                             [var_b2 - 4 * mu * cov_b + 4 * mu * mu * var_b], [1.0]),
     }
 
 

@@ -221,7 +221,7 @@ def test_load_config_resolves_model_ref_relative_to_config(tmp_path):
     assert config.spec.levels == (2, 2)
 
 
-def test_load_config_rejects_bad_files(tmp_path):
+def test_load_config_rejects_bad_files(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     with pytest.raises(ModelError, match="not found"):
         load_config(missing)
@@ -276,6 +276,20 @@ def test_load_config_rejects_bad_files(tmp_path):
         )
         argv = ["simulate", "--config", str(mistyped), "--out", str(tmp_path / "out.csv")]
         assert run_command(argv) == 3
+    # a well-typed value that the config refuses names the file
+    for field, text, refusal in [("level", "1.5", "level 1.5 outside (0, 1)"),
+                                 ("estimators", '["foo"]', "unknown estimator 'foo'"),
+                                 ("level", "1e400", "level inf outside (0, 1)")]:
+        refused = tmp_path / "refused.json"
+        refused.write_text(f'{{"model-ref": "model.json", "n": 5, "seed": 0, "{field}": {text}}}',
+                           encoding="utf-8")
+        with pytest.raises(ModelError) as info:
+            load_config(refused)
+        assert str(info.value) == f"{refused}: {refusal}"
+        argv = ["simulate", "--config", str(refused), "--out", str(tmp_path / "out.csv")]
+        capsys.readouterr()
+        assert run_command(argv) == 3
+        assert capsys.readouterr().err == f"error: {refused}: {refusal}\n"
 
 
 def test_coverage_study_needs_replicates(demo_config):

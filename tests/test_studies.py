@@ -16,7 +16,6 @@ from daglm.asymptotics import (
     REGIME_KNOWN,
     _weights_av,
     confidence_interval,
-    naive_asym_var,
     plugin_asym_var,
 )
 from daglm.errors import DaglmError
@@ -303,7 +302,7 @@ def test_study_row_is_the_single_dataset_interval(demo_config, kind, which):
         for i, j in result.nodes:
             cell = cell_estimate(data, i, j, kind, config.kernel, target)
             if kind == "naive":
-                av = naive_asym_var(data, i, j, which)
+                av = _weights_av(_cell_weights(data, i, j, "naive"), which)
             elif kind == "weighted":
                 av = plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, config.kernel)
             else:
