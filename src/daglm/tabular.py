@@ -2,13 +2,15 @@
 discretization of numeric covariates.
 
 Input files are comma-separated UTF-8 text with a mandatory header row and
-``.`` as the decimal separator. Tables are held by column, and every step
-(parsing the responses, mapping labels to levels, writing a CSV) works on a
-whole column at a time. Factor labels are mapped to level indices by
-sorting the distinct labels of each column: numerically when every label
-parses as a number other than NaN, lexicographically otherwise. That
-ordering is part of the reported output (level indices appear in pairwise
-reports), so it is fixed here rather than left to file order.
+``.`` as the decimal separator. Responses must be finite numbers in plain
+ASCII decimal syntax. Tables are held by column: parsing the responses and
+mapping labels to levels work on a whole column at a time, and writing a CSV
+quotes each distinct row of labels once, then writes the records in blocks.
+Factor labels are mapped to level indices by sorting the distinct labels of
+each column: numerically when every label parses as a number other than
+NaN, lexicographically otherwise. That ordering is part of the reported
+output (level indices appear in pairwise reports), so it is fixed here
+rather than left to file order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ModelError
-from .model import DagSpec, PathDataset, _joint_counts
+from .model import DagSpec, PathDataset, _joint_counts, _path_cells
+
+#: records per block of CSV output: blocks bound the text held at once
+_BLOCK_RECORDS = 2**14
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class TabularDataset:
         values = self._numeric.get(name)
         if values is None:
             try:
-                values = np.array(list(map(float, self.column(name))))
+                values = _parse_floats(self.column(name))
             except ValueError as exc:
                 raise DataError(f"column {name!r} is not numeric: {exc}") from None
             values.setflags(write=False)
@@ -111,8 +116,13 @@ class TabularDataset:
     def write_csv(self, dest) -> None:
         """Write the table as CSV: the factor columns, then the response in
         shortest exact decimal form."""
-        _write_columns(
-            dest, [*self.factor_names, self.response_name], self.columns,
+        code: dict[tuple[str, ...], int] = {}  # distinct label row -> index
+        index = np.fromiter(
+            (code.setdefault(row, len(code)) for row in zip(*self.columns)),
+            np.int64, count=self.n,
+        )
+        _write_records(
+            dest, [*self.factor_names, self.response_name], list(code), index,
             self.responses,
         )
 
@@ -144,21 +154,42 @@ def _repeated(names) -> list[str]:
     return sorted({name for name in names if names.count(name) > 1})
 
 
+def _plain_float(text: str) -> float:
+    """``float(text)``, refusing (ValueError) the syntax only Python reads as
+    a number: digit-group underscores and non-ASCII digits or spaces."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+def _parse_floats(texts) -> np.ndarray:
+    """Parse a column of decimal numbers by the rule of :func:`_plain_float`.
+    The syntax check runs once on the whole column; the values are scanned
+    one by one only to name the first offending one."""
+    joined = "".join(texts)
+    if "_" in joined or not joined.isascii():
+        for text in texts:
+            _plain_float(text)
+    return np.array(list(map(float, texts)))
+
+
 def _refuse_first_bad_record(records, width: int, r_idx: int) -> None:
     """Raise for the first record, in file order, that is ragged or has a
-    non-numeric response. Data rows are numbered over every record after the
-    header, blank ones included."""
+    non-numeric or non-finite response. Data rows are numbered over every
+    record after the header, blank ones included."""
     for k, row in enumerate(records, start=1):
         if not row:
             continue
         if len(row) != width:
             raise DataError(f"data row {k}: {len(row)} fields, expected {width}")
         try:
-            float(row[r_idx])
+            value = _plain_float(row[r_idx])
         except ValueError:
             raise DataError(
                 f"data row {k}: non-numeric response {row[r_idx]!r}"
             ) from None
+        if not math.isfinite(value):
+            raise DataError(f"data row {k}: non-finite response {row[r_idx]!r}")
 
 
 def load_table(
@@ -216,10 +247,11 @@ def load_table(
     if not columns:
         raise DataError("empty file: no data rows")
     try:
-        responses = np.array(list(map(float, columns[r_idx])))
+        responses = _parse_floats(columns[r_idx])
     except ValueError:
+        responses = None
+    if responses is None or not np.isfinite(responses).all():
         _refuse_first_bad_record(records, width, r_idx)
-        raise
     del records  # only the refusals need the row lists; free them now
     return TabularDataset(
         factor_names=tuple(factor_columns),
@@ -337,18 +369,40 @@ def markov_discrepancy(data: PathDataset) -> list[float]:
     return out
 
 
-def _write_columns(dest, header, columns, responses) -> None:
-    """Write ``header``, then one record per row of the label ``columns``
-    followed by its response in shortest exact decimal form (``repr`` of a
-    Python float), so a reload reproduces the responses bit for bit."""
+class _Echo:
+    """A file whose ``write`` hands its text back, so that ``writerow`` of a
+    ``csv.writer`` on it returns the encoded record."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _write_records(dest, header, label_rows, index, responses) -> None:
+    """Write ``header``, then record k: the labels ``label_rows[index[k]]``
+    followed by response k in shortest exact decimal form (``repr`` of a
+    Python float), so a reload reproduces the responses bit for bit.
+
+    Each distinct label row is quoted once, by ``csv.writer``, as the prefix
+    of its records; the records are then written in blocks of
+    ``_BLOCK_RECORDS``."""
+    encode = csv.writer(_Echo(), lineterminator="\n").writerow
+    # each prefix ends in the delimiter before an empty last field; that
+    # field also keeps a row of one empty label from being written as '""'
+    prefixes = [encode([*row, ""])[:-1] for row in label_rows]
     close = False
     if not hasattr(dest, "write"):
         dest = open(dest, "w", encoding="utf-8", newline="")
         close = True
     try:
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*columns, map(repr, responses.tolist())))
+        dest.write(encode(header))
+        for start in range(0, len(index), _BLOCK_RECORDS):
+            block = slice(start, start + _BLOCK_RECORDS)
+            dest.write("\n".join(map(
+                str.__add__,
+                map(prefixes.__getitem__, index[block].tolist()),
+                map(repr, responses[block].tolist()),
+            )))
+            dest.write("\n")
     finally:
         if close:
             dest.close()
@@ -359,8 +413,9 @@ def write_dataset_csv(dest, spec: DagSpec, data: PathDataset, factor_names=None)
     response."""
     if factor_names is None:
         factor_names = [f"factor_{j}" for j in range(1, spec.c + 1)]
-    columns = []
-    for j, levels in enumerate(data.paths.T.tolist(), start=1):
-        labels = [spec.label(j, i) for i in range(max(levels, default=0) + 1)]
-        columns.append(map(labels.__getitem__, levels))
-    _write_columns(dest, [*factor_names, "response"], columns, data.responses)
+    paths, index = _path_cells(data.paths, data.spec.levels)
+    label_rows = [
+        [spec.label(j, i) for j, i in enumerate(path, start=1)]
+        for path in paths.tolist()
+    ]
+    _write_records(dest, [*factor_names, "response"], label_rows, index, data.responses)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import daglm
+from daglm import tabular
 from daglm.cli import run_command
 from daglm.estimators import cell_estimate
 from daglm.simulation import load_config, sample_dataset
@@ -103,6 +104,31 @@ def test_duplicate_factor_names_exit_3(capsys, tmp_path):
     assert "duplicate column names ['a']" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--estimator", "naive"],
+    ["kernel"],
+    ["discretize", "--columns", "x", "--groups", "2"],
+])
+@pytest.mark.parametrize("text, refusal", [
+    ("x,g,y\n1.0,a,nan\n2.0,b,1\n3.0,a,2\n4.0,b,inf\n",
+     "data row 1: non-finite response 'nan'"),
+    ("x,g,y\n1.0,a,1\n\n2.0,b,-inf\n3.0,a,2\n",
+     "data row 3: non-finite response '-inf'"),
+    ("x,g,y\n1.0,a,1\n2.0,b,1_0\n3.0,a,2\n",
+     "data row 2: non-numeric response '1_0'"),
+    ("x,g,y\n1.0,a,1\n2.0,b,2\n3.0,a,\u0663\n",
+     "data row 3: non-numeric response '\u0663'"),
+])
+def test_bad_response_exit_3_names_its_row(capsys, tmp_path, command, text, refusal):
+    data_path = tmp_path / "bad.csv"
+    data_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    code, _, err = run([*command, "--data", data_path, "--out", out], capsys)
+    assert code == 3
+    assert refusal in err
+    assert not out.exists()
+
+
 def test_utf8_bom_header_names_columns(capsys, tmp_path):
     data_path = tmp_path / "bom.csv"
     rows = "".join(f"{a},{b},{k}.5\n" for k, (a, b) in enumerate(
@@ -154,6 +180,26 @@ def test_simulate_deterministic_and_seed_override(capsys, workdir, tmp_path):
     assert run(base + ["--seed", "99", "--out", c], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_simulate_round_trips_quoted_labels_across_blocks(capsys, tmp_path):
+    labels = [["a,b", 'say "hi"'], ["", "a\nb"]]
+    model = json.loads(daglm.data_path("demo_2x2.json").read_text(encoding="utf-8"))
+    (tmp_path / "model.json").write_text(
+        json.dumps(model | {"labels": labels}), encoding="utf-8"
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"model-ref": "model.json", "n": tabular._BLOCK_RECORDS + 5, "seed": 3}
+    ), encoding="utf-8")
+    data_csv = tmp_path / "sim.csv"
+    assert run(["simulate", "--config", config_path, "--out", data_csv],
+               capsys)[0] == 0
+    table = daglm.load_table(data_csv)
+    spec, data = table.to_path_dataset(dict(zip(table.factor_names, labels)))
+    want = sample_dataset(load_config(config_path), 0)
+    assert np.array_equal(data.paths, want.paths)
+    assert data.responses.tobytes() == want.responses.tobytes()
 
 
 def test_estimate_from_simulated_csv_matches_in_memory(capsys, workdir, tmp_path):

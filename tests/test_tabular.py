@@ -1,13 +1,14 @@
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import daglm
-from daglm import DataError, ModelError
+from daglm import DataError, ModelError, tabular
 from daglm.tabular import (
     DiscretizationRule,
     TabularDataset,
@@ -71,6 +72,15 @@ def test_load_table_errors():
         load_table(io.StringIO("a,b,y\n1,2,3\n\n1,2\n"))
     with pytest.raises(DataError, match="data row 3: non-numeric response 'x'"):
         load_table(io.StringIO("a,b,y\n1,2,3\n\n1,2,x\n"))
+    # only finite responses in plain ASCII decimal syntax are read
+    with pytest.raises(DataError, match="data row 1: non-finite response 'nan'"):
+        load_table(io.StringIO("x,g,y\n1.0,a,nan\n2.0,b,1\n4.0,b,inf\n"))
+    with pytest.raises(DataError, match="data row 3: non-finite response ' -inf'"):
+        load_table(io.StringIO("a,y\n1,2\n\n1, -inf\n"))
+    with pytest.raises(DataError, match="data row 2: non-numeric response '1_0'"):
+        load_table(io.StringIO("a,y\n1,2\n1,1_0\n"))
+    with pytest.raises(DataError, match="data row 1: non-numeric response '\u0661'"):
+        load_table(io.StringIO("a,y\n1,\u0661\n"))
 
 
 def test_load_table_drops_utf8_bom(tmp_path):
@@ -184,6 +194,14 @@ def test_apply_rules_replaces_with_group_labels():
         apply_rules(table, {"y": rule})
 
 
+@pytest.mark.parametrize("bad", ["1_0", "\u0661", "\uff11", "abc"])
+def test_numeric_column_refuses_python_only_syntax(bad):
+    table = load_table(io.StringIO(f"x,y\n 2 ,1\n{bad},2\n3,3\n"))
+    with pytest.raises(DataError, match=f"column 'x' is not numeric: .*{bad!r}"):
+        table.numeric_column("x")
+    assert load_table(io.StringIO("x,y\n 2 ,1\n")).numeric_column("x")[0] == 2.0
+
+
 def test_markov_discrepancy_zero_when_stepwise():
     # counts factor as f(col1) * h(col2, col3), so the two-step and one-step
     # conditionals agree exactly
@@ -242,10 +260,16 @@ def _ref_load_table(text):
     for k, row in rows:
         if len(row) != len(header):
             raise DataError(f"data row {k}: {len(row)} fields, expected {len(header)}")
+        text = row[-1]
         try:
-            responses.append(float(row[-1]))
+            if "_" in text or not text.isascii():
+                raise ValueError(text)
+            value = float(text)
         except ValueError:
-            raise DataError(f"data row {k}: non-numeric response {row[-1]!r}") from None
+            raise DataError(f"data row {k}: non-numeric response {text!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"data row {k}: non-finite response {text!r}")
+        responses.append(value)
         factors.append(tuple(cell.strip() for cell in row[:-1]))
     return tuple(header[:-1]), header[-1], factors, np.array(responses)
 
@@ -307,12 +331,15 @@ RESPONSES = st.one_of(
     st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
 )
 RESPONSE_TEXT = (repr, "{:.6e}".format, " {!r} ".format)
+#: response texts that load_table refuses: non-numeric, non-finite, or read
+#: as numbers only by Python's float
+BAD_RESPONSES = ("tall", "nan", "inf", "1_0", "\u0661")
 
 
 @st.composite
 def csv_texts(draw, messy):
     """A CSV text over tricky labels and responses; ``messy`` adds blank,
-    ragged and non-numeric records."""
+    ragged, non-numeric and non-finite records."""
     c = draw(st.integers(1, 3))
     pools = [
         draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
@@ -324,13 +351,17 @@ def csv_texts(draw, messy):
         records.append([draw(st.sampled_from(pool)) for pool in pools] + [text])
     for _ in range(draw(st.integers(0, 3)) if messy else 0):
         k = draw(st.integers(0, len(records)))
-        kind = draw(st.sampled_from(["blank", "short", "long", "text"]))
+        kind = draw(st.sampled_from(["blank", "short", "long", *BAD_RESPONSES]))
         if kind == "blank":
             records.insert(k, [])
         elif k < len(records) and records[k]:
             row = records[k]
-            records[k] = {"short": row[:-1], "long": row + ["1"],
-                          "text": row[:-1] + ["tall"]}[kind]
+            if kind == "short":
+                records[k] = row[:-1]
+            elif kind == "long":
+                records[k] = row + ["1"]
+            else:
+                records[k] = row[:-1] + [kind]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f"f,{j}" for j in range(1, c + 1)] + ["y"])
@@ -342,9 +373,19 @@ def csv_texts(draw, messy):
     return out.getvalue()
 
 
-@given(text=csv_texts(messy=True))
+def _written(block, write):
+    """What ``write(buf)`` writes to a buffer with blocks of ``block``
+    records."""
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "_BLOCK_RECORDS", block)
+        write(buf)
+    return buf.getvalue()
+
+
+@given(text=csv_texts(messy=True), block=st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
-def test_load_table_matches_per_row_reference(text):
+def test_load_table_matches_per_row_reference(text, block):
     want = _outcome(_ref_load_table, text)
     got = _outcome(load_table, io.StringIO(text))
     if isinstance(want, str):
@@ -355,9 +396,31 @@ def test_load_table_matches_per_row_reference(text):
     assert got.response_name == response_name
     assert got.columns == tuple(zip(*rows))
     assert got.responses.tobytes() == responses.tobytes()
-    buf = io.StringIO()
-    got.write_csv(buf)
-    assert buf.getvalue() == _ref_write_rows([*names, response_name], rows, responses)
+    assert _written(block, got.write_csv) == _ref_write_rows(
+        [*names, response_name], rows, responses
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_write_csv_after_apply_rules_matches_per_row_reference(data):
+    n = data.draw(st.integers(1, 8))
+    xs = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    responses = data.draw(st.lists(RESPONSES, min_size=n, max_size=n))
+    breaks = sorted(data.draw(st.sets(st.integers(1, 8), min_size=1, max_size=3)))
+    names = data.draw(st.lists(st.sampled_from(LABELS), min_size=3, max_size=3,
+                               unique=True))
+    table = TabularDataset(tuple(names[:2]), names[2],
+                           (tuple(map(str, xs)), tuple(labels)), responses)
+    rule = DiscretizationRule(names[0], len(breaks) + 1, (0, *breaks, 9))
+    binned = apply_rules(table, {names[0]: rule})
+    # group g holds (breaks[g-1], breaks[g]]; the first also holds breaks[0]
+    rows = [(str(1 + sum(b < x for b in breaks)), lab) for x, lab in zip(xs, labels)]
+    block = data.draw(st.integers(1, 3))
+    assert _written(block, binned.write_csv) == _ref_write_rows(
+        names, rows, responses
+    )
 
 
 @given(text=csv_texts(messy=False), data=st.data())
@@ -409,6 +472,8 @@ def test_write_dataset_csv_matches_per_row_reference(data):
         st.none(), st.lists(st.sampled_from(LABELS), min_size=len(levels),
                             max_size=len(levels)),
     ))
-    buf = io.StringIO()
-    write_dataset_csv(buf, spec, dataset, factor_names)
-    assert buf.getvalue() == _ref_write_dataset_csv(spec, dataset, factor_names)
+    block = data.draw(st.integers(1, 3))
+    written = _written(
+        block, lambda buf: write_dataset_csv(buf, spec, dataset, factor_names)
+    )
+    assert written == _ref_write_dataset_csv(spec, dataset, factor_names)
