@@ -3,20 +3,25 @@ discretization of numeric covariates.
 
 Input files are comma-separated UTF-8 text with a mandatory header row and
 ``.`` as the decimal separator. Responses must be finite numbers in plain
-ASCII decimal syntax. Tables are held by column: parsing the responses and
-mapping labels to levels work on a whole column at a time, and writing a CSV
-quotes each distinct row of labels once, then writes the records in blocks.
-Factor labels are mapped to level indices by sorting the distinct labels of
-each column: numerically when every label parses as a number other than
-NaN, lexicographically otherwise. That ordering is part of the reported
-output (level indices appear in pairwise reports), so it is fixed here
-rather than left to file order.
+ASCII decimal syntax. A table holds each distinct row of factor labels once,
+plus one row index and one response per record. CSV records are read and
+written in blocks of ``_BLOCK_RECORDS``: reading codes each block's label
+rows through one dict and parses its responses with one numpy call, and no
+per-record Python object outlives its block; writing quotes each distinct
+label row once. Factor labels are mapped to level indices by sorting the
+distinct labels of each column: numerically when every label is a plain
+ASCII decimal number other than NaN, lexicographically otherwise. That
+ordering is part of the reported output (level indices appear in pairwise
+reports), so it is fixed here rather than left to file order.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,61 +30,99 @@ import numpy as np
 from .errors import DataError, ModelError
 from .model import DagSpec, PathDataset, _joint_counts, _path_cells
 
-#: records per block of CSV output: blocks bound the text held at once
-_BLOCK_RECORDS = 2**14
+#: records per block of CSV input and output. A block's few hundred row
+#: lists are freed before the cyclic garbage collector (gen-0 threshold 700
+#: allocations) can promote them, so no full collection walks them.
+_BLOCK_RECORDS = 2**9
 
 
 @dataclass(frozen=True)
 class TabularDataset:
-    """Raw factor labels plus numeric responses, stored by column."""
+    """Factor labels plus numeric responses: the rows of stripped labels,
+    and per record the index of its label row and its response.
+
+    Record k has the labels ``label_rows[index[k]]`` and the response
+    ``responses[k]``. Every label row belongs to at least one record;
+    :func:`load_table` keeps the rows distinct, in order of first appearance.
+    """
 
     factor_names: tuple[str, ...]
     response_name: str
-    columns: tuple[tuple[str, ...], ...]  # one tuple of labels per factor
+    label_rows: tuple[tuple[str, ...], ...]  # one label per factor
+    index: np.ndarray  # int64, one label row per record
     responses: np.ndarray
 
     def __post_init__(self):
+        factor_names = tuple(self.factor_names)
+        # tuple() of a tuple is the same object, so rows built by load_table
+        # are not copied
+        label_rows = tuple(map(tuple, self.label_rows))
+        index = np.array(self.index, dtype=np.int64)
         responses = np.array(self.responses, dtype=float)
-        responses.setflags(write=False)
-        object.__setattr__(self, "responses", responses)
-        # tuple() of a tuple is the same object, so columns built by
-        # load_table are not copied
-        object.__setattr__(self, "columns", tuple(tuple(c) for c in self.columns))
-        object.__setattr__(self, "factor_names", tuple(self.factor_names))
-        if len(self.columns) != len(self.factor_names):
+        widths = set(map(len, label_rows)) - {len(factor_names)}
+        if widths:
             raise DataError(
-                f"{len(self.columns)} label columns for "
-                f"{len(self.factor_names)} factor names"
+                f"label row of {min(widths)} labels for "
+                f"{len(factor_names)} factor names"
             )
-        if any(len(col) != len(responses) for col in self.columns):
-            raise DataError("label columns and responses differ in length")
+        if index.ndim != 1 or index.shape != responses.shape:
+            raise DataError("index and responses differ in length")
+        if index.size and (index.min() < 0 or index.max() >= len(label_rows)):
+            raise DataError(f"index out of range for {len(label_rows)} label rows")
+        index.setflags(write=False)
+        responses.setflags(write=False)
+        object.__setattr__(self, "factor_names", factor_names)
+        object.__setattr__(self, "label_rows", label_rows)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "responses", responses)
 
     @property
     def n(self) -> int:
         return len(self.responses)
 
-    def column(self, name: str) -> list[str]:
+    def _factor_index(self, name: str) -> int:
         try:
-            idx = self.factor_names.index(name)
+            return self.factor_names.index(name)
         except ValueError:
             raise DataError(f"missing column {name!r}") from None
-        return list(self.columns[idx])
+
+    def _row_labels(self, idx: int) -> list[str]:
+        """The label of factor column ``idx`` in each label row."""
+        return [row[idx] for row in self.label_rows]
+
+    @property
+    def columns(self) -> tuple[tuple[str, ...], ...]:
+        """One tuple of labels per factor column, one label per record."""
+        records = self.index.tolist()
+        return tuple(
+            tuple(map(self._row_labels(idx).__getitem__, records))
+            for idx in range(len(self.factor_names))
+        )
+
+    def column(self, name: str) -> list[str]:
+        labels = self._row_labels(self._factor_index(name))
+        return list(map(labels.__getitem__, self.index.tolist()))
 
     @cached_property
     def _numeric(self) -> dict[str, np.ndarray]:
         return {}
 
-    def numeric_column(self, name: str) -> np.ndarray:
-        """Column ``name`` parsed as floats: read-only, and parsed once per
-        table however often it is asked for."""
+    def _row_values(self, name: str) -> np.ndarray:
+        """Column ``name`` parsed as floats, one per label row, and parsed
+        once per table however often it is asked for."""
         values = self._numeric.get(name)
         if values is None:
             try:
-                values = _parse_floats(self.column(name))
+                values = _parse_floats(self._row_labels(self._factor_index(name)))
             except ValueError as exc:
                 raise DataError(f"column {name!r} is not numeric: {exc}") from None
-            values.setflags(write=False)
             self._numeric[name] = values
+        return values
+
+    def numeric_column(self, name: str) -> np.ndarray:
+        """Column ``name`` parsed as floats, one per record (read-only)."""
+        values = self._row_values(name)[self.index]
+        values.setflags(write=False)
         return values
 
     def to_path_dataset(
@@ -92,9 +135,10 @@ class TabularDataset:
         label must then appear in the given order.
         """
         orders: list[tuple[str, ...]] = []
-        paths = np.empty((self.n, len(self.columns)), dtype=np.int64)
-        for idx, (name, col) in enumerate(zip(self.factor_names, self.columns)):
-            seen = set(col)
+        levels = np.empty((len(self.label_rows), len(self.factor_names)), np.int64)
+        for idx, name in enumerate(self.factor_names):
+            labels = self._row_labels(idx)
+            seen = set(labels)
             if label_order is not None and name in label_order:
                 order = tuple(str(x) for x in label_order[name])
                 missing = sorted(seen - set(order))
@@ -107,36 +151,32 @@ class TabularDataset:
                 order = tuple(sort_labels(seen))
             orders.append(order)
             level = {lab: k for k, lab in enumerate(order, start=1)}
-            paths[:, idx] = np.fromiter(
-                map(level.__getitem__, col), np.int64, count=self.n
+            levels[:, idx] = np.fromiter(
+                map(level.__getitem__, labels), np.int64, count=len(labels)
             )
         spec = DagSpec(tuple(len(o) for o in orders), tuple(orders))
-        return spec, PathDataset(spec, paths, self.responses)
+        return spec, PathDataset(spec, levels[self.index], self.responses)
 
     def write_csv(self, dest) -> None:
         """Write the table as CSV: the factor columns, then the response in
         shortest exact decimal form."""
-        code: dict[tuple[str, ...], int] = {}  # distinct label row -> index
-        index = np.fromiter(
-            (code.setdefault(row, len(code)) for row in zip(*self.columns)),
-            np.int64, count=self.n,
-        )
         _write_records(
-            dest, [*self.factor_names, self.response_name], list(code), index,
-            self.responses,
+            dest, [*self.factor_names, self.response_name], self.label_rows,
+            self.index, self.responses,
         )
 
 
 def sort_labels(labels) -> list[str]:
-    """Deterministic label order: numeric when every label is a number other
-    than NaN, lexicographic otherwise.
+    """Deterministic label order: numeric when every label is a plain ASCII
+    decimal number (the rule of :func:`_plain_float`) other than NaN,
+    lexicographic otherwise.
 
     NaN compares neither less nor greater than anything, so a numeric sort
     would leave it wherever the input put it.
     """
     labels = [str(x) for x in labels]
     try:
-        value = {s: float(s) for s in labels}
+        value = {s: _plain_float(s) for s in labels}
     except ValueError:
         return sorted(labels)
     if any(math.isnan(v) for v in value.values()):
@@ -162,22 +202,23 @@ def _plain_float(text: str) -> float:
     return float(text)
 
 
-def _parse_floats(texts) -> np.ndarray:
-    """Parse a column of decimal numbers by the rule of :func:`_plain_float`.
-    The syntax check runs once on the whole column; the values are scanned
+def _parse_floats(texts: list[str]) -> np.ndarray:
+    """Parse a list of decimal numbers by the rule of :func:`_plain_float`.
+    The syntax check runs once on the whole list; the values are scanned
     one by one only to name the first offending one."""
     joined = "".join(texts)
     if "_" in joined or not joined.isascii():
         for text in texts:
             _plain_float(text)
-    return np.array(list(map(float, texts)))
+    return np.fromiter(map(float, texts), float, count=len(texts))
 
 
-def _refuse_first_bad_record(records, width: int, r_idx: int) -> None:
+def _refuse_first_bad_record(records, width: int, r_idx: int, first: int) -> None:
     """Raise for the first record, in file order, that is ragged or has a
-    non-numeric or non-finite response. Data rows are numbered over every
-    record after the header, blank ones included."""
-    for k, row in enumerate(records, start=1):
+    non-numeric or non-finite response. ``records[0]`` is data row
+    ``first``: data rows are numbered over every record after the header,
+    blank ones included."""
+    for k, row in enumerate(records, start=first):
         if not row:
             continue
         if len(row) != width:
@@ -201,7 +242,8 @@ def load_table(
 
     By default the last column is the response and all other columns are
     factors. Blank records are skipped but counted when a refusal names a
-    data row.
+    data row. Records are read in blocks of ``_BLOCK_RECORDS``; label rows
+    that are equal after stripping surrounding spaces are one row.
     """
     fh, should_close = _open_text(source)
     try:
@@ -210,11 +252,59 @@ def load_table(
             header = next(reader)
         except StopIteration:
             raise DataError("empty file: no header row") from None
-        records = list(reader)
+        header, factor_columns, response_column = _check_header(
+            header, factor_columns, response_column
+        )
+        width = len(header)
+        r_idx = header.index(response_column)
+        labels_of = operator.itemgetter(*map(header.index, factor_columns))
+        response_of = operator.itemgetter(r_idx)
+        code = defaultdict(itertools.count().__next__)  # label row -> index
+        indexes, responses = [], []
+        first = 1  # data row number of the block's first record
+        while block := list(itertools.islice(reader, _BLOCK_RECORDS)):
+            records = list(filter(None, block))  # blank records dropped
+            if records:
+                if set(map(len, records)) != {width}:
+                    _refuse_first_bad_record(block, width, r_idx, first)
+                try:
+                    values = _parse_floats(list(map(response_of, records)))
+                except ValueError:
+                    values = None
+                if values is None or not np.isfinite(values).all():
+                    _refuse_first_bad_record(block, width, r_idx, first)
+                responses.append(values)
+                indexes.append(np.fromiter(
+                    map(code.__getitem__, map(labels_of, records)), np.int64,
+                    count=len(records),
+                ))
+            first += len(block)
+            del block, records  # free the block's lists before the next read
     finally:
         if should_close:
             fh.close()
 
+    if not indexes:
+        raise DataError("empty file: no data rows")
+    # itemgetter of one column gives the label itself, not a 1-tuple
+    raw_rows = list(code) if len(factor_columns) > 1 else [(lab,) for lab in code]
+    rows: dict[tuple[str, ...], int] = {}  # stripped label row -> index
+    merged = np.fromiter(
+        (rows.setdefault(tuple(map(str.strip, row)), len(rows)) for row in raw_rows),
+        np.int64, count=len(raw_rows),
+    )
+    return TabularDataset(
+        factor_names=tuple(factor_columns),
+        response_name=response_column,
+        label_rows=tuple(rows),
+        index=merged[np.concatenate(indexes)],
+        responses=np.concatenate(responses),
+    )
+
+
+def _check_header(header, factor_columns, response_column):
+    """The stripped header and the chosen factor and response columns,
+    refusing repeated, missing or overlapping names."""
     if header:
         # a file-like source opened as plain UTF-8 keeps the byte-order mark
         header[0] = header[0].removeprefix("\ufeff")
@@ -238,30 +328,7 @@ def load_table(
             raise DataError(f"missing column {name!r}")
         if name == response_column:
             raise DataError(f"column {name!r} cannot be both factor and response")
-
-    width = len(header)
-    r_idx = header.index(response_column)
-    if set(map(len, records)) - {0, width}:
-        _refuse_first_bad_record(records, width, r_idx)
-    columns = list(zip(*filter(None, records)))  # blank records dropped
-    if not columns:
-        raise DataError("empty file: no data rows")
-    try:
-        responses = _parse_floats(columns[r_idx])
-    except ValueError:
-        responses = None
-    if responses is None or not np.isfinite(responses).all():
-        _refuse_first_bad_record(records, width, r_idx)
-    del records  # only the refusals need the row lists; free them now
-    return TabularDataset(
-        factor_names=tuple(factor_columns),
-        response_name=response_column,
-        columns=tuple(
-            tuple(map(str.strip, columns[header.index(name)]))
-            for name in factor_columns
-        ),
-        responses=responses,
-    )
+    return header, factor_columns, response_column
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +400,15 @@ def apply_rules(
     table: TabularDataset, rules: dict[str, DiscretizationRule]
 ) -> TabularDataset:
     """Replace numeric columns by their group labels ("1".."q")."""
-    columns = dict(zip(table.factor_names, table.columns))
+    columns = [table._row_labels(idx) for idx in range(len(table.factor_names))]
     for name, rule in rules.items():
-        groups = rule.assign(table.numeric_column(name))
-        columns[name] = tuple(map(str, groups.tolist()))
+        groups = rule.assign(table._row_values(name))
+        columns[table.factor_names.index(name)] = list(map(str, groups.tolist()))
     return TabularDataset(
         factor_names=table.factor_names,
         response_name=table.response_name,
-        columns=tuple(columns.values()),
+        label_rows=tuple(zip(*columns)),
+        index=table.index,
         responses=table.responses,
     )
 

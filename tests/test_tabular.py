@@ -2,10 +2,11 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import daglm
 from daglm import DataError, ModelError, tabular
@@ -34,10 +35,14 @@ def test_load_table_defaults_to_last_column_response():
 
 
 def test_tabular_dataset_refuses_misaligned_columns():
-    with pytest.raises(DataError, match="2 label columns for 1 factor names"):
-        TabularDataset(("a",), "y", (("1",), ("2",)), [1.0])
-    with pytest.raises(DataError, match="differ in length"):
-        TabularDataset(("a",), "y", (("1", "2"),), [1.0])
+    with pytest.raises(DataError, match="label row of 2 labels for 1 factor names"):
+        TabularDataset(("a",), "y", (("1",), ("1", "2")), [0], [1.0])
+    with pytest.raises(DataError, match="index out of range for 2 label rows"):
+        TabularDataset(("a",), "y", (("1",), ("2",)), [0, 2], [1.0, 2.0])
+    with pytest.raises(DataError, match="index out of range for 2 label rows"):
+        TabularDataset(("a",), "y", (("1",), ("2",)), [-1, 0], [1.0, 2.0])
+    with pytest.raises(DataError, match="index and responses differ in length"):
+        TabularDataset(("a",), "y", (("1",), ("2",)), [0, 1], [1.0])
 
 
 def test_load_table_column_selection():
@@ -104,6 +109,10 @@ def test_sort_labels():
     assert sort_labels({"0.5", "2", "1"}) == ["0.5", "1", "2"]
     assert sort_labels({"b", "a", "10"}) == ["10", "a", "b"]
     assert sort_labels({"VC", "OJ"}) == ["OJ", "VC"]
+    # numbers only Python's float reads (digit-group underscores, non-ASCII
+    # digits) make a column sort lexicographically
+    assert sort_labels({"1_0", "2", "3"}) == ["1_0", "2", "3"]
+    assert sort_labels({"\u0661", "2", "10"}) == ["10", "2", "\u0661"]
 
 
 def test_sort_labels_with_nan_ignores_input_order():
@@ -236,6 +245,31 @@ def test_write_dataset_csv_round_trips_bitwise(demo_spec, demo_data, tmp_path):
     assert np.array_equal(data2.responses, demo_data.responses)
 
 
+def test_load_table_holds_no_per_record_lists(tmp_path):
+    # 1e5 records of four labels and a response take over 20 MB as
+    # per-record lists of strings. The table holds 256 distinct label rows,
+    # an int64 index and the responses (1.6 MB); the path dataset adds the
+    # (n, 4) int64 levels (3.2 MB), which PathDataset copies once more
+    rng = np.random.default_rng(5)
+    spec = DagSpec((4, 4, 4, 4))
+    n = 100_000
+    data = PathDataset(spec, rng.integers(1, 5, size=(n, 4)), rng.normal(size=n))
+    path = tmp_path / "big.csv"
+    write_dataset_csv(path, spec, data)
+    tracemalloc.start()
+    try:
+        table = load_table(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+        _, got = table.to_path_dataset()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.paths, data.paths)
+    assert got.responses.tobytes() == data.responses.tobytes()
+    assert load_peak < 6 * 2**20
+    assert peak < 10 * 2**20
+
+
 def test_bundled_toothgrowth_loads():
     spec, data = load_table(daglm.data_path("toothgrowth.csv")).to_path_dataset()
     assert spec.labels == (("OJ", "VC"), ("0.5", "1", "2"))
@@ -338,13 +372,16 @@ BAD_RESPONSES = ("tall", "nan", "inf", "1_0", "\u0661")
 
 @st.composite
 def csv_texts(draw, messy):
-    """A CSV text over tricky labels and responses; ``messy`` adds blank,
-    ragged, non-numeric and non-finite records."""
+    """A CSV text over tricky labels and responses; ``messy`` adds labels
+    that differ only by surrounding spaces, and runs of blank, ragged,
+    non-numeric and non-finite records."""
     c = draw(st.integers(1, 3))
     pools = [
         draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
         for _ in range(c)
     ]
+    if messy:
+        pools = [pool + [f" {pool[0]} "] for pool in pools]
     records = []
     for _ in range(draw(st.integers(1, 8))):
         text = draw(st.sampled_from(RESPONSE_TEXT))(draw(RESPONSES))
@@ -353,7 +390,7 @@ def csv_texts(draw, messy):
         k = draw(st.integers(0, len(records)))
         kind = draw(st.sampled_from(["blank", "short", "long", *BAD_RESPONSES]))
         if kind == "blank":
-            records.insert(k, [])
+            records[k:k] = [[]] * draw(st.integers(1, 4))
         elif k < len(records) and records[k]:
             row = records[k]
             if kind == "short":
@@ -385,15 +422,25 @@ def _written(block, write):
 
 @given(text=csv_texts(messy=True), block=st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
+# blank records before a bad row in a later block
+@example(text="f,y\na,1\n\n\nb,2\n\n\nb,tall\n", block=2)
+@example(text="f,y\na,1\n\nb,2\nb,3\n\n\nb\n", block=3)
+# label rows equal after stripping, in one block and across blocks
+@example(text="f,g,y\n x ,1,1\nx, 1,2\nx , 1 ,3\ny,1,4\n", block=2)
 def test_load_table_matches_per_row_reference(text, block):
     want = _outcome(_ref_load_table, text)
-    got = _outcome(load_table, io.StringIO(text))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "_BLOCK_RECORDS", block)
+        got = _outcome(load_table, io.StringIO(text))
     if isinstance(want, str):
         assert got == want
         return
     names, response_name, rows, responses = want
     assert got.factor_names == names
     assert got.response_name == response_name
+    # one label row per distinct stripped row, in order of first appearance
+    assert got.label_rows == tuple(dict.fromkeys(rows))
+    assert [got.label_rows[k] for k in got.index] == rows
     assert got.columns == tuple(zip(*rows))
     assert got.responses.tobytes() == responses.tobytes()
     assert _written(block, got.write_csv) == _ref_write_rows(
@@ -411,8 +458,10 @@ def test_write_csv_after_apply_rules_matches_per_row_reference(data):
     breaks = sorted(data.draw(st.sets(st.integers(1, 8), min_size=1, max_size=3)))
     names = data.draw(st.lists(st.sampled_from(LABELS), min_size=3, max_size=3,
                                unique=True))
-    table = TabularDataset(tuple(names[:2]), names[2],
-                           (tuple(map(str, xs)), tuple(labels)), responses)
+    records = list(zip(map(str, xs), labels))
+    label_rows = list(dict.fromkeys(records))
+    table = TabularDataset(tuple(names[:2]), names[2], label_rows,
+                           list(map(label_rows.index, records)), responses)
     rule = DiscretizationRule(names[0], len(breaks) + 1, (0, *breaks, 9))
     binned = apply_rules(table, {names[0]: rule})
     # group g holds (breaks[g-1], breaks[g]]; the first also holds breaks[0]
