@@ -5,14 +5,14 @@ Every estimator error, scaled by the square root of the cell's visit count,
 is asymptotically normal; the limiting variance depends on the estimator
 family (regime "knownQ" for exact-ratio weighting, "unknownQ" for empirical
 ratios) and on the statistic (cell mean or cell variance). It is the
-variance of one scalar influence term per record, written as a sum over
-paths of a weight squared times a 1x1 block, the path's share of that
-variance. In the known-source regime the term is b*C (mean) or, by the
-delta method, b^2*C - 2 mu b*C (variance), and the paths fold into one
-block of weight 1. In the unknown-source regime, whose ratios are
-estimated, the term on a path is C times b (mean) or (b - mu)^2
-(variance) less its path mean, so the block is p Var[b | path] or
-p Var[(b - mu)^2 | path] and the weight is C. Each block is checked for
+variance of one scalar influence term per record, C phi, with phi = b for
+the mean and, by the delta method, phi = b^2 - 2 mu b for the variance;
+:func:`_influence_var` writes that expansion out, once. The variance is a
+sum over paths of a weight squared times a 1x1 block, the path's share of
+it. In the known-source regime the paths fold into one block of weight 1,
+E[C^2 phi^2] - E[C phi]^2. In the unknown-source regime, whose ratios are
+estimated, the term on a path is C times phi less its path mean, so the
+block is p Var[phi | path] and the weight is C. Each block is checked for
 sign on its own; no dense matrix is formed.
 
 The plug-in forms reduce a per-path table of the observed paths through the
@@ -24,11 +24,13 @@ observed path. Each table has one row per replicate: one dataset is a table
 of one row, a Monte-Carlo study has a row for each of its replicates, and
 every check and value is computed row by row.
 
-The closed forms fold every regime into one block per node. Its entries are
-sums over the support paths, which the forward-backward recursion of
-:mod:`daglm.oracle` gives under the target kernel T and the tilted T^2/Q
-without listing the paths: a path's weight C^2 p is its T^2/Q product times
-p_Q / p_T^2, the node marginals.
+The closed forms (:func:`_closed_form`, behind the four ``asym_var_*``)
+fold every regime into one block per node. Its entries are sums over the
+support paths, which the forward-backward recursion of :mod:`daglm.oracle`
+gives under the target kernel T and the tilted T^2/Q without listing the
+paths: a path's weight C^2 p is its T^2/Q product times p_Q / p_T^2, the
+node marginals. The node moments they read are realizable, as every
+``NodeQuality`` checks when it is built.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ from .estimators import (
     _refuse,
 )
 from .model import (
+    PSD_ATOL,
     PathDataset,
     QualityModel,
     TransitionKernel,
 )
-from .oracle import PSD_ATOL, _closed_form_sums
+from .oracle import _closed_form_sums
 
 REGIME_KNOWN = "knownQ"
 REGIME_UNKNOWN = "unknownQ"
@@ -127,8 +130,8 @@ def _finalize(
     row."""
     lowest = blocks.min(axis=-1)
     _refuse(lowest < -PSD_ATOL, StatisticalError,
-            lambda r: f"asymptotic covariance at node {node} not positive semidefinite "
-            f"(min eigenvalue {lowest[r]:.3g})")
+            lambda r: f"negative asymptotic variance block at node {node} "
+            f"(lowest {lowest[r]:.3g})")
     value = _path_sum(weights * blocks * weights)
     scale = np.abs(blocks).max(axis=-1, initial=1.0)
     _refuse(value < -PSD_ATOL * scale, StatisticalError,
@@ -139,61 +142,60 @@ def _finalize(
                        np.where(clipped, 0.0, value), clipped)
 
 
+def _influence_var(which: str, y: np.ndarray, w: np.ndarray, mu) -> np.ndarray:
+    """The variance of the influence term phi of the ``which`` statistic:
+    phi = b for the mean and, by the delta method, phi = b^2 - 2 mu b for
+    the variance. It is E''[phi^2] - E'[phi]^2 for two weightings whose
+    moments ``y[k]`` = E'[b^k] and ``w[k]`` = E''[b^k], k = 0..4, are given:
+    C and C^2 in the known-source regime, the law given a path for both in
+    the unknown-source regime. For the variance it is expanded as
+    Var[b^2] - 4 mu Cov[b^2, b] + 4 mu^2 Var[b], each (co)variance formed
+    as E''[b^(a+c)] - E'[b^a] E'[b^c] before the terms are combined."""
+    var_b = w[2] - y[1] * y[1]
+    if which == "mean":
+        return var_b
+    var_b2 = w[4] - y[2] * y[2]
+    cov = w[3] - y[2] * y[1]
+    return var_b2 - 4.0 * mu * cov + 4.0 * mu * mu * var_b
+
+
 def _known_fold(
     node: tuple[int, int], which: str, y: np.ndarray, w: np.ndarray
 ) -> _Contracted:
-    """Known-source regime: the estimator averages y = b*C (mean) or
-    x - y^2 with x = b^2*C (variance) over records, so its limiting
-    variance is Var[y], or by the delta method Var[x - 2 mu y]. ``y[k]``
-    and ``w[k]`` are E[C b^k] and E[C^2 b^k] under the source, one entry
-    per row: the paths fold into one block per row, of weight 1."""
-    mu = y[1]  # E[y] = target mean
-    var_y = w[2] - mu * mu
-    if which == "mean":
-        return _finalize(node, "mean", REGIME_KNOWN, np.ones(1), var_y[:, None])
-    ex = y[2]
-    var_x = w[4] - ex * ex
-    cov = w[3] - ex * mu
-    block = var_x - 4.0 * mu * cov + 4.0 * mu * mu * var_y
-    return _finalize(node, "variance", REGIME_KNOWN, np.ones(1), block[:, None])
+    """Known-source regime: the estimator averages C phi over records, so
+    its limiting variance is E[C^2 phi^2] - E[C phi]^2. ``y[k]`` and
+    ``w[k]`` are E[C b^k] and E[C^2 b^k] under the source, one entry per
+    row: the paths fold into one block per row, of weight 1."""
+    block = _influence_var(which, y, w, y[1])  # E[C b] = target mean
+    return _finalize(node, which, REGIME_KNOWN, np.ones(1), block[:, None])
 
 
-def _unknown_av(
-    node: tuple[int, int],
-    which: str,
-    prob: np.ndarray,
-    ratio: np.ndarray,
-    moments: np.ndarray,
-    target: np.ndarray,
-) -> _Contracted:
-    """Unknown-source regime: the per-path variance of b (mean) or of
-    (b - mu)^2 (variance), scaled by the path's share ``prob`` and weighted
-    by its ratio C. ``moments`` (R, m, 5) holds the raw moments E[b^k | path]
-    and ``target`` the target conditional probabilities of the paths."""
-    m1, m2 = moments[..., 1], moments[..., 2]
-    var_b = m2 - m1 * m1
-    if which == "mean":
-        return _finalize(node, "mean", REGIME_UNKNOWN, ratio, prob * var_b)
-    mu = _path_sum(target * m1)[:, None]
-    var_b2 = moments[..., 4] - m2 * m2
-    cov_b2_b = moments[..., 3] - m2 * m1
-    block = prob * (var_b2 - 4.0 * mu * cov_b2_b + 4.0 * mu * mu * var_b)
-    return _finalize(node, "variance", REGIME_UNKNOWN, ratio, block)
-
-
-def _known_closed_form(
+def _closed_form(
     kernel: TransitionKernel,
     target: TransitionKernel,
     quality: QualityModel,
     i: int,
     j: int,
     which: str,
+    regime: str,
 ) -> AsymptoticVariance:
-    """The known-source regime folded from the path sums E[C b^k] (the
-    target's conditional moments) and E[C^2 b^k]."""
-    order = 2 if which == "mean" else 4
-    y, w = _closed_form_sums(kernel, target, quality, j, i, order)
-    return _known_fold((i, j), which, y[:, None], w[:, None]).row()
+    """The closed-form asymptotic variance of the ``which`` statistic at
+    node (i, j), folded into one 1x1 block of weight 1.
+
+    Known source: from the path sums E[C b^k] (the target's conditional
+    moments) and E[C^2 b^k] (:func:`_known_fold`). Unknown source: the sum
+    over the support paths of C^2 p Var[Y^d | path], Y = b - mu, with d = 1
+    for the mean and d = 2 for the variance. Var[Y^d | path] =
+    E[Y^2d | path] - E[Y^d Y'^d | path] for a copy Y' of Y independent given
+    the path, so one pass under T^2/Q over the pair (Y, Y') gives the block.
+    """
+    d = 1 if which == "mean" else 2
+    if regime == REGIME_KNOWN:
+        y, w = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
+        return _known_fold((i, j), which, y[:, None], w[:, None]).row()
+    _, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d, pairs=True)
+    return _finalize((i, j), which, REGIME_UNKNOWN, np.ones(1),
+                     np.array([[x[2 * d, 0] - x[d, d]]])).row()
 
 
 def asym_var_mean_known(
@@ -205,7 +207,7 @@ def asym_var_mean_known(
 ) -> AsymptoticVariance:
     """Limiting variance of the exact-ratio weighted cell mean: the source
     kernel's conditional variance of the weighted response b*C."""
-    return _known_closed_form(kernel, target, quality, i, j, "mean")
+    return _closed_form(kernel, target, quality, i, j, "mean", REGIME_KNOWN)
 
 
 def asym_var_variance_known(
@@ -218,7 +220,7 @@ def asym_var_variance_known(
     """Limiting variance of the exact-ratio weighted cell variance: by the
     delta method, the source kernel's conditional variance of
     b^2*C - 2 mu b*C, one block of weight 1."""
-    return _known_closed_form(kernel, target, quality, i, j, "variance")
+    return _closed_form(kernel, target, quality, i, j, "variance", REGIME_KNOWN)
 
 
 def asym_var_mean_unknown(
@@ -229,12 +231,8 @@ def asym_var_mean_unknown(
     j: int,
 ) -> AsymptoticVariance:
     """Limiting variance of the plugin cell mean: the sum over the support
-    paths of C^2 p Var[b | path], folded into one 1x1 block with weight 1:
-    the sum of C^2 p (E[Y^2 | path] - E[Y | path]^2) for Y = b - mu, from
-    the same pass over the pair (Y, Y') as the plugin cell variance."""
-    _, x = _closed_form_sums(kernel, target, quality, j, i, 2, pairs=True)
-    return _finalize((i, j), "mean", REGIME_UNKNOWN, np.ones(1),
-                     np.array([[x[2, 0] - x[1, 1]]])).row()
+    paths of C^2 p Var[b | path], one block of weight 1."""
+    return _closed_form(kernel, target, quality, i, j, "mean", REGIME_UNKNOWN)
 
 
 def asym_var_variance_unknown(
@@ -245,17 +243,8 @@ def asym_var_variance_unknown(
     j: int,
 ) -> AsymptoticVariance:
     """Limiting variance of the plugin cell variance: the sum over the
-    support paths of C^2 p Var[(b - mu)^2 | path], folded into one 1x1 block
-    with weight 1.
-
-    With Y = b - mu, Var[Y^2 | path] = E[Y^4 | path] - E[Y^2 Y'^2 | path]
-    for a copy Y' of Y independent given the path. So one pass under T^2/Q
-    over the pair (Y, Y'), started at -mu and carried to degree 4 in Y and 2
-    in Y', gives the block.
-    """
-    _, x = _closed_form_sums(kernel, target, quality, j, i, 4, pairs=True)
-    return _finalize((i, j), "variance", REGIME_UNKNOWN, np.ones(1),
-                     np.array([[x[4, 0] - x[2, 2]]])).row()
+    support paths of C^2 p Var[(b - mu)^2 | path], one block of weight 1."""
+    return _closed_form(kernel, target, quality, i, j, "variance", REGIME_UNKNOWN)
 
 
 def _kind_regime(kind: str) -> str:
@@ -275,10 +264,10 @@ def _weights_avs(weights: _CellWeights, which: str) -> _Contracted:
     observed = cell.counts > 0
     moments = np.divide(cell.sums, cell.counts[..., None],
                         out=np.zeros(cell.sums.shape), where=observed[..., None])
+    m = np.moveaxis(moments, -1, 0)  # m[k] = E[b^k | path], (R, m)
     prob = cell.counts / weights.n[:, None]
     if _kind_regime(weights.kind) == REGIME_KNOWN:
         pc = prob * weights.ratio
-        m = np.moveaxis(moments, -1, 0)
         return _known_fold(weights.node, which, _path_sum(pc * m),
                            _path_sum(pc * weights.ratio * m))
     weights.check_support()
@@ -286,13 +275,10 @@ def _weights_avs(weights: _CellWeights, which: str) -> _Contracted:
     _refuse(once.any(axis=-1), StatisticalError,
             lambda r: "insufficient per-path replication for plug-in asymptotics; "
             f"paths seen once: {[tuple(int(x) for x in p) for p in cell.paths[once[r]]]}")
-    return _unknown_av(weights.node, which, prob, weights.ratio, moments, weights.target)
-
-
-def _weights_av(weights: _CellWeights, which: str) -> AsymptoticVariance:
-    """The plug-in asymptotic variance of a one-replicate cell (see
-    :func:`_weights_avs`)."""
-    return _weights_avs(weights, which).row()
+    # each path's block is its share times Var[phi | path], of weight C
+    mu = _path_sum(weights.target * m[1])[:, None]
+    return _finalize(weights.node, which, REGIME_UNKNOWN, weights.ratio,
+                     prob * _influence_var(which, m, m, mu))
 
 
 def plugin_asym_var(
@@ -307,7 +293,7 @@ def plugin_asym_var(
     """Asymptotic variance with all population quantities replaced by
     empirical counterparts from the dataset: the unknown-source regime with
     the plugin estimator's empirical ratios, or the known-source regime with
-    the source ``kernel``'s exact ratios (see :func:`_weights_av`)."""
+    the source ``kernel``'s exact ratios (see :func:`_weights_avs`)."""
     if regime == REGIME_KNOWN:
         if kernel is None:
             raise ModelError("knownQ regime needs the source kernel")
@@ -316,7 +302,7 @@ def plugin_asym_var(
         kind = KIND_PLUGIN
     else:
         raise ModelError(f"unknown regime {regime!r}")
-    return _weights_av(_cell_weights(data, i, j, kind, kernel, target), which)
+    return _weights_avs(_cell_weights(data, i, j, kind, kernel, target), which).row()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .asymptotics import (
     _quantile,
-    _weights_av,
+    _weights_avs,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
@@ -49,6 +49,7 @@ from .report import (
 from .simulation import (
     COVERAGE_ALPHA,
     ExperimentConfig,
+    _KEY_LIMIT,
     _target_kernel,
     binomial_tail,
     coverage_study,
@@ -75,6 +76,21 @@ def _level(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid level {text!r}") from None
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"level {value} outside (0, 1)")
+    return value
+
+
+def _uint64(text: str) -> int:
+    """A seed or replicate index: the generator's key takes 64-bit words."""
+    value = int(text)
+    if not 0 <= value < _KEY_LIMIT:
+        raise argparse.ArgumentTypeError(f"{value} outside [0, 2^64)")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
     return value
 
 
@@ -115,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a dataset from a config file")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--replicate", type=int, default=0, help="replicate index")
+    p.add_argument("--seed", type=_uint64, default=None, help="override the config seed")
+    p.add_argument("--replicate", type=_uint64, default=0, help="replicate index")
     p.add_argument("--out", default=None, help="dataset CSV (default stdout)")
 
     for name in ("estimate", "compare"):
@@ -163,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--target-kernel", default="uniform",
         help="'uniform' or a model file with the target kernel",
     )
-    p.add_argument("--n", type=int, default=400, help="samples per replicate")
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_positive, default=400, help="samples per replicate")
+    p.add_argument("--replicates", type=_positive, default=200)
+    p.add_argument("--seed", type=_uint64, default=0)
     p.add_argument("--level", type=_level, default=0.95)
     add_report_flags(p)
 
@@ -266,8 +282,6 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if args.replicate < 0:
-        raise UsageError("--replicate must be nonnegative")
     data = sample_dataset(config, args.replicate)
     if args.out is None:
         write_dataset_csv(sys.stdout, config.spec, data)
@@ -327,7 +341,7 @@ def _estimate_rows(args, spec, data, model, nodes):
         row = base | {"mean": cell.mean, "variance": cell.variance * scale, "flags": flags}
         for which, factor in (("mean", 1.0), ("variance", scale)):
             try:
-                av = _weights_av(weights, which)
+                av = _weights_avs(weights, which).row()
                 ci = confidence_interval(cell, av, args.level)
                 row |= {
                     f"{which}_se": math.sqrt(av.value / cell.count) * factor,

@@ -23,9 +23,7 @@ another in path order, so a path that a replicate never saw adds an exact
 0.0 and each row is the same bits as the reduction of that replicate
 alone.
 
-All functions are pure; datasets are immutable. Cell aggregation may be
-sharded by records and merged, with results equal up to floating-point
-reassociation.
+All functions are pure; datasets are immutable.
 """
 
 from __future__ import annotations

@@ -32,6 +32,9 @@ ROW_SUM_ATOL = 1e-12
 SUPPORT_ZERO = 1e-15
 #: default cap on the number of paths any enumeration is allowed to visit
 ENUMERATION_CAP = 10_000_000
+#: tolerance, relative to the largest entry of the matrix or block checked
+#: (at least 1), below which an eigenvalue or a variance counts as negative
+PSD_ATOL = 1e-9
 
 PathLike = Sequence[int]
 
@@ -413,6 +416,8 @@ class NodeQuality:
                 raise ModelError("gaussian quality needs mean and variance")
             if not (self.variance >= 0):
                 raise ModelError(f"negative variance {self.variance}")
+            if not math.isfinite(self.mean) or not math.isfinite(self.variance):
+                raise ModelError("gaussian quality needs a finite mean and variance")
         elif self.kind == "bernoulli":
             if self.prob is None or not 0 <= self.prob <= 1:
                 raise ModelError("bernoulli quality needs prob in [0, 1]")
@@ -425,10 +430,30 @@ class NodeQuality:
                     "empirical-moments quality needs raw moments m1..mK, K >= 2"
                 )
             object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
-            m1, m2 = self.moments[0], self.moments[1]
-            if m2 - m1 * m1 < -ROW_SUM_ATOL:
+            # a distribution's Hankel matrix of (1, m1, ..., m_min(K, 4)) is
+            # positive semidefinite, and PSD Hankel sequences stay PSD under
+            # the convolution that adds a node to a path: so no variance form
+            # reads the moments of an impossible response. The matrix is built
+            # from the moments of (X - m1) / sqrt(max(1, m2)), a congruence
+            # that keeps PSD-ness, so a large mean cannot widen the tolerance
+            # past the variance and kurtosis it judges; a matrix that is not
+            # finite counts as min eigenvalue -inf
+            order = 4 if len(self.moments) >= 4 else 2
+            scale = math.sqrt(max(1.0, self.moments[1]))
+            with np.errstate(all="ignore"):
+                z = np.array((1.0,) + self.moments[:order]) / scale ** np.arange(order + 1)
+                c = [
+                    sum(math.comb(k, a) * z[a] * (-z[1]) ** (k - a) for a in range(k + 1))
+                    for k in range(order + 1)
+                ]
+            size = order // 2 + 1
+            hankel = np.array([c[a: a + size] for a in range(size)])
+            finite = np.isfinite(hankel).all()
+            lowest = float(np.linalg.eigvalsh(hankel)[0]) if finite else -math.inf
+            if lowest < -PSD_ATOL * max(1.0, float(np.abs(hankel).max())):
                 raise ModelError(
-                    f"moment sequence not realizable: variance {m2 - m1 * m1}"
+                    "moment sequence not realizable: Hankel matrix not positive "
+                    f"semidefinite (min eigenvalue {lowest:.3g})"
                 )
 
     def raw_moment(self, k: int) -> float:
@@ -710,10 +735,14 @@ def estimate_kernel(data: PathDataset, smoothing: float = 0.0) -> TransitionKern
     """
     if data.n == 0:
         raise DataError("cannot estimate a kernel from an empty dataset")
-    if smoothing < 0:
-        raise ModelError(f"smoothing must be nonnegative, got {smoothing}")
     r = data.spec.levels
     alpha = float(smoothing)
+    if not math.isfinite(alpha):
+        raise ModelError(f"smoothing must be finite, got {smoothing}")
+    if alpha < 0:
+        raise ModelError(f"smoothing must be nonnegative, got {smoothing}")
+    if not math.isfinite(alpha * max(r) + data.n):
+        raise ModelError(f"smoothing {smoothing} overflows the smoothed transition totals")
 
     initial = (_joint_counts(data, (1,)) + alpha) / (data.n + alpha * r[0])
     counts = [_joint_counts(data, (j, j + 1)) + alpha for j in range(1, data.spec.c)]

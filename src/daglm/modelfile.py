@@ -155,7 +155,10 @@ def _quality_from_dict(raw, spec: DagSpec) -> QualityModel:
                 raise ModelError(f"{what} must be a finite number, got {x!r}")
             else:
                 params[name] = float(x)
-        nodes[(i, j)] = NodeQuality(kind, **params)
+        try:
+            nodes[(i, j)] = NodeQuality(kind, **params)
+        except ModelError as exc:
+            raise ModelError(f"quality entry {key!r}: {exc}") from None
     return QualityModel(nodes)
 
 

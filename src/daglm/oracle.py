@@ -60,10 +60,6 @@ from .model import (
 #: moments of the response are supported up to this order
 MAX_MOMENT_ORDER = 4
 
-#: tolerance, relative to the largest entry of the matrix or block checked
-#: (at least 1), below which an eigenvalue or a variance counts as negative
-PSD_ATOL = 1e-9
-
 
 def path_raw_moments(quality: QualityModel, path: PathLike, order: int) -> np.ndarray:
     """Raw moments (m_0..m_order) of the response b = sum of the path's
@@ -359,32 +355,6 @@ def _conditional_moments(
     return _moment_sums(_weights(target), moments, j, i) / marginal
 
 
-#: the entries of the Hankel matrix of raw moments m_0..m_4
-_HANKEL = np.add.outer(np.arange(3), np.arange(3))
-
-
-def _check_realizable(moments: np.ndarray, levels: tuple[int, ...]) -> None:
-    """Refuse a node, read at order 4, whose raw moments no distribution
-    has: its Hankel matrix [[1, m1, m2], [m1, m2, m3], [m2, m3, m4]] is not
-    positive semidefinite. ``moments`` has one row per node of ``levels``,
-    column by column. A path's response then has raw moments that no
-    distribution has either, since PSD Hankel sequences stay PSD under the
-    convolution that adds a node; so this check keeps a variance form from
-    reading the moments of an impossible response."""
-    hankel = moments[:, _HANKEL]
-    lowest = np.linalg.eigvalsh(hankel)[:, 0]
-    bad = lowest < -PSD_ATOL * np.abs(hankel).max(axis=(1, 2), initial=1.0)
-    if bad.any():
-        at = int(np.argmax(bad))
-        ends = np.cumsum(levels)
-        j = int(np.searchsorted(ends, at, side="right"))
-        i = at - int(ends[j - 1] if j else 0) + 1
-        raise StatisticalError(
-            f"moments of node ({i}, {j + 1}) not realizable: Hankel matrix not "
-            f"positive semidefinite (min eigenvalue {lowest[at]:.3g})"
-        )
-
-
 def _closed_form_sums(
     kernel: TransitionKernel,
     target: TransitionKernel,
@@ -407,10 +377,8 @@ def _closed_form_sums(
       tilted T^2/Q, since a path's C^2 times its source probability is its
       T^2/Q product times p_Q / p_T^2, the node marginals.
 
-    Refuses non-equivalent measures, then as :func:`_through`, a node on no
-    support path as a null event, and at order 4, which the variance forms
-    read, the nodes on the support paths whose raw moments no distribution
-    has (:func:`_check_realizable`).
+    Refuses non-equivalent measures, then as :func:`_through`, and a node
+    on no support path as a null event.
     """
     if not kernels_equivalent(kernel, target):
         raise ModelError("measures not equivalent")
@@ -418,8 +386,6 @@ def _closed_form_sums(
     if found is None:
         raise _null_event(i, j)
     (p_q, p_t), moments = found
-    if order == 4:
-        _check_realizable(moments, kernel.levels)
     scale = p_q / p_t**2
     if not pairs:
         y, w = _moment_sums(_weights(kernel, target, _target, _tilted), moments, j, i)

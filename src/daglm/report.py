@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 
 SCHEMA_VERSION = 1
 
@@ -29,14 +28,6 @@ _FIELD_ORDER = {
     "discretize": ("column", "groups", "breaks"),
     "validate": ("name", "passed", "value", "threshold", "detail"),
 }
-
-
-def _num(x):
-    """Coerce to a JSON-safe number; non-finite and missing become None."""
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
 
 
 def estimate_document(

@@ -30,15 +30,11 @@ import numpy as np
 from .errors import DaglmError, DataError, ModelError, StatisticalError
 from .estimators import _estimates, _table_weights
 from .asymptotics import (
-    REGIME_KNOWN,
+    _closed_form,
     _kind_regime,
     _limits,
     _quantile,
     _weights_avs,
-    asym_var_mean_known,
-    asym_var_mean_unknown,
-    asym_var_variance_known,
-    asym_var_variance_unknown,
 )
 from .model import (
     DagSpec,
@@ -55,6 +51,10 @@ from .modelfile import load_model
 from .oracle import exact_estimator_targets
 
 _ESTIMATOR_NAMES = ("naive", "weighted", "plugin")
+
+#: the generator's key takes 64-bit words: seeds and replicate indices lie
+#: in [0, _KEY_LIMIT)
+_KEY_LIMIT = 2**64
 
 _CONFIG_FIELDS = {
     "model-ref", "n", "seed", "replicates", "target-kernel", "estimators", "level",
@@ -81,7 +81,7 @@ class ExperimentConfig:
             raise ModelError(f"sample size must be >= 1, got {self.n}")
         if self.replicates < 1:
             raise ModelError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= int(self.seed) < _KEY_LIMIT:
             raise ModelError("seed must fit in 64 bits")
         if not 0.0 < self.level < 1.0:
             raise ModelError(f"level {self.level} outside (0, 1)")
@@ -260,14 +260,6 @@ def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:
     # the naive estimator is only consistent for the source kernel's own
     # conditional moments, so its study target is the source kernel
     return config.kernel if kind == "naive" else _target_kernel(config.target, config.spec)
-
-
-def _exact_av(config: ExperimentConfig, kind: str, target, i: int, j: int, which: str):
-    if _kind_regime(kind) == REGIME_KNOWN:
-        fn = asym_var_mean_known if which == "mean" else asym_var_variance_known
-    else:
-        fn = asym_var_mean_unknown if which == "mean" else asym_var_variance_unknown
-    return fn(config.kernel, target, config.quality, i, j)
 
 
 def _replicate_table(config: ExperimentConfig) -> PathGroups:
@@ -459,8 +451,10 @@ def anscombe_study(
     mean_t, var_t = exact_estimator_targets(config.kernel, target, config.quality)
     grid = mean_t if which == "mean" else var_t
 
+    regime = _kind_regime(kind)
     avs = {
-        (i, j): _exact_av(config, kind, target, i, j, which).value for i, j in nodes
+        (i, j): _closed_form(config.kernel, target, config.quality, i, j, which, regime).value
+        for i, j in nodes
     }
 
     def reduce(table, node):

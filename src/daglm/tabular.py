@@ -23,7 +23,6 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -90,34 +89,12 @@ class TabularDataset:
         """The label of factor column ``idx`` in each label row."""
         return [row[idx] for row in self.label_rows]
 
-    @property
-    def columns(self) -> tuple[tuple[str, ...], ...]:
-        """One tuple of labels per factor column, one label per record."""
-        records = self.index.tolist()
-        return tuple(
-            tuple(map(self._row_labels(idx).__getitem__, records))
-            for idx in range(len(self.factor_names))
-        )
-
-    def column(self, name: str) -> list[str]:
-        labels = self._row_labels(self._factor_index(name))
-        return list(map(labels.__getitem__, self.index.tolist()))
-
-    @cached_property
-    def _numeric(self) -> dict[str, np.ndarray]:
-        return {}
-
     def _row_values(self, name: str) -> np.ndarray:
-        """Column ``name`` parsed as floats, one per label row, and parsed
-        once per table however often it is asked for."""
-        values = self._numeric.get(name)
-        if values is None:
-            try:
-                values = _parse_floats(self._row_labels(self._factor_index(name)))
-            except ValueError as exc:
-                raise DataError(f"column {name!r} is not numeric: {exc}") from None
-            self._numeric[name] = values
-        return values
+        """Column ``name`` parsed as floats, one per label row."""
+        try:
+            return _parse_floats(self._row_labels(self._factor_index(name)))
+        except ValueError as exc:
+            raise DataError(f"column {name!r} is not numeric: {exc}") from None
 
     def numeric_column(self, name: str) -> np.ndarray:
         """Column ``name`` parsed as floats, one per record (read-only)."""

@@ -354,10 +354,10 @@ def test_08_school_data_discretization(capsys):
     table = load_table(daglm.data_path("caschools.csv"))
     rules = {
         "english": quantile_discretize(
-            [float(x) for x in table.column("english")], 5, column="english"
+            table.numeric_column("english"), 5, column="english"
         ),
         "STR": quantile_discretize(
-            [float(x) for x in table.column("STR")], 5, column="STR"
+            table.numeric_column("STR"), 5, column="STR"
         ),
     }
     breaks_ok = all(

@@ -9,7 +9,7 @@ from daglm.asymptotics import (
     PSD_ATOL,
     REGIME_KNOWN,
     REGIME_UNKNOWN,
-    _weights_av,
+    _weights_avs,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
@@ -96,7 +96,7 @@ def _av(name, kernel, target, quality, data, i, j):
         return CLOSED_FORMS[name](kernel, target, quality, i, j)
     kind, which = name.split("-")
     if kind == "naive":
-        return _weights_av(_cell_weights(data, i, j, "naive"), which)
+        return _weights_avs(_cell_weights(data, i, j, "naive"), which).row()
     return plugin_asym_var(data, target, i, j, which, PLUG_IN_REGIMES[kind], kernel=kernel)
 
 
@@ -147,23 +147,6 @@ def test_asym_var_variance_unknown_memory_is_linear_in_paths():
     assert peak < 4e6
 
 
-def test_unrealizable_moments_fail_the_psd_check():
-    # raw moments (0, 1, 0, 0.2) give Var[b^2] = 0.2 - 1 < 0, which no
-    # distribution has; the other nodes add nothing to the response
-    spec = daglm.DagSpec(levels=(2, 2))
-    uniform = daglm.uniform_kernel(spec)
-    nodes = {(i, j): daglm.NodeQuality.point_mass(0.0) for i in (1, 2) for j in (1, 2)}
-    nodes[(1, 1)] = daglm.NodeQuality.from_raw_moments((0.0, 1.0, 0.0, 0.2))
-    quality = daglm.QualityModel(nodes=nodes)
-    # both variance forms refuse the node itself: the Hankel matrix
-    # [[1, 0, 1], [0, 1, 0], [1, 0, 0.2]] has eigenvalue 0.6 - sqrt(1.16)
-    refusal = (r"moments of node \(1, 1\) not realizable: Hankel "
-               r"matrix not positive semidefinite \(min eigenvalue -0.477\)")
-    for fn in (asym_var_variance_unknown, asym_var_variance_known):
-        with pytest.raises(StatisticalError, match=refusal):
-            fn(uniform, uniform, quality, 1, 1)
-
-
 def test_plugin_asym_var_consistent(demo_config):
     config = daglm.ExperimentConfig(
         spec=demo_config.spec, kernel=demo_config.kernel,
@@ -190,7 +173,7 @@ def test_plugin_asym_var_requires_replicated_paths(demo_spec, demo_uniform):
 
 def test_naive_asym_var_is_conditional_variance(demo_config):
     data = daglm.sample_dataset(demo_config, 0)
-    av = _weights_av(_cell_weights(data, 1, 2, "naive"), "mean")
+    av = _weights_avs(_cell_weights(data, 1, 2, "naive"), "mean").row()
     sel = data.responses[data.paths[:, 1] == 1]  # node (1, 2)
     assert av.value == pytest.approx(float(np.var(sel)), rel=1e-12)
 

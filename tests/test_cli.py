@@ -516,6 +516,18 @@ def test_kernel_emits_loadable_model(capsys, workdir, tmp_path):
         assert np.allclose(step.sum(axis=1), 1.0)
 
 
+def test_kernel_refuses_unusable_smoothing(capsys, workdir):
+    for value, cause in (("nan", "smoothing must be finite, got nan"),
+                         ("1e308", "smoothing 1e+308 overflows")):
+        code, out, err = run(
+            ["kernel", "--data", workdir / "toothgrowth.csv", "--smoothing", value],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {cause}")
+        assert "Warning" not in err
+
+
 def test_discretize_workflow(capsys, workdir, tmp_path):
     binned_path = tmp_path / "binned.csv"
     rules_path = tmp_path / "rules.json"
@@ -577,6 +589,40 @@ def test_validate_model_with_unreachable_level_passes(capsys, workdir, tmp_path)
     rows = {r["name"]: r for r in json.loads(out)["rows"]}
     assert all(r["passed"] for r in rows.values())
     assert 0 < rows["kernel-recovery"]["value"] < 0.02
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "x"),
+    ("--n", "0"), ("--n", "-1"), ("--replicates", "0"),
+])
+def test_validate_refuses_invalid_sizes_and_seeds(capsys, workdir, flag, value):
+    code, out, err = run(
+        ["validate", "--model", workdir / "demo_2x2.json", flag, value], capsys,
+    )
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: " in err
+
+
+def test_validate_with_few_replicates_skips_coverage(capsys, workdir):
+    code, out, err = run(
+        ["validate", "--model", workdir / "demo_2x2.json", "--replicates", "1"], capsys,
+    )
+    assert code == 0, err
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    assert rows["plugin-mean-coverage"]["passed"]
+    assert rows["plugin-mean-coverage"]["detail"].startswith("skipped: ")
+    assert rows["kernel-recovery"]["value"] < 0.02
+
+
+def test_simulate_refuses_seed_and_replicate_outside_64_bits(capsys, workdir):
+    for flag in ("--seed", "--replicate"):
+        for value in ("-1", str(2**64)):
+            code, out, err = run(
+                ["simulate", "--config", workdir / "demo_config.json", flag, value],
+                capsys,
+            )
+            assert (code, out) == (2, "")
+            assert f"argument {flag}: {value} outside [0, 2^64)" in err
 
 
 def test_validate_csv_format(capsys, workdir):

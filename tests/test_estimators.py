@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import daglm
 from daglm import ModelError, NoDataError, StatisticalError
-from daglm.asymptotics import _weights_av
+from daglm.asymptotics import _weights_avs
 from daglm.estimators import _cell_weights, cell_estimate
 
 from conftest import random_model
@@ -412,7 +412,7 @@ def test_per_path_reductions_match_per_record_formulas(seed):
                 assert est.mean == pytest.approx(mean, **close)
                 assert est.variance == pytest.approx(max(variance, 0.0), **close)
             for which in ("mean", "variance"):
-                naive = _weights_av(_cell_weights(data, i, j, "naive"), which)
+                naive = _weights_avs(_cell_weights(data, i, j, "naive"), which).row()
                 assert naive.value == pytest.approx(
                     max(_known_av_per_record(b, weights["naive"], which), 0.0), **close
                 )

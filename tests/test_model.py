@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +346,22 @@ def test_estimate_kernel_smoothing_removes_gaps():
     np.testing.assert_allclose(k.steps[0].sum(axis=1), [1.0, 1.0])
     # smoothed unvisited row is uniform
     np.testing.assert_allclose(k.steps[0][1], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("alpha, refusal", [
+    (float("nan"), "smoothing must be finite, got nan"),
+    (float("inf"), "smoothing must be finite, got inf"),
+    (1e308, "smoothing 1e+308 overflows the smoothed transition totals"),
+])
+def test_estimate_kernel_refuses_unusable_smoothing(alpha, refusal):
+    spec = daglm.DagSpec(levels=(2, 2))
+    data = daglm.PathDataset(spec=spec, paths=np.array([[1, 1], [2, 2]]),
+                             responses=np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError) as info:
+            daglm.estimate_kernel(data, smoothing=alpha)
+    assert str(info.value) == refusal
 
 
 def per_record_kernel(data, alpha):

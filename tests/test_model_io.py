@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -161,6 +162,59 @@ def test_quality_field_must_be_a_finite_number(tmp_path, key, entry, field, lite
                                          "must be a (list of )?finite number"):
         daglm.load_model(path)
     assert run_command(["validate", "--model", str(path)]) == 3
+
+
+@pytest.mark.parametrize("moments, lowest", [
+    # Var[b^2] = 0.2 - 1 < 0: the Hankel matrix [[1, 0, 1], [0, 1, 0],
+    # [1, 0, 0.2]] has eigenvalue 0.6 - sqrt(1.16)
+    pytest.param([0.0, 1.0, 0.0, 0.2], "-0.477", id="kurtosis"),
+    # Var[b] = 0.5 - 1 < 0, the 2x2 Hankel matrix of m0..m2 only
+    pytest.param([1.0, 0.5, 3.0], "-0.5", id="variance"),
+    # Var[b] = -1 at mean 1000, judged on the scale m2 = 999999
+    pytest.param([1000.0, 999999.0], "-1e-06", id="variance-large-mean"),
+    # mean 660, variance 361, third central moment 0 and fourth 0.5 * 361^2
+    pytest.param([660.0, 435961.0, 288210780.0, 190690934760.5], "-3.43e-07",
+                 id="kurtosis-large-mean"),
+])
+def test_unrealizable_moments_are_refused_at_load(tmp_path, capsys, moments, lowest):
+    refusal = ("moment sequence not realizable: Hankel matrix not positive "
+               f"semidefinite (min eigenvalue {lowest})")
+    with pytest.raises(ModelError) as info:
+        daglm.NodeQuality.from_raw_moments(moments)
+    assert str(info.value) == refusal
+    doc = demo_doc()
+    doc["quality"]["2,1"] = {"kind": "empirical-moments", "moments": moments}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelError) as info:
+        daglm.load_model(path)
+    assert str(info.value) == f"{path}: quality entry '2,1': {refusal}"
+    assert run_command(["validate", "--model", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: quality entry '2,1': {refusal}\n"
+
+
+@pytest.mark.parametrize("values, probs", [
+    ([641.0, 679.0], [0.5, 0.5]),
+    ([4999.0, 5000.0, 5001.5], [0.2, 0.5, 0.3]),
+    ([660.1], [1.0]),
+])
+def test_realizable_moments_at_a_large_mean_load(values, probs):
+    # distributions on the boundary of realizability (two or three atoms,
+    # a point mass) far from zero: the check must not take their rounding
+    # for a negative variance or kurtosis
+    moments = [sum(p * v**k for v, p in zip(values, probs)) for k in range(1, 5)]
+    assert daglm.NodeQuality.from_raw_moments(moments).moments == tuple(moments)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: daglm.NodeQuality.from_raw_moments((math.nan, 1.0)),
+    lambda: daglm.NodeQuality.from_raw_moments((0.0, math.inf, 0.0, 1.0)),
+    lambda: daglm.NodeQuality.gaussian(math.inf, 1.0),
+    lambda: daglm.NodeQuality.gaussian(0.0, math.inf),
+])
+def test_non_finite_quality_parameters_are_refused(build):
+    with pytest.raises(ModelError):
+        build()
 
 
 def test_bundled_demo_model_loads():

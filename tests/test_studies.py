@@ -14,7 +14,7 @@ import daglm
 from daglm import simulation
 from daglm.asymptotics import (
     REGIME_KNOWN,
-    _weights_av,
+    _weights_avs,
     confidence_interval,
     plugin_asym_var,
 )
@@ -66,7 +66,7 @@ def loop_coverage(config, kind="plugin", level=None, which="mean"):
         data = simulation.sample_dataset(config, rep)
         for i, j in nodes:
             weights = _cell_weights(data, i, j, kind, config.kernel, target)
-            av = _weights_av(weights, which)
+            av = _weights_avs(weights, which).row()
             ci = confidence_interval(_estimate(weights), av, level)
             est[(i, j)][rep] = ci.point
             low[(i, j)][rep] = ci.lower
@@ -101,7 +101,7 @@ def loop_refusals(config, kind, which):
         for i, j in simulation._study_nodes(config):
             try:
                 weights = _cell_weights(data, i, j, kind, config.kernel, target)
-                av = _weights_av(weights, which)
+                av = _weights_avs(weights, which).row()
                 confidence_interval(_estimate(weights), av, config.level)
             except DaglmError as exc:
                 out.append((rep, (i, j), exc))
@@ -302,7 +302,7 @@ def test_study_row_is_the_single_dataset_interval(demo_config, kind, which):
         for i, j in result.nodes:
             cell = cell_estimate(data, i, j, kind, config.kernel, target)
             if kind == "naive":
-                av = _weights_av(_cell_weights(data, i, j, "naive"), which)
+                av = _weights_avs(_cell_weights(data, i, j, "naive"), which).row()
             elif kind == "weighted":
                 av = plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, config.kernel)
             else:
