@@ -6,23 +6,22 @@ is asymptotically normal; the limiting variance depends on the estimator
 family (regime "knownQ" for exact-ratio weighting, "unknownQ" for empirical
 ratios) and on the statistic (cell mean or cell variance). It is the
 variance of one scalar influence term per record, C phi, with phi = b for
-the mean and, by the delta method, phi = b^2 - 2 mu b for the variance;
-:func:`_influence_var` writes that expansion out, once. The variance is a
-sum over paths of a weight squared times a 1x1 block, the path's share of
-it. In the known-source regime the paths fold into one block of weight 1,
-E[C^2 phi^2] - E[C phi]^2. In the unknown-source regime, whose ratios are
-estimated, the term on a path is C times phi less its path mean, so the
-block is p Var[phi | path] and the weight is C. Each block is checked for
-sign on its own; no dense matrix is formed.
+the mean and, by the delta method, phi = b^2 - 2 mu b for the variance: by
+the law of total variance over paths, the within-path variance
+E[C^2 Var[phi | path]] plus the between-path variance Var[C E[phi | path]].
+It is a sum over paths of a weight squared times a 1x1 block. In the
+known-source regime the paths fold into one block of weight 1, both terms.
+In the unknown-source regime, whose ratios are estimated, the term on a
+path is C times phi less its path mean, so only the within-path term is
+left: the block is p Var[phi | path] and the weight is C. Each block is
+checked for sign on its own; no dense matrix is formed.
 
-The plug-in forms reduce a per-path table of the observed paths through the
-cell (share of records, ratio, target probability, raw response moments),
-built from the dataset's grouped power sums; the naive estimators are the
-known-source regime with unit ratios. The known-source regime folds the
-paths into one block; the unknown-source regime keeps one block per distinct
-observed path. Each table has one row per replicate: one dataset is a table
-of one row, a Monte-Carlo study has a row for each of its replicates, and
-every check and value is computed row by row.
+The plug-in forms reduce the observed paths through the cell (share of
+records, ratio, central moments, offset from the mean) in a table with one
+row per replicate: one dataset is a table of one row, a Monte-Carlo study
+has a row for each of its replicates, and every check and value is computed
+row by row. The naive estimators are the known-source regime with unit
+ratios.
 
 The closed forms (:func:`_closed_form`, behind the four ``asym_var_*``)
 fold every regime into one block per node. Its entries are sums over the
@@ -124,10 +123,10 @@ def _finalize(
 ) -> _Contracted:
     """Check and contract, row by row, a variance given by its per-path 1x1
     ``blocks`` (R, m) and their ``weights`` (m,) or (R, m): the value is the
-    sum of weight^2 * block. A block is checked against its own magnitude
-    (at least 1), so it counts as negative below -PSD_ATOL; the value counts
-    as negative below -PSD_ATOL times the largest block magnitude of its
-    row."""
+    sum of weight^2 * block. Blocks are built from central moments, so they
+    round at their own magnitude (at least 1): a block counts as negative
+    below -PSD_ATOL, the value below -PSD_ATOL times the largest block
+    magnitude of its row."""
     lowest = blocks.min(axis=-1)
     _refuse(lowest < -PSD_ATOL, StatisticalError,
             lambda r: f"negative asymptotic variance block at node {node} "
@@ -142,34 +141,6 @@ def _finalize(
                        np.where(clipped, 0.0, value), clipped)
 
 
-def _influence_var(which: str, y: np.ndarray, w: np.ndarray, mu) -> np.ndarray:
-    """The variance of the influence term phi of the ``which`` statistic:
-    phi = b for the mean and, by the delta method, phi = b^2 - 2 mu b for
-    the variance. It is E''[phi^2] - E'[phi]^2 for two weightings whose
-    moments ``y[k]`` = E'[b^k] and ``w[k]`` = E''[b^k], k = 0..4, are given:
-    C and C^2 in the known-source regime, the law given a path for both in
-    the unknown-source regime. For the variance it is expanded as
-    Var[b^2] - 4 mu Cov[b^2, b] + 4 mu^2 Var[b], each (co)variance formed
-    as E''[b^(a+c)] - E'[b^a] E'[b^c] before the terms are combined."""
-    var_b = w[2] - y[1] * y[1]
-    if which == "mean":
-        return var_b
-    var_b2 = w[4] - y[2] * y[2]
-    cov = w[3] - y[2] * y[1]
-    return var_b2 - 4.0 * mu * cov + 4.0 * mu * mu * var_b
-
-
-def _known_fold(
-    node: tuple[int, int], which: str, y: np.ndarray, w: np.ndarray
-) -> _Contracted:
-    """Known-source regime: the estimator averages C phi over records, so
-    its limiting variance is E[C^2 phi^2] - E[C phi]^2. ``y[k]`` and
-    ``w[k]`` are E[C b^k] and E[C^2 b^k] under the source, one entry per
-    row: the paths fold into one block per row, of weight 1."""
-    block = _influence_var(which, y, w, y[1])  # E[C b] = target mean
-    return _finalize(node, which, REGIME_KNOWN, np.ones(1), block[:, None])
-
-
 def _closed_form(
     kernel: TransitionKernel,
     target: TransitionKernel,
@@ -182,20 +153,22 @@ def _closed_form(
     """The closed-form asymptotic variance of the ``which`` statistic at
     node (i, j), folded into one 1x1 block of weight 1.
 
-    Known source: from the path sums E[C b^k] (the target's conditional
-    moments) and E[C^2 b^k] (:func:`_known_fold`). Unknown source: the sum
-    over the support paths of C^2 p Var[Y^d | path], Y = b - mu, with d = 1
-    for the mean and d = 2 for the variance. Var[Y^d | path] =
-    E[Y^2d | path] - E[Y^d Y'^d | path] for a copy Y' of Y independent given
-    the path, so one pass under T^2/Q over the pair (Y, Y') gives the block.
+    With Y = b - mu and phi = Y^d (d = 1 for the mean, 2 for the
+    variance) plus a constant k (mu, or -mu^2), both regimes read one pass
+    of :func:`_closed_form_sums`, the T moments and the sums x[a, b] =
+    E[C^2 E[Y^a | path] E[Y^b | path]]. The within-path term
+    E[C^2 Var[Y^d | path]] is x[2d, 0] - x[d, d], and it is the whole of
+    the unknown-source variance. The known-source variance adds the
+    between-path term Var[C E[phi | path]]: x[d, d] - m^2 + 2k (x[d, 0] - m)
+    + k^2 (x[0, 0] - 1), with m = E_T[Y^d] and E[C] = 1.
     """
     d = 1 if which == "mean" else 2
+    y, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
+    block = x[2 * d, 0] - x[d, d]
     if regime == REGIME_KNOWN:
-        y, w = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
-        return _known_fold((i, j), which, y[:, None], w[:, None]).row()
-    _, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d, pairs=True)
-    return _finalize((i, j), which, REGIME_UNKNOWN, np.ones(1),
-                     np.array([[x[2 * d, 0] - x[d, d]]])).row()
+        m, k = (0.0, y[1]) if d == 1 else (y[2] - y[1] * y[1], -y[1] * y[1])
+        block += x[d, d] - m * m + 2.0 * k * (x[d, 0] - m) + k * k * (x[0, 0] - 1.0)
+    return _finalize((i, j), which, regime, np.ones(1), np.array([[block]])).row()
 
 
 def asym_var_mean_known(
@@ -255,30 +228,36 @@ def _kind_regime(kind: str) -> str:
 
 def _weights_avs(weights: _CellWeights, which: str) -> _Contracted:
     """Plug-in asymptotic variance of the ``which`` estimate of the cell in
-    every replicate, a reduction over its weights and grouped power sums.
-    The unknown-source regime estimates per-path pieces and needs every
-    distinct observed path through the cell at least twice."""
+    every replicate, from each path's offset delta and central moments c_k
+    (:attr:`_CellWeights.moments`): V = Var[phi | path] is c_2 for the mean and
+    c_4 + 4 delta c_3 + 4 delta^2 c_2 - c_2^2 for the variance, and
+    E[phi | path] = e + k with e = delta or c_2 + delta^2 and k = mu or
+    -mu^2. The unknown-source regime keeps one block p V per path, of
+    weight C, and needs every distinct observed path at least twice. The
+    known-source regime folds the paths into one block of weight 1,
+    sum p C^2 V + sum p (a + k (C - Cbar))^2 with a = C e - sum p C e and
+    Cbar the weight total, exactly 1 for the naive estimator."""
     if which not in ("mean", "variance"):
         raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
-    cell = weights.cell
-    observed = cell.counts > 0
-    moments = np.divide(cell.sums, cell.counts[..., None],
-                        out=np.zeros(cell.sums.shape), where=observed[..., None])
-    m = np.moveaxis(moments, -1, 0)  # m[k] = E[b^k | path], (R, m)
+    cell, ratio = weights.cell, weights.ratio
+    mu, total, delta, c2, c3, c4 = weights.moments
+    mu, total = mu[:, None], total[:, None]
+    if which == "mean":
+        within, part, k = c2, delta, mu
+    else:
+        within = c4 + 4.0 * delta * (c3 + delta * c2) - c2 * c2
+        part, k = c2 + delta * delta, -mu * mu
     prob = cell.counts / weights.n[:, None]
     if _kind_regime(weights.kind) == REGIME_KNOWN:
-        pc = prob * weights.ratio
-        return _known_fold(weights.node, which, _path_sum(pc * m),
-                           _path_sum(pc * weights.ratio * m))
+        between = ratio * part - _path_sum(prob * ratio * part)[:, None] + k * (ratio - total)
+        block = _path_sum(prob * (ratio * ratio * within + between * between))
+        return _finalize(weights.node, which, REGIME_KNOWN, np.ones(1), block[:, None])
     weights.check_support()
     once = cell.counts == 1
     _refuse(once.any(axis=-1), StatisticalError,
             lambda r: "insufficient per-path replication for plug-in asymptotics; "
             f"paths seen once: {[tuple(int(x) for x in p) for p in cell.paths[once[r]]]}")
-    # each path's block is its share times Var[phi | path], of weight C
-    mu = _path_sum(weights.target * m[1])[:, None]
-    return _finalize(weights.node, which, REGIME_UNKNOWN, weights.ratio,
-                     prob * _influence_var(which, m, m, mu))
+    return _finalize(weights.node, which, REGIME_UNKNOWN, ratio, prob * within)
 
 
 def plugin_asym_var(

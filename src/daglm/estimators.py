@@ -9,10 +9,10 @@ fixed node (i, j):
 * plugin: responses reweighted by the empirical ratio built from observed
   path frequencies (source kernel unknown).
 
-All three reduce over the cell's distinct observed paths (record counts
-and response power sums, grouped once per dataset by
+All three reduce over the cell's distinct observed paths (record counts,
+response sums and centred sums, grouped once per dataset by
 :attr:`PathDataset.groups`). Each path carries one per-record weight, 1 for
-the naive kind; every kind sums weight times power sum with the same
+the naive kind; every kind sums weight times path sum with the same
 floating-point sequence, so a ratio that is identically 1 reproduces the
 naive value bit for bit.
 
@@ -29,6 +29,7 @@ All functions are pure; datasets are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +154,30 @@ class _CellWeights:
             f"mass {total[r]:.6g}, not 1; support paths are missing from the data",
         )
 
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, ...]:
+        """Each replicate's cell mean and weight total sum(count * w) / n, and
+        for each path its offset delta from the exact weighted mean and its
+        central moments c_2, c_3, c_4 (0 on a path with no records). Column 1
+        of the grouped sums corrects both for the rounding of the path means;
+        every difference is taken before a power, so a shift of the response
+        moves none of them. The known-source mean is not self-normalised: it
+        divides by n, not by n times the weight total."""
+        cell, w, n = self.cell, self.ratio, self.n
+        seen = cell.counts > 0
+        count = np.where(seen, cell.counts, 1)
+        a1, a2, a3, a4 = np.moveaxis(cell.sums[..., 1:], -1, 0) / count
+        mean = _path_sum(w * cell.sums[..., 0]) / n
+        total = _path_sum(w * cell.counts) / n
+        offset = np.where(seen, cell.sums[..., 0] / count - mean[:, None], 0.0) + a1
+        shift = _path_sum(cell.counts * w * offset) / n
+        if self.kind == KIND_WEIGHTED:
+            shift = shift + mean * (total - 1.0)
+        c2 = a2 - a1 * a1
+        c3 = a3 - a1 * (3.0 * a2 - 2.0 * a1 * a1)
+        c4 = a4 - a1 * (4.0 * a3 - a1 * (6.0 * a2 - 3.0 * a1 * a1))
+        return mean, total, offset - shift[:, None], c2, c3, c4
+
 
 def _table_weights(
     cell: PathGroups,
@@ -214,12 +239,15 @@ def _estimates(weights: _CellWeights) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Each replicate's cell mean, variance and clip flag: the shared
     reduction for all estimator families, with the same floating-point
     sequence for every kind; unit weights clip strictly (see
-    :func:`_clip_variance`)."""
+    :func:`_clip_variance`). The variance is sum(w * count * (c_2 +
+    delta^2)) / n (:attr:`_CellWeights.moments`); the known-source estimator's
+    adds mean^2 (1 - weight total)."""
     weights.check_support()
-    sums, w, n = weights.cell.sums, weights.ratio, weights.n
-    mean = _path_sum(w * sums[..., 1]) / n
-    second = _path_sum(w * sums[..., 2]) / n
-    variance, clipped = _clip_variance(second - mean * mean, weights.kind == KIND_NAIVE)
+    mean, total, delta, c2, _, _ = weights.moments
+    variance = _path_sum(weights.ratio * weights.cell.counts * (c2 + delta * delta)) / weights.n
+    if weights.kind == KIND_WEIGHTED:
+        variance = variance + mean * mean * (1.0 - total)
+    variance, clipped = _clip_variance(variance, weights.kind == KIND_NAIVE)
     return mean, variance, clipped
 
 

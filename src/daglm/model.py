@@ -606,16 +606,19 @@ def _group_records(
 ) -> "PathGroups":
     """Records grouped by distinct path: the groups of one dataset, or, with
     each record's ``replicate``, the table of ``replicates`` replicates.
-    Every group sums its records' powers in record order."""
+    Every group sums its records in record order: first the responses, then
+    the powers of their deviations from the group's mean."""
     distinct, cells = _path_cells(paths, levels, replicate, replicates)
     size = replicates * len(distinct)
     counts = np.bincount(cells, minlength=size)
     sums = np.empty((size, PathGroups.ORDER + 1))
-    sums[:, 0] = counts
-    power = responses
+    sums[:, 0] = np.bincount(cells, weights=responses, minlength=size)
+    means = np.divide(sums[:, 0], counts, out=np.zeros(size), where=counts > 0)
+    deviation = responses - means[cells]
+    power = deviation
     for k in range(1, PathGroups.ORDER + 1):
         sums[:, k] = np.bincount(cells, weights=power, minlength=size)
-        power = power * responses
+        power = power * deviation
     shape = (len(distinct),) if replicate is None else (replicates, len(distinct))
     return PathGroups(
         distinct, counts.reshape(shape), sums.reshape(*shape, PathGroups.ORDER + 1)
@@ -625,13 +628,15 @@ def _group_records(
 @dataclass(frozen=True)
 class PathGroups:
     """Distinct observed paths with per-path record counts and response
-    power sums: the only summary of a dataset the estimators and plug-in
+    sums: the only summary of a dataset the estimators and plug-in
     asymptotic variances need.
 
     ``paths`` is an (m, c) array of distinct paths in lexicographic order,
-    ``counts`` the number of records on each, and ``sums[p, k]`` the sum of
-    b**k over the records of path p, for k = 0..ORDER (so column 0 repeats
-    the counts).
+    ``counts`` the number of records on each, ``sums[p, 0]`` the sum of b
+    over the records of path p, and ``sums[p, k]`` for k = 1..ORDER the sum
+    of (b - mean)**k about its mean as rounded, ``sums[p, 0] / counts[p]``
+    (so column 1 is that rounding times the count). Centred sums do not
+    cancel under a shift of the response (Chan, Golub & LeVeque 1983).
 
     A table of replicates (a study's, :func:`_group_records`) puts a
     leading replicate axis on ``counts`` (R, m) and ``sums``
@@ -652,7 +657,7 @@ class PathGroups:
         return PathGroups(self.paths[seen], counts[:, seen], self.sums[start:stop, seen])
 
     def through(self, j: int, i: int) -> "PathGroups":
-        """The paths through node (i, j), with their counts and power sums."""
+        """The paths through node (i, j), with their counts and sums."""
         at = np.flatnonzero(self.paths[:, j - 1] == i)
         return PathGroups(
             self.paths[at], self.counts.take(at, axis=-1), self.sums.take(at, axis=-2)
@@ -710,7 +715,7 @@ class PathDataset:
 
     def node_groups(self, j: int, i: int) -> PathGroups:
         """The distinct observed paths through node (i, j) with their counts
-        and power sums."""
+        and sums."""
         self._check_node(j, i)
         return self.groups.through(j, i)
 

@@ -165,32 +165,23 @@ def _flat(kernel: TransitionKernel) -> np.ndarray:
 def _weights(
     kernel: TransitionKernel,
     target: TransitionKernel | None = None,
-    *entries: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    entry: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> _Weights:
     """Weights on the support of ``kernel`` and 0 off it: the kernel's own
-    entries; or ``entry(q, t)`` of its entries q and the entries t of
-    ``target``, for each of ``entries``, stacked along a leading axis when
-    there are several (one pass then runs under all of them)."""
+    entries, or ``entry(q, t)`` of its entries q and the entries t of
+    ``target``."""
     q = _flat(kernel)
     on = q > SUPPORT_ZERO
-    if entries:
-        q, t = np.where(on, q, 1.0), _flat(target)
-        flat = np.where(on, np.stack([entry(q, t) for entry in entries]), 0.0)
-        if len(entries) == 1:
-            flat = flat[0]
-    else:
+    if entry is None:
         flat = np.where(on, q, 0.0)
-    initial = flat[..., : len(kernel.initial)]
+    else:
+        flat = np.where(on, entry(np.where(on, q, 1.0), _flat(target)), 0.0)
+    initial = flat[: len(kernel.initial)]
     steps, start = [], len(kernel.initial)
     for s in kernel.steps:
-        steps.append(flat[..., start: start + s.size].reshape(flat.shape[:-1] + s.shape))
+        steps.append(flat[start: start + s.size].reshape(s.shape))
         start += s.size
     return initial, steps
-
-
-def _target(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """T: a path's target probability."""
-    return t
 
 
 def _tilted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -298,10 +289,9 @@ def _path_sums(
 ) -> list[np.ndarray]:
     """For every level of column j (of every column when j is None), the
     weighted sum over the support paths through it of the coefficients of
-    the path's response: one (..., D, r) array per column, the leading axes
-    those of stacked ``weights``. ``table`` holds the coefficients (D,) of
-    every node, one row per node column by column, and ``start`` those of
-    the response before column 1."""
+    the path's response: one (D, r) array per column. ``table`` holds the
+    coefficients (D,) of every node, one row per node column by column, and
+    ``start`` those of the response before column 1."""
     initial, steps = weights
     bounds = list(itertools.accumulate([initial.shape[-1]] + [s.shape[-1] for s in steps]))
     matrices = _cauchy(table, shape)
@@ -314,16 +304,13 @@ def _path_sums(
     return [_multiply(_cauchy(b.swapaxes(-1, -2), shape), a) for a, b in zip(ahead, behind)]
 
 
-def _moment_sums(
-    weights: _Weights, moments: np.ndarray, j: int, i: int, shift: float = 0.0
-) -> np.ndarray:
+def _moment_sums(weights: _Weights, moments: np.ndarray, j: int, i: int) -> np.ndarray:
     """Sum over the support paths through (i, j) of the path weight times
-    E[(b - shift)^n | path], for n = 0 up to the order of the node
-    ``moments``: (..., n) for stacked ``weights``."""
+    E[b^n | path], for n = 0 up to the order of the node ``moments``."""
     fact = _FACTORIALS[: moments.shape[1]]
-    start = (-shift) ** np.arange(len(fact)) / fact
+    start = np.eye(len(fact))[0]  # the response before column 1 is 0
     sums = _path_sums(weights, moments / fact, (len(fact),), start, j)[0]
-    return sums[..., i - 1] * fact
+    return sums[:, i - 1] * fact
 
 
 def _pair_sums(
@@ -362,7 +349,6 @@ def _closed_form_sums(
     j: int,
     i: int,
     order: int,
-    pairs: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The path sums behind the closed-form asymptotic variances at node
     (i, j), each an expectation under ``kernel`` given the node, with C the
@@ -370,12 +356,11 @@ def _closed_form_sums(
 
     - ``y``, E[C b^k] = E_T[b^k | node] for k = 0..order, from a pass
       under T;
-    - without ``pairs``, ``w``, E[C^2 b^k] for k = 0..order; with them,
-      ``w`` (order + 1, 3), E[C^2 E[Y^a | path] E[Y^b | path]] for
+    - ``x`` (order + 1, 3), E[C^2 E[Y^a | path] E[Y^b | path]] for
       Y = b - y[1], a = 0..order and b = 0..2, from one pass over the pair
-      (Y, Y') (:func:`_pair_sums`). Either comes from a pass under the
-      tilted T^2/Q, since a path's C^2 times its source probability is its
-      T^2/Q product times p_Q / p_T^2, the node marginals.
+      (Y, Y') (:func:`_pair_sums`) under the tilted T^2/Q, since a path's
+      C^2 times its source probability is its T^2/Q product times
+      p_Q / p_T^2, the node marginals.
 
     Refuses non-equivalent measures, then as :func:`_through`, and a node
     on no support path as a null event.
@@ -386,13 +371,9 @@ def _closed_form_sums(
     if found is None:
         raise _null_event(i, j)
     (p_q, p_t), moments = found
-    scale = p_q / p_t**2
-    if not pairs:
-        y, w = _moment_sums(_weights(kernel, target, _target, _tilted), moments, j, i)
-        return y / p_t, w * scale
     y = _moment_sums(_weights(target), moments, j, i) / p_t
-    w = _pair_sums(_weights(kernel, target, _tilted), moments, j, i, shift=y[1])
-    return y, w * scale
+    x = _pair_sums(_weights(kernel, target, _tilted), moments, j, i, shift=y[1])
+    return y, x * (p_q / p_t**2)
 
 
 def verify_measure_change(

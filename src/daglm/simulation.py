@@ -8,7 +8,7 @@ any parallel driver only needs to merge results by replicate index.
 
 A study draws its replicates in blocks of consecutive replicates, about
 ``_BLOCK_RECORDS`` records each, and groups each block by (replicate, path)
-as it is drawn, keeping only the grouped counts and power sums; the blocks
+as it is drawn, keeping only the grouped counts and sums; the blocks
 join into one replicate x path table. Within a block every replicate still
 draws from its own stream exactly what :func:`sample_dataset`, the block of
 one replicate, draws. Estimates, asymptotic variances and intervals are

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -470,6 +471,63 @@ def test_compare_same_level_pair_is_exactly_zero(capsys, workdir):
     for row in doc["rows"]:
         assert row["difference"] == 0.0
         assert row["label_a"] == row["label_b"] == "OJ"
+
+
+# ---------------------------------------------------------------------------
+# a shift of the response
+
+@pytest.mark.parametrize("shift", [1e5, 1e6])
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+@pytest.mark.parametrize("estimator", ["naive", "plugin"])
+def test_shifted_responses_move_only_the_means(
+    capsys, workdir, tmp_path, shift, command, estimator
+):
+    # naive and plugin are self-normalised: adding c to every response adds
+    # c to each cell mean and leaves every other number as it was, unflagged
+    with (workdir / "toothgrowth.csv").open(newline="") as fh:
+        header, *records = csv.reader(fh)
+    shifted = tmp_path / "shifted.csv"
+    with shifted.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(r[:-1] + [repr(float(r[-1]) + shift)] for r in records)
+    docs = []
+    for path in (workdir / "toothgrowth.csv", shifted):
+        code, out, err = run([command, "--data", path, "--estimator", estimator], capsys)
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    base, moved = docs
+    assert len(base["rows"]) == len(moved["rows"])
+    # fields built from the means carry the rounding of the shifted
+    # responses, about 1e-16 times the shift each
+    if command == "estimate":
+        from_means, moved_by = ("mean", "mean_lower", "mean_upper"), shift
+    else:
+        from_means, moved_by = ("difference", "lower", "upper"), 0.0
+    for a, b in zip(base["rows"], moved["rows"]):
+        assert a["flags"] == b["flags"] == []
+        for field, value in a.items():
+            if field in from_means and a.get("which", "mean") == "mean":
+                expected = pytest.approx(value + moved_by, rel=0.0, abs=1e-14 * shift)
+                assert b[field] == expected, field
+            elif isinstance(value, float):
+                assert b[field] == pytest.approx(value, rel=1e-9), field
+            else:
+                assert b[field] == value, field
+
+
+def test_one_record_cells_have_a_zero_variance_se(capsys, workdir):
+    # raw caschools has a distinct level per record in both columns, so
+    # every cell holds one record and its naive variance AV is exactly 0
+    code, out, err = run(
+        ["estimate", "--data", workdir / "caschools.csv", "--estimator", "naive"], capsys
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 840
+    assert all(row["count"] == 1 for row in rows)
+    assert [row for row in rows if row["flags"]] == []
+    assert {row["variance_se"] for row in rows} == {0.0}
 
 
 def test_check_markov_reports_but_never_blocks(capsys, workdir, tmp_path):

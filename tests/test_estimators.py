@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import daglm
 from daglm import ModelError, NoDataError, StatisticalError
@@ -46,7 +48,7 @@ def node_sums(data):
         for i in range(1, r + 1):
             cell = data.node_groups(j, i)
             V[i - 1, j - 1] = cell.counts.sum()
-            B[i - 1, j - 1] = cell.sums[:, 1].sum()
+            B[i - 1, j - 1] = cell.sums[:, 0].sum()
     return B, V
 
 
@@ -368,6 +370,7 @@ def _unknown_av_per_record(b, paths, cond, which):
 
 
 @given(seed=st.integers(0, 100_000))
+@example(seed=29)
 @settings(max_examples=30, deadline=None)
 def test_per_path_reductions_match_per_record_formulas(seed):
     rng = np.random.default_rng(seed)
@@ -433,3 +436,56 @@ def test_per_path_reductions_match_per_record_formulas(seed):
                 assert unknown.value == pytest.approx(
                     max(_unknown_av_per_record(b, paths, cond_t, which), 0.0), **close
                 )
+
+
+@given(seed=st.integers(0, 100_000), shift=st.sampled_from([1e5, 1e6]))
+@settings(max_examples=30, deadline=None)
+def test_estimates_under_a_shift_of_the_response(seed, shift):
+    # naive and plugin are self-normalised: under b -> b + c their means
+    # move by c, and their variances and both plug-in AVs stay put. The
+    # weighted (known-source) estimator divides by n, not by the sum of its
+    # weights, so its mean moves by c * sum(w * count) / n.
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, max_c=3, max_r=3)
+    config = daglm.ExperimentConfig(
+        spec=spec, kernel=kernel, quality=quality,
+        n=int(rng.integers(20, 400)), seed=seed,
+    )
+    data = daglm.sample_dataset(config, 0)
+    # responses on the grid of the shifted ones, so that the shift is exact
+    base = daglm.PathDataset(spec, data.paths, (data.responses + shift) - shift)
+    moved = daglm.PathDataset(spec, data.paths, base.responses + shift)
+    close = dict(rel=1e-9, abs=1e-12)
+
+    def avs(d, kind, i, j):
+        if kind == "naive":
+            return [_weights_avs(_cell_weights(d, i, j, "naive"), which).row().value
+                    for which in ("mean", "variance")]
+        return [daglm.plugin_asym_var(d, target, i, j, which).value
+                for which in ("mean", "variance")]
+
+    for j in range(1, spec.c + 1):
+        for i in range(1, spec.levels[j - 1] + 1):
+            if base.count(j, i) == 0:
+                continue
+            weights = _cell_weights(base, i, j, "weighted", kernel, target)
+            total = np.sum(weights.ratio * weights.cell.counts) / weights.n[0]
+            known = [cell_estimate(d, i, j, "weighted", kernel, target) for d in (base, moved)]
+            assert known[1].mean == pytest.approx(known[0].mean + shift * total, rel=1e-12)
+            for kind in ("naive", "plugin"):
+                try:
+                    est = cell_estimate(base, i, j, kind, kernel, target)
+                except StatisticalError as exc:
+                    with pytest.raises(StatisticalError, match=re.escape(str(exc))):
+                        cell_estimate(moved, i, j, kind, kernel, target)
+                    continue
+                est_moved = cell_estimate(moved, i, j, kind, kernel, target)
+                assert est_moved.mean == pytest.approx(est.mean + shift, rel=1e-12)
+                assert est_moved.variance == pytest.approx(est.variance, **close)
+                try:
+                    values = avs(base, kind, i, j)
+                except StatisticalError as exc:
+                    with pytest.raises(StatisticalError, match=re.escape(str(exc))):
+                        avs(moved, kind, i, j)
+                    continue
+                assert avs(moved, kind, i, j) == pytest.approx(values, **close)

@@ -276,10 +276,12 @@ def unique_groups(data):
         key, return_index=True, return_inverse=True, return_counts=True
     )
     sums = np.empty((first.size, PathGroups.ORDER + 1))
-    power = np.ones(data.n)
-    for k in range(PathGroups.ORDER + 1):
+    sums[:, 0] = np.bincount(inverse, weights=data.responses, minlength=first.size)
+    deviation = data.responses - (sums[:, 0] / counts)[inverse]
+    power = deviation
+    for k in range(1, PathGroups.ORDER + 1):
         sums[:, k] = np.bincount(inverse, weights=power, minlength=first.size)
-        power = power * data.responses
+        power = power * deviation
     return PathGroups(data.paths[first], counts, sums)
 
 
