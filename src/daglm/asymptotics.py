@@ -155,18 +155,19 @@ def _closed_form(
 
     With Y = b - mu and phi = Y^d (d = 1 for the mean, 2 for the
     variance) plus a constant k (mu, or -mu^2), both regimes read one pass
-    of :func:`_closed_form_sums`, the T moments and the sums x[a, b] =
-    E[C^2 E[Y^a | path] E[Y^b | path]]. The within-path term
+    of :func:`_closed_form_sums`: mu, the T moments y of b - R and the sums
+    x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]]. The within-path term
     E[C^2 Var[Y^d | path]] is x[2d, 0] - x[d, d], and it is the whole of
     the unknown-source variance. The known-source variance adds the
     between-path term Var[C E[phi | path]]: x[d, d] - m^2 + 2k (x[d, 0] - m)
-    + k^2 (x[0, 0] - 1), with m = E_T[Y^d] and E[C] = 1.
+    + k^2 (x[0, 0] - 1), with m = E_T[Y^d] and E[C] = 1. That last term rounds
+    at k^2 E[C^2], which at a far mean swamps a small Var[C].
     """
     d = 1 if which == "mean" else 2
-    y, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
+    mu, y, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
     block = x[2 * d, 0] - x[d, d]
     if regime == REGIME_KNOWN:
-        m, k = (0.0, y[1]) if d == 1 else (y[2] - y[1] * y[1], -y[1] * y[1])
+        m, k = (0.0, mu) if d == 1 else (y[2] - y[1] * y[1], -mu * mu)
         block += x[d, d] - m * m + 2.0 * k * (x[d, 0] - m) + k * k * (x[0, 0] - 1.0)
     return _finalize((i, j), which, regime, np.ones(1), np.array([[block]])).row()
 

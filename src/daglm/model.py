@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -382,6 +382,33 @@ def kernels_equivalent(a: TransitionKernel, b: TransitionKernel) -> bool:
 # ---------------------------------------------------------------------------
 # quality models
 
+#: moments of the response are supported up to this order
+MAX_MOMENT_ORDER = 4
+
+
+@cache
+def _pascal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The binomials C(k, a), k, a < n, and the exponents max(k - a, 0)."""
+    k, a = np.indices((n, n))
+    return np.vectorize(math.comb)(k, a).astype(float), np.maximum(k - a, 0)
+
+
+def _shift_moments(moments: np.ndarray, offset: float) -> np.ndarray:
+    """The moments E[(X + d)^k], k = 0..K, of X moved by d = ``offset``,
+    from its moments E[X^k]: the sum over a <= k of C(k, a) E[X^a] d^(k - a),
+    one product with the Pascal matrix."""
+    binomials, gaps = _pascal(len(moments))
+    return (binomials * np.float64(offset) ** gaps) @ moments
+
+
+def _moments_to(moments: np.ndarray, order: int) -> np.ndarray:
+    """The moments 0..``order`` of moments 0..K; refuses an order above K."""
+    n = len(moments)
+    if order >= n:
+        raise ModelError(f"moment order {n} not available (have m1..m{n - 1})")
+    return moments[: max(order + 1, 0)]
+
+
 #: each quality kind and its parameter fields, in the order model files
 #: hold them; every field but ``moments`` (a list) is a scalar
 _QUALITY_FIELDS = {
@@ -407,6 +434,9 @@ class NodeQuality:
     prob: float | None = None
     value: float | None = None
     moments: tuple[float, ...] | None = None
+    #: E[X] and the moments about it (to MAX_MOMENT_ORDER, or K), computed once
+    mean_value: float = field(init=False, repr=False, compare=False)
+    _central: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _QUALITY_FIELDS:
@@ -418,18 +448,24 @@ class NodeQuality:
                 raise ModelError(f"negative variance {self.variance}")
             if not math.isfinite(self.mean) or not math.isfinite(self.variance):
                 raise ModelError("gaussian quality needs a finite mean and variance")
+            mean, v = float(self.mean), float(self.variance)
+            central = [1.0, 0.0, v, 0.0, 3.0 * v * v]  # to MAX_MOMENT_ORDER
         elif self.kind == "bernoulli":
             if self.prob is None or not 0 <= self.prob <= 1:
                 raise ModelError("bernoulli quality needs prob in [0, 1]")
+            mean = float(self.prob)
+            central = _shift_moments(np.array([1.0] + [mean] * MAX_MOMENT_ORDER), -mean)
         elif self.kind == "point-mass":
             if self.value is None or not math.isfinite(self.value):
                 raise ModelError("point-mass quality needs a finite value")
+            mean, central = float(self.value), [1.0] + [0.0] * MAX_MOMENT_ORDER
         else:  # empirical-moments
             if self.moments is None or len(self.moments) < 2:
                 raise ModelError(
                     "empirical-moments quality needs raw moments m1..mK, K >= 2"
                 )
             object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
+            mean = self.moments[0]
             # a distribution's Hankel matrix of (1, m1, ..., m_min(K, 4)) is
             # positive semidefinite, and PSD Hankel sequences stay PSD under
             # the convolution that adds a node to a path: so no variance form
@@ -441,11 +477,8 @@ class NodeQuality:
             order = 4 if len(self.moments) >= 4 else 2
             scale = math.sqrt(max(1.0, self.moments[1]))
             with np.errstate(all="ignore"):
-                z = np.array((1.0,) + self.moments[:order]) / scale ** np.arange(order + 1)
-                c = [
-                    sum(math.comb(k, a) * z[a] * (-z[1]) ** (k - a) for a in range(k + 1))
-                    for k in range(order + 1)
-                ]
+                central = _shift_moments(np.array((1.0,) + self.moments), -mean)
+                c = central[: order + 1] / scale ** np.arange(order + 1)
             size = order // 2 + 1
             hankel = np.array([c[a: a + size] for a in range(size)])
             finite = np.isfinite(hankel).all()
@@ -455,44 +488,20 @@ class NodeQuality:
                     "moment sequence not realizable: Hankel matrix not positive "
                     f"semidefinite (min eigenvalue {lowest:.3g})"
                 )
-
-    def raw_moment(self, k: int) -> float:
-        """k-th raw moment E[X^k]; raises when the order is not available."""
-        if k < 0:
-            raise ModelError(f"moment order {k} invalid")
-        return float(self.raw_moments(k)[k])
+        object.__setattr__(self, "mean_value", mean)
+        object.__setattr__(self, "_central", np.array(central, dtype=float))
+        self._central.setflags(write=False)
 
     def raw_moments(self, order: int) -> np.ndarray:
-        """Vector (m_0, m_1, ..., m_order) of raw moments, with the gaussian
-        recursion run once."""
-        if order < 1:
-            return np.ones(order + 1) if order == 0 else np.zeros(0)
-        if self.kind == "gaussian":
-            mu, var = float(self.mean), float(self.variance)
-            m = [1.0, mu]
-            for k in range(2, order + 1):
-                m.append(mu * m[k - 1] + (k - 1) * var * m[k - 2])
-            return np.array(m)
-        if self.kind == "bernoulli":
-            return np.array([1.0] + [float(self.prob)] * order)
-        if self.kind == "point-mass":
-            value = float(self.value)
-            return np.array([1.0] + [value**k for k in range(1, order + 1)])
-        if order > len(self.moments):
-            raise ModelError(
-                f"moment order {len(self.moments) + 1} not available "
-                f"(have m1..m{len(self.moments)})"
-            )
-        return np.array((1.0,) + self.moments[:order])
-
-    @property
-    def mean_value(self) -> float:
-        return self.raw_moment(1)
+        """Vector (m_0, m_1, ..., m_order) of raw moments: an empirical
+        spec's own, else the central moments moved by the mean."""
+        if self.moments is not None:
+            return _moments_to(np.array((1.0,) + self.moments), order)
+        return _moments_to(_shift_moments(self._central, self.mean_value), order)
 
     @property
     def variance_value(self) -> float:
-        m1 = self.raw_moment(1)
-        return self.raw_moment(2) - m1 * m1
+        return float(self._central[2])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent values; moments-only specs cannot be
@@ -530,14 +539,20 @@ from_raw_moments = NodeQuality.from_raw_moments
 
 @dataclass(frozen=True)
 class QualityModel:
-    """Per-node quality distributions keyed by (level i, column j)."""
+    """Per-node quality distributions keyed by (level i, column j), and
+    each column's reference, the mean of its node means."""
 
     nodes: dict[tuple[int, int], NodeQuality] = field(default_factory=dict)
+    _references: dict[int, float] = field(init=False, repr=False, compare=False)
+    _centred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "nodes", {(int(i), int(j)): q for (i, j), q in self.nodes.items()}
-        )
+        nodes = {(int(i), int(j)): q for (i, j), q in self.nodes.items()}
+        means: dict[int, list[float]] = {}
+        for (_, j), q in nodes.items():
+            means.setdefault(j, []).append(q.mean_value)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_references", {j: sum(m) / len(m) for j, m in means.items()})
 
     @classmethod
     def gaussian_grid(cls, spec: DagSpec, means, variances) -> "QualityModel":
@@ -556,6 +571,19 @@ class QualityModel:
             return self.nodes[(i, j)]
         except KeyError:
             raise ModelError(f"no quality spec for node ({i}, {j})") from None
+
+    def _centred_moments(self, i: int, j: int, order: int) -> np.ndarray:
+        """Moments (m_0..m_order) of node (i, j) about its column's
+        reference, computed once; refuses as :meth:`node` and
+        :meth:`NodeQuality.raw_moments`."""
+        if (i, j) not in self._centred:
+            q = self.node(i, j)
+            self._centred[(i, j)] = _shift_moments(q._central, q.mean_value - self._references[j])
+        return _moments_to(self._centred[(i, j)], order)
+
+    def _reference(self, c: int) -> float:
+        """R, the sum of the references of columns 1..c."""
+        return sum(self._references.get(j, 0.0) for j in range(1, c + 1))
 
 
 # ---------------------------------------------------------------------------

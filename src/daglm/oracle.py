@@ -9,11 +9,13 @@ moment of the path's response factors into a forward vector (over the
 prefixes ending at the node) and a backward vector (over the suffixes after
 it), each propagated one column at a time (Rabiner 1989; the expectation
 semiring of Eisner 2002). Every level carries the exponential generating
-coefficients E[b^n]/n! of the response up to the order needed, so adding a
-node's independent contribution is a Cauchy product, one lower-triangular
-Toeplitz matrix per node, and so is joining a forward vector to a backward
-one. A pass costs O(c r^2) per coefficient under any weight matrix: a
-kernel, the tilted T^2/Q, or Q (T/Q).
+coefficients E[(b - R)^n]/n! of the response up to the order needed, R the
+sum of the column references (:meth:`QualityModel._reference`), so adding a
+node's independent contribution (its moments about its column's reference)
+is a Cauchy product, one lower-triangular Toeplitz matrix per node, and so
+is joining a forward vector to a backward one; every sum stays at the scale
+of the spread within the columns. A pass costs O(c r^2) per coefficient
+under any weight matrix: a kernel, the tilted T^2/Q, or Q (T/Q).
 
 Support is decided entrywise as by the enumeration (entries at or below
 ``SUPPORT_ZERO`` count as 0), and the refusals are the enumeration's: a node
@@ -41,6 +43,7 @@ import numpy as np
 from .errors import ModelError, StatisticalError
 from .model import (
     ENUMERATION_CAP,
+    MAX_MOMENT_ORDER,
     SUPPORT_ZERO,
     DagSpec,
     PathLike,
@@ -51,44 +54,33 @@ from .model import (
     _forward,
     _multiply,
     _reachable_nodes,
+    _shift_moments,
     conditional_path_probabilities,
     kernels_equivalent,
     node_marginal,
     support_path_array,
 )
 
-#: moments of the response are supported up to this order
-MAX_MOMENT_ORDER = 4
-
-
 def path_raw_moments(quality: QualityModel, path: PathLike, order: int) -> np.ndarray:
     """Raw moments (m_0..m_order) of the response b = sum of the path's
-    independent node contributions.
-
-    Composed by binomial convolution of per-node raw moment sequences, which
-    is the moment-of-sums expansion grouped one node at a time.
-    """
-    return _path_moment_table(quality, np.array([path], dtype=np.int64), order)[0]
+    independent node contributions, from the nodes' raw moments."""
+    return _path_moment_table(lambda i, j, k: quality.node(i, j).raw_moments(k),
+                              np.array([path], dtype=np.int64), order)[0]
 
 
 def _path_moment_table(
-    quality: QualityModel, paths: np.ndarray, order: int
+    node_moments: Callable[[int, int, int], np.ndarray], paths: np.ndarray, order: int
 ) -> np.ndarray:
-    """:func:`path_raw_moments` of every row of an (m, c) array of paths, as
-    an (m, order + 1) array.
-
-    Only the quality specs of nodes that occur on some path are read.
-    """
-    if order > MAX_MOMENT_ORDER:
-        raise ModelError(
-            f"moment order {order} not supported (max {MAX_MOMENT_ORDER})"
-        )
+    """The moments (m_0..m_order) of the response of every row of an (m, c)
+    array of paths, as an (m, order + 1) array: by binomial convolution of
+    the ``node_moments(i, j, order)`` of its nodes (raw, or about the column
+    references for moments of b - R), read only for nodes on some path."""
     m = np.zeros((len(paths), order + 1))
     m[:, 0] = 1.0
     for j, col in enumerate(paths.T, start=1):
         present, inverse = np.unique(col, return_inverse=True)
         node_table = np.array(
-            [quality.node(lvl, j).raw_moments(order) for lvl in present.tolist()]
+            [node_moments(lvl, j, order) for lvl in present.tolist()]
         ).reshape(-1, order + 1)
         node_m = node_table[inverse]
         m = np.column_stack([
@@ -108,7 +100,7 @@ def support_table(
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The support paths through node (i, j) of ``kernels[0]``, in
     lexicographic order, as an (m, c) array; their conditional probabilities
-    under each kernel; and their (m, order + 1) raw response moments.
+    under each kernel; and their (m, order + 1) moments of b - R.
 
     An unreachable node has an empty table (m = 0).
     """
@@ -116,7 +108,7 @@ def support_table(
     if not len(paths):
         return paths, [np.zeros(0) for _ in kernels], np.zeros((0, order + 1))
     probs = [conditional_path_probabilities(k, paths, j, i)[0] for k in kernels]
-    return paths, probs, _path_moment_table(quality, paths, order)
+    return paths, probs, _path_moment_table(quality._centred_moments, paths, order)
 
 
 def exact_conditional_moments(
@@ -140,7 +132,7 @@ def exact_conditional_moments(
         raise StatisticalError(
             f"conditioning on null event: node ({i}, {j}) is unreachable"
         )
-    return (cond @ moments)[1:].tolist()
+    return _shift_moments(cond @ moments, quality._reference(paths.shape[1]))[1:].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +202,14 @@ def _on_paths(kernel: TransitionKernel, j: int, i: int) -> list[np.ndarray]:
 def _node_moments(
     quality: QualityModel, on_path: Sequence[np.ndarray], order: int
 ) -> np.ndarray:
-    """Raw moments to ``order`` of the nodes that ``on_path`` flags, one
-    row per node column by column (sum r_k rows), read in that order as the
-    enumeration reads them; 0 at every other node."""
+    """Moments to ``order`` about the column references of the nodes that
+    ``on_path`` flags, one row per node column by column (sum r_k rows), read
+    in that order as the enumeration reads them; 0 at every other node."""
     table = np.zeros((sum(len(flags) for flags in on_path), order + 1))
     row = 0
     for j, flags in enumerate(on_path, start=1):
         for i in np.flatnonzero(flags).tolist():
-            table[row + i] = quality.node(i + 1, j).raw_moments(order)
+            table[row + i] = quality._centred_moments(i + 1, j, order)
         row += len(flags)
     return table
 
@@ -247,7 +239,7 @@ def _reach(
 def _through(
     kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
 ) -> tuple[list[float], np.ndarray] | None:
-    """The marginal of node (i, j) under each of ``kernels`` and the raw
+    """The marginal of node (i, j) under each of ``kernels`` and the
     moments to ``order`` of the nodes on its support paths
     (:func:`_reach`, :func:`_node_moments`); None when no support path
     passes through the node. After the refusals of :func:`_reach`, refuses
@@ -304,42 +296,21 @@ def _path_sums(
     return [_multiply(_cauchy(b.swapaxes(-1, -2), shape), a) for a, b in zip(ahead, behind)]
 
 
-def _moment_sums(weights: _Weights, moments: np.ndarray, j: int, i: int) -> np.ndarray:
-    """Sum over the support paths through (i, j) of the path weight times
-    E[b^n | path], for n = 0 up to the order of the node ``moments``."""
-    fact = _FACTORIALS[: moments.shape[1]]
-    start = np.eye(len(fact))[0]  # the response before column 1 is 0
-    sums = _path_sums(weights, moments / fact, (len(fact),), start, j)[0]
-    return sums[:, i - 1] * fact
-
-
 def _pair_sums(
-    weights: _Weights, moments: np.ndarray, j: int, i: int, shift: float
+    weights: _Weights, moments: np.ndarray, j: int, i: int, shift: float = 0.0, width: int = 1
 ) -> np.ndarray:
     """Sum over the support paths through (i, j) of the path weight times
-    E[Y^a | path] E[Y^b | path], Y = b - shift, for a up to the order of
-    the node ``moments`` and b = 0..2, as (a, b): the sum of
-    E[Y^a Y'^b | path] for a copy Y' of Y independent given the path, in
-    one pass over the pair."""
+    E[Y^a | path] E[Y^b | path], Y = b - R - shift, for a up to the order of
+    the node ``moments`` (about the column references) and b below
+    ``width``, as (a, b): the sum of E[Y^a Y'^b | path] for a copy Y' of Y
+    independent given the path, in one pass over the pair."""
     fact = _FACTORIALS[: moments.shape[1]]
-    shape = (len(fact), 3)
+    shape = (len(fact), width)
     e = moments / fact
-    table = np.einsum("la,lb->lab", e, e[:, :3]).reshape(len(e), -1)
+    table = (e[:, :, None] * e[:, None, :width]).reshape(len(e), -1)
     start = (-shift) ** np.arange(len(fact)) / fact
-    sums = _path_sums(weights, table, shape, np.outer(start, start[:3]).ravel(), j)[0]
-    return sums[:, i - 1].reshape(shape) * np.outer(fact, fact[:3])
-
-
-def _conditional_moments(
-    target: TransitionKernel, quality: QualityModel, j: int, i: int, order: int
-) -> np.ndarray:
-    """E[b^k | node (i, j)] under ``target`` for k = 0..order: what
-    :func:`exact_conditional_moments` enumerates, by the recursion."""
-    found = _through((target,), quality, j, i, order)
-    if found is None:
-        raise _null_event(i, j)
-    (marginal,), moments = found
-    return _moment_sums(_weights(target), moments, j, i) / marginal
+    sums = _path_sums(weights, table, shape, (start[:, None] * start[:width]).ravel(), j)[0]
+    return sums[:, i - 1].reshape(shape) * (fact[:, None] * fact[:width])
 
 
 def _closed_form_sums(
@@ -349,15 +320,15 @@ def _closed_form_sums(
     j: int,
     i: int,
     order: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """The path sums behind the closed-form asymptotic variances at node
     (i, j), each an expectation under ``kernel`` given the node, with C the
     path's ratio of target to source conditional probability:
 
-    - ``y``, E[C b^k] = E_T[b^k | node] for k = 0..order, from a pass
-      under T;
+    - ``mu`` = R + y[1], the target mean E_T[b | node];
+    - ``y``, E_T[(b - R)^k | node] for k = 0..order, from a pass under T;
     - ``x`` (order + 1, 3), E[C^2 E[Y^a | path] E[Y^b | path]] for
-      Y = b - y[1], a = 0..order and b = 0..2, from one pass over the pair
+      Y = b - mu, a = 0..order and b = 0..2, from one pass over the pair
       (Y, Y') (:func:`_pair_sums`) under the tilted T^2/Q, since a path's
       C^2 times its source probability is its T^2/Q product times
       p_Q / p_T^2, the node marginals.
@@ -371,9 +342,9 @@ def _closed_form_sums(
     if found is None:
         raise _null_event(i, j)
     (p_q, p_t), moments = found
-    y = _moment_sums(_weights(target), moments, j, i) / p_t
-    x = _pair_sums(_weights(kernel, target, _tilted), moments, j, i, shift=y[1])
-    return y, x * (p_q / p_t**2)
+    y = _pair_sums(_weights(target), moments, j, i)[:, 0] / p_t
+    x = _pair_sums(_weights(kernel, target, _tilted), moments, j, i, y[1], 3)
+    return quality._reference(len(kernel.levels)) + y[1], y, x * (p_q / p_t**2)
 
 
 def verify_measure_change(
@@ -387,13 +358,13 @@ def verify_measure_change(
     """Residual of the change-of-measure identity at node (i, j).
 
     Compares E[f(b)·C | node] under ``kernel`` against E[f(b) | node] under
-    ``target``, where C is the ratio of conditional path probabilities. The
-    two sides are separate recursions: the left runs under the entrywise
-    product Q (T/Q) over the support paths of the source, its ratios formed
-    on the source support, and mixes by the source marginal; the right
-    (:func:`_conditional_moments`) runs under T over the support paths of
-    the target and mixes by the target marginal. So a small residual
-    certifies the identity. A node on no support path has residual 0.
+    ``target``, where C is the ratio of conditional path probabilities and
+    f(b) is (b - R)^k, k = 1 (``"b"``) or 2 (``"b2"``). The two sides are
+    separate passes over the node moments of the common support: the left
+    runs under the entrywise product Q (T/Q), its ratios formed on the
+    source support, and mixes by the source marginal; the right runs under
+    T and mixes by the target marginal. So a small residual certifies the
+    identity. A node on no support path has residual 0.
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
@@ -404,10 +375,10 @@ def verify_measure_change(
     if found is None:
         return 0.0
     (p_q, p_t), moments = found
-    ratio_sum = _moment_sums(_weights(kernel, target, _reweighted), moments, j, i)[order]
+    ratio_sum = _pair_sums(_weights(kernel, target, _reweighted), moments, j, i)[order, 0]
     # a path's ratio C is its product of entrywise ratios times p_q / p_t
     lhs = ratio_sum * (p_q / p_t) / p_q
-    rhs = _conditional_moments(target, quality, j, i, order)[order]
+    rhs = _pair_sums(_weights(target), moments, j, i)[order, 0] / p_t
     return abs(float(lhs - rhs))
 
 
@@ -418,7 +389,7 @@ def exact_estimator_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limits of the reweighted estimators: conditional means and variances
     of b under ``target`` for every node, as (r_max, c) matrices, from one
-    forward-backward pass under ``target``.
+    forward-backward pass under ``target``: R + m_1 and m_2 - m_1^2 for m of b - R.
 
     Nodes unreachable under ``kernel`` (no data would ever arrive there) and
     level slots beyond a column's range hold NaN. The nodes are first
@@ -444,6 +415,6 @@ def exact_estimator_targets(
     variances = np.full((spec.r_max, spec.c), np.nan)
     for j, (s, marginal) in enumerate(zip(sums, marginals)):
         m = s * fact[:, None] / marginal
-        means[: len(marginal), j] = m[1]
+        means[: len(marginal), j] = quality._reference(spec.c) + m[1]
         variances[: len(marginal), j] = m[2] - m[1] * m[1]
     return means, variances

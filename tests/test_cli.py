@@ -649,6 +649,27 @@ def test_validate_model_with_unreachable_level_passes(capsys, workdir, tmp_path)
     assert 0 < rows["kernel-recovery"]["value"] < 0.02
 
 
+def test_validate_model_with_far_node_means_passes(capsys, workdir, tmp_path):
+    # every node mean moved by 1000.1, and kernel entries that are not
+    # dyadic, so the moved means and the ratios round: the measure-change
+    # residual and the closed forms are read about the column references,
+    # and the shift does not reach them
+    doc = json.loads((workdir / "demo_2x2.json").read_text(encoding="utf-8"))
+    doc["initial"], doc["steps"] = [0.6, 0.4], [[[0.7, 0.3], [0.2, 0.8]]]
+    for entry in doc["quality"].values():
+        entry["mean"] += 1000.1
+    model = tmp_path / "far.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        ["validate", "--model", model, "--n", "300", "--replicates", "20"], capsys,
+    )
+    assert code == 0, err
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    assert all(r["passed"] for r in rows.values())
+    assert rows["measure-change-identity"]["value"] <= 1e-10
+    assert rows["asymptotic-psd"]["detail"] == "all contractions nonnegative"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "x"),
     ("--n", "0"), ("--n", "-1"), ("--replicates", "0"),

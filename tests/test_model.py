@@ -182,10 +182,13 @@ def test_kernels_equivalent_pattern(demo_kernel, demo_uniform):
 
 def test_node_quality_gaussian_moments():
     q = daglm.NodeQuality.gaussian(1.0, 3.0)
-    # raw moments of a normal via the moment recursion; index 0 holds m_0 = 1
+    # raw moments of a normal from its central moments; index 0 holds m_0 = 1
     assert q.raw_moments(4) == pytest.approx([1.0, 1.0, 4.0, 10.0, 46.0])
     assert q.mean_value == 1.0
     assert q.variance_value == 3.0
+    # the variance is stored, not recovered as m2 - m1^2, so a far mean
+    # leaves it exact
+    assert daglm.NodeQuality.gaussian(1e8, 1.0).variance_value == 1.0
 
 
 def test_node_quality_bernoulli_and_point_mass():
@@ -209,7 +212,7 @@ def test_raw_moments_equal_raw_moment_bitwise(quality):
     top = 4 if quality.moments is None else len(quality.moments)
     for order in range(top + 1):
         assert quality.raw_moments(order).tolist() == [
-            quality.raw_moment(k) for k in range(order + 1)
+            quality.raw_moments(k)[k] for k in range(order + 1)
         ]
     if quality.moments is not None:
         with pytest.raises(ModelError, match=rf"moment order {top + 1} not available"):
@@ -221,7 +224,7 @@ def test_node_quality_empirical_moments():
     assert q.mean_value == 1.0
     assert q.variance_value == pytest.approx(1.0)
     with pytest.raises(ModelError, match="moment"):
-        q.raw_moment(3)
+        q.raw_moments(3)
     with pytest.raises(ModelError, match="sample"):
         q.sample(np.random.default_rng(0), 5)
 

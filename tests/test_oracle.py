@@ -15,7 +15,7 @@ from daglm.asymptotics import (
 )
 from daglm.model import SUPPORT_ZERO
 from daglm.oracle import (
-    _conditional_moments,
+    _closed_form_sums,
     exact_conditional_moments,
     exact_estimator_targets,
     path_raw_moments,
@@ -164,16 +164,29 @@ def test_targets_match_plain_moments_when_target_is_source(seed):
             assert variances[i - 1, j - 1] == pytest.approx(m2 - m1 * m1, abs=1e-10)
 
 
-def scalar_path_moments(quality, path, order):
-    """Raw moments of one path's response by a plain binomial convolution."""
+def scalar_path_moments(quality, path, order, centred=False):
+    """Moments of one path's response by a plain binomial convolution of its
+    node moments: raw, or about the column references (moments of b - R)."""
     m = [1.0] + [0.0] * order
     for j, lvl in enumerate(path, start=1):
-        node = [quality.node(lvl, j).raw_moment(k) for k in range(order + 1)]
+        if centred:
+            node = list(quality._centred_moments(lvl, j, order))
+        else:
+            node = quality.node(lvl, j).raw_moments(order).tolist()
         m = [
             sum(math.comb(k, t) * m[t] * node[k - t] for t in range(k + 1))
             for k in range(order + 1)
         ]
     return m
+
+
+def column_references(quality, c):
+    """For each column 1..c, the mean of its node means."""
+    refs = []
+    for j in range(1, c + 1):
+        means = [q.mean_value for (_, col), q in quality.nodes.items() if col == j]
+        refs.append(sum(means) / len(means))
+    return refs
 
 
 def product_support(kernel, spec):
@@ -225,6 +238,15 @@ def test_support_table_matches_per_path_loops(seed, sparsify):
     spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
     support = product_support(kernel, spec)
     assert daglm.enumerate_support_paths(kernel) == support
+    refs = column_references(quality, spec.c)
+    assert quality._reference(spec.c) == sum(refs)
+    for (i, j), q in quality.nodes.items():
+        # a gaussian's odd central moments are 0, so no term of the shift
+        # cancels another
+        c, d = q._central, q.mean_value - refs[j - 1]
+        shifted = [sum(math.comb(k, a) * c[a] * d ** (k - a) for a in range(k + 1))
+                   for k in range(5)]
+        np.testing.assert_allclose(quality._centred_moments(i, j, 4), shifted, rtol=1e-12, atol=0)
     for j in range(1, spec.c + 1):
         for i in range(1, spec.levels[j - 1] + 1):
             through = [p for p in support if p[j - 1] == i]
@@ -238,10 +260,11 @@ def test_support_table_matches_per_path_loops(seed, sparsify):
             cond = daglm.conditional_path_probability
             probs = [cond(kernel, p, j, i) for p in through]
             targets = [cond(target, p, j, i) for p in through]
+            centred = [scalar_path_moments(quality, p, 4, centred=True) for p in through]
             moments = [scalar_path_moments(quality, p, 4) for p in through]
             np.testing.assert_allclose(prob, probs, rtol=1e-12, atol=0)
             np.testing.assert_allclose(target_prob, targets, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(table_moments, moments, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table_moments, centred, rtol=1e-12, atol=0)
             for p, m in zip(through, moments):
                 np.testing.assert_allclose(
                     path_raw_moments(quality, p, 4), m, rtol=1e-12, atol=0
@@ -296,9 +319,27 @@ def test_unreachable_node_needs_no_quality_spec():
 # ---------------------------------------------------------------------------
 # the forward-backward recursion against the enumeration
 
-def folded_blocks(probs, targets, moments):
+def moved_known(known, probs, targets, moments, ref):
+    """The known-source asymptotic variances (mean, variance) of the
+    response b from ``known``, theirs for u = b - ref, given the path
+    moments of u: C b is C u + ref C, and b^2 - 2 mu b is
+    phi_u - ref (ref + 2 mu_u) with phi_u = u^2 - 2 mu_u u."""
+    tilted = [t * t / p for p, t in zip(probs, targets)]
+    mu = sum(t * m[1] for t, m in zip(targets, moments))
+    var_c = sum(tilted) - 1.0
+    cov_u = sum(w * m[1] for w, m in zip(tilted, moments)) - mu
+    phi = [m[2] - 2 * mu * m[1] for m in moments]
+    cov_phi = sum(w * f for w, f in zip(tilted, phi)) - sum(t * f for t, f in zip(targets, phi))
+    k = ref * (ref + 2 * mu)
+    mean, variance = known
+    return (mean + 2 * ref * cov_u + ref * ref * var_c,
+            variance - 2 * k * cov_phi + k * k * var_c)
+
+
+def folded_blocks(probs, targets, moments, ref=0.0):
     """The value, the one block per node and its contraction of each closed
-    form, by a loop over the support paths."""
+    form, by a loop over the support paths, from the path moments of
+    b - ``ref``."""
     ratios = [t / p for p, t in zip(probs, targets)]
     mu = sum(t * m[1] for t, m in zip(targets, moments))
     ex = sum(t * m[2] for t, m in zip(targets, moments))
@@ -309,11 +350,14 @@ def folded_blocks(probs, targets, moments):
     var_b2 = sum(w * (m[4] - m[2] ** 2) for w, m in zip(tilted, moments))
     var_y = ey2 - mu * mu
     values = loop_asym_vars(probs, targets, moments)
+    known = (values["mean_known"], values["variance_known"])
+    mean_known, variance_known = moved_known(known, probs, targets, moments, ref)
+    mean_block, variance_block = moved_known(
+        (var_y, ex2 - ex * ex - 4 * mu * (exy - ex * mu) + 4 * mu * mu * var_y),
+        probs, targets, moments, ref)
     return {
-        "mean_known": (values["mean_known"], [var_y], [1.0]),
-        "variance_known": (values["variance_known"],
-                           [ex2 - ex * ex - 4 * mu * (exy - ex * mu) + 4 * mu * mu * var_y],
-                           [1.0]),
+        "mean_known": (mean_known, [mean_block], [1.0]),
+        "variance_known": (variance_known, [variance_block], [1.0]),
         "mean_unknown": (values["mean_unknown"], [var_b], [1.0]),
         "variance_unknown": (values["variance_unknown"],
                              [var_b2 - 4 * mu * cov_b + 4 * mu * mu * var_b], [1.0]),
@@ -341,7 +385,7 @@ def enumerated_closed_forms(kernel, target, quality, i, j):
     paths, (p, pt), m = support_table((kernel, target), quality, j, i, order=4)
     if not len(paths):
         raise StatisticalError(f"conditioning on null event: node ({i}, {j}) is unreachable")
-    return folded_blocks(p, pt, m)
+    return folded_blocks(p, pt, m, quality._reference(paths.shape[1]))
 
 
 def enumerated_measure_change(kernel, target, quality, j, i, f):
@@ -407,6 +451,56 @@ def test_recursion_matches_enumeration(seed, sparsify):
 
 
 @given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]),
+       shifts=st.lists(st.sampled_from([1e3, 1e5, 1e6]), min_size=4, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_exact_layer_is_shift_invariant(seed, sparsify, shifts):
+    # adding c_k to the node means of column k moves every target mean by
+    # the sum of the c_k and leaves the target variances, the unknown-source
+    # closed forms and the measure-change residual where they were; all
+    # four closed forms match the enumeration over centred path moments,
+    # the known-source ones up to the rounding of k^2 (E[C^2] - 1)
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
+    moved = daglm.QualityModel({
+        (i, j): daglm.NodeQuality.gaussian(q.mean + shifts[j - 1], q.variance)
+        for (i, j), q in quality.nodes.items()
+    })
+    total = sum(shifts[: spec.c])
+    means, variances = exact_estimator_targets(kernel, target, quality)
+    got_means, got_variances = exact_estimator_targets(kernel, target, moved)
+    reached = ~np.isnan(means)
+    assert (np.isnan(got_means) == ~reached).all()
+    np.testing.assert_allclose(got_means[reached], means[reached] + total,
+                               rtol=0, atol=1e-14 * total)
+    np.testing.assert_allclose(got_variances[reached], variances[reached], rtol=1e-9)
+    for i, j in nodes_of(spec):
+        want = outcome(enumerated_closed_forms, kernel, target, moved, i, j)
+        for name, fn in CLOSED_FORMS.items():
+            got = outcome(fn, kernel, target, moved, i, j)
+            if refused(want):
+                assert got == want, name
+                continue
+            rounding = 0.0
+            if name.endswith("_unknown"):
+                unmoved = fn(kernel, target, quality, i, j).value
+                assert got.value == pytest.approx(unmoved, rel=1e-9), name
+            elif refused(got):
+                # a known-source block that cancels below -PSD_ATOL
+                assert "negative asymptotic variance block" in got[1], name
+                continue
+            else:
+                # the known-source forms add k^2 (E[C^2] - 1), k = mu or
+                # -mu^2, which both sides round at k^2 E[C^2] times a few
+                # ulp: where Var[C] is 0, a far mean is known to no better
+                _, (p, pt), _ = support_table((kernel, target), moved, j, i, order=0)
+                k2 = got_means[i - 1, j - 1] ** (2 if name == "mean_known" else 4)
+                rounding = 1e-14 * k2 * float(pt @ (pt / p))
+            assert got.value == pytest.approx(want[name][0], rel=1e-9, abs=rounding), name
+        for f in ("b", "b2"):
+            assert verify_measure_change(kernel, target, moved, j, i, f) <= 1e-10
+
+
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]),
        pick=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_recursion_refuses_where_enumeration_does(seed, sparsify, pick):
@@ -433,7 +527,7 @@ def test_recursion_refuses_where_enumeration_does(seed, sparsify, pick):
             want = outcome(enumerated_measure_change, kernel, target, missing, j, i, f)
             assert got == want if refused(want) else got <= 1e-10
         want = outcome(exact_conditional_moments, target, missing, j, i)
-        got = outcome(_conditional_moments, target, missing, j, i, 2)
+        got = outcome(_closed_form_sums, target, target, missing, j, i, 2)
         assert got == want if refused(want) else not refused(got)
     if sparsify == 0.0:
         assert False in seen  # another level of the deleted node's column never reads it
