@@ -156,7 +156,8 @@ def _closed_form(
     With Y = b - mu and phi = Y^d (d = 1 for the mean, 2 for the
     variance) plus a constant k (mu, or -mu^2), both regimes read one pass
     of :func:`_closed_form_sums`: mu, the T moments y of b - R and the sums
-    x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]]. The within-path term
+    x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]], which the pass takes
+    about R and then shifts to mu. The within-path term
     E[C^2 Var[Y^d | path]] is x[2d, 0] - x[d, d], and it is the whole of
     the unknown-source variance. The known-source variance adds the
     between-path term Var[C E[phi | path]]: x[d, d] - m^2 + 2k (x[d, 0] - m)

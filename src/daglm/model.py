@@ -12,7 +12,8 @@ Conventions used across the package:
 * in every signature ``j`` names a column and ``i`` a level, both 1-based.
 
 All types are immutable after construction and every operation is a pure
-function of its inputs, so concurrent use needs no synchronization.
+function of its inputs, so concurrent use needs no synchronization; the
+tables that one object alone determines are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class TransitionKernel:
                 _check_distribution(row, f"step {k + 1} row {i}")
             prev = s.shape[1]
 
-    @property
+    @cached_property
     def levels(self) -> tuple[int, ...]:
         return (self.initial.size,) + tuple(s.shape[1] for s in self.steps)
 
@@ -171,6 +172,32 @@ class TransitionKernel:
 
     def spec(self) -> DagSpec:
         return DagSpec(self.levels)
+
+    @cached_property
+    def _entries(self) -> np.ndarray:
+        """The initial vector and the step matrices, end to end."""
+        return _frozen(np.concatenate([self.initial, *(s.ravel() for s in self.steps)]))
+
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """Which of the entries exceed ``SUPPORT_ZERO``."""
+        return _frozen(self._entries > SUPPORT_ZERO)
+
+    @cached_property
+    def _marginals(self) -> np.ndarray:
+        """The marginal of every node, one entry per node column by column."""
+        return _frozen(np.concatenate(_forward(self.initial, self.steps)))
+
+    @cached_property
+    def _on_support(self) -> np.ndarray:
+        """Which nodes lie on a support path, as :attr:`_marginals`."""
+        return _frozen(_on_paths(self, np.ones(sum(self.levels), dtype=bool)))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.setflags(write=False)
+    return array
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
@@ -197,6 +224,41 @@ def uniform_kernel(spec: DagSpec) -> TransitionKernel:
     initial = np.full(r[0], 1.0 / r[0])
     steps = tuple(np.full((r[k], r[k + 1]), 1.0 / r[k + 1]) for k in range(spec.c - 1))
     return TransitionKernel(initial, steps)
+
+
+def _nodes(levels: Sequence[int]) -> list[tuple[int, int]]:
+    """The nodes (i, j) of ``levels``, column by column: the rows of the
+    tables with one row per node."""
+    return [(i, j) for j, r in enumerate(levels, start=1) for i in range(1, r + 1)]
+
+
+def _node_row(levels: Sequence[int], j: int, i: int) -> int:
+    """The row of node (i, j) in the tables with one row per node; refuses a
+    node outside ``levels``."""
+    if not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]:
+        raise ModelError(f"node ({i}, {j}) outside kernel shape")
+    return sum(levels[: j - 1]) + i - 1
+
+
+def _split(levels: Sequence[int], flat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Entries (..., F) of a kernel of ``levels``, end to end, as its initial
+    vector and step matrices, optionally stacked along leading axes."""
+    steps, start = [], levels[0]
+    for a, b in zip(levels, levels[1:]):
+        steps.append(flat[..., start: start + a * b].reshape(flat.shape[:-1] + (a, b)))
+        start += a * b
+    return flat[..., : levels[0]], steps
+
+
+def _on_paths(kernel: TransitionKernel, keep: np.ndarray) -> np.ndarray:
+    """Which nodes lie on a support path of ``kernel`` that visits only the
+    nodes ``keep`` flags, one flag per node column by column: a 0/1 forward
+    and backward pass."""
+    initial, steps = _split(kernel.levels, kernel._support)
+    keep = np.split(keep, np.cumsum(kernel.levels)[:-1])
+    steps = [s & k for s, k in zip(steps, keep[1:])]  # no entry into a node not kept
+    ahead, behind = _forward(initial & keep[0], steps), _backward(steps, keep[-1])
+    return np.concatenate([a & b for a, b in zip(ahead, behind)])
 
 
 def _multiply(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -259,20 +321,20 @@ def _backward(
     return out[::-1]
 
 
+def _null_event(i: int, j: int) -> StatisticalError:
+    return StatisticalError(f"conditioning on null event: node ({i}, {j}) is unreachable")
+
+
 def node_marginal(kernel: TransitionKernel, j: int, i: int) -> float:
     """Probability that a random path passes through node (i, j)."""
-    levels = kernel.levels
-    if not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]:
-        raise ModelError(f"node ({i}, {j}) outside kernel shape")
-    return float(_forward(kernel.initial, kernel.steps[: j - 1])[-1][i - 1])
+    return float(kernel._marginals[_node_row(kernel.levels, j, i)])
 
 
 def _reachable_nodes(kernel: TransitionKernel) -> list[tuple[int, int]]:
     """The nodes (i, j) whose marginal exceeds ``SUPPORT_ZERO``, column by
-    column, from one forward pass of the kernel."""
-    marginals = _forward(kernel.initial, kernel.steps)
-    return [(int(i) + 1, j) for j, v in enumerate(marginals, start=1)
-            for i in np.flatnonzero(v > SUPPORT_ZERO)]
+    column."""
+    return [node for node, p in zip(_nodes(kernel.levels), kernel._marginals.tolist())
+            if p > SUPPORT_ZERO]
 
 
 def conditional_path_probability(
@@ -300,9 +362,7 @@ def conditional_path_probabilities(
         raise ModelError(f"paths do not fit the kernel's levels {kernel.levels}")
     marginal = node_marginal(kernel, j, i)
     if marginal <= SUPPORT_ZERO:
-        raise StatisticalError(
-            f"conditioning on null event: node ({i}, {j}) is unreachable"
-        )
+        raise _null_event(i, j)
     rows = paths - 1
     factor = kernel.initial[rows[:, 0]]
     prob, supported = factor, factor > SUPPORT_ZERO
@@ -349,8 +409,8 @@ def support_path_array(
         )
     if (j is None) != (i is None):
         raise ModelError("node restriction needs both j and i")
-    if j is not None and (not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]):
-        raise ModelError(f"node ({i}, {j}) outside kernel shape")
+    if j is not None:
+        _node_row(levels, j, i)
 
     paths = np.zeros((1, 0), dtype=np.int64)
     for col, r in enumerate(levels):
@@ -369,14 +429,7 @@ def kernels_equivalent(a: TransitionKernel, b: TransitionKernel) -> bool:
     """True iff the two kernels have identical strict-positivity patterns
     (equivalence of the induced path measures). Different shapes are simply
     not equivalent."""
-    if a.levels != b.levels:
-        return False
-    if ((a.initial > SUPPORT_ZERO) != (b.initial > SUPPORT_ZERO)).any():
-        return False
-    for sa, sb in zip(a.steps, b.steps):
-        if ((sa > SUPPORT_ZERO) != (sb > SUPPORT_ZERO)).any():
-            return False
-    return True
+    return a.levels == b.levels and np.array_equal(a._support, b._support)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +598,7 @@ class QualityModel:
     nodes: dict[tuple[int, int], NodeQuality] = field(default_factory=dict)
     _references: dict[int, float] = field(init=False, repr=False, compare=False)
     _centred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         nodes = {(int(i), int(j)): q for (i, j), q in self.nodes.items()}
@@ -580,6 +634,21 @@ class QualityModel:
             q = self.node(i, j)
             self._centred[(i, j)] = _shift_moments(q._central, q.mean_value - self._references[j])
         return _moments_to(self._centred[(i, j)], order)
+
+    def _moment_table(self, levels: tuple[int, ...], order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The moments to ``order`` of every node of ``levels`` about its
+        column's reference, one row per node column by column, and which
+        nodes :meth:`_centred_moments` refuses (a spec missing or short of
+        ``order``), whose rows hold 0; built on first use and kept."""
+        if (levels, order) not in self._tables:
+            nodes = _nodes(levels)
+            marked = np.array([n not in self.nodes or len(self.nodes[n]._central) <= order
+                               for n in nodes])
+            table = np.zeros((len(nodes), order + 1))
+            for row in np.flatnonzero(~marked).tolist():
+                table[row] = self._centred_moments(*nodes[row], order)
+            self._tables[(levels, order)] = _frozen(table), _frozen(marked)
+        return self._tables[(levels, order)]
 
     def _reference(self, c: int) -> float:
         """R, the sum of the references of columns 1..c."""
@@ -692,12 +761,22 @@ class PathGroups:
         )
 
 
+def _handed_over(array, dtype) -> np.ndarray:
+    """``array`` itself when it is handed over (see :class:`PathDataset`),
+    else a copy."""
+    if (isinstance(array, np.ndarray) and array.dtype == dtype and array.base is None
+            and not array.flags.writeable):
+        return array
+    return _frozen(np.array(array, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class PathDataset:
     """n observed paths with their responses.
 
     ``paths`` is an (n, c) integer array of 1-based levels; ``responses`` is
-    the length-n response vector.
+    the length-n response vector. Each is copied unless it is handed over: an
+    int64 (float) array that owns its data and is read-only.
     """
 
     spec: DagSpec
@@ -705,8 +784,8 @@ class PathDataset:
     responses: np.ndarray
 
     def __post_init__(self):
-        paths = np.array(self.paths, dtype=np.int64)
-        responses = np.array(self.responses, dtype=float)
+        paths = _handed_over(self.paths, np.int64)
+        responses = _handed_over(self.responses, np.float64)
         if paths.ndim != 2 or paths.shape[1] != self.spec.c:
             raise DataError(
                 f"paths array has shape {paths.shape}, expected (n, {self.spec.c})"
@@ -719,8 +798,6 @@ class PathDataset:
                 raise DataError(f"path level out of range in column {j}")
         if not np.isfinite(responses).all():
             raise DataError("responses must be finite")
-        paths.setflags(write=False)
-        responses.setflags(write=False)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "responses", responses)
 

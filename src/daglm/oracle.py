@@ -15,13 +15,22 @@ node's independent contribution (its moments about its column's reference)
 is a Cauchy product, one lower-triangular Toeplitz matrix per node, and so
 is joining a forward vector to a backward one; every sum stays at the scale
 of the spread within the columns. A pass costs O(c r^2) per coefficient
-under any weight matrix: a kernel, the tilted T^2/Q, or Q (T/Q).
+under any weights: a kernel, the tilted T^2/Q, or Q (T/Q). Each call runs
+one pass, its weightings stacked on a leading axis.
+
+What one object alone determines is built on first use and kept on it: a
+kernel's entries, their support, its node marginals and the nodes on its
+support paths, and a quality model's node moments per shape and order
+(:meth:`QualityModel._moment_table`). Nothing of a (kernel, target) pair or
+of a node is kept between calls.
 
 Support is decided entrywise as by the enumeration (entries at or below
 ``SUPPORT_ZERO`` count as 0), and the refusals are the enumeration's: a node
-on no support path is a null event, and a node's quality spec is read only
-when the node lies on a support path through the node asked about, which a
-0/1 reachability pass decides.
+on no support path is a null event, and a node's missing or short quality
+spec refuses only when the node lies on a support path through the node
+asked about. A 0/1 reachability pass decides that, and runs only when some
+spec is missing or short. The pass reads every node's moments; a node off
+those support paths adds exact zeros to the sums.
 
 The closed forms of :mod:`daglm.asymptotics` read their sums, already
 weighted and rescaled, from :func:`_closed_form_sums`.
@@ -40,12 +49,11 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelError, StatisticalError
+from .errors import ModelError
 from .model import (
     ENUMERATION_CAP,
     MAX_MOMENT_ORDER,
     SUPPORT_ZERO,
-    DagSpec,
     PathLike,
     QualityModel,
     TransitionKernel,
@@ -53,11 +61,14 @@ from .model import (
     _check_same_shape,
     _forward,
     _multiply,
-    _reachable_nodes,
+    _node_row,
+    _nodes,
+    _null_event,
+    _on_paths,
     _shift_moments,
+    _split,
     conditional_path_probabilities,
     kernels_equivalent,
-    node_marginal,
     support_path_array,
 )
 
@@ -129,9 +140,7 @@ def exact_conditional_moments(
         raise ModelError(f"moment order {order} outside 1..{MAX_MOMENT_ORDER}")
     paths, (cond,), moments = support_table((kernel,), quality, j, i, order, cap)
     if not len(paths):
-        raise StatisticalError(
-            f"conditioning on null event: node ({i}, {j}) is unreachable"
-        )
+        raise _null_event(i, j)
     return _shift_moments(cond @ moments, quality._reference(paths.shape[1]))[1:].tolist()
 
 
@@ -145,35 +154,17 @@ _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_MOMENT_ORDER + 1)],
 _Weights = tuple[np.ndarray, list[np.ndarray]]
 
 
-def _null_event(i: int, j: int) -> StatisticalError:
-    return StatisticalError(f"conditioning on null event: node ({i}, {j}) is unreachable")
-
-
-def _flat(kernel: TransitionKernel) -> np.ndarray:
-    """The initial vector and the step matrices of a kernel, end to end."""
-    return np.concatenate([kernel.initial, *(s.ravel() for s in kernel.steps)])
-
-
-def _weights(
+def _stacked(
     kernel: TransitionKernel,
-    target: TransitionKernel | None = None,
-    entry: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    target: TransitionKernel,
+    entry: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> _Weights:
-    """Weights on the support of ``kernel`` and 0 off it: the kernel's own
-    entries, or ``entry(q, t)`` of its entries q and the entries t of
-    ``target``."""
-    q = _flat(kernel)
-    on = q > SUPPORT_ZERO
-    if entry is None:
-        flat = np.where(on, q, 0.0)
-    else:
-        flat = np.where(on, entry(np.where(on, q, 1.0), _flat(target)), 0.0)
-    initial = flat[: len(kernel.initial)]
-    steps, start = [], len(kernel.initial)
-    for s in kernel.steps:
-        steps.append(flat[start: start + s.size].reshape(s.shape))
-        start += s.size
-    return initial, steps
+    """Two weightings on the support of ``kernel``, 0 off it, stacked on a
+    leading axis: the entries t of ``target``, and ``entry(q, t)`` of t and
+    the kernel's entries q."""
+    on = kernel._support
+    q, t = np.where(on, kernel._entries, 1.0), target._entries
+    return _split(kernel.levels, np.where(on, np.stack([t, entry(q, t)]), 0.0))
 
 
 def _tilted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -186,69 +177,30 @@ def _reweighted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     return q * (t / q)
 
 
-def _on_paths(kernel: TransitionKernel, j: int, i: int) -> list[np.ndarray]:
-    """For every column, the levels on a support path of ``kernel`` through
-    node (i, j)."""
-    initial, steps = kernel.initial > SUPPORT_ZERO, [s > SUPPORT_ZERO for s in kernel.steps]
-    ahead = _forward(initial, steps[: j - 1])  # columns 1..j
-    start = (np.arange(1, len(ahead[-1]) + 1) == i) & ahead[-1]
-    after = _forward(start, steps[j - 1:])  # columns j..c
-    reached = ahead[:-1] + after
-    behind = _backward(steps[j - 1:], np.ones(len(after[-1]), dtype=bool))  # j..c
-    before = _backward(steps[: j - 1], start & behind[0])  # columns 1..j
-    return [a & b for a, b in zip(reached, before[:-1] + behind)]
-
-
-def _node_moments(
-    quality: QualityModel, on_path: Sequence[np.ndarray], order: int
-) -> np.ndarray:
-    """Moments to ``order`` about the column references of the nodes that
-    ``on_path`` flags, one row per node column by column (sum r_k rows), read
-    in that order as the enumeration reads them; 0 at every other node."""
-    table = np.zeros((sum(len(flags) for flags in on_path), order + 1))
-    row = 0
-    for j, flags in enumerate(on_path, start=1):
-        for i in np.flatnonzero(flags).tolist():
-            table[row + i] = quality._centred_moments(i + 1, j, order)
-        row += len(flags)
-    return table
-
-
-def _reach(
-    kernels: Sequence[TransitionKernel], j: int, i: int
-) -> tuple[list[np.ndarray], list[float]] | None:
-    """The levels on the support paths of ``kernels[0]`` through node
-    (i, j) (:func:`_on_paths`) and the node's marginal under each of
-    ``kernels``; None when no support path passes through the node. Refuses
-    in the enumeration's order: a node outside the shape, then a marginal at
-    or below ``SUPPORT_ZERO``."""
-    levels = kernels[0].levels
-    if not 1 <= j <= len(levels) or not 1 <= i <= levels[j - 1]:
-        raise ModelError(f"node ({i}, {j}) outside kernel shape")
-    on_path = _on_paths(kernels[0], j, i)
-    if not on_path[j - 1].any():
-        return None
-    marginals = []
-    for kernel in kernels:
-        marginals.append(node_marginal(kernel, j, i))
-        if marginals[-1] <= SUPPORT_ZERO:
-            raise _null_event(i, j)
-    return on_path, marginals
-
-
-def _through(
+def _read(
     kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
 ) -> tuple[list[float], np.ndarray] | None:
-    """The marginal of node (i, j) under each of ``kernels`` and the
-    moments to ``order`` of the nodes on its support paths
-    (:func:`_reach`, :func:`_node_moments`); None when no support path
-    passes through the node. After the refusals of :func:`_reach`, refuses
-    the first node spec that cannot be read."""
-    found = _reach(kernels, j, i)
-    if found is None:
+    """The marginal of node (i, j) under each of ``kernels`` and the moments
+    to ``order`` of every node (:meth:`QualityModel._moment_table`); None
+    when no support path of ``kernels[0]`` passes through the node. Refuses
+    in the enumeration's order: a node outside the shape, a marginal at or
+    below ``SUPPORT_ZERO``, then the first node, column by column, on the
+    node's support paths whose spec cannot be read; those paths are walked
+    only when some spec cannot be read."""
+    kernel = kernels[0]
+    row = _node_row(kernel.levels, j, i)
+    if not kernel._on_support[row]:
         return None
-    on_path, marginals = found
-    return marginals, _node_moments(quality, on_path, order)
+    marginals = [float(k._marginals[row]) for k in kernels]
+    if min(marginals) <= SUPPORT_ZERO:
+        raise _null_event(i, j)
+    table, marked = quality._moment_table(kernel.levels, order)
+    if marked.any():
+        nodes = np.array(_nodes(kernel.levels))
+        rows = np.flatnonzero(marked & _on_paths(kernel, (nodes[:, 1] != j) | (nodes[:, 0] == i)))
+        if len(rows):
+            quality._centred_moments(*nodes[rows[0]].tolist(), order)  # refuses
+    return marginals, table
 
 
 @functools.cache
@@ -276,15 +228,15 @@ def _path_sums(
     weights: _Weights,
     table: np.ndarray,
     shape: tuple[int, ...],
-    start: np.ndarray,
     j: int | None = None,
 ) -> list[np.ndarray]:
     """For every level of column j (of every column when j is None), the
     weighted sum over the support paths through it of the coefficients of
     the path's response: one (D, r) array per column. ``table`` holds the
-    coefficients (D,) of every node, one row per node column by column, and
-    ``start`` those of the response before column 1."""
+    coefficients (D,) of every node, one row per node column by column; the
+    response is 0 before column 1."""
     initial, steps = weights
+    start = np.eye(len(table[0]))[0]
     bounds = list(itertools.accumulate([initial.shape[-1]] + [s.shape[-1] for s in steps]))
     matrices = _cauchy(table, shape)
     nodes = [matrices[a:b] for a, b in zip([0] + bounds, bounds)]
@@ -297,20 +249,20 @@ def _path_sums(
 
 
 def _pair_sums(
-    weights: _Weights, moments: np.ndarray, j: int, i: int, shift: float = 0.0, width: int = 1
+    weights: _Weights, moments: np.ndarray, j: int, i: int, width: int = 1
 ) -> np.ndarray:
     """Sum over the support paths through (i, j) of the path weight times
-    E[Y^a | path] E[Y^b | path], Y = b - R - shift, for a up to the order of
-    the node ``moments`` (about the column references) and b below
-    ``width``, as (a, b): the sum of E[Y^a Y'^b | path] for a copy Y' of Y
+    E[U^a | path] E[U^b | path], U = b - R, for a up to the order of the
+    node ``moments`` (about the column references) and b below ``width``,
+    as (..., a, b) under each weighting stacked on the leading axes of
+    ``weights``: the sum of E[U^a U'^b | path] for a copy U' of U
     independent given the path, in one pass over the pair."""
     fact = _FACTORIALS[: moments.shape[1]]
     shape = (len(fact), width)
     e = moments / fact
     table = (e[:, :, None] * e[:, None, :width]).reshape(len(e), -1)
-    start = (-shift) ** np.arange(len(fact)) / fact
-    sums = _path_sums(weights, table, shape, (start[:, None] * start[:width]).ravel(), j)[0]
-    return sums[:, i - 1].reshape(shape) * (fact[:, None] * fact[:width])
+    sums = _path_sums(weights, table, shape, j)[0][..., i - 1]
+    return sums.reshape(sums.shape[:-1] + shape) * (fact[:, None] * fact[:width])
 
 
 def _closed_form_sums(
@@ -326,24 +278,28 @@ def _closed_form_sums(
     path's ratio of target to source conditional probability:
 
     - ``mu`` = R + y[1], the target mean E_T[b | node];
-    - ``y``, E_T[(b - R)^k | node] for k = 0..order, from a pass under T;
+    - ``y``, E_T[(b - R)^k | node] for k = 0..order;
     - ``x`` (order + 1, 3), E[C^2 E[Y^a | path] E[Y^b | path]] for
-      Y = b - mu, a = 0..order and b = 0..2, from one pass over the pair
-      (Y, Y') (:func:`_pair_sums`) under the tilted T^2/Q, since a path's
-      C^2 times its source probability is its T^2/Q product times
-      p_Q / p_T^2, the node marginals.
+      Y = b - mu, a = 0..order and b = 0..2, since a path's C^2 times its
+      source probability is its T^2/Q product times p_Q / p_T^2, the node
+      marginals.
 
-    Refuses non-equivalent measures, then as :func:`_through`, and a node
-    on no support path as a null event.
+    One pass over the pair (U, U') (:func:`_pair_sums`) runs under T and
+    the tilted T^2/Q stacked, both about R; ``x`` then moves from R to mu
+    on both axes, one Pascal product each (:func:`_shift_moments`).
+
+    Refuses non-equivalent measures, then as :func:`_read`, and a node on
+    no support path as a null event.
     """
     if not kernels_equivalent(kernel, target):
         raise ModelError("measures not equivalent")
-    found = _through((kernel, target), quality, j, i, order)
+    found = _read((kernel, target), quality, j, i, order)
     if found is None:
         raise _null_event(i, j)
     (p_q, p_t), moments = found
-    y = _pair_sums(_weights(target), moments, j, i)[:, 0] / p_t
-    x = _pair_sums(_weights(kernel, target, _tilted), moments, j, i, y[1], 3)
+    sums, tilted = _pair_sums(_stacked(kernel, target, _tilted), moments, j, i, 3)
+    y = sums[:, 0] / p_t
+    x = _shift_moments(_shift_moments(tilted, -y[1]).T, -y[1]).T
     return quality._reference(len(kernel.levels)) + y[1], y, x * (p_q / p_t**2)
 
 
@@ -360,26 +316,26 @@ def verify_measure_change(
     Compares E[f(b)·C | node] under ``kernel`` against E[f(b) | node] under
     ``target``, where C is the ratio of conditional path probabilities and
     f(b) is (b - R)^k, k = 1 (``"b"``) or 2 (``"b2"``). The two sides are
-    separate passes over the node moments of the common support: the left
-    runs under the entrywise product Q (T/Q), its ratios formed on the
-    source support, and mixes by the source marginal; the right runs under
-    T and mixes by the target marginal. So a small residual certifies the
-    identity. A node on no support path has residual 0.
+    separate weightings of one stacked pass over the node moments of the
+    common support: the left runs under the entrywise product Q (T/Q), its
+    ratios formed on the source support, and mixes by the source marginal;
+    the right runs under T and mixes by the target marginal. So a small
+    residual certifies the identity. A node on no support path has
+    residual 0.
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
     if not kernels_equivalent(kernel, target):
         raise ModelError("measures not equivalent")
     order = 1 if f == "b" else 2
-    found = _through((kernel, target), quality, j, i, order)
+    found = _read((kernel, target), quality, j, i, order)
     if found is None:
         return 0.0
     (p_q, p_t), moments = found
-    ratio_sum = _pair_sums(_weights(kernel, target, _reweighted), moments, j, i)[order, 0]
+    rhs, ratio_sum = _pair_sums(_stacked(kernel, target, _reweighted), moments, j, i)[:, order, 0]
     # a path's ratio C is its product of entrywise ratios times p_q / p_t
     lhs = ratio_sum * (p_q / p_t) / p_q
-    rhs = _pair_sums(_weights(target), moments, j, i)[order, 0] / p_t
-    return abs(float(lhs - rhs))
+    return abs(float(lhs - rhs / p_t))
 
 
 def exact_estimator_targets(
@@ -392,29 +348,29 @@ def exact_estimator_targets(
     forward-backward pass under ``target``: R + m_1 and m_2 - m_1^2 for m of b - R.
 
     Nodes unreachable under ``kernel`` (no data would ever arrive there) and
-    level slots beyond a column's range hold NaN. The nodes are first
-    checked one at a time in column order, so the refusal raised is that of
-    the first node whose :func:`exact_conditional_moments` under ``target``
-    refuses; each quality spec is read once.
+    level slots beyond a column's range hold NaN. The refusal raised is that
+    of the first node, in column order, whose :func:`exact_conditional_moments`
+    under ``target`` refuses.
     """
     _check_same_shape(kernel, target)
-    spec: DagSpec = kernel.spec()
-    on_path = [np.zeros(r, dtype=bool) for r in spec.levels]
-    marginals = [np.full(r, np.nan) for r in spec.levels]
-    table = np.zeros((sum(spec.levels), 3))
-    for i, j in _reachable_nodes(kernel):
-        found = _reach((target,), j, i)
-        if found is None:
+    spec = kernel.spec()
+    table, marked = quality._moment_table(spec.levels, 2)
+    reached = kernel._marginals > SUPPORT_ZERO
+    fine = target._on_support & (target._marginals > SUPPORT_ZERO)
+    nodes = _nodes(spec.levels)
+    # only a node that is not fine, or any node when a spec is unreadable,
+    # can refuse
+    for row in np.flatnonzero(reached & (~fine | marked.any())).tolist():
+        i, j = nodes[row]
+        if _read((target,), quality, j, i, 2) is None:
             raise _null_event(i, j)
-        paths, (marginals[j - 1][i - 1],) = found
-        table += _node_moments(quality, [p & ~o for p, o in zip(paths, on_path)], 2)
-        on_path = [p | o for p, o in zip(paths, on_path)]
     fact = _FACTORIALS[:3]
-    sums = _path_sums(_weights(target), table / fact, (3,), np.array([1.0, 0.0, 0.0]))
+    weights = _split(spec.levels, np.where(target._support, target._entries, 0.0))
+    sums = _path_sums(weights, table / fact, (3,))
+    m = np.concatenate(sums, axis=1) * fact[:, None] / np.where(reached, target._marginals, np.nan)
     means = np.full((spec.r_max, spec.c), np.nan)
     variances = np.full((spec.r_max, spec.c), np.nan)
-    for j, (s, marginal) in enumerate(zip(sums, marginals)):
-        m = s * fact[:, None] / marginal
-        means[: len(marginal), j] = quality._reference(spec.c) + m[1]
-        variances[: len(marginal), j] = m[2] - m[1] * m[1]
+    at = tuple(np.array(nodes).T - 1)
+    means[at] = quality._reference(spec.c) + m[1]
+    variances[at] = m[2] - m[1] * m[1]
     return means, variances

@@ -42,6 +42,7 @@ from .model import (
     PathGroups,
     QualityModel,
     TransitionKernel,
+    _frozen,
     _group_records,
     _path_cells,
     _reachable_nodes,
@@ -187,9 +188,9 @@ def _inverse_cdf(kernel: TransitionKernel, u: np.ndarray) -> np.ndarray:
     """The paths of the records whose column-k variates are ``u[k - 1]``:
     inverse-CDF sampling column by column, each level the count of
     cumulative probabilities at or below its variate. ``u`` is (c, ...)
-    and the paths (..., c)."""
+    and the paths (m, c), m records in the order of ``u[0]``."""
     levels = kernel.levels
-    out = np.empty((*u.shape[1:], len(levels)), dtype=np.int64)
+    out = np.empty((u[0].size, len(levels)), dtype=np.int64)
     cdfs = [np.cumsum(kernel.initial)[None]] + [np.cumsum(s, axis=1) for s in kernel.steps]
     rows = np.zeros(1, dtype=np.int64)  # column 1: one row of thresholds for all
     for k, (cdf, r) in enumerate(zip(cdfs, levels)):
@@ -197,7 +198,7 @@ def _inverse_cdf(kernel: TransitionKernel, u: np.ndarray) -> np.ndarray:
         for threshold in cdf.T:
             level += threshold[rows] <= u[k]
         rows = np.minimum(level, r - 1, out=level)
-        out[..., k] = rows + 1
+        out[:, k] = rows.ravel() + 1
     return out
 
 
@@ -219,7 +220,7 @@ def _sample_block(
     u = np.empty((count, len(levels), n))
     for rng, variates in zip(rngs, u):
         rng.random(out=variates)
-    paths = _inverse_cdf(config.kernel, u.transpose(1, 0, 2)).reshape(-1, len(levels))
+    paths = _inverse_cdf(config.kernel, u.transpose(1, 0, 2))
     replicate = np.repeat(np.arange(count), n)
     responses = np.zeros(count * n)
     values = np.empty(count * n)
@@ -244,7 +245,7 @@ def sample_dataset(config: ExperimentConfig, replicate: int = 0) -> PathDataset:
     response built from per-node draws at the visited nodes only (see
     :func:`_sample_block`)."""
     _, paths, responses = _sample_block(config, replicate, replicate + 1)
-    return PathDataset(config.spec, paths, responses)
+    return PathDataset(config.spec, _frozen(paths), _frozen(responses))
 
 
 # ---------------------------------------------------------------------------

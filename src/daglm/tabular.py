@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ModelError
-from .model import DagSpec, PathDataset, _joint_counts, _path_cells
+from .model import DagSpec, PathDataset, _frozen, _joint_counts, _path_cells
 
 #: records per block of CSV input and output. A block's few hundred row
 #: lists are freed before the cyclic garbage collector (gen-0 threshold 700
@@ -132,7 +132,7 @@ class TabularDataset:
                 map(level.__getitem__, labels), np.int64, count=len(labels)
             )
         spec = DagSpec(tuple(len(o) for o in orders), tuple(orders))
-        return spec, PathDataset(spec, levels[self.index], self.responses)
+        return spec, PathDataset(spec, _frozen(levels[self.index]), self.responses)
 
     def write_csv(self, dest) -> None:
         """Write the table as CSV: the factor columns, then the response in

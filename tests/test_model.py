@@ -254,6 +254,29 @@ def test_path_dataset_validation():
         )
 
 
+def test_path_dataset_keeps_handed_over_arrays_and_copies_the_rest():
+    spec = daglm.DagSpec(levels=(2, 2))
+    paths, responses = np.array([[1, 2], [2, 1]]), np.array([0.5, 1.5])
+    paths.setflags(write=False)
+    responses.setflags(write=False)
+    data = daglm.PathDataset(spec, paths, responses)
+    assert np.shares_memory(data.paths, paths) and np.shares_memory(data.responses, responses)
+    # a writable array, a view or another dtype is copied; the caller's
+    # array stays writable
+    for paths, responses in ((np.array([[1, 2], [2, 1]]), np.array([0.5, 1.5])),
+                             (np.array([[1, 2], [2, 1]], dtype=np.int32),
+                              np.array([0.5, 1.5, 9.0])[:2])):
+        data = daglm.PathDataset(spec, paths, responses)
+        assert not np.shares_memory(data.paths, paths)
+        assert not np.shares_memory(data.responses, responses)
+        assert paths.flags.writeable and responses.flags.writeable
+        assert not data.paths.flags.writeable and not data.responses.flags.writeable
+    frozen_view = np.array([[1, 2], [2, 1], [1, 1]])[:2]
+    frozen_view.setflags(write=False)
+    assert not np.shares_memory(daglm.PathDataset(spec, frozen_view, responses).paths,
+                                frozen_view)
+
+
 def test_path_dataset_counts(demo_data):
     total = sum(demo_data.count(1, i) for i in (1, 2))
     assert total == demo_data.n

@@ -603,3 +603,73 @@ def test_recursion_beyond_the_enumeration_cap():
         for fn in CLOSED_FORMS.values():
             value = fn(kernel, uniform, quality, i, j).value
             assert math.isfinite(value) and value >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# tables kept per kernel and per quality model
+
+def exact_layer(kernel, target, quality):
+    """The targets and, at every node, the four closed forms and the two
+    measure-change residuals, each a value or a refusal."""
+    targets = outcome(exact_estimator_targets, kernel, target, quality)
+    out = [targets if refused(targets) else [t.tobytes() for t in targets]]
+    for i, j in nodes_of(kernel.spec()):
+        for fn in CLOSED_FORMS.values():
+            av = outcome(fn, kernel, target, quality, i, j)
+            out.append(av if refused(av) else (av.value, av.blocks.tobytes()))
+        for f in ("b", "b2"):
+            out.append(outcome(verify_measure_change, kernel, target, quality, j, i, f))
+    return out
+
+
+def rebuilt(kernel):
+    return daglm.TransitionKernel(kernel.initial, kernel.steps)
+
+
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]),
+       pick=st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_kept_tables_answer_as_fresh_objects(seed, sparsify, pick):
+    # one kernel object meets two targets of different support, one of them
+    # not equivalent, a third target with its own support, and two quality
+    # models, one missing a spec: every value and refusal equals that of
+    # freshly built objects, bit for bit
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
+    entries = [(k, row, col) for k, step in enumerate(target.steps)
+               for row, col in zip(*np.nonzero(step > SUPPORT_ZERO))]
+    k, row, col = entries[pick % len(entries)]
+    steps = [s.copy() for s in target.steps]
+    steps[k][row, col] = 0.0
+    if steps[k][row].sum() == 0.0:
+        steps[k][row, (col + 1) % len(steps[k][row])] = 1.0
+    steps[k][row] /= steps[k][row].sum()
+    other = daglm.TransitionKernel(target.initial, tuple(steps))
+    assert not daglm.kernels_equivalent(kernel, other)
+    nodes = dict(quality.nodes)
+    on_support = [n for n in sorted(nodes) if daglm.enumerate_support_paths(kernel, n[1], n[0])]
+    gone = on_support[pick % len(on_support)]
+    del nodes[gone]
+    missing = daglm.QualityModel(nodes=nodes)
+    for aim, specs in ((target, quality), (other, quality), (kernel, quality),
+                       (target, missing), (other, missing), (target, quality)):
+        got = exact_layer(kernel, aim, specs)
+        want = exact_layer(rebuilt(kernel), rebuilt(aim), daglm.QualityModel(dict(specs.nodes)))
+        assert got == want
+    assert ("ModelError", "measures not equivalent") in exact_layer(kernel, other, quality)
+    assert ("ModelError", f"no quality spec for node {gone}") in exact_layer(kernel, target, missing)
+
+
+def test_exact_layer_tables_are_built_on_first_use():
+    model = daglm.load_model(daglm.data_path("demo_2x2.json"))
+    config = daglm.load_config(daglm.data_path("demo_config.json"))
+    tables = {"_entries", "_support", "_marginals", "_on_support"}
+    for kernel, quality in ((model.kernel, model.quality), (config.kernel, config.quality)):
+        assert not tables & vars(kernel).keys()
+        assert not quality._tables and not quality._centred
+    target = daglm.uniform_kernel(model.spec)
+    asym_var_mean_known(model.kernel, target, model.quality, 1, 2)
+    assert tables <= vars(model.kernel).keys()
+    assert tables - {"_on_support"} <= vars(target).keys()  # read off the source's support
+    assert model.quality._tables
+    assert not tables & vars(config.kernel).keys() and not config.quality._tables

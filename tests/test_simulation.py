@@ -8,6 +8,7 @@ import pytest
 
 import daglm
 from daglm import ModelError, StatisticalError
+from daglm import simulation
 from daglm.cli import run_command
 from daglm.simulation import (
     COVERAGE_ALPHA,
@@ -30,6 +31,16 @@ def test_rng_streams_keyed_by_seed_and_replicate():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_sample_dataset_hands_its_arrays_over(monkeypatch, demo_config):
+    drawn = []
+    sample = simulation._sample_block
+    monkeypatch.setattr(simulation, "_sample_block",
+                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    data = sample_dataset(demo_config, 3)
+    _, paths, responses = drawn[0]
+    assert np.shares_memory(data.paths, paths) and np.shares_memory(data.responses, responses)
 
 
 def test_sample_dataset_bitwise_reproducible(demo_config):

@@ -141,6 +141,18 @@ def test_to_path_dataset_level_mapping():
     assert np.array_equal(data.responses, [4.2, 19.7, 23.6, 15.2])
 
 
+def test_to_path_dataset_hands_its_arrays_over(monkeypatch):
+    # the dataset keeps the fresh path array and the table's responses
+    table = load_table(io.StringIO(CSV))
+    handed = []
+    monkeypatch.setattr(tabular, "PathDataset",
+                        lambda spec, paths, responses: handed.append(paths)
+                        or daglm.PathDataset(spec, paths, responses))
+    _, data = table.to_path_dataset()
+    assert np.shares_memory(data.paths, handed[0])
+    assert np.shares_memory(data.responses, table.responses)
+
+
 def test_to_path_dataset_pinned_label_order():
     table = load_table(io.StringIO(CSV))
     spec, data = table.to_path_dataset({"supp": ("VC", "OJ")})
