@@ -55,6 +55,7 @@ from .model import (
     PathDataset,
     QualityModel,
     TransitionKernel,
+    _frozen,
 )
 from .oracle import _closed_form_sums
 
@@ -154,15 +155,16 @@ def _closed_form(
     node (i, j), folded into one 1x1 block of weight 1.
 
     With Y = b - mu and phi = Y^d (d = 1 for the mean, 2 for the
-    variance) plus a constant k (mu, or -mu^2), both regimes read one pass
-    of :func:`_closed_form_sums`: mu, the T moments y of b - R and the sums
-    x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]], which the pass takes
-    about R and then shifts to mu. The within-path term
+    variance) plus a constant k (mu, or -mu^2), both regimes read the
+    node's row of :func:`_closed_form_sums`: mu, the T moments y of b - R
+    and the sums x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]], which the
+    all-node pass takes about R and the row shifts to mu. The within-path term
     E[C^2 Var[Y^d | path]] is x[2d, 0] - x[d, d], and it is the whole of
     the unknown-source variance. The known-source variance adds the
     between-path term Var[C E[phi | path]]: x[d, d] - m^2 + 2k (x[d, 0] - m)
     + k^2 (x[0, 0] - 1), with m = E_T[Y^d] and E[C] = 1. That last term rounds
-    at k^2 E[C^2], which at a far mean swamps a small Var[C].
+    at k^2 E[C^2], which at a far mean swamps a small Var[C]. The block is
+    checked and clipped as by :func:`_finalize`, without its replicate rows.
     """
     d = 1 if which == "mean" else 2
     mu, y, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
@@ -170,7 +172,12 @@ def _closed_form(
     if regime == REGIME_KNOWN:
         m, k = (0.0, mu) if d == 1 else (y[2] - y[1] * y[1], -mu * mu)
         block += x[d, d] - m * m + 2.0 * k * (x[d, 0] - m) + k * k * (x[0, 0] - 1.0)
-    return _finalize((i, j), which, regime, np.ones(1), np.array([[block]])).row()
+    if block < -PSD_ATOL:
+        raise StatisticalError(f"negative asymptotic variance block at node {(i, j)} "
+                               f"(lowest {block:.3g})")
+    return AsymptoticVariance((i, j), which, regime, max(float(block), 0.0),
+                              _frozen(np.array([[block]])), _frozen(np.ones(1)),
+                              clipped=bool(block < 0.0))
 
 
 def asym_var_mean_known(

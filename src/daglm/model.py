@@ -599,6 +599,7 @@ class QualityModel:
     _references: dict[int, float] = field(init=False, repr=False, compare=False)
     _centred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _pair: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         nodes = {(int(i), int(j)): q for (i, j), q in self.nodes.items()}

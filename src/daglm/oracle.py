@@ -15,14 +15,14 @@ node's independent contribution (its moments about its column's reference)
 is a Cauchy product, one lower-triangular Toeplitz matrix per node, and so
 is joining a forward vector to a backward one; every sum stays at the scale
 of the spread within the columns. A pass costs O(c r^2) per coefficient
-under any weights: a kernel, the tilted T^2/Q, or Q (T/Q). Each call runs
-one pass, its weightings stacked on a leading axis.
+under any weights: a kernel, the tilted T^2/Q, or Q (T/Q), and gives every
+node's sums at once, its weightings stacked on a leading axis.
 
 What one object alone determines is built on first use and kept on it: a
 kernel's entries, their support, its node marginals and the nodes on its
 support paths, and a quality model's node moments per shape and order
-(:meth:`QualityModel._moment_table`). Nothing of a (kernel, target) pair or
-of a node is kept between calls.
+(:meth:`QualityModel._moment_table`) and, in one slot, every node's sums
+for the last (kernel, target) pair asked about (:func:`_pair_sums`).
 
 Support is decided entrywise as by the enumeration (entries at or below
 ``SUPPORT_ZERO`` count as 0), and the refusals are the enumeration's: a node
@@ -43,7 +43,6 @@ cap; they are the reference the recursion is tested against.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable, Sequence
 
@@ -60,6 +59,7 @@ from .model import (
     _backward,
     _check_same_shape,
     _forward,
+    _frozen,
     _multiply,
     _node_row,
     _nodes,
@@ -150,23 +150,6 @@ def exact_conditional_moments(
 #: n! for the orders up to MAX_MOMENT_ORDER
 _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_MOMENT_ORDER + 1)], dtype=float)
 
-#: an initial vector and step matrices of a kernel's shape
-_Weights = tuple[np.ndarray, list[np.ndarray]]
-
-
-def _stacked(
-    kernel: TransitionKernel,
-    target: TransitionKernel,
-    entry: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> _Weights:
-    """Two weightings on the support of ``kernel``, 0 off it, stacked on a
-    leading axis: the entries t of ``target``, and ``entry(q, t)`` of t and
-    the kernel's entries q."""
-    on = kernel._support
-    q, t = np.where(on, kernel._entries, 1.0), target._entries
-    return _split(kernel.levels, np.where(on, np.stack([t, entry(q, t)]), 0.0))
-
-
 def _tilted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     """T^2/Q: a path's target probability times its ratio."""
     return t * t / q
@@ -179,14 +162,14 @@ def _reweighted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _read(
     kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
-) -> tuple[list[float], np.ndarray] | None:
-    """The marginal of node (i, j) under each of ``kernels`` and the moments
-    to ``order`` of every node (:meth:`QualityModel._moment_table`); None
-    when no support path of ``kernels[0]`` passes through the node. Refuses
-    in the enumeration's order: a node outside the shape, a marginal at or
-    below ``SUPPORT_ZERO``, then the first node, column by column, on the
-    node's support paths whose spec cannot be read; those paths are walked
-    only when some spec cannot be read."""
+) -> tuple[int, list[float]] | None:
+    """The row of node (i, j) in the tables with one row per node and its
+    marginal under each of ``kernels``; None when no support path of
+    ``kernels[0]`` passes through the node. Refuses in the enumeration's
+    order: a node outside the shape, a marginal at or below
+    ``SUPPORT_ZERO``, then the first node, column by column, on the node's
+    support paths whose spec cannot be read to ``order``; those paths are
+    walked only when some spec cannot be read."""
     kernel = kernels[0]
     row = _node_row(kernel.levels, j, i)
     if not kernel._on_support[row]:
@@ -194,13 +177,13 @@ def _read(
     marginals = [float(k._marginals[row]) for k in kernels]
     if min(marginals) <= SUPPORT_ZERO:
         raise _null_event(i, j)
-    table, marked = quality._moment_table(kernel.levels, order)
+    _, marked = quality._moment_table(kernel.levels, order)
     if marked.any():
         nodes = np.array(_nodes(kernel.levels))
         rows = np.flatnonzero(marked & _on_paths(kernel, (nodes[:, 1] != j) | (nodes[:, 0] == i)))
         if len(rows):
             quality._centred_moments(*nodes[rows[0]].tolist(), order)  # refuses
-    return marginals, table
+    return row, marginals
 
 
 @functools.cache
@@ -225,44 +208,55 @@ def _cauchy(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _path_sums(
-    weights: _Weights,
-    table: np.ndarray,
-    shape: tuple[int, ...],
-    j: int | None = None,
-) -> list[np.ndarray]:
-    """For every level of column j (of every column when j is None), the
-    weighted sum over the support paths through it of the coefficients of
-    the path's response: one (D, r) array per column. ``table`` holds the
-    coefficients (D,) of every node, one row per node column by column; the
-    response is 0 before column 1."""
-    initial, steps = weights
+    levels: tuple[int, ...], entries: np.ndarray, table: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """For every node, the sum over the support paths through it of the
+    path weight times the coefficients of the path's response, as
+    (..., D, node) with the nodes column by column. The weights are kernel
+    ``entries`` (..., F) end to end, optionally stacked on leading axes;
+    ``table`` holds the coefficients (D,) of every node, one row per node;
+    the response is 0 before column 1."""
+    initial, steps = _split(levels, entries)
     start = np.eye(len(table[0]))[0]
-    bounds = list(itertools.accumulate([initial.shape[-1]] + [s.shape[-1] for s in steps]))
-    matrices = _cauchy(table, shape)
-    nodes = [matrices[a:b] for a, b in zip([0] + bounds, bounds)]
-    first, last = (1, len(nodes)) if j is None else (j, j)
-    ahead = _forward(initial, steps[: last - 1], nodes[:last], start)[first - 1:]
-    end = np.zeros(initial.shape[:-1] + (len(start), len(nodes[-1])))
+    nodes = np.split(_cauchy(table, shape), np.cumsum(levels)[:-1])
+    ahead = _forward(initial, steps, nodes, start)
+    end = np.zeros(initial.shape[:-1] + (len(start), levels[-1]))
     end[..., 0, :] = 1.0
-    behind = _backward(steps[first - 1:], end, nodes[first:])
-    return [_multiply(_cauchy(b.swapaxes(-1, -2), shape), a) for a, b in zip(ahead, behind)]
+    behind = _backward(steps, end, nodes[1:])
+    return np.concatenate([_multiply(_cauchy(b.swapaxes(-1, -2), shape), a)
+                           for a, b in zip(ahead, behind)], axis=-1)
 
 
 def _pair_sums(
-    weights: _Weights, moments: np.ndarray, j: int, i: int, width: int = 1
+    kernel: TransitionKernel, target: TransitionKernel, quality: QualityModel,
+    entry: Callable[[np.ndarray, np.ndarray], np.ndarray], order: int, width: int,
 ) -> np.ndarray:
-    """Sum over the support paths through (i, j) of the path weight times
-    E[U^a | path] E[U^b | path], U = b - R, for a up to the order of the
-    node ``moments`` (about the column references) and b below ``width``,
-    as (..., a, b) under each weighting stacked on the leading axes of
-    ``weights``: the sum of E[U^a U'^b | path] for a copy U' of U
-    independent given the path, in one pass over the pair."""
-    fact = _FACTORIALS[: moments.shape[1]]
-    shape = (len(fact), width)
-    e = moments / fact
-    table = (e[:, :, None] * e[:, None, :width]).reshape(len(e), -1)
-    sums = _path_sums(weights, table, shape, j)[0][..., i - 1]
-    return sums.reshape(sums.shape[:-1] + shape) * (fact[:, None] * fact[:width])
+    """For every node, the sum over the support paths through it of the
+    path weight times E[U^a | path] E[U^b | path], U = b - R, for a up to
+    ``order`` and b below ``width``, as (node, 2, a, b): the sum of
+    E[U^a U'^b | path] for a copy U' of U independent given the path. One
+    pass runs two weightings on the support of ``kernel``, 0 off it: the
+    entries t of ``target``, and ``entry(q, t)`` of t and the kernel's q.
+
+    Built on first use per (entry, order, width) and kept in the quality
+    model's one slot, which holds the (kernel, target) pair it was built
+    for and is replaced when another pair is asked about. :func:`_read`
+    refuses a node whose paths meet an unreadable spec before its row is read."""
+    slot = quality._pair
+    if slot is None or slot[0] is not kernel or slot[1] is not target:
+        slot = kernel, target, {}
+        object.__setattr__(quality, "_pair", slot)
+    kept, key = slot[2], (entry, order, width)
+    if key not in kept:
+        on, fact = kernel._support, _FACTORIALS[: order + 1]
+        q, t = np.where(on, kernel._entries, 1.0), target._entries
+        entries = np.where(on, np.stack([t, entry(q, t)]), 0.0)
+        e = quality._moment_table(kernel.levels, order)[0] / fact
+        table = (e[:, :, None] * e[:, None, :width]).reshape(len(e), -1)
+        sums = _path_sums(kernel.levels, entries, table, (order + 1, width))
+        sums = np.moveaxis(sums, -1, 0).reshape(len(e), 2, order + 1, width)
+        kept[key] = _frozen(sums * (fact[:, None] * fact[:width]))
+    return kept[key]
 
 
 def _closed_form_sums(
@@ -284,20 +278,18 @@ def _closed_form_sums(
       source probability is its T^2/Q product times p_Q / p_T^2, the node
       marginals.
 
-    One pass over the pair (U, U') (:func:`_pair_sums`) runs under T and
-    the tilted T^2/Q stacked, both about R; ``x`` then moves from R to mu
-    on both axes, one Pascal product each (:func:`_shift_moments`).
-
     Refuses non-equivalent measures, then as :func:`_read`, and a node on
-    no support path as a null event.
+    no support path as a null event. Only then does it read the node's row
+    of :func:`_pair_sums` under T and the tilted T^2/Q, both about R, and
+    move ``x`` from R to mu on both axes (:func:`_shift_moments`).
     """
     if not kernels_equivalent(kernel, target):
         raise ModelError("measures not equivalent")
     found = _read((kernel, target), quality, j, i, order)
     if found is None:
         raise _null_event(i, j)
-    (p_q, p_t), moments = found
-    sums, tilted = _pair_sums(_stacked(kernel, target, _tilted), moments, j, i, 3)
+    row, (p_q, p_t) = found
+    sums, tilted = _pair_sums(kernel, target, quality, _tilted, order, 3)[row]
     y = sums[:, 0] / p_t
     x = _shift_moments(_shift_moments(tilted, -y[1]).T, -y[1]).T
     return quality._reference(len(kernel.levels)) + y[1], y, x * (p_q / p_t**2)
@@ -316,12 +308,12 @@ def verify_measure_change(
     Compares E[f(b)·C | node] under ``kernel`` against E[f(b) | node] under
     ``target``, where C is the ratio of conditional path probabilities and
     f(b) is (b - R)^k, k = 1 (``"b"``) or 2 (``"b2"``). The two sides are
-    separate weightings of one stacked pass over the node moments of the
-    common support: the left runs under the entrywise product Q (T/Q), its
-    ratios formed on the source support, and mixes by the source marginal;
-    the right runs under T and mixes by the target marginal. So a small
-    residual certifies the identity. A node on no support path has
-    residual 0.
+    separate weightings of the node's row of :func:`_pair_sums`, read after
+    the refusals of :func:`_closed_form_sums`: the left runs under the
+    entrywise product Q (T/Q), its ratios formed on the source support, and
+    mixes by the source marginal; the right runs under T and mixes by the
+    target marginal. So a small residual certifies the identity. A node on
+    no support path has residual 0.
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
@@ -331,8 +323,8 @@ def verify_measure_change(
     found = _read((kernel, target), quality, j, i, order)
     if found is None:
         return 0.0
-    (p_q, p_t), moments = found
-    rhs, ratio_sum = _pair_sums(_stacked(kernel, target, _reweighted), moments, j, i)[:, order, 0]
+    row, (p_q, p_t) = found
+    rhs, ratio_sum = _pair_sums(kernel, target, quality, _reweighted, order, 1)[row, :, order, 0]
     # a path's ratio C is its product of entrywise ratios times p_q / p_t
     lhs = ratio_sum * (p_q / p_t) / p_q
     return abs(float(lhs - rhs / p_t))
@@ -365,9 +357,9 @@ def exact_estimator_targets(
         if _read((target,), quality, j, i, 2) is None:
             raise _null_event(i, j)
     fact = _FACTORIALS[:3]
-    weights = _split(spec.levels, np.where(target._support, target._entries, 0.0))
-    sums = _path_sums(weights, table / fact, (3,))
-    m = np.concatenate(sums, axis=1) * fact[:, None] / np.where(reached, target._marginals, np.nan)
+    entries = np.where(target._support, target._entries, 0.0)
+    sums = _path_sums(spec.levels, entries, table / fact, (3,))
+    m = sums * fact[:, None] / np.where(reached, target._marginals, np.nan)
     means = np.full((spec.r_max, spec.c), np.nan)
     variances = np.full((spec.r_max, spec.c), np.nan)
     at = tuple(np.array(nodes).T - 1)

@@ -1,12 +1,18 @@
+import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import daglm
-from daglm import ModelError, StatisticalError
+from daglm import ModelError, StatisticalError, oracle
 from daglm.asymptotics import (
     asym_var_mean_known,
     asym_var_mean_unknown,
@@ -572,22 +578,27 @@ def test_targets_refuse_a_target_of_another_shape():
         exact_estimator_targets(daglm.uniform_kernel(spec), other, quality)
 
 
-def test_recursion_beyond_the_enumeration_cap():
-    # 6^10 = 6e7 support paths: the enumeration refuses, the recursion
-    # gives every target and every closed form
-    rng = np.random.default_rng(2026)
-    spec = daglm.DagSpec(levels=(6,) * 10)
+def grid_model(rng, c, r):
+    """A model of c columns of r levels: a kernel with every entry positive,
+    and Gaussian nodes of means ``mu`` and variances ``var`` (r, c)."""
+    spec = daglm.DagSpec(levels=(r,) * c)
 
     def distribution():
-        raw = rng.uniform(0.1, 1.0, size=6)
+        raw = rng.uniform(0.1, 1.0, size=r)
         return raw / raw.sum()
 
     kernel = daglm.TransitionKernel(
-        distribution(), tuple(np.stack([distribution() for _ in range(6)]) for _ in range(9))
+        distribution(), tuple(np.stack([distribution() for _ in range(r)]) for _ in range(c - 1))
     )
-    mu = rng.normal(0.0, 2.0, size=(6, 10))
-    var = rng.uniform(0.5, 2.0, size=(6, 10))
-    quality = daglm.QualityModel.gaussian_grid(spec, mu, var)
+    mu = rng.normal(0.0, 2.0, size=(r, c))
+    var = rng.uniform(0.5, 2.0, size=(r, c))
+    return spec, kernel, mu, var, daglm.QualityModel.gaussian_grid(spec, mu, var)
+
+
+def test_recursion_beyond_the_enumeration_cap():
+    # 6^10 = 6e7 support paths: the enumeration refuses, the recursion
+    # gives every target and every closed form
+    spec, kernel, mu, var, quality = grid_model(np.random.default_rng(2026), 10, 6)
     uniform = daglm.uniform_kernel(spec)
     assert spec.n_paths() > daglm.model.ENUMERATION_CAP
     with pytest.raises(ModelError, match="exceeds cap"):
@@ -614,12 +625,19 @@ def exact_layer(kernel, target, quality):
     targets = outcome(exact_estimator_targets, kernel, target, quality)
     out = [targets if refused(targets) else [t.tobytes() for t in targets]]
     for i, j in nodes_of(kernel.spec()):
-        for fn in CLOSED_FORMS.values():
-            av = outcome(fn, kernel, target, quality, i, j)
-            out.append(av if refused(av) else (av.value, av.blocks.tobytes()))
-        for f in ("b", "b2"):
-            out.append(outcome(verify_measure_change, kernel, target, quality, j, i, f))
+        out += node_outcomes(kernel, target, quality, i, j)
     return out
+
+
+def node_outcomes(kernel, target, quality, i, j):
+    """The four closed forms and the two measure-change residuals at one
+    node, each a value or a refusal."""
+    out = []
+    for fn in CLOSED_FORMS.values():
+        av = outcome(fn, kernel, target, quality, i, j)
+        out.append(av if refused(av) else (av.value, av.blocks.tobytes()))
+    return out + [outcome(verify_measure_change, kernel, target, quality, j, i, f)
+                  for f in ("b", "b2")]
 
 
 def rebuilt(kernel):
@@ -661,15 +679,99 @@ def test_kept_tables_answer_as_fresh_objects(seed, sparsify, pick):
 
 
 def test_exact_layer_tables_are_built_on_first_use():
+    # nothing is built at import, at load or in a constructor: a fresh
+    # process has no Cauchy index, and loaded objects no tables and an
+    # empty slot, until the first closed form fills them
+    src = str(Path(daglm.__file__).resolve().parent.parent)
+    code = "from daglm import oracle; print(oracle._cauchy_index.cache_info().currsize)"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=os.environ | {"PYTHONPATH": src})
+    assert fresh.stdout.split() == ["0"]
     model = daglm.load_model(daglm.data_path("demo_2x2.json"))
     config = daglm.load_config(daglm.data_path("demo_config.json"))
     tables = {"_entries", "_support", "_marginals", "_on_support"}
-    for kernel, quality in ((model.kernel, model.quality), (config.kernel, config.quality)):
+    built = (daglm.uniform_kernel(model.spec), daglm.QualityModel(model.quality.nodes))
+    for kernel, quality in ((model.kernel, model.quality), (config.kernel, config.quality), built):
         assert not tables & vars(kernel).keys()
-        assert not quality._tables and not quality._centred
+        assert not quality._tables and not quality._centred and quality._pair is None
     target = daglm.uniform_kernel(model.spec)
     asym_var_mean_known(model.kernel, target, model.quality, 1, 2)
     assert tables <= vars(model.kernel).keys()
     assert tables - {"_on_support"} <= vars(target).keys()  # read off the source's support
     assert model.quality._tables
+    kernel, aim, kept = model.quality._pair
+    assert kernel is model.kernel and aim is target and len(kept) == 1
     assert not tables & vars(config.kernel).keys() and not config.quality._tables
+    assert config.quality._pair is None
+
+
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]),
+       pick=st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_one_slot_answers_interleaved_pairs_as_fresh_objects(seed, sparsify, pick):
+    # node by node, one quality object is asked about two (kernel, target)
+    # pairs in turn, with a non-equivalent target and a quality model that
+    # lost a spec in between: every value and refusal equals that of
+    # freshly built objects, bit for bit
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
+    entries = [(k, row, col) for k, step in enumerate(target.steps)
+               for row, col in zip(*np.nonzero(step > SUPPORT_ZERO))]
+    k, row, col = entries[pick % len(entries)]
+    steps = [s.copy() for s in target.steps]
+    steps[k][row, col] = 0.0
+    if steps[k][row].sum() == 0.0:
+        steps[k][row, (col + 1) % len(steps[k][row])] = 1.0
+    steps[k][row] /= steps[k][row].sum()
+    other = daglm.TransitionKernel(target.initial, tuple(steps))
+    assert not daglm.kernels_equivalent(kernel, other)
+    nodes = dict(quality.nodes)
+    del nodes[sorted(nodes)[pick % len(nodes)]]
+    missing = daglm.QualityModel(nodes=nodes)
+    for i, j in nodes_of(spec):
+        for aim, specs in ((target, quality), (other, quality), (target, missing),
+                           (kernel, quality), (target, missing)):
+            got = node_outcomes(kernel, aim, specs, i, j)
+            fresh = daglm.QualityModel(dict(specs.nodes))
+            assert got == node_outcomes(rebuilt(kernel), rebuilt(aim), fresh, i, j)
+    assert quality._pair[0] is kernel and quality._pair[1] is kernel
+
+
+def test_quality_keeps_the_sums_of_one_pair():
+    # the slot holds its pair strongly, and lets the first target go once
+    # a second pair has been asked about and the caller drops it
+    model = daglm.load_model(daglm.data_path("demo_2x2.json"))
+    kernel, quality = model.kernel, model.quality
+    target = daglm.uniform_kernel(model.spec)
+    first = weakref.ref(target)
+    asym_var_mean_known(kernel, target, quality, 1, 2)
+    del target
+    gc.collect()
+    assert first() is quality._pair[1]
+    asym_var_mean_known(kernel, kernel, quality, 1, 2)
+    gc.collect()
+    assert first() is None
+    assert quality._pair[0] is kernel and quality._pair[1] is kernel
+
+
+def test_one_pass_per_weighting_and_order(monkeypatch):
+    # the four closed forms and both residuals at every node of a random
+    # 4 x 5 model run one all-node pass per weighting and order: the tilted
+    # pair at orders 2 and 4, and the measure change at orders 1 and 2
+    spec, kernel, _, _, quality = grid_model(np.random.default_rng(45), 4, 5)
+    target = daglm.uniform_kernel(spec)
+    passes = []
+    path_sums = oracle._path_sums
+
+    def counted(levels, entries, table, shape):
+        passes.append(shape)
+        return path_sums(levels, entries, table, shape)
+
+    monkeypatch.setattr(oracle, "_path_sums", counted)
+    for i, j in nodes_of(spec):
+        for fn in CLOSED_FORMS.values():
+            fn(kernel, target, quality, i, j)
+        for f in ("b", "b2"):
+            verify_measure_change(kernel, target, quality, j, i, f)
+    # (order + 1, width): tilted (3, 3) and (5, 3), measure change (2, 1) and (3, 1)
+    assert sorted(passes) == [(2, 1), (3, 1), (3, 3), (5, 3)]
