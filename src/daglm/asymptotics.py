@@ -45,10 +45,11 @@ from .estimators import (
     KIND_WEIGHTED,
     CellEstimate,
     _canonical_kind,
-    _cell_weights,
-    _CellWeights,
-    _path_sum,
-    _refuse,
+    _Check,
+    _Column,
+    _column,
+    _flagged,
+    _raise_first,
 )
 from .model import (
     PSD_ATOL,
@@ -94,54 +95,6 @@ class AsymptoticVariance:
         return matrix
 
 
-@dataclass(frozen=True)
-class _Contracted:
-    """The asymptotic variance of every replicate row of a path table: the
-    per-path blocks (R, m, 1), their weights (R, m) and the contracted
-    values (R,)."""
-
-    node: tuple[int, int]
-    target: str
-    regime: str
-    blocks: np.ndarray
-    weights: np.ndarray
-    value: np.ndarray
-    clipped: np.ndarray
-
-    def row(self, r: int = 0) -> AsymptoticVariance:
-        """The asymptotic variance of row ``r``."""
-        blocks = self.blocks[r]
-        blocks.setflags(write=False)
-        return AsymptoticVariance(
-            node=self.node, target=self.target, regime=self.regime,
-            value=float(self.value[r]), blocks=blocks, contraction=self.weights[r],
-            clipped=bool(self.clipped[r]),
-        )
-
-
-def _finalize(
-    node: tuple[int, int], target: str, regime: str, weights: np.ndarray, blocks: np.ndarray
-) -> _Contracted:
-    """Check and contract, row by row, a variance given by its per-path 1x1
-    ``blocks`` (R, m) and their ``weights`` (m,) or (R, m): the value is the
-    sum of weight^2 * block. Blocks are built from central moments, so they
-    round at their own magnitude (at least 1): a block counts as negative
-    below -PSD_ATOL, the value below -PSD_ATOL times the largest block
-    magnitude of its row."""
-    lowest = blocks.min(axis=-1)
-    _refuse(lowest < -PSD_ATOL, StatisticalError,
-            lambda r: f"negative asymptotic variance block at node {node} "
-            f"(lowest {lowest[r]:.3g})")
-    value = _path_sum(weights * blocks * weights)
-    scale = np.abs(blocks).max(axis=-1, initial=1.0)
-    _refuse(value < -PSD_ATOL * scale, StatisticalError,
-            lambda r: f"negative asymptotic variance {value[r]:.3g}")
-    clipped = value < 0.0
-    weights = np.broadcast_to(weights, blocks.shape)
-    return _Contracted(node, target, regime, blocks[..., None], weights,
-                       np.where(clipped, 0.0, value), clipped)
-
-
 def _closed_form(
     kernel: TransitionKernel,
     target: TransitionKernel,
@@ -164,7 +117,7 @@ def _closed_form(
     between-path term Var[C E[phi | path]]: x[d, d] - m^2 + 2k (x[d, 0] - m)
     + k^2 (x[0, 0] - 1), with m = E_T[Y^d] and E[C] = 1. That last term rounds
     at k^2 E[C^2], which at a far mean swamps a small Var[C]. The block is
-    checked and clipped as by :func:`_finalize`, without its replicate rows.
+    checked and clipped as the plug-in blocks are (:func:`_avs`).
     """
     d = 1 if which == "mean" else 2
     mu, y, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
@@ -235,38 +188,88 @@ def _kind_regime(kind: str) -> str:
     return REGIME_UNKNOWN if _canonical_kind(kind) == KIND_PLUGIN else REGIME_KNOWN
 
 
-def _weights_avs(weights: _CellWeights, which: str) -> _Contracted:
-    """Plug-in asymptotic variance of the ``which`` estimate of the cell in
-    every replicate, from each path's offset delta and central moments c_k
-    (:attr:`_CellWeights.moments`): V = Var[phi | path] is c_2 for the mean and
+@dataclass(frozen=True)
+class _ColumnAV:
+    """The plug-in asymptotic variance of the ``which`` estimate at every
+    cell of a column: the clipped values (R, r); the 1x1 blocks, one per
+    cell (known source) or one per path (unknown source, (R, m), of weight
+    the path's ratio); the refusals of the variance, and that of an
+    interval from it (``finite``)."""
+
+    column: _Column
+    which: str
+    regime: str
+    value: np.ndarray
+    blocks: np.ndarray
+    clipped: np.ndarray
+    checks: tuple[_Check, ...]
+    finite: _Check
+
+    def row(self, r: int, l: int) -> AsymptoticVariance:
+        """The asymptotic variance of cell (r, l)."""
+        if self.regime == REGIME_KNOWN:
+            blocks, weights = np.array([[self.blocks[r, l]]]), np.ones(1)
+        else:
+            at = self.column.level == l
+            blocks, weights = self.blocks[r, at][:, None], self.column.ratio[r, at]
+        return AsymptoticVariance((l + 1, self.column.j), self.which, self.regime,
+                                  float(self.value[r, l]), _frozen(blocks), _frozen(weights),
+                                  bool(self.clipped[r, l]))
+
+
+def _avs(column: _Column, which: str) -> _ColumnAV:
+    """Plug-in asymptotic variance of the ``which`` estimate at every cell
+    of a column, from each path's offset delta and central moments c_k
+    (:attr:`_Column.moments`): V = Var[phi | path] is c_2 for the mean and
     c_4 + 4 delta c_3 + 4 delta^2 c_2 - c_2^2 for the variance, and
     E[phi | path] = e + k with e = delta or c_2 + delta^2 and k = mu or
     -mu^2. The unknown-source regime keeps one block p V per path, of
     weight C, and needs every distinct observed path at least twice. The
     known-source regime folds the paths into one block of weight 1,
     sum p C^2 V + sum p (a + k (C - Cbar))^2 with a = C e - sum p C e and
-    Cbar the weight total, exactly 1 for the naive estimator."""
+    Cbar the weight total, exactly 1 for the naive estimator. Blocks round
+    at their own magnitude (at least 1): a block counts as negative below
+    -PSD_ATOL, the value below -PSD_ATOL times the largest block magnitude
+    of its cell."""
     if which not in ("mean", "variance"):
         raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
-    cell, ratio = weights.cell, weights.ratio
-    mu, total, delta, c2, c3, c4 = weights.moments
-    mu, total = mu[:, None], total[:, None]
-    if which == "mean":
-        within, part, k = c2, delta, mu
+    ratio, counts, paths, level, j = (column.ratio, column.table.counts, column.table.paths,
+                                      column.level, column.j)
+    mu, total, delta, c2, c3, c4 = column.moments
+    within = c2 if which == "mean" else c4 + 4.0 * delta * (c3 + delta * c2) - c2 * c2
+    prob = counts / column.at(column.size)
+    regime, checks = _kind_regime(column.kind), []
+    if regime == REGIME_KNOWN:
+        mu = column.at(mu)
+        part, k = (delta, mu) if which == "mean" else (c2 + delta * delta, -mu * mu)
+        between = (ratio * part - column.at(column.sum(prob * ratio * part))
+                   + k * (ratio - column.at(total)))
+        blocks = lowest = value = column.sum(prob * (ratio * ratio * within + between * between))
+        scale = np.maximum(np.abs(blocks), 1.0)
     else:
-        within = c4 + 4.0 * delta * (c3 + delta * c2) - c2 * c2
-        part, k = c2 + delta * delta, -mu * mu
-    prob = cell.counts / weights.n[:, None]
-    if _kind_regime(weights.kind) == REGIME_KNOWN:
-        between = ratio * part - _path_sum(prob * ratio * part)[:, None] + k * (ratio - total)
-        block = _path_sum(prob * (ratio * ratio * within + between * between))
-        return _finalize(weights.node, which, REGIME_KNOWN, np.ones(1), block[:, None])
-    weights.check_support()
-    once = cell.counts == 1
-    _refuse(once.any(axis=-1), StatisticalError,
-            lambda r: "insufficient per-path replication for plug-in asymptotics; "
-            f"paths seen once: {[tuple(int(x) for x in p) for p in cell.paths[once[r]]]}")
-    return _finalize(weights.node, which, REGIME_UNKNOWN, ratio, prob * within)
+        once = counts == 1
+        checks.append(_Check(
+            column.sum(once) > 0, StatisticalError,
+            lambda r, l: "insufficient per-path replication for plug-in asymptotics; "
+            f"paths seen once: {_flagged(paths, level, once, r, l)}",
+        ))
+        blocks = prob * within
+        lowest, scale = np.full(column.n.shape, np.inf), np.ones(column.n.shape)
+        np.minimum.at(lowest.ravel(), column.cells, blocks.ravel())
+        np.maximum.at(scale.ravel(), column.cells, np.abs(blocks).ravel())
+        value = column.sum(ratio * blocks * ratio)
+    checks += [
+        _Check(lowest < -PSD_ATOL, StatisticalError,
+               lambda r, l: f"negative asymptotic variance block at node {(l + 1, j)} "
+               f"(lowest {lowest[r, l]:.3g})"),
+        _Check(value < -PSD_ATOL * scale, StatisticalError,
+               lambda r, l: f"negative asymptotic variance {value[r, l]:.3g}"),
+    ]
+    clipped = value < 0.0
+    reported = np.where(clipped, 0.0, value)
+    finite = _Check(~np.isfinite(reported), StatisticalError,
+                    lambda r, l: f"non-finite asymptotic variance at {(l + 1, j)}")
+    return _ColumnAV(column, which, regime, reported, blocks, clipped, tuple(checks), finite)
 
 
 def plugin_asym_var(
@@ -281,7 +284,8 @@ def plugin_asym_var(
     """Asymptotic variance with all population quantities replaced by
     empirical counterparts from the dataset: the unknown-source regime with
     the plugin estimator's empirical ratios, or the known-source regime with
-    the source ``kernel``'s exact ratios (see :func:`_weights_avs`)."""
+    the source ``kernel``'s exact ratios (see :func:`_avs`); its cell of the
+    reduction of column j."""
     if regime == REGIME_KNOWN:
         if kernel is None:
             raise ModelError("knownQ regime needs the source kernel")
@@ -290,7 +294,11 @@ def plugin_asym_var(
         kind = KIND_PLUGIN
     else:
         raise ModelError(f"unknown regime {regime!r}")
-    return _weights_avs(_cell_weights(data, i, j, kind, kernel, target), which).row()
+    data._check_node(j, i)
+    column = _column(data._table, data.spec.levels[j - 1], j, kind, kernel, target)
+    av = _avs(column, which)
+    _raise_first([(column.checks + av.checks, i - 1)])
+    return av.row(0, i - 1)
 
 
 @dataclass(frozen=True)
@@ -316,11 +324,9 @@ def _quantile(level: float) -> float:
     return normal_quantile((1.0 + level) / 2.0)
 
 
-def _limits(node, point, value, count, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Normal-approximation limits point +/- z * sqrt(value / count), for
-    every replicate row."""
-    _refuse(~np.isfinite(value), StatisticalError,
-            lambda r: f"non-finite asymptotic variance at {node}")
+def _limits(point, value, count, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-approximation limits point +/- z * sqrt(value / count), of one
+    cell or of every cell of a column."""
     half = z * np.sqrt(value / count)
     return point - half, point + half
 
@@ -336,8 +342,10 @@ def confidence_interval(
         raise ModelError(
             f"estimate node {estimate.node} does not match variance node {av.node}"
         )
+    if not np.isfinite(av.value):
+        raise StatisticalError(f"non-finite asymptotic variance at {av.node}")
     point = estimate.mean if av.target == "mean" else estimate.variance
-    lower, upper = _limits(av.node, point, av.value, estimate.count, z)
+    lower, upper = _limits(point, av.value, estimate.count, z)
     return ConfidenceInterval(
         point=point, lower=float(lower), upper=float(upper), level=level,
         count=estimate.count,

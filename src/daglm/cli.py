@@ -19,19 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    _avs,
     _quantile,
-    _weights_avs,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
     asym_var_variance_unknown,
-    confidence_interval,
 )
 from .errors import DataError, ModelError, StatisticalError
-from .estimators import _cell_weights, _estimate
+from .estimators import _column, _first
 from .model import (
     TransitionKernel,
     _joint_counts,
+    _nodes,
     _reachable_nodes,
     estimate_kernel,
     kernels_equivalent,
@@ -290,10 +290,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _all_nodes(spec) -> list[tuple[int, int]]:
-    return [(i, j) for j, r in enumerate(spec.levels, start=1) for i in range(1, r + 1)]
-
-
 _CELL_FIELDS = ("mean", "mean_se", "mean_lower", "mean_upper",
                 "variance", "variance_se", "variance_lower", "variance_upper")
 
@@ -311,47 +307,43 @@ def _estimate_rows(args, spec, data, model, nodes):
         target, target_id = _resolve_target(args.target_kernel, spec)
         if kind == "weighted" and not kernels_equivalent(source, target):
             raise ModelError("measures not equivalent: source vs target kernel")
+    z = _quantile(args.level)
+    columns = {}
+    for j in dict.fromkeys(j for _, j in nodes):
+        column = _column(data._table, spec.levels[j - 1], j, kind, source, target)
+        columns[j] = column, column.estimates, [_avs(column, w) for w in ("mean", "variance")]
     rows = []
     for i, j in nodes:
-        base = {
-            "column": j,
-            "level_index": i,
-            "label": spec.label(j, i),
-            "count": data.count(j, i),
-        }
-        if base["count"] == 0:
-            rows.append(base | dict.fromkeys(_CELL_FIELDS) | {"flags": ["no-data"]})
+        (column, (mean, variance, clipped, checks), avs), l = columns[j], i - 1
+        count = int(column.n[0, l])
+        base = {"column": j, "level_index": i, "label": spec.label(j, i), "count": count}
+        refusal = _first(column.checks + checks, 0, l)
+        if refusal is not None:
+            if refusal.flag is None:
+                raise refusal.exception(0, l)
+            if refusal.flag != "no-data":
+                print(f"note: {refusal.exception(0, l)}", file=sys.stderr)
+            rows.append(base | dict.fromkeys(_CELL_FIELDS) | {"flags": [refusal.flag]})
             continue
-        weights = _cell_weights(data, i, j, kind, source, target)
-        try:
-            weights.check_support()
-        except StatisticalError as exc:
-            print(f"note: {exc}", file=sys.stderr)
-            rows.append(
-                base | dict.fromkeys(_CELL_FIELDS) | {"flags": ["support-incomplete"]}
-            )
-            continue
-        cell = _estimate(weights, target_id)
-        flags = []
-        if cell.clipped:
-            flags.append("variance-clipped")
-        scale = 1.0
-        if args.bessel and cell.count >= 2:
-            scale = cell.count / (cell.count - 1)
-        row = base | {"mean": cell.mean, "variance": cell.variance * scale, "flags": flags}
-        for which, factor in (("mean", 1.0), ("variance", scale)):
-            try:
-                av = _weights_avs(weights, which).row()
-                ci = confidence_interval(cell, av, args.level)
-                row |= {
-                    f"{which}_se": math.sqrt(av.value / cell.count) * factor,
-                    f"{which}_lower": ci.lower * factor,
-                    f"{which}_upper": ci.upper * factor,
-                }
-            except StatisticalError as exc:
+        flags = ["variance-clipped"] if clipped[0, l] else []
+        scale = count / (count - 1) if args.bessel and count >= 2 else 1.0
+        point = {"mean": float(mean[0, l]), "variance": float(variance[0, l])}
+        row = base | {"mean": point["mean"], "variance": point["variance"] * scale,
+                      "flags": flags}
+        for av, factor in zip(avs, (1.0, scale)):
+            which = av.which
+            refusal = _first(av.checks + (av.finite,), 0, l)
+            if refusal is not None:
                 flags.append(f"{which}-ci-unavailable")
-                print(f"note: node ({i}, {j}): {exc}", file=sys.stderr)
+                print(f"note: node ({i}, {j}): {refusal.exception(0, l)}", file=sys.stderr)
                 row |= dict.fromkeys((f"{which}_se", f"{which}_lower", f"{which}_upper"))
+                continue
+            root = math.sqrt(float(av.value[0, l]) / count)
+            row |= {
+                f"{which}_se": root * factor,
+                f"{which}_lower": (point[which] - z * root) * factor,
+                f"{which}_upper": (point[which] + z * root) * factor,
+            }
         rows.append(row)
     return rows, target_id
 
@@ -359,7 +351,7 @@ def _estimate_rows(args, spec, data, model, nodes):
 def _cmd_estimate(args) -> int:
     table, spec, data, model = _load_inputs(args)
     _report_markov(args, data)
-    rows, target_id = _estimate_rows(args, spec, data, model, _all_nodes(spec))
+    rows, target_id = _estimate_rows(args, spec, data, model, _nodes(spec.levels))
     doc = estimate_document(
         estimator=args.estimator,
         target=target_id,
@@ -413,7 +405,7 @@ def _cmd_compare(args) -> int:
             pairs += [(j, i, i2) for i in range(1, r + 1) for i2 in range(i + 1, r + 1)]
 
     wanted = {(i, j) for j, i, _ in pairs} | {(i2, j) for j, _, i2 in pairs}
-    nodes = [node for node in _all_nodes(spec) if node in wanted]
+    nodes = [node for node in _nodes(spec.levels) if node in wanted]
     cell_rows, target_id = _estimate_rows(args, spec, data, model, nodes)
     cells = {(row["level_index"], row["column"]): row for row in cell_rows}
     z = _quantile(args.level)

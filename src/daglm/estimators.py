@@ -17,27 +17,35 @@ floating-point sequence, so a ratio that is identically 1 reproduces the
 naive value bit for bit.
 
 The reductions run over a table of replicates (a study's, built by
-:func:`simulation._replicate_table`), one row per replicate, and one
-dataset is the table of one replicate. Sums over paths add one path after
-another in path order, so a path that a replicate never saw adds an exact
-0.0 and each row is the same bits as the reduction of that replicate
-alone.
+:func:`simulation._replicate_table`), one row per replicate; one dataset
+is the table of one replicate. A path lies in one node of each column, so
+a table is reduced one column at a time, all of its levels at once
+(:func:`_column`): each per-cell sum is one ``np.bincount`` over
+(replicate, level), which adds a cell's paths one after another in path
+order. A path that a replicate never saw adds an exact 0.0, so each cell
+is the same bits as the reduction of that replicate's paths through that
+node alone. Nothing is refused during a reduction: each check masks the
+cells it refuses (:class:`_Check`), and each caller reads the masks in its
+own order.
 
 All functions are pure; datasets are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ModelError, NoDataError, StatisticalError
 from .model import (
+    SUPPORT_ZERO,
     PathDataset,
     PathGroups,
     TransitionKernel,
+    _node_row,
     conditional_path_probabilities,
     kernels_equivalent,
 )
@@ -64,46 +72,44 @@ class CellEstimate:
     clipped: bool = False
 
 
-def _refuse(bad, error: type[Exception], message) -> None:
-    """Raise ``error(message(r))`` for the first replicate row r that the
-    mask ``bad`` flags (a 0-d mask is row 0)."""
-    if np.count_nonzero(bad):
-        raise error(message(int(np.argmax(bad))))
+@dataclass(frozen=True)
+class _Check:
+    """One refusal over the cells of a column: ``mask`` (R, r) flags the
+    (replicate, level) cells it refuses, and ``message(r, l)`` says why.
+    ``flag`` names the report flag of a refusal that the CLI reports in the
+    cell's row instead of aborting."""
+
+    mask: np.ndarray
+    error: type[Exception]
+    message: Callable[[int, int], str]
+    flag: str | None = None
+
+    def exception(self, r: int, l: int) -> Exception:
+        return self.error(self.message(r, l))
 
 
-def _path_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last (path) axis, adding one path after another in path
-    order: a path that a replicate never saw adds an exact 0.0, so a row's
-    sum is the same bits whichever other paths the table holds."""
-    return x.cumsum(axis=-1)[..., -1]
+def _first(checks: Sequence[_Check], r: int, l: int) -> _Check | None:
+    """The first of ``checks`` that refuses cell (r, l), if any."""
+    return next((check for check in checks if check.mask[r, l]), None)
 
 
-def _records(cell: PathGroups, i: int, j: int) -> np.ndarray:
-    """The record count of the cell at (i, j) in each replicate; a replicate
-    with none is refused."""
-    n = cell.counts.sum(axis=-1)
-    _refuse(n == 0, NoDataError, lambda r: f"no data at node ({i}, {j})")
-    return n
+def _flagged(paths: np.ndarray, level: np.ndarray, mask: np.ndarray, r: int, l: int) -> list:
+    """The ``paths`` at level l of a column (each at ``level``) that
+    ``mask`` (R, m) flags in replicate r."""
+    return [tuple(p) for p in paths[mask[r] & (level == l)].tolist()]
 
 
-def _clip_variance(variance: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Clip negative variance estimates to 0, flagging each clip.
-
-    Unweighted cell variances are nonnegative by construction, so a strict
-    floor of VARIANCE_CLIP guards against real bugs there. Reweighted
-    variances can come out genuinely negative in small samples (the weights
-    need not average to exactly 1 over the cell), so any negative value is
-    clipped and flagged.
-    """
-    clipped = ~(variance >= 0.0)
-    if strict:
-        _refuse(clipped & ~(variance >= VARIANCE_CLIP), StatisticalError,
-                lambda r: f"variance {float(variance[r])} below the rounding-noise floor")
-    return np.where(clipped, 0.0, variance), clipped
-
-
-def _first_path(cell: PathGroups, mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(x) for x in cell.paths[np.argmax(mask)])
+def _raise_first(cells: Sequence[tuple[Sequence[_Check], int]]) -> None:
+    """Raise the refusal that a loop over replicates, then over ``cells``
+    (each the checks of a node's column and the node's level), then over
+    each cell's checks in order, meets first."""
+    refused = np.array([np.logical_or.reduce([c.mask[:, l] for c in checks])
+                        for checks, l in cells])
+    if not refused.any():
+        return
+    r = int(np.argmax(refused.any(axis=0)))
+    checks, l = cells[int(np.argmax(refused[:, r]))]
+    raise _first(checks, r, l).exception(r, l)
 
 
 _KIND_ALIASES = {
@@ -124,73 +130,85 @@ def _canonical_kind(kind: str) -> str:
 
 
 @dataclass(frozen=True)
-class _CellWeights:
-    """A cell's distinct observed paths and each path's per-record weight
-    under one estimator kind, for every replicate of a table (one replicate
-    for one dataset); every estimate and plug-in asymptotic variance of the
-    cell reduces over this. ``ratio`` is (m,) where it does not depend on
-    the replicate (naive, weighted) and (R, m) where it does (plugin; 0 on a
-    path that a replicate never saw). ``target`` holds the observed paths'
-    target conditional probabilities (R, m) where the estimator uses them
-    (plugin)."""
+class _Column:
+    """Column j of a table of replicates under one estimator kind, all of
+    its levels at once: each path's level and per-record weight, each
+    (replicate, level) cell's record count ``n`` (R, r), and the refusals
+    of the weights. ``ratio`` is (m,) where it does not depend on the
+    replicate (naive, weighted) and (R, m) where it does (plugin; 0 on a
+    path that a replicate never saw)."""
 
-    node: tuple[int, int]  # (level i, column j)
+    table: PathGroups
+    j: int
     kind: str
-    cell: PathGroups  # a table of replicates, one row each
-    n: np.ndarray  # the cell's record count in each replicate
+    level: np.ndarray  # (m,) 0-based
+    cells: np.ndarray  # (R * m,) replicate * r + level of each table entry
+    n: np.ndarray
+    size: np.ndarray  # n, with 1 for a cell without records (refused)
     ratio: np.ndarray
-    target: np.ndarray | None = None
+    checks: tuple[_Check, ...]
 
-    def check_support(self) -> None:
-        """Refuse a plugin cell whose observed paths do not carry all of the
-        target conditional mass: the estimator's normalization is then
-        undefined, and it is refused rather than silently renormalized."""
-        if self.target is None:
-            return
-        total = _path_sum(self.target)
-        _refuse(
-            np.abs(total - 1.0) > 1e-9, StatisticalError,
-            lambda r: f"observed paths through node {self.node} carry target conditional "
-            f"mass {total[r]:.6g}, not 1; support paths are missing from the data",
-        )
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Each cell's sum of ``x`` (R, m), adding its paths one after
+        another in path order."""
+        return np.bincount(self.cells, x.ravel(), self.n.size).reshape(self.n.shape)
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """The per-cell ``x`` (R, r) at each path of each replicate."""
+        return x[:, self.level]
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, ...]:
-        """Each replicate's cell mean and weight total sum(count * w) / n, and
-        for each path its offset delta from the exact weighted mean and its
-        central moments c_2, c_3, c_4 (0 on a path with no records). Column 1
-        of the grouped sums corrects both for the rounding of the path means;
-        every difference is taken before a power, so a shift of the response
-        moves none of them. The known-source mean is not self-normalised: it
-        divides by n, not by n times the weight total."""
-        cell, w, n = self.cell, self.ratio, self.n
-        seen = cell.counts > 0
-        count = np.where(seen, cell.counts, 1)
-        a1, a2, a3, a4 = np.moveaxis(cell.sums[..., 1:], -1, 0) / count
-        mean = _path_sum(w * cell.sums[..., 0]) / n
-        total = _path_sum(w * cell.counts) / n
-        offset = np.where(seen, cell.sums[..., 0] / count - mean[:, None], 0.0) + a1
-        shift = _path_sum(cell.counts * w * offset) / n
+        """Each cell's mean and weight total sum(count * w) / n, and for each
+        path its offset delta from the exact weighted mean of its cell and
+        its central moments c_2, c_3, c_4 (0 on a path with no records).
+        Column 1 of the grouped sums corrects both for the rounding of the
+        path means; every difference is taken before a power, so a shift of
+        the response moves none of them. The known-source mean is not
+        self-normalised: it divides by n, not by n times the weight total."""
+        counts, sums, w = self.table.counts, self.table.sums[..., 0], self.ratio
+        seen, path_mean, a1, c2, c3, c4 = self.table.moments
+        mean = self.sum(w * sums) / self.size
+        total = self.sum(w * counts) / self.size
+        offset = np.where(seen, path_mean - self.at(mean), 0.0) + a1
+        shift = self.sum(counts * w * offset) / self.size
         if self.kind == KIND_WEIGHTED:
             shift = shift + mean * (total - 1.0)
-        c2 = a2 - a1 * a1
-        c3 = a3 - a1 * (3.0 * a2 - 2.0 * a1 * a1)
-        c4 = a4 - a1 * (4.0 * a3 - a1 * (6.0 * a2 - 3.0 * a1 * a1))
-        return mean, total, offset - shift[:, None], c2, c3, c4
+        return mean, total, offset - self.at(shift), c2, c3, c4
+
+    @cached_property
+    def estimates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[_Check, ...]]:
+        """Each cell's mean, variance and clip flag, and the refusals of the
+        estimate, with the same floating-point sequence for every kind. The
+        variance is sum(w * count * (c_2 + delta^2)) / n; the known-source
+        estimator's adds mean^2 (1 - weight total). A negative variance is
+        clipped to 0 and flagged: reweighted variances can be genuinely
+        negative in small samples, but unweighted ones are nonnegative by
+        construction, so below VARIANCE_CLIP they are refused as bugs."""
+        mean, total, delta, c2, _, _ = self.moments
+        variance = self.sum(self.ratio * self.table.counts * (c2 + delta * delta)) / self.size
+        if self.kind == KIND_WEIGHTED:
+            variance = variance + mean * mean * (1.0 - total)
+        clipped = ~(variance >= 0.0)
+        checks = () if self.kind != KIND_NAIVE else (_Check(
+            clipped & ~(variance >= VARIANCE_CLIP), StatisticalError,
+            lambda r, l: f"variance {float(variance[r, l])} below the rounding-noise floor"),)
+        return mean, np.where(clipped, 0.0, variance), clipped, checks
 
 
-def _table_weights(
-    cell: PathGroups,
-    i: int,
+def _column(
+    table: PathGroups,
+    width: int,
     j: int,
     kind: str,
     kernel: TransitionKernel | None = None,
     target: TransitionKernel | None = None,
-) -> _CellWeights:
-    """The one dispatch on the estimator kind, over a table of replicates of
-    the cell at (i, j): unit weights (naive), exact target-over-source
-    ratios (weighted), or target conditional probabilities over each
-    replicate's observed path shares (plugin)."""
+) -> _Column:
+    """The one dispatch on the estimator kind, over column j (of ``width``
+    levels) of a table of replicates: unit weights (naive), exact
+    target-over-source ratios (weighted), or target conditional
+    probabilities over each replicate's observed path shares (plugin).
+    Kind and kernel errors are raised; the refusals of cells are masks."""
     kind = _canonical_kind(kind)
     if kind == KIND_WEIGHTED:
         if kernel is None or target is None:
@@ -199,65 +217,48 @@ def _table_weights(
             raise ModelError("measures not equivalent")
     elif kind == KIND_PLUGIN and target is None:
         raise ModelError("plugin estimator needs a target kernel")
-    n = _records(cell, i, j)
-    observed = cell.counts > 0
-    if kind == KIND_NAIVE:
-        return _CellWeights((i, j), kind, cell, n, np.ones(len(cell.paths)))
+    counts, paths, seen = table.counts, table.paths, table.moments[0]
+    level = paths[:, j - 1] - 1
+    cells = (np.arange(len(counts))[:, None] * width + level).ravel()
+    n = np.bincount(cells, counts.ravel(), len(counts) * width).reshape(len(counts), width)
+    column = _Column(table, j, kind, level, cells, n, np.maximum(n, 1.0), np.ones(len(paths)), ())
+    checks = [_Check(n == 0, NoDataError, lambda r, l: f"no data at node ({l + 1}, {j})",
+                     "no-data")]
+
+    def null_event(k: TransitionKernel) -> _Check:
+        start = _node_row(k.levels, j, 1)
+        return _Check(np.broadcast_to(k._marginals[start: start + width] <= SUPPORT_ZERO, n.shape),
+                      StatisticalError, lambda r, l: "conditioning on null event: "
+                      f"node ({l + 1}, {j}) is unreachable")
+
+    def outside(supported: np.ndarray, message: Callable[[tuple], str]) -> _Check:
+        mask = seen & ~supported
+        return _Check(column.sum(mask) > 0, StatisticalError,
+                      lambda r, l: message(_flagged(paths, level, mask, r, l)[0]))
+
+    ratio = column.ratio
     if kind == KIND_WEIGHTED:
-        cond_q, in_support = conditional_path_probabilities(kernel, cell.paths, j, i)
-        outside = observed & ~in_support
-        _refuse(outside.any(axis=-1), StatisticalError,
-                lambda r: f"path {_first_path(cell, outside[r])} outside the source "
-                "kernel's support")
-        cond_t, _ = conditional_path_probabilities(target, cell.paths, j, i)
-        return _CellWeights((i, j), kind, cell, n, cond_t / cond_q)
-    cond, in_support = conditional_path_probabilities(target, cell.paths, j, i)
-    outside = observed & ~in_support
-    _refuse(outside.any(axis=-1), StatisticalError,
-            lambda r: f"target measure excludes observed path {_first_path(cell, outside[r])}")
-    ratio = np.divide(cond * n[:, None], cell.counts,
-                      out=np.zeros(cell.counts.shape), where=observed)
-    return _CellWeights((i, j), kind, cell, n, ratio, np.where(observed, cond, 0.0))
-
-
-def _cell_weights(
-    data: PathDataset,
-    i: int,
-    j: int,
-    kind: str,
-    kernel: TransitionKernel | None = None,
-    target: TransitionKernel | None = None,
-) -> _CellWeights:
-    """The cell at (i, j) of one dataset, weighted as :func:`_table_weights`
-    weighs a table of one replicate."""
-    cell = data.node_groups(j, i)
-    one = PathGroups(cell.paths, cell.counts[None], cell.sums[None])
-    return _table_weights(one, i, j, kind, kernel, target)
-
-
-def _estimates(weights: _CellWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each replicate's cell mean, variance and clip flag: the shared
-    reduction for all estimator families, with the same floating-point
-    sequence for every kind; unit weights clip strictly (see
-    :func:`_clip_variance`). The variance is sum(w * count * (c_2 +
-    delta^2)) / n (:attr:`_CellWeights.moments`); the known-source estimator's
-    adds mean^2 (1 - weight total)."""
-    weights.check_support()
-    mean, total, delta, c2, _, _ = weights.moments
-    variance = _path_sum(weights.ratio * weights.cell.counts * (c2 + delta * delta)) / weights.n
-    if weights.kind == KIND_WEIGHTED:
-        variance = variance + mean * mean * (1.0 - total)
-    variance, clipped = _clip_variance(variance, weights.kind == KIND_NAIVE)
-    return mean, variance, clipped
-
-
-def _estimate(weights: _CellWeights, target_id: str = "") -> CellEstimate:
-    """The estimate of a one-replicate cell (see :func:`_estimates`)."""
-    (mean,), (variance,), (clipped,) = _estimates(weights)
-    return CellEstimate(
-        weights.node, int(weights.n[0]), float(mean), float(variance), weights.kind,
-        target_id, bool(clipped),
-    )
+        cond_q, supported = conditional_path_probabilities(kernel, paths, j)
+        checks += [null_event(kernel),
+                   outside(supported, lambda p: f"path {p} outside the source kernel's support")]
+        cond_t, _ = conditional_path_probabilities(target, paths, j)
+        checks.append(null_event(target))
+        ratio = np.divide(cond_t, cond_q, out=np.zeros(len(paths)), where=cond_q > 0.0)
+    elif kind == KIND_PLUGIN:
+        cond, supported = conditional_path_probabilities(target, paths, j)
+        checks += [null_event(target),
+                   outside(supported, lambda p: f"target measure excludes observed path {p}")]
+        ratio = np.divide(cond * column.at(n), counts, out=np.zeros(counts.shape), where=seen)
+        # the normalization is undefined where the observed paths do not carry
+        # all of the target conditional mass: refused, not renormalized
+        mass = column.sum(np.where(seen, cond, 0.0))
+        checks.append(_Check(
+            np.abs(mass - 1.0) > 1e-9, StatisticalError,
+            lambda r, l: f"observed paths through node {(l + 1, j)} carry target conditional "
+            f"mass {mass[r, l]:.6g}, not 1; support paths are missing from the data",
+            "support-incomplete",
+        ))
+    return replace(column, ratio=ratio, checks=tuple(checks))
 
 
 def cell_estimate(
@@ -269,5 +270,14 @@ def cell_estimate(
     target: TransitionKernel | None = None,
     target_id: str = "",
 ) -> CellEstimate:
-    """Full (mean, variance) estimate for one node under one estimator."""
-    return _estimate(_cell_weights(data, i, j, kind, kernel, target), target_id)
+    """Full (mean, variance) estimate for one node under one estimator: its
+    cell of the reduction of column j."""
+    data._check_node(j, i)
+    column = _column(data._table, data.spec.levels[j - 1], j, kind, kernel, target)
+    mean, variance, clipped, checks = column.estimates
+    l = i - 1
+    _raise_first([(column.checks + checks, l)])
+    return CellEstimate(
+        (i, j), int(column.n[0, l]), float(mean[0, l]), float(variance[0, l]), column.kind,
+        target_id, bool(clipped[0, l]),
+    )

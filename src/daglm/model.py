@@ -69,9 +69,6 @@ class DagSpec:
     def r_max(self) -> int:
         return max(self.levels) if self.levels else 0
 
-    def n_paths(self) -> int:
-        return math.prod(self.levels)
-
     def label(self, j: int, i: int) -> str:
         """Display label of node (i, j); falls back to the level number."""
         if self.labels is not None and 1 <= j <= len(self.labels):
@@ -343,15 +340,18 @@ def conditional_path_probability(
     """Probability of ``path`` given that the path passes through (i, j):
     one row of :func:`conditional_path_probabilities`."""
     nodes = validate_path(path, kernel.spec())
-    (prob,), _ = conditional_path_probabilities(kernel, np.array([nodes]), j, i)
+    if node_marginal(kernel, j, i) <= SUPPORT_ZERO:
+        raise _null_event(i, j)
+    (prob,), _ = conditional_path_probabilities(kernel, np.array([nodes]), j)
     return float(prob) if nodes[j - 1] == i else 0.0
 
 
 def conditional_path_probabilities(
-    kernel: TransitionKernel, paths: np.ndarray, j: int, i: int
+    kernel: TransitionKernel, paths: np.ndarray, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities of the rows of an (m, c) array of 1-based paths, all
-    passing through node (i, j), given that the path passes through (i, j).
+    """Probabilities of the rows of an (m, c) array of 1-based paths, each
+    given that the path passes through its own node of column j; 0 through
+    a null event (marginal at or below ``SUPPORT_ZERO``), which callers refuse.
 
     Also returns a mask of the paths in the kernel's support, decided
     entrywise as in :func:`enumerate_support_paths`: every factor of the
@@ -360,9 +360,6 @@ def conditional_path_probabilities(
     paths = np.asarray(paths, dtype=np.int64)
     if paths.shape[1:] != (kernel.c,) or ((paths < 1) | (paths > kernel.levels)).any():
         raise ModelError(f"paths do not fit the kernel's levels {kernel.levels}")
-    marginal = node_marginal(kernel, j, i)
-    if marginal <= SUPPORT_ZERO:
-        raise _null_event(i, j)
     rows = paths - 1
     factor = kernel.initial[rows[:, 0]]
     prob, supported = factor, factor > SUPPORT_ZERO
@@ -370,7 +367,9 @@ def conditional_path_probabilities(
         factor = step[rows[:, k], rows[:, k + 1]]
         prob = prob * factor
         supported = supported & (factor > SUPPORT_ZERO)
-    return prob / marginal, supported
+    marginal = kernel._marginals[_node_row(kernel.levels, j, 1) + rows[:, j - 1]]
+    reachable = marginal > SUPPORT_ZERO
+    return np.divide(prob, marginal, out=np.zeros(len(prob)), where=reachable), supported
 
 
 def enumerate_support_paths(
@@ -597,6 +596,7 @@ class QualityModel:
 
     nodes: dict[tuple[int, int], NodeQuality] = field(default_factory=dict)
     _references: dict[int, float] = field(init=False, repr=False, compare=False)
+    _prefix: list = field(init=False, repr=False, compare=False)
     _centred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pair: tuple | None = field(init=False, repr=False, compare=False, default=None)
@@ -607,19 +607,12 @@ class QualityModel:
         for (_, j), q in nodes.items():
             means.setdefault(j, []).append(q.mean_value)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_references", {j: sum(m) / len(m) for j, m in means.items()})
-
-    @classmethod
-    def gaussian_grid(cls, spec: DagSpec, means, variances) -> "QualityModel":
-        """Gaussian node at every (i, j) with the given per-node mean and
-        variance matrices (indexed [i-1, j-1])."""
-        means = np.asarray(means, dtype=float)
-        variances = np.asarray(variances, dtype=float)
-        nodes = {}
-        for j, r in enumerate(spec.levels, start=1):
-            for i in range(1, r + 1):
-                nodes[(i, j)] = gaussian(means[i - 1, j - 1], variances[i - 1, j - 1])
-        return cls(nodes)
+        references = {j: sum(m) / len(m) for j, m in means.items()}
+        prefix = [0]
+        for j in range(1, max(references, default=0) + 1):
+            prefix.append(prefix[-1] + references.get(j, 0.0))
+        object.__setattr__(self, "_references", references)
+        object.__setattr__(self, "_prefix", prefix)
 
     def node(self, i: int, j: int) -> NodeQuality:
         try:
@@ -652,8 +645,8 @@ class QualityModel:
         return self._tables[(levels, order)]
 
     def _reference(self, c: int) -> float:
-        """R, the sum of the references of columns 1..c."""
-        return sum(self._references.get(j, 0.0) for j in range(1, c + 1))
+        """R, the sum of the references of columns 1..c, added in order once."""
+        return self._prefix[min(c, len(self._prefix) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +729,11 @@ class PathGroups:
     (so column 1 is that rounding times the count). Centred sums do not
     cancel under a shift of the response (Chan, Golub & LeVeque 1983).
 
-    A table of replicates (a study's, :func:`_group_records`) puts a
-    leading replicate axis on ``counts`` (R, m) and ``sums``
-    (R, m, ORDER + 1); both are 0 on a path that a replicate never saw.
+    A table of replicates (a study's, :func:`_group_records`, or a
+    dataset's, :attr:`PathDataset._table`) puts a leading replicate axis on
+    ``counts`` (R, m) and ``sums`` (R, m, ORDER + 1); both are 0 on a path
+    that a replicate never saw. The estimators reduce a table one column at
+    a time, all of its levels at once.
     """
 
     ORDER = 4
@@ -747,19 +742,18 @@ class PathGroups:
     counts: np.ndarray
     sums: np.ndarray
 
-    def replicates(self, start: int, stop: int) -> "PathGroups":
-        """Replicates ``start`` to ``stop - 1`` of a table, over the union of
-        their own paths: the table of those replicates alone."""
-        counts = self.counts[start:stop]
-        seen = counts.any(axis=0)
-        return PathGroups(self.paths[seen], counts[:, seen], self.sums[start:stop, seen])
-
-    def through(self, j: int, i: int) -> "PathGroups":
-        """The paths through node (i, j), with their counts and sums."""
-        at = np.flatnonzero(self.paths[:, j - 1] == i)
-        return PathGroups(
-            self.paths[at], self.counts.take(at, axis=-1), self.sums.take(at, axis=-2)
-        )
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, ...]:
+        """Per path (and replicate): whether it has records, its mean as
+        rounded (0 where it has none), a_1, the rounding of that mean, and
+        the central moments c_2, c_3, c_4; computed on first use and kept."""
+        seen = self.counts > 0
+        count = np.where(seen, self.counts, 1)
+        a1, a2, a3, a4 = (self.sums[..., k] / count for k in range(1, 5))
+        c2 = a2 - a1 * a1
+        c3 = a3 - a1 * (3.0 * a2 - 2.0 * a1 * a1)
+        c4 = a4 - a1 * (4.0 * a3 - a1 * (6.0 * a2 - 3.0 * a1 * a1))
+        return seen, self.sums[..., 0] / count, a1, c2, c3, c4
 
 
 def _handed_over(array, dtype) -> np.ndarray:
@@ -807,7 +801,9 @@ class PathDataset:
         return self.paths.shape[0]
 
     def count(self, j: int, i: int) -> int:
-        return int(self.node_groups(j, i).counts.sum())
+        self._check_node(j, i)
+        groups = self.groups
+        return int(groups.counts[groups.paths[:, j - 1] == i].sum())
 
     def _check_node(self, j: int, i: int) -> None:
         if not 1 <= j <= self.spec.c or not 1 <= i <= self.spec.levels[j - 1]:
@@ -819,11 +815,11 @@ class PathDataset:
         kept, since the dataset never changes."""
         return _group_records(self.paths, self.responses, self.spec.levels)
 
-    def node_groups(self, j: int, i: int) -> PathGroups:
-        """The distinct observed paths through node (i, j) with their counts
-        and sums."""
-        self._check_node(j, i)
-        return self.groups.through(j, i)
+    @cached_property
+    def _table(self) -> PathGroups:
+        """The dataset as a table of one replicate."""
+        groups = self.groups
+        return PathGroups(groups.paths, groups.counts[None], groups.sums[None])
 
 
 def _joint_counts(data: PathDataset, columns: Sequence[int]) -> np.ndarray:

@@ -69,6 +69,7 @@ from .model import (
     _split,
     conditional_path_probabilities,
     kernels_equivalent,
+    node_marginal,
     support_path_array,
 )
 
@@ -118,7 +119,10 @@ def support_table(
     paths = support_path_array(kernels[0], j, i, cap)
     if not len(paths):
         return paths, [np.zeros(0) for _ in kernels], np.zeros((0, order + 1))
-    probs = [conditional_path_probabilities(k, paths, j, i)[0] for k in kernels]
+    for kernel in kernels:
+        if node_marginal(kernel, j, i) <= SUPPORT_ZERO:
+            raise _null_event(i, j)
+    probs = [conditional_path_probabilities(k, paths, j)[0] for k in kernels]
     return paths, probs, _path_moment_table(quality._centred_moments, paths, order)
 
 

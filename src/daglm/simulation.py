@@ -12,10 +12,12 @@ as it is drawn, keeping only the grouped counts and sums; the blocks
 join into one replicate x path table. Within a block every replicate still
 draws from its own stream exactly what :func:`sample_dataset`, the block of
 one replicate, draws. Estimates, asymptotic variances and intervals are
-then reduced for all replicates together, node by node. A replicate's row
-depends only on its own stream: it is the same bits as the single-dataset
-estimate, asymptotic variance and interval of that replicate, whichever
-other replicates the study holds.
+then reduced for all replicates together, one column at a time with all
+of its levels at once. A replicate's row depends only on its own stream:
+it is the same bits as the single-dataset estimate, asymptotic variance
+and interval of that replicate, whichever other replicates the study
+holds. Each check masks the cells it refuses, and a study raises the
+refusal that a loop over replicates, then nodes, then checks meets first.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DaglmError, DataError, ModelError, StatisticalError
-from .estimators import _estimates, _table_weights
+from .errors import DataError, ModelError, StatisticalError
+from .estimators import _column, _raise_first
 from .asymptotics import (
+    _avs,
     _closed_form,
     _kind_regime,
     _limits,
     _quantile,
-    _weights_avs,
 )
 from .model import (
     DagSpec,
@@ -288,31 +290,13 @@ def _replicate_table(config: ExperimentConfig) -> PathGroups:
     return PathGroups(union, counts, sums)
 
 
-def _per_node(table: PathGroups, nodes, reduce) -> dict:
-    """``reduce(table, node)`` at every node. A refusal is raised where a
-    loop over replicates, and over nodes within each, meets its first one:
-    at the lowest replicate that any node refuses and the first node that
-    refuses it, with the refusal of that replicate's own reduction."""
-    out, refusals = {}, []
-    for k, node in enumerate(nodes):
-        try:
-            out[node] = reduce(table, node)
-        except DaglmError:
-            # replicates are independent: bisect for the shortest refusing
-            # prefix, which ends at the node's first refusing replicate
-            lo, hi = 0, len(table.counts)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    reduce(table.replicates(0, mid), node)
-                    lo = mid
-                except DaglmError:
-                    hi = mid
-            refusals.append((hi - 1, k))
-    if refusals:
-        rep, k = min(refusals)
-        reduce(table.replicates(rep, rep + 1), nodes[k])  # raises
-    return out
+def _per_column(config: ExperimentConfig, kind: str, target: TransitionKernel, nodes,
+                reduce) -> dict:
+    """``reduce`` of the reduction of each column that holds a study node,
+    over the replicate table of the study, one column after another."""
+    table = _replicate_table(config)
+    return {j: reduce(_column(table, config.spec.levels[j - 1], j, kind, config.kernel, target))
+            for j in dict.fromkeys(j for _, j in nodes)}
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +366,16 @@ def coverage_study(
 
     z = _quantile(level)
 
-    def reduce(table, node):
-        i, j = node
-        weights = _table_weights(table.through(j, i), i, j, kind, config.kernel, target)
-        av = _weights_avs(weights, which)
-        mean, variance, _ = _estimates(weights)
+    def reduce(column):
+        mean, variance, _, checks = column.estimates
+        av = _avs(column, which)
         point = mean if which == "mean" else variance
-        return (point, *_limits(node, point, av.value, weights.n, z))
+        return (column.checks + av.checks + checks + (av.finite,), point,
+                *_limits(point, av.value, column.size, z))
 
-    rows = _per_node(_replicate_table(config), nodes, reduce)
-    est = {node: rows[node][0] for node in nodes}
-    low = {node: rows[node][1] for node in nodes}
-    up = {node: rows[node][2] for node in nodes}
+    columns = _per_column(config, kind, target, nodes, reduce)
+    _raise_first([(columns[j][0], i - 1) for i, j in nodes])
+    est, low, up = ({(i, j): columns[j][k][:, i - 1] for i, j in nodes} for k in (1, 2, 3))
     cov = {node: (low[node] <= targets[node]) & (targets[node] <= up[node])
            for node in nodes}
     return CoverageResult(
@@ -458,14 +440,15 @@ def anscombe_study(
         for i, j in nodes
     }
 
-    def reduce(table, node):
-        i, j = node
-        weights = _table_weights(table.through(j, i), i, j, kind, config.kernel, target)
-        mean, variance, _ = _estimates(weights)
+    def reduce(column):
+        mean, variance, _, checks = column.estimates
         value = mean if which == "mean" else variance
-        return np.sqrt(weights.n) * (value - grid[i - 1, j - 1])
+        return (column.checks + checks,
+                np.sqrt(column.n) * (value - grid[: column.n.shape[1], column.j - 1]))
 
-    raw = _per_node(_replicate_table(config), nodes, reduce)
+    columns = _per_column(config, kind, target, nodes, reduce)
+    _raise_first([(columns[j][0], i - 1) for i, j in nodes])
+    raw = {(i, j): columns[j][1][:, i - 1] for i, j in nodes}
     out = {}
     for node in nodes:
         av = avs[node]

@@ -19,9 +19,20 @@ def demo_kernel():
     )
 
 
+def gaussian_grid(spec, means, variances):
+    """Quality model with a Gaussian node at every (i, j) of ``spec``, of
+    the given per-node mean and variance (matrices indexed [i-1, j-1])."""
+    means = np.asarray(means, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    return daglm.QualityModel({
+        (i, j): daglm.NodeQuality.gaussian(means[i - 1, j - 1], variances[i - 1, j - 1])
+        for j, r in enumerate(spec.levels, start=1) for i in range(1, r + 1)
+    })
+
+
 @pytest.fixture(scope="session")
 def demo_quality(demo_spec):
-    return daglm.QualityModel.gaussian_grid(
+    return gaussian_grid(
         demo_spec,
         means=[[0.0, 1.0], [-2.0, 2.0]],
         variances=[[2.0, 1.0], [1.0, 1.0]],

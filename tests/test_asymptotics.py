@@ -9,7 +9,6 @@ from daglm.asymptotics import (
     PSD_ATOL,
     REGIME_KNOWN,
     REGIME_UNKNOWN,
-    _weights_avs,
     asym_var_mean_known,
     asym_var_mean_unknown,
     asym_var_variance_known,
@@ -18,9 +17,9 @@ from daglm.asymptotics import (
     normal_quantile,
     plugin_asym_var,
 )
-from daglm.estimators import _cell_weights, cell_estimate
+from daglm.estimators import cell_estimate
 
-from conftest import random_model
+from conftest import gaussian_grid, random_model
 
 
 def test_mean_known_equals_conditional_variance_when_targets_match(
@@ -96,7 +95,8 @@ def _av(name, kernel, target, quality, data, i, j):
         return CLOSED_FORMS[name](kernel, target, quality, i, j)
     kind, which = name.split("-")
     if kind == "naive":
-        return _weights_avs(_cell_weights(data, i, j, "naive"), which).row()
+        # the known-source regime with the source kernel as the target
+        return plugin_asym_var(data, kernel, i, j, which, REGIME_KNOWN, kernel=kernel)
     return plugin_asym_var(data, target, i, j, which, PLUG_IN_REGIMES[kind], kernel=kernel)
 
 
@@ -135,7 +135,7 @@ def test_asym_var_variance_unknown_memory_is_linear_in_paths():
     # would take 12.5 MB
     spec = daglm.DagSpec(levels=(5,) * 5)
     uniform = daglm.uniform_kernel(spec)
-    quality = daglm.QualityModel.gaussian_grid(
+    quality = gaussian_grid(
         spec, means=np.arange(25.0).reshape(5, 5), variances=np.ones((5, 5))
     )
     tracemalloc.start()
@@ -173,7 +173,8 @@ def test_plugin_asym_var_requires_replicated_paths(demo_spec, demo_uniform):
 
 def test_naive_asym_var_is_conditional_variance(demo_config):
     data = daglm.sample_dataset(demo_config, 0)
-    av = _weights_avs(_cell_weights(data, 1, 2, "naive"), "mean").row()
+    kernel = demo_config.kernel
+    av = plugin_asym_var(data, kernel, 1, 2, "mean", REGIME_KNOWN, kernel=kernel)
     sel = data.responses[data.paths[:, 1] == 1]  # node (1, 2)
     assert av.value == pytest.approx(float(np.var(sel)), rel=1e-12)
 

@@ -392,6 +392,48 @@ def test_support_incomplete_rows_flagged(capsys, tmp_path):
         assert row["difference"] is None and row["se"] is None
 
 
+def test_flagged_cells_are_noted_on_stderr_in_node_order(capsys, tmp_path):
+    # in both columns, level 1 has a path seen once (no plug-in asymptotic
+    # variance), level 2 carries half of its target mass, and level 3,
+    # which the target never visits, has no data
+    levels = {"columns": [3, 3], "schema_version": 1}
+    model = levels | {"labels": [["a1", "a2", "a3"], ["b1", "b2", "b3"]],
+                      "initial": [0.4, 0.4, 0.2], "steps": [[[0.4, 0.4, 0.2]] * 3]}
+    target = levels | {"initial": [0.5, 0.5, 0.0], "steps": [[[0.5, 0.5, 0.0]] * 3]}
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    (tmp_path / "target.json").write_text(json.dumps(target), encoding="utf-8")
+    data_path = tmp_path / "flags.csv"
+    data_path.write_text("f1,f2,y\na1,b1,1\na1,b1,2.5\na1,b2,4\na2,b1,0.5\n",
+                         encoding="utf-8")
+    seen_once = "insufficient per-path replication for plug-in asymptotics; paths seen once"
+    missing = ("carry target conditional mass 0.5, not 1; support paths are missing "
+               "from the data")
+    notes = (f"note: node (1, 1): {seen_once}: [(1, 2)]\n" * 2
+             + f"note: observed paths through node (2, 1) {missing}\n"
+             + f"note: node (1, 2): {seen_once}: [(2, 1)]\n" * 2
+             + f"note: observed paths through node (2, 2) {missing}\n")
+    flags = ["--data", data_path, "--model", tmp_path / "model.json",
+             "--target-kernel", tmp_path / "target.json", "--estimator", "plugin"]
+
+    code, out, err = run(["estimate", *flags], capsys)
+    assert (code, err) == (0, notes)
+    cell_flags = {1: ["mean-ci-unavailable", "variance-ci-unavailable"],
+                  2: ["support-incomplete"], 3: ["no-data"]}
+    assert [(r["column"], r["level_index"], r["flags"]) for r in json.loads(out)["rows"]] == [
+        (j, i, cell_flags[i]) for j in (1, 2) for i in (1, 2, 3)
+    ]
+
+    code, out, err = run(["compare", *flags], capsys)
+    assert (code, err) == (0, notes)
+    pair_flags = {(1, 2): ["support-incomplete"], (1, 3): ["no-data"],
+                  (2, 3): ["no-data", "support-incomplete"]}
+    assert [(r["column"], r["level_a"], r["level_b"], r["which"], r["flags"])
+            for r in json.loads(out)["rows"]] == [
+        (j, a, b, which, pair_flags[(a, b)])
+        for j in (1, 2) for a, b in pair_flags for which in ("mean", "variance")
+    ]
+
+
 def count_calls(monkeypatch, fn):
     """Count calls to ``fn`` from every daglm module that binds it."""
     calls = []
@@ -407,12 +449,13 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
-@pytest.mark.parametrize("estimator, per_cell", [("plugin", 1), ("weighted", 2)])
+@pytest.mark.parametrize("estimator, per_column", [("plugin", 1), ("weighted", 2)])
 def test_estimate_computes_each_cells_weights_once(
-    capsys, monkeypatch, workdir, tmp_path, estimator, per_cell
+    capsys, monkeypatch, workdir, tmp_path, estimator, per_column
 ):
-    # the point estimate and both asymptotic variances share one weights
-    # pass per cell; the weighted kind needs the source and the target
+    # the point estimates and both asymptotic variances of every cell of a
+    # column share one weights pass per column; the weighted kind needs the
+    # source and the target
     data_path = tmp_path / "sim.csv"
     assert run(["simulate", "--config", workdir / "demo_config.json",
                 "--out", data_path], capsys)[0] == 0
@@ -425,7 +468,7 @@ def test_estimate_computes_each_cells_weights_once(
     assert code == 0, err
     cells = [r for r in json.loads(out)["rows"] if r["count"] > 0]
     assert len(cells) == 4
-    assert len(calls) == per_cell * len(cells)
+    assert len(calls) == per_column * len({r["column"] for r in cells})
 
 
 def test_compare_report_and_pair_restriction(capsys, workdir):

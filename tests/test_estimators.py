@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import daglm
-from daglm import ModelError, NoDataError, StatisticalError
-from daglm.asymptotics import _weights_avs
-from daglm.estimators import _cell_weights, cell_estimate
+from daglm import REGIME_KNOWN, ModelError, NoDataError, StatisticalError
+from daglm.estimators import cell_estimate
 
 from conftest import random_model
 
@@ -30,6 +29,28 @@ def plugin_cell(data, target, i, j):
     return cell_estimate(data, i, j, "plugin", target=target)
 
 
+def naive_av(data, kernel, i, j, which):
+    """The naive estimator's plug-in asymptotic variance: the known-source
+    regime with the source kernel as the target, so that every ratio is 1."""
+    return daglm.plugin_asym_var(data, kernel, i, j, which, REGIME_KNOWN, kernel=kernel)
+
+
+def with_responses(data, responses):
+    return daglm.PathDataset(data.spec, data.paths, responses)
+
+
+def path_weights(data, i, j, kind, kernel=None, target=None):
+    """Each observed path's per-record weight in the estimate at node (i, j):
+    the estimated mean of the path's indicator response, times the cell's
+    record count over the path's."""
+    weights = {}
+    for path in np.unique(data.paths[data.paths[:, j - 1] == i], axis=0):
+        on = (data.paths == path).all(axis=1)
+        est = cell_estimate(with_responses(data, on.astype(float)), i, j, kind, kernel, target)
+        weights[tuple(path.tolist())] = est.mean * est.count / on.sum()
+    return weights
+
+
 @pytest.fixture
 def tiny(demo_spec):
     # node (1, col 2) sees paths (1,1) twice and (2,1) once
@@ -44,11 +65,12 @@ def node_sums(data):
     the dataset's path groups."""
     B = np.zeros((data.spec.r_max, data.spec.c))
     V = np.zeros((data.spec.r_max, data.spec.c))
+    groups = data.groups
     for j, r in enumerate(data.spec.levels, start=1):
         for i in range(1, r + 1):
-            cell = data.node_groups(j, i)
-            V[i - 1, j - 1] = cell.counts.sum()
-            B[i - 1, j - 1] = cell.sums[:, 0].sum()
+            at = groups.paths[:, j - 1] == i
+            V[i - 1, j - 1] = groups.counts[at].sum()
+            B[i - 1, j - 1] = groups.sums[at, 0].sum()
     return B, V
 
 
@@ -119,17 +141,17 @@ def test_no_data_signal(demo_spec):
 
 def test_measure_change_ratio_values(tiny, demo_kernel, demo_uniform):
     # the weighted estimator's per-path ratio at node (1, col 2)
-    weights = _cell_weights(tiny, 1, 2, "weighted", demo_kernel, demo_uniform)
-    assert weights.cell.paths.tolist() == [[1, 1], [2, 1]]
-    np.testing.assert_allclose(weights.ratio, [2 / 3, 2.0], rtol=1e-15)
+    weights = path_weights(tiny, 1, 2, "weighted", demo_kernel, demo_uniform)
+    assert list(weights) == [(1, 1), (2, 1)]
+    np.testing.assert_allclose(list(weights.values()), [2 / 3, 2.0], rtol=1e-15)
 
 
 def test_measure_change_ratio_identity(demo_spec, demo_kernel):
     data = make_data(demo_spec, [(path, 0.0) for path in [(1, 1), (1, 2), (2, 1), (2, 2)]])
     for j in (1, 2):
         for i in (1, 2):
-            weights = _cell_weights(data, i, j, "weighted", demo_kernel, demo_kernel)
-            assert weights.ratio.tolist() == [1.0, 1.0]
+            weights = path_weights(data, i, j, "weighted", demo_kernel, demo_kernel)
+            assert list(weights.values()) == [1.0, 1.0]
 
 
 def test_measure_change_ratio_errors(tiny, demo_kernel):
@@ -138,7 +160,7 @@ def test_measure_change_ratio_errors(tiny, demo_kernel):
         steps=(np.array([[1.0, 0.0], [0.0, 1.0]]),),
     )
     with pytest.raises(ModelError, match="not equivalent"):
-        _cell_weights(tiny, 1, 1, "weighted", demo_kernel, blocked)
+        cell_estimate(tiny, 1, 1, "weighted", demo_kernel, blocked)
 
 
 def test_weighted_mean_hand_computed(tiny, demo_kernel, demo_uniform):
@@ -168,8 +190,7 @@ def test_weighted_equals_naive_same_kernel(demo_data, demo_kernel):
 
 def plugin_ratio(data, target, i, j):
     """The plug-in estimator's per-path ratio at node (i, j), by path."""
-    weights = _cell_weights(data, i, j, "plugin", target=target)
-    return dict(zip(map(tuple, weights.cell.paths.tolist()), weights.ratio[0].tolist()))
+    return path_weights(data, i, j, "plugin", target=target)
 
 
 def test_empirical_ratio_balanced(demo_spec, demo_uniform):
@@ -193,10 +214,9 @@ def test_empirical_ratio_unseen_path(demo_spec, demo_uniform):
     # an unseen path through the node has no weight; the cell is refused
     rows = [((1, 1), 0.0), ((1, 2), 0.0)]
     data = make_data(demo_spec, rows)
-    weights = _cell_weights(data, 1, 2, "plugin", target=demo_uniform)
-    assert weights.cell.paths.tolist() == [[1, 1]]
+    assert naive_cell(data, 1, 2).count == 1
     with pytest.raises(StatisticalError, match="missing from the data"):
-        weights.check_support()
+        plugin_cell(data, demo_uniform, 1, 2)
 
 
 def test_empirical_ratio_converges_to_exact(demo_config, demo_kernel, demo_uniform):
@@ -205,10 +225,10 @@ def test_empirical_ratio_converges_to_exact(demo_config, demo_kernel, demo_unifo
         n=200_000, seed=41,
     )
     data = daglm.sample_dataset(config, 0)
-    exact = _cell_weights(data, 1, 2, "weighted", demo_kernel, demo_uniform)
-    est = _cell_weights(data, 1, 2, "plugin", target=demo_uniform)
-    assert exact.cell.paths.tolist() == [[1, 1], [2, 1]]
-    np.testing.assert_allclose(est.ratio[0], exact.ratio, rtol=0.02)
+    exact = path_weights(data, 1, 2, "weighted", demo_kernel, demo_uniform)
+    est = path_weights(data, 1, 2, "plugin", target=demo_uniform)
+    assert list(exact) == list(est) == [(1, 1), (2, 1)]
+    np.testing.assert_allclose(list(est.values()), list(exact.values()), rtol=0.02)
 
 
 def test_plugin_equals_naive_when_target_is_empirical(demo_spec):
@@ -317,21 +337,17 @@ def test_plugin_weights_average_to_one(seed):
         spec=spec, kernel=kernel, quality=quality, n=600, seed=seed
     )
     data = daglm.sample_dataset(config, 0)
+    # the estimated mean of a response of 1 is the record mean of the weights
+    ones = with_responses(data, np.ones(data.n))
     for j in range(1, spec.c + 1):
         for i in range(1, spec.levels[j - 1] + 1):
             if data.count(j, i) == 0:
                 continue
             try:
-                weights = _cell_weights(data, i, j, "plugin", target=target)
-                weights.check_support()
+                est = plugin_cell(ones, target, i, j)
             except StatisticalError:
                 continue  # support not exhausted at this n; checked elsewhere
-            # one weight per distinct path: the count-weighted mean is the
-            # mean over records
-            cell, w = weights.cell, weights.ratio
-            assert np.sum(cell.counts * w) / cell.counts.sum() == pytest.approx(
-                1.0, abs=1e-9
-            )
+            assert est.mean == pytest.approx(1.0, abs=1e-9)
 
 
 def _known_av_per_record(b, w, which):
@@ -415,7 +431,7 @@ def test_per_path_reductions_match_per_record_formulas(seed):
                 assert est.mean == pytest.approx(mean, **close)
                 assert est.variance == pytest.approx(max(variance, 0.0), **close)
             for which in ("mean", "variance"):
-                naive = _weights_avs(_cell_weights(data, i, j, "naive"), which).row()
+                naive = naive_av(data, kernel, i, j, which)
                 assert naive.value == pytest.approx(
                     max(_known_av_per_record(b, weights["naive"], which), 0.0), **close
                 )
@@ -459,8 +475,7 @@ def test_estimates_under_a_shift_of_the_response(seed, shift):
 
     def avs(d, kind, i, j):
         if kind == "naive":
-            return [_weights_avs(_cell_weights(d, i, j, "naive"), which).row().value
-                    for which in ("mean", "variance")]
+            return [naive_av(d, kernel, i, j, which).value for which in ("mean", "variance")]
         return [daglm.plugin_asym_var(d, target, i, j, which).value
                 for which in ("mean", "variance")]
 
@@ -468,8 +483,9 @@ def test_estimates_under_a_shift_of_the_response(seed, shift):
         for i in range(1, spec.levels[j - 1] + 1):
             if base.count(j, i) == 0:
                 continue
-            weights = _cell_weights(base, i, j, "weighted", kernel, target)
-            total = np.sum(weights.ratio * weights.cell.counts) / weights.n[0]
+            # the weight total sum(w * count) / n is the weighted mean of 1
+            ones = with_responses(base, np.ones(base.n))
+            total = cell_estimate(ones, i, j, "weighted", kernel, target).mean
             known = [cell_estimate(d, i, j, "weighted", kernel, target) for d in (base, moved)]
             assert known[1].mean == pytest.approx(known[0].mean + shift * total, rel=1e-12)
             for kind in ("naive", "plugin"):

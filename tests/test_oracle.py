@@ -29,7 +29,7 @@ from daglm.oracle import (
     verify_measure_change,
 )
 
-from conftest import random_model
+from conftest import gaussian_grid, random_model
 
 CLOSED_FORMS = {
     "mean_known": asym_var_mean_known,
@@ -81,7 +81,7 @@ def test_exact_conditional_moments_null_event():
         initial=np.array([1.0, 0.0]),
         steps=(np.array([[1.0, 0.0], [0.5, 0.5]]),),
     )
-    quality = daglm.QualityModel.gaussian_grid(
+    quality = gaussian_grid(
         daglm.DagSpec(levels=(2, 2)),
         means=np.zeros((2, 2)),
         variances=np.ones((2, 2)),
@@ -147,7 +147,7 @@ def test_exact_targets_unreachable_nodes_nan():
         initial=np.array([1.0, 0.0]),
         steps=(np.array([[0.5, 0.5], [0.5, 0.5]]),),
     )
-    quality = daglm.QualityModel.gaussian_grid(
+    quality = gaussian_grid(
         daglm.DagSpec(levels=(2, 2)),
         means=np.zeros((2, 2)),
         variances=np.ones((2, 2)),
@@ -572,7 +572,7 @@ def test_targets_refuse_as_the_first_refusing_node(seed, pick):
 
 def test_targets_refuse_a_target_of_another_shape():
     spec = daglm.DagSpec(levels=(2, 2))
-    quality = daglm.QualityModel.gaussian_grid(spec, np.zeros((2, 2)), np.ones((2, 2)))
+    quality = gaussian_grid(spec, np.zeros((2, 2)), np.ones((2, 2)))
     other = daglm.uniform_kernel(daglm.DagSpec(levels=(3, 2)))
     with pytest.raises(ModelError, match=r"kernel shape mismatch: \(2, 2\) vs \(3, 2\)"):
         exact_estimator_targets(daglm.uniform_kernel(spec), other, quality)
@@ -592,7 +592,7 @@ def grid_model(rng, c, r):
     )
     mu = rng.normal(0.0, 2.0, size=(r, c))
     var = rng.uniform(0.5, 2.0, size=(r, c))
-    return spec, kernel, mu, var, daglm.QualityModel.gaussian_grid(spec, mu, var)
+    return spec, kernel, mu, var, gaussian_grid(spec, mu, var)
 
 
 def test_recursion_beyond_the_enumeration_cap():
@@ -600,7 +600,7 @@ def test_recursion_beyond_the_enumeration_cap():
     # gives every target and every closed form
     spec, kernel, mu, var, quality = grid_model(np.random.default_rng(2026), 10, 6)
     uniform = daglm.uniform_kernel(spec)
-    assert spec.n_paths() > daglm.model.ENUMERATION_CAP
+    assert math.prod(spec.levels) > daglm.model.ENUMERATION_CAP
     with pytest.raises(ModelError, match="exceeds cap"):
         exact_conditional_moments(uniform, quality, 1, 1)
 

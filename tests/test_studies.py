@@ -14,16 +14,17 @@ import daglm
 from daglm import simulation
 from daglm.asymptotics import (
     REGIME_KNOWN,
-    _weights_avs,
+    _avs,
+    _limits,
     confidence_interval,
     plugin_asym_var,
 )
 from daglm.errors import DaglmError
-from daglm.estimators import _cell_weights, _estimate, cell_estimate
+from daglm.estimators import _column, cell_estimate
 from daglm.model import PathGroups
 from daglm.oracle import exact_estimator_targets
 
-from conftest import random_model
+from conftest import gaussian_grid, random_model
 
 KINDS = ("naive", "weighted", "plugin")
 WHICH = ("mean", "variance")
@@ -46,6 +47,20 @@ def stack(groups):
     return PathGroups(union, counts, sums)
 
 
+def interval(data, i, j, kind, kernel, target, which, level):
+    """The interval of the ``which`` estimate of one dataset at node (i, j),
+    from the per-node functions, called in the order in which a study
+    checks a cell: the asymptotic variance, then the estimate, then the
+    interval. The naive estimator's variance is the known-source regime
+    with the source kernel as the target, so that every ratio is 1."""
+    if kind == "plugin":
+        av = plugin_asym_var(data, target, i, j, which)
+    else:
+        av = plugin_asym_var(data, kernel if kind == "naive" else target, i, j, which,
+                             REGIME_KNOWN, kernel)
+    return confidence_interval(cell_estimate(data, i, j, kind, kernel, target), av, level)
+
+
 def loop_coverage(config, kind="plugin", level=None, which="mean"):
     """coverage_study as one pass per replicate and node."""
     if level is None:
@@ -65,9 +80,7 @@ def loop_coverage(config, kind="plugin", level=None, which="mean"):
     for rep in range(config.replicates):
         data = simulation.sample_dataset(config, rep)
         for i, j in nodes:
-            weights = _cell_weights(data, i, j, kind, config.kernel, target)
-            av = _weights_avs(weights, which).row()
-            ci = confidence_interval(_estimate(weights), av, level)
+            ci = interval(data, i, j, kind, config.kernel, target, which, level)
             est[(i, j)][rep] = ci.point
             low[(i, j)][rep] = ci.lower
             up[(i, j)][rep] = ci.upper
@@ -100,9 +113,7 @@ def loop_refusals(config, kind, which):
         data = simulation.sample_dataset(config, rep)
         for i, j in simulation._study_nodes(config):
             try:
-                weights = _cell_weights(data, i, j, kind, config.kernel, target)
-                av = _weights_avs(weights, which).row()
-                confidence_interval(_estimate(weights), av, config.level)
+                interval(data, i, j, kind, config.kernel, target, which, config.level)
             except DaglmError as exc:
                 out.append((rep, (i, j), exc))
     return out
@@ -300,14 +311,7 @@ def test_study_row_is_the_single_dataset_interval(demo_config, kind, which):
     for rep in range(config.replicates):
         data = simulation.sample_dataset(config, rep)
         for i, j in result.nodes:
-            cell = cell_estimate(data, i, j, kind, config.kernel, target)
-            if kind == "naive":
-                av = _weights_avs(_cell_weights(data, i, j, "naive"), which).row()
-            elif kind == "weighted":
-                av = plugin_asym_var(data, target, i, j, which, REGIME_KNOWN, config.kernel)
-            else:
-                av = plugin_asym_var(data, target, i, j, which)
-            ci = confidence_interval(cell, av, config.level)
+            ci = interval(data, i, j, kind, config.kernel, target, which, config.level)
             for field in ("point", "lower", "upper"):
                 rows[((i, j), field)][rep] = getattr(ci, field)
     for node in result.nodes:
@@ -325,7 +329,7 @@ def rare_level_config(replicates):
     initial = np.full(10, (1.0 - 2e-4) / 9)
     initial[0] = 2e-4
     kernel = daglm.TransitionKernel(initial=initial, steps=(np.full((10, 2), 0.5),))
-    quality = daglm.QualityModel.gaussian_grid(
+    quality = gaussian_grid(
         spec, means=np.arange(20.0).reshape(10, 2) * 0.3 - 2.0, variances=np.ones((10, 2))
     )
     return daglm.ExperimentConfig(
@@ -347,6 +351,59 @@ def test_study_rows_do_not_depend_on_the_other_replicates(kind, which):
         for field in ("estimates", "lowers", "uppers", "covered"):
             assert np.array_equal(getattr(a, field)[node],
                                   getattr(b, field)[node][:100]), (node, field)
+
+
+# ---------------------------------------------------------------------------
+# a column's reduction: each cell is the reduction of its own paths
+
+def through(table, j, i):
+    """The table of the paths through node (i, j) alone."""
+    at = table.paths[:, j - 1] == i
+    return PathGroups(table.paths[at], table.counts[:, at], table.sums[:, at])
+
+
+def cell_outcomes(column, which, l):
+    """Everything the reduction of a column gives at level l, replicate by
+    replicate: the values as bytes, and the type and text of each refusal."""
+    mean, variance, clipped, estimate_checks = column.estimates
+    av = _avs(column, which)
+    point = mean if which == "mean" else variance
+    lower, upper = _limits(point, av.value, column.size, 1.96)
+    checks = column.checks + av.checks + tuple(estimate_checks) + (av.finite,)
+    out = []
+    for r in range(len(column.n)):
+        row = av.row(r, l)
+        values = np.array([column.n[r, l], mean[r, l], variance[r, l], av.value[r, l],
+                           lower[r, l], upper[r, l]])
+        out.append((
+            values.tobytes(), bool(clipped[r, l]), row.blocks.tobytes(),
+            row.contraction.tobytes(), row.clipped,
+            [(c.error, c.message(r, l)) for c in checks if c.mask[r, l]],
+        ))
+    return out
+
+
+@given(
+    seed=st.integers(0, 100_000),
+    sparsify=st.sampled_from([0.0, 0.3]),
+    n=st.sampled_from([4, 30, 300]),
+    replicates=st.integers(2, 6),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_cell_is_the_table_of_its_own_paths(seed, sparsify, n, replicates):
+    # each cell sum adds its paths in path order, so the paths of other
+    # nodes, and paths that a replicate never saw, change no bit of a cell
+    config = random_config(seed, sparsify, n, replicates)
+    table = simulation._replicate_table(config)
+    for kind in KINDS:
+        target = simulation._effective_target(config, kind)
+        for j, width in enumerate(config.spec.levels, start=1):
+            whole = _column(table, width, j, kind, config.kernel, target)
+            for i in range(1, width + 1):
+                alone = _column(through(table, j, i), width, j, kind, config.kernel, target)
+                for which in WHICH:
+                    assert cell_outcomes(whole, which, i - 1) == \
+                        cell_outcomes(alone, which, i - 1), (kind, which, i, j)
 
 
 # ---------------------------------------------------------------------------
