@@ -18,10 +18,10 @@ checked for sign on its own; no dense matrix is formed.
 
 The plug-in forms reduce the observed paths through the cell (share of
 records, ratio, central moments, offset from the mean) in a table with one
-row per replicate: one dataset is a table of one row, a Monte-Carlo study
-has a row for each of its replicates, and every check and value is computed
-row by row. The naive estimators are the known-source regime with unit
-ratios.
+entry per (replicate, path) pair that holds records: one dataset is the
+table of one replicate, a Monte-Carlo study holds all of its replicates,
+and every check and value is computed cell by cell. The naive estimators
+are the known-source regime with unit ratios.
 
 The closed forms (:func:`_closed_form`, behind the four ``asym_var_*``)
 fold every regime into one block per node. Its entries are sums over the
@@ -48,7 +48,6 @@ from .estimators import (
     _Check,
     _Column,
     _column,
-    _flagged,
     _raise_first,
 )
 from .model import (
@@ -182,6 +181,12 @@ def asym_var_variance_unknown(
     return _closed_form(kernel, target, quality, i, j, "variance", REGIME_UNKNOWN)
 
 
+def _check_which(which: str) -> None:
+    """Refuse a statistic other than the cell mean and variance."""
+    if which not in ("mean", "variance"):
+        raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
+
+
 def _kind_regime(kind: str) -> str:
     """The regime of an estimator kind's asymptotics: only the plugin
     estimator's ratios are estimated from the data."""
@@ -192,8 +197,8 @@ def _kind_regime(kind: str) -> str:
 class _ColumnAV:
     """The plug-in asymptotic variance of the ``which`` estimate at every
     cell of a column: the clipped values (R, r); the 1x1 blocks, one per
-    cell (known source) or one per path (unknown source, (R, m), of weight
-    the path's ratio); the refusals of the variance, and that of an
+    cell (known source) or one per table entry (unknown source, (E,), of
+    weight the entry's ratio); the refusals of the variance, and that of an
     interval from it (``finite``)."""
 
     column: _Column
@@ -210,8 +215,8 @@ class _ColumnAV:
         if self.regime == REGIME_KNOWN:
             blocks, weights = np.array([[self.blocks[r, l]]]), np.ones(1)
         else:
-            at = self.column.level == l
-            blocks, weights = self.blocks[r, at][:, None], self.column.ratio[r, at]
+            at = (self.column.level == l) & (self.column.table.replicate == r)
+            blocks, weights = self.blocks[at][:, None], self.column.ratio[at]
         return AsymptoticVariance((l + 1, self.column.j), self.which, self.regime,
                                   float(self.value[r, l]), _frozen(blocks), _frozen(weights),
                                   bool(self.clipped[r, l]))
@@ -231,10 +236,8 @@ def _avs(column: _Column, which: str) -> _ColumnAV:
     at their own magnitude (at least 1): a block counts as negative below
     -PSD_ATOL, the value below -PSD_ATOL times the largest block magnitude
     of its cell."""
-    if which not in ("mean", "variance"):
-        raise ModelError(f"which must be 'mean' or 'variance', got {which!r}")
-    ratio, counts, paths, level, j = (column.ratio, column.table.counts, column.table.paths,
-                                      column.level, column.j)
+    _check_which(which)
+    ratio, counts, j = column.ratio, column.table.counts, column.j
     mu, total, delta, c2, c3, c4 = column.moments
     within = c2 if which == "mean" else c4 + 4.0 * delta * (c3 + delta * c2) - c2 * c2
     prob = counts / column.at(column.size)
@@ -251,12 +254,12 @@ def _avs(column: _Column, which: str) -> _ColumnAV:
         checks.append(_Check(
             column.sum(once) > 0, StatisticalError,
             lambda r, l: "insufficient per-path replication for plug-in asymptotics; "
-            f"paths seen once: {_flagged(paths, level, once, r, l)}",
+            f"paths seen once: {column.flagged(once, r, l)}",
         ))
         blocks = prob * within
         lowest, scale = np.full(column.n.shape, np.inf), np.ones(column.n.shape)
-        np.minimum.at(lowest.ravel(), column.cells, blocks.ravel())
-        np.maximum.at(scale.ravel(), column.cells, np.abs(blocks).ravel())
+        np.minimum.at(lowest.ravel(), column.cells, blocks)
+        np.maximum.at(scale.ravel(), column.cells, np.abs(blocks))
         value = column.sum(ratio * blocks * ratio)
     checks += [
         _Check(lowest < -PSD_ATOL, StatisticalError,
@@ -294,8 +297,8 @@ def plugin_asym_var(
         kind = KIND_PLUGIN
     else:
         raise ModelError(f"unknown regime {regime!r}")
-    data._check_node(j, i)
-    column = _column(data._table, data.spec.levels[j - 1], j, kind, kernel, target)
+    data.spec._check_node(j, i)
+    column = _column(data.groups, data.spec.levels[j - 1], j, kind, kernel, target)
     av = _avs(column, which)
     _raise_first([(column.checks + av.checks, i - 1)])
     return av.row(0, i - 1)

@@ -310,7 +310,7 @@ def _estimate_rows(args, spec, data, model, nodes):
     z = _quantile(args.level)
     columns = {}
     for j in dict.fromkeys(j for _, j in nodes):
-        column = _column(data._table, spec.levels[j - 1], j, kind, source, target)
+        column = _column(data.groups, spec.levels[j - 1], j, kind, source, target)
         columns[j] = column, column.estimates, [_avs(column, w) for w in ("mean", "variance")]
     rows = []
     for i, j in nodes:

@@ -17,16 +17,15 @@ floating-point sequence, so a ratio that is identically 1 reproduces the
 naive value bit for bit.
 
 The reductions run over a table of replicates (a study's, built by
-:func:`simulation._replicate_table`), one row per replicate; one dataset
-is the table of one replicate. A path lies in one node of each column, so
-a table is reduced one column at a time, all of its levels at once
-(:func:`_column`): each per-cell sum is one ``np.bincount`` over
-(replicate, level), which adds a cell's paths one after another in path
-order. A path that a replicate never saw adds an exact 0.0, so each cell
-is the same bits as the reduction of that replicate's paths through that
-node alone. Nothing is refused during a reduction: each check masks the
-cells it refuses (:class:`_Check`), and each caller reads the masks in its
-own order.
+:func:`simulation._replicate_table`) with one entry per (replicate, path)
+pair that holds records; one dataset is the table of one replicate. A path
+lies in one node of each column, so a table is reduced one column at a
+time, all of its levels at once (:func:`_column`): each per-cell sum is one
+``np.bincount`` over (replicate, level), which adds a cell's entries one
+after another in path order. So each cell is the same bits as the
+reduction of that replicate's paths through that node alone. Nothing is
+refused during a reduction: each check masks the cells it refuses
+(:class:`_Check`), and each caller reads the masks in its own order.
 
 All functions are pure; datasets are immutable.
 """
@@ -93,12 +92,6 @@ def _first(checks: Sequence[_Check], r: int, l: int) -> _Check | None:
     return next((check for check in checks if check.mask[r, l]), None)
 
 
-def _flagged(paths: np.ndarray, level: np.ndarray, mask: np.ndarray, r: int, l: int) -> list:
-    """The ``paths`` at level l of a column (each at ``level``) that
-    ``mask`` (R, m) flags in replicate r."""
-    return [tuple(p) for p in paths[mask[r] & (level == l)].tolist()]
-
-
 def _raise_first(cells: Sequence[tuple[Sequence[_Check], int]]) -> None:
     """Raise the refusal that a loop over replicates, then over ``cells``
     (each the checks of a node's column and the node's level), then over
@@ -132,45 +125,48 @@ def _canonical_kind(kind: str) -> str:
 @dataclass(frozen=True)
 class _Column:
     """Column j of a table of replicates under one estimator kind, all of
-    its levels at once: each path's level and per-record weight, each
-    (replicate, level) cell's record count ``n`` (R, r), and the refusals
-    of the weights. ``ratio`` is (m,) where it does not depend on the
-    replicate (naive, weighted) and (R, m) where it does (plugin; 0 on a
-    path that a replicate never saw)."""
+    its levels at once: each entry's level, (replicate, level) cell and
+    per-record weight ``ratio`` (all (E,)), each cell's record count ``n``
+    (R, r), and the refusals of the weights."""
 
     table: PathGroups
     j: int
     kind: str
-    level: np.ndarray  # (m,) 0-based
-    cells: np.ndarray  # (R * m,) replicate * r + level of each table entry
+    level: np.ndarray  # 0-based
+    cells: np.ndarray  # replicate * r + level
     n: np.ndarray
     size: np.ndarray  # n, with 1 for a cell without records (refused)
     ratio: np.ndarray
     checks: tuple[_Check, ...]
 
     def sum(self, x: np.ndarray) -> np.ndarray:
-        """Each cell's sum of ``x`` (R, m), adding its paths one after
+        """Each cell's sum of ``x`` (E,), adding its entries one after
         another in path order."""
-        return np.bincount(self.cells, x.ravel(), self.n.size).reshape(self.n.shape)
+        return np.bincount(self.cells, x, self.n.size).reshape(self.n.shape)
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        """The per-cell ``x`` (R, r) at each path of each replicate."""
-        return x[:, self.level]
+        """The per-cell ``x`` (R, r) at each entry."""
+        return x.ravel()[self.cells]
+
+    def flagged(self, mask: np.ndarray, r: int, l: int) -> list:
+        """The paths of the entries of cell (r, l) that ``mask`` (E,) flags."""
+        at = mask & (self.level == l) & (self.table.replicate == r)
+        return [tuple(p) for p in self.table.paths[at].tolist()]
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, ...]:
         """Each cell's mean and weight total sum(count * w) / n, and for each
-        path its offset delta from the exact weighted mean of its cell and
-        its central moments c_2, c_3, c_4 (0 on a path with no records).
-        Column 1 of the grouped sums corrects both for the rounding of the
-        path means; every difference is taken before a power, so a shift of
-        the response moves none of them. The known-source mean is not
-        self-normalised: it divides by n, not by n times the weight total."""
-        counts, sums, w = self.table.counts, self.table.sums[..., 0], self.ratio
-        seen, path_mean, a1, c2, c3, c4 = self.table.moments
+        entry its offset delta from the exact weighted mean of its cell and
+        its central moments c_2, c_3, c_4. Column 1 of the grouped sums
+        corrects both for the rounding of the path means; every difference
+        is taken before a power, so a shift of the response moves none of
+        them. The known-source mean is not self-normalised: it divides by n,
+        not by n times the weight total."""
+        counts, sums, w = self.table.counts, self.table.sums[:, 0], self.ratio
+        path_mean, a1, c2, c3, c4 = self.table.moments
         mean = self.sum(w * sums) / self.size
         total = self.sum(w * counts) / self.size
-        offset = np.where(seen, path_mean - self.at(mean), 0.0) + a1
+        offset = path_mean - self.at(mean) + a1
         shift = self.sum(counts * w * offset) / self.size
         if self.kind == KIND_WEIGHTED:
             shift = shift + mean * (total - 1.0)
@@ -217,10 +213,10 @@ def _column(
             raise ModelError("measures not equivalent")
     elif kind == KIND_PLUGIN and target is None:
         raise ModelError("plugin estimator needs a target kernel")
-    counts, paths, seen = table.counts, table.paths, table.moments[0]
+    counts, paths = table.counts, table.paths
     level = paths[:, j - 1] - 1
-    cells = (np.arange(len(counts))[:, None] * width + level).ravel()
-    n = np.bincount(cells, counts.ravel(), len(counts) * width).reshape(len(counts), width)
+    cells = table.replicate * width + level
+    n = np.bincount(cells, counts, table.replicates * width).reshape(table.replicates, width)
     column = _Column(table, j, kind, level, cells, n, np.maximum(n, 1.0), np.ones(len(paths)), ())
     checks = [_Check(n == 0, NoDataError, lambda r, l: f"no data at node ({l + 1}, {j})",
                      "no-data")]
@@ -232,9 +228,8 @@ def _column(
                       f"node ({l + 1}, {j}) is unreachable")
 
     def outside(supported: np.ndarray, message: Callable[[tuple], str]) -> _Check:
-        mask = seen & ~supported
-        return _Check(column.sum(mask) > 0, StatisticalError,
-                      lambda r, l: message(_flagged(paths, level, mask, r, l)[0]))
+        return _Check(column.sum(~supported) > 0, StatisticalError,
+                      lambda r, l: message(column.flagged(~supported, r, l)[0]))
 
     ratio = column.ratio
     if kind == KIND_WEIGHTED:
@@ -248,10 +243,10 @@ def _column(
         cond, supported = conditional_path_probabilities(target, paths, j)
         checks += [null_event(target),
                    outside(supported, lambda p: f"target measure excludes observed path {p}")]
-        ratio = np.divide(cond * column.at(n), counts, out=np.zeros(counts.shape), where=seen)
+        ratio = cond * column.at(n) / counts
         # the normalization is undefined where the observed paths do not carry
         # all of the target conditional mass: refused, not renormalized
-        mass = column.sum(np.where(seen, cond, 0.0))
+        mass = column.sum(cond)
         checks.append(_Check(
             np.abs(mass - 1.0) > 1e-9, StatisticalError,
             lambda r, l: f"observed paths through node {(l + 1, j)} carry target conditional "
@@ -272,8 +267,8 @@ def cell_estimate(
 ) -> CellEstimate:
     """Full (mean, variance) estimate for one node under one estimator: its
     cell of the reduction of column j."""
-    data._check_node(j, i)
-    column = _column(data._table, data.spec.levels[j - 1], j, kind, kernel, target)
+    data.spec._check_node(j, i)
+    column = _column(data.groups, data.spec.levels[j - 1], j, kind, kernel, target)
     mean, variance, clipped, checks = column.estimates
     l = i - 1
     _raise_first([(column.checks + checks, l)])

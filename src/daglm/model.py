@@ -77,6 +77,10 @@ class DagSpec:
                 return col[i - 1]
         return str(i)
 
+    def _check_node(self, j: int, i: int) -> None:
+        if not 1 <= j <= self.c or not 1 <= i <= self.levels[j - 1]:
+            raise ModelError(f"node ({i}, {j}) outside spec")
+
 
 def validate_dag(spec: DagSpec) -> list[str]:
     """Collect structural violations; an empty list means the spec is valid."""
@@ -652,39 +656,37 @@ class QualityModel:
 # ---------------------------------------------------------------------------
 # datasets
 
-def _path_cells(
-    paths: np.ndarray,
-    levels: Sequence[int],
-    replicate: np.ndarray | None = None,
-    replicates: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+def _held(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``key`` (each in [0, ``bound``)) in increasing
+    order, and the index of each element's value among them: one bincount
+    over the key space, or a sort where the key space is larger than the
+    keys."""
+    if bound > len(key):
+        return np.unique(key, return_inverse=True)
+    held = np.bincount(key, minlength=bound) > 0
+    return np.flatnonzero(held), (np.cumsum(held) - 1)[key]
+
+
+def _path_cells(paths: np.ndarray, levels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Index the rows of an (n, c) array of 1-based paths whose columns stay
-    within ``levels``, each row belonging to one of ``replicates``
-    replicates (``replicate``; all to one when None): the m distinct rows
-    in lexicographic order, and each row's cell ``replicate * m + p`` of a
-    (replicates, m) table, where p is the index of its path."""
-    n = len(paths)
+    within ``levels``: the m distinct rows in lexicographic order, and the
+    index of each row's path among them."""
     # mixed-radix key of each path, lexicographic in the path; when the
     # next column would overflow it, the key is first renumbered densely
-    key = np.zeros(n, dtype=np.int64)
+    key = np.zeros(len(paths), dtype=np.int64)
     bound = 1
     for col, r in zip(paths.T, levels):
         r = int(r)
         if bound * r > 2**62:
             key = np.unique(key, return_inverse=True)[1]
-            bound = n
+            bound = len(paths)
         key = key * r + (col - 1)
         bound *= r
-    if replicates * bound > n:
-        # the key space is larger than the records: renumber it densely
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
-        distinct = paths[first]
-    else:
-        seen = np.bincount(key, minlength=bound) > 0
-        distinct = np.stack(np.unravel_index(np.flatnonzero(seen), levels), axis=1) + 1
-        key = (np.cumsum(seen) - 1)[key]
-    if replicate is not None:
-        key = replicate * len(distinct) + key
+    held, key = _held(key, bound)
+    if bound <= len(paths):
+        return np.stack(np.unravel_index(held, levels), axis=1) + 1, key
+    distinct = np.empty_like(paths, shape=(len(held), paths.shape[1]))
+    distinct[key] = paths  # the key may have been renumbered: read the records
     return distinct, key
 
 
@@ -696,44 +698,49 @@ def _group_records(
     replicates: int = 1,
 ) -> "PathGroups":
     """Records grouped by distinct path: the groups of one dataset, or, with
-    each record's ``replicate``, the table of ``replicates`` replicates.
-    Every group sums its records in record order: first the responses, then
-    the powers of their deviations from the group's mean."""
-    distinct, cells = _path_cells(paths, levels, replicate, replicates)
-    size = replicates * len(distinct)
+    each record's ``replicate``, the table of ``replicates`` replicates,
+    one entry per (replicate, path) pair that holds records. Every entry
+    sums its records in record order: first the responses, then the powers
+    of their deviations from the entry's mean."""
+    distinct, cells = _path_cells(paths, levels)
+    owner = np.zeros(len(distinct), dtype=np.int64)  # each entry's replicate
+    if replicate is not None:
+        m = len(distinct)
+        held, cells = _held(replicate * m + cells, replicates * m)
+        owner, path = np.divmod(held, m)
+        distinct = distinct[path]
+    size = len(owner)
     counts = np.bincount(cells, minlength=size)
     sums = np.empty((size, PathGroups.ORDER + 1))
     sums[:, 0] = np.bincount(cells, weights=responses, minlength=size)
-    means = np.divide(sums[:, 0], counts, out=np.zeros(size), where=counts > 0)
-    deviation = responses - means[cells]
+    deviation = responses - (sums[:, 0] / counts)[cells]
     power = deviation
     for k in range(1, PathGroups.ORDER + 1):
         sums[:, k] = np.bincount(cells, weights=power, minlength=size)
         power = power * deviation
-    shape = (len(distinct),) if replicate is None else (replicates, len(distinct))
-    return PathGroups(
-        distinct, counts.reshape(shape), sums.reshape(*shape, PathGroups.ORDER + 1)
-    )
+    return PathGroups(distinct, counts, sums, owner, replicates)
 
 
 @dataclass(frozen=True)
 class PathGroups:
-    """Distinct observed paths with per-path record counts and response
-    sums: the only summary of a dataset the estimators and plug-in
-    asymptotic variances need.
+    """Observed paths with per-path record counts and response sums: the
+    only summary of a dataset the estimators and plug-in asymptotic
+    variances need.
 
-    ``paths`` is an (m, c) array of distinct paths in lexicographic order,
-    ``counts`` the number of records on each, ``sums[p, 0]`` the sum of b
-    over the records of path p, and ``sums[p, k]`` for k = 1..ORDER the sum
-    of (b - mean)**k about its mean as rounded, ``sums[p, 0] / counts[p]``
-    (so column 1 is that rounding times the count). Centred sums do not
-    cancel under a shift of the response (Chan, Golub & LeVeque 1983).
+    A table holds one entry per (replicate, path) pair that has records,
+    sorted by replicate and then lexicographically by path: the path
+    ``paths[e]`` (an (E, c) array), its ``replicate[e]`` of the table's
+    ``replicates``, the number ``counts[e]`` (at least 1) of its records,
+    ``sums[e, 0]``, the sum of b over them, and ``sums[e, k]`` for
+    k = 1..ORDER, the sum of (b - mean)**k about their mean as rounded,
+    ``sums[e, 0] / counts[e]`` (so column 1 is that rounding times the
+    count). Centred sums do not cancel under a shift of the response
+    (Chan, Golub & LeVeque 1983).
 
-    A table of replicates (a study's, :func:`_group_records`, or a
-    dataset's, :attr:`PathDataset._table`) puts a leading replicate axis on
-    ``counts`` (R, m) and ``sums`` (R, m, ORDER + 1); both are 0 on a path
-    that a replicate never saw. The estimators reduce a table one column at
-    a time, all of its levels at once.
+    A dataset's groups (:attr:`PathDataset.groups`) are the table of one
+    replicate, its distinct paths; a study's (:func:`_group_records` with
+    each record's replicate) hold every replicate. The estimators reduce a
+    table one column at a time, all of its levels at once.
     """
 
     ORDER = 4
@@ -741,19 +748,19 @@ class PathGroups:
     paths: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
+    replicate: np.ndarray
+    replicates: int
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, ...]:
-        """Per path (and replicate): whether it has records, its mean as
-        rounded (0 where it has none), a_1, the rounding of that mean, and
-        the central moments c_2, c_3, c_4; computed on first use and kept."""
-        seen = self.counts > 0
-        count = np.where(seen, self.counts, 1)
-        a1, a2, a3, a4 = (self.sums[..., k] / count for k in range(1, 5))
+        """Per entry: its mean as rounded, a_1, the rounding of that mean,
+        and the central moments c_2, c_3, c_4; computed on first use and
+        kept."""
+        a1, a2, a3, a4 = (self.sums[:, k] / self.counts for k in range(1, 5))
         c2 = a2 - a1 * a1
         c3 = a3 - a1 * (3.0 * a2 - 2.0 * a1 * a1)
         c4 = a4 - a1 * (4.0 * a3 - a1 * (6.0 * a2 - 3.0 * a1 * a1))
-        return seen, self.sums[..., 0] / count, a1, c2, c3, c4
+        return self.sums[:, 0] / self.counts, a1, c2, c3, c4
 
 
 def _handed_over(array, dtype) -> np.ndarray:
@@ -769,9 +776,9 @@ def _handed_over(array, dtype) -> np.ndarray:
 class PathDataset:
     """n observed paths with their responses.
 
-    ``paths`` is an (n, c) integer array of 1-based levels; ``responses`` is
-    the length-n response vector. Each is copied unless it is handed over: an
-    int64 (float) array that owns its data and is read-only.
+    ``paths`` is an (n, c) array of 1-based integer levels, ``responses``
+    the length-n response vector. Each is copied unless it is handed over:
+    an int64 (float) array that owns its data and is read-only.
     """
 
     spec: DagSpec
@@ -779,6 +786,11 @@ class PathDataset:
     responses: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.paths, np.ndarray) and self.paths.dtype.kind in "iu"):
+            levels = np.asarray(self.paths, dtype=np.float64)
+            bad = ~np.isfinite(levels) | (levels != np.trunc(levels))
+            if bad.any():
+                raise DataError(f"path level {float(levels[bad][0])} is not an integer")
         paths = _handed_over(self.paths, np.int64)
         responses = _handed_over(self.responses, np.float64)
         if paths.ndim != 2 or paths.shape[1] != self.spec.c:
@@ -801,25 +813,15 @@ class PathDataset:
         return self.paths.shape[0]
 
     def count(self, j: int, i: int) -> int:
-        self._check_node(j, i)
+        self.spec._check_node(j, i)
         groups = self.groups
         return int(groups.counts[groups.paths[:, j - 1] == i].sum())
-
-    def _check_node(self, j: int, i: int) -> None:
-        if not 1 <= j <= self.spec.c or not 1 <= i <= self.spec.levels[j - 1]:
-            raise ModelError(f"node ({i}, {j}) outside spec")
 
     @cached_property
     def groups(self) -> PathGroups:
         """The records grouped by distinct path; computed on first use and
         kept, since the dataset never changes."""
         return _group_records(self.paths, self.responses, self.spec.levels)
-
-    @cached_property
-    def _table(self) -> PathGroups:
-        """The dataset as a table of one replicate."""
-        groups = self.groups
-        return PathGroups(groups.paths, groups.counts[None], groups.sums[None])
 
 
 def _joint_counts(data: PathDataset, columns: Sequence[int]) -> np.ndarray:

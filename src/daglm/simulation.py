@@ -8,16 +8,17 @@ any parallel driver only needs to merge results by replicate index.
 
 A study draws its replicates in blocks of consecutive replicates, about
 ``_BLOCK_RECORDS`` records each, and groups each block by (replicate, path)
-as it is drawn, keeping only the grouped counts and sums; the blocks
-join into one replicate x path table. Within a block every replicate still
-draws from its own stream exactly what :func:`sample_dataset`, the block of
-one replicate, draws. Estimates, asymptotic variances and intervals are
-then reduced for all replicates together, one column at a time with all
-of its levels at once. A replicate's row depends only on its own stream:
-it is the same bits as the single-dataset estimate, asymptotic variance
-and interval of that replicate, whichever other replicates the study
-holds. Each check masks the cells it refuses, and a study raises the
-refusal that a loop over replicates, then nodes, then checks meets first.
+as it is drawn, keeping only the counts and sums of the pairs that hold
+records; the blocks, one after another, make one table of replicates.
+Within a block every replicate still draws from its own stream exactly what
+:func:`sample_dataset`, the block of one replicate, draws. Estimates,
+asymptotic variances and intervals are then reduced for all replicates
+together, one column at a time with all of its levels at once. A
+replicate's cells depend only on its own stream: they are the same bits as
+the single-dataset estimate, asymptotic variance and interval of that
+replicate, whichever other replicates the study holds. Each check masks
+the cells it refuses, and a study raises the refusal that a loop over
+replicates, then nodes, then checks meets first.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ModelError, StatisticalError
-from .estimators import _column, _raise_first
+from .estimators import _canonical_kind, _column, _raise_first
 from .asymptotics import (
     _avs,
+    _check_which,
     _closed_form,
     _kind_regime,
     _limits,
@@ -46,7 +48,6 @@ from .model import (
     TransitionKernel,
     _frozen,
     _group_records,
-    _path_cells,
     _reachable_nodes,
     uniform_kernel,
 )
@@ -99,9 +100,10 @@ class ExperimentConfig:
                 )
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.nodes is not None:
-            object.__setattr__(
-                self, "nodes", tuple((int(i), int(j)) for i, j in self.nodes)
-            )
+            nodes = tuple((int(i), int(j)) for i, j in self.nodes)
+            for i, j in nodes:
+                self.spec._check_node(j, i)
+            object.__setattr__(self, "nodes", nodes)
 
 
 def _target_kernel(target: str | TransitionKernel, spec: DagSpec) -> TransitionKernel:
@@ -266,28 +268,18 @@ def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:
 
 
 def _replicate_table(config: ExperimentConfig) -> PathGroups:
-    """Every replicate of a study in one replicate x path table, drawn and
-    grouped block by block (the records of a block are then dropped); the
-    blocks join over the union of their paths in lexicographic order."""
+    """Every replicate of a study in one table, drawn and grouped block by
+    block (the records of a block are then dropped); the blocks' entries
+    follow one another in replicate order."""
     per_block = max(1, _BLOCK_RECORDS // config.n)
-    starts = range(0, config.replicates, per_block)
     blocks = []
-    for start in starts:
+    for start in range(0, config.replicates, per_block):
         stop = min(start + per_block, config.replicates)
         replicate, paths, responses = _sample_block(config, start, stop)
-        blocks.append(
-            _group_records(paths, responses, config.spec.levels, replicate, stop - start)
-        )
-    union, columns = _path_cells(np.concatenate([b.paths for b in blocks]),
-                                 config.spec.levels)
-    columns = np.split(columns, np.cumsum([len(b.paths) for b in blocks])[:-1])
-    counts = np.zeros((config.replicates, len(union)), dtype=np.int64)
-    sums = np.zeros((config.replicates, len(union), PathGroups.ORDER + 1))
-    for start, block, at in zip(starts, blocks, columns):
-        rows = slice(start, start + len(block.counts))
-        counts[rows, at] = block.counts
-        sums[rows, at] = block.sums
-    return PathGroups(union, counts, sums)
+        block = _group_records(paths, responses, config.spec.levels, replicate, stop - start)
+        blocks.append((block.paths, block.counts, block.sums, start + block.replicate))
+    paths, counts, sums, replicate = (np.concatenate(field) for field in zip(*blocks))
+    return PathGroups(paths, counts, sums, replicate, config.replicates)
 
 
 def _per_column(config: ExperimentConfig, kind: str, target: TransitionKernel, nodes,
@@ -354,6 +346,8 @@ def coverage_study(
         raise StatisticalError(
             f"coverage studies need >= 100 replicates, got {config.replicates}"
         )
+    _canonical_kind(kind)
+    _check_which(which)
     if level is None:
         level = config.level
     target = _effective_target(config, kind)
@@ -429,6 +423,8 @@ def anscombe_study(
         )
     if kind is None:
         kind = config.estimators[0]
+    _canonical_kind(kind)
+    _check_which(which)
     target = _effective_target(config, kind)
     nodes = _study_nodes(config)
     mean_t, var_t = exact_estimator_targets(config.kernel, target, config.quality)

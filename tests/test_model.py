@@ -254,6 +254,17 @@ def test_path_dataset_validation():
         )
 
 
+@pytest.mark.parametrize("level", [1.7, np.nan, np.inf])
+def test_path_dataset_refuses_non_integral_levels(level):
+    spec = daglm.DagSpec(levels=(2, 2))
+    with pytest.raises(DataError, match=rf"^path level {level} is not an integer$"):
+        daglm.PathDataset(spec, np.array([[level, 2.0], [2.0, 1.0]]), np.zeros(2))
+    with pytest.raises(DataError, match="is not an integer"):
+        daglm.PathDataset(spec, [[1, 2], [2, level]], np.zeros(2))
+    data = daglm.PathDataset(spec, np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+    assert data.paths.dtype == np.int64 and data.paths.tolist() == [[1, 2], [2, 1]]
+
+
 def test_path_dataset_keeps_handed_over_arrays_and_copies_the_rest():
     spec = daglm.DagSpec(levels=(2, 2))
     paths, responses = np.array([[1, 2], [2, 1]]), np.array([0.5, 1.5])
@@ -308,11 +319,12 @@ def unique_groups(data):
     for k in range(1, PathGroups.ORDER + 1):
         sums[:, k] = np.bincount(inverse, weights=power, minlength=first.size)
         power = power * deviation
-    return PathGroups(data.paths[first], counts, sums)
+    return PathGroups(data.paths[first], counts, sums, np.zeros(first.size, dtype=np.int64), 1)
 
 
 def assert_same_groups(got, expected):
-    for field in ("paths", "counts", "sums"):
+    assert got.replicates == expected.replicates
+    for field in ("paths", "counts", "sums", "replicate"):
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field

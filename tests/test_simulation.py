@@ -171,6 +171,12 @@ def test_config_refuses_kernel_levels_off_spec(demo_spec, demo_kernel, demo_qual
         daglm.ExperimentConfig(**{**good, "target": wide})
 
 
+@pytest.mark.parametrize("node", [(3, 1), (1, 5), (0, 1), (1, 0)])
+def test_config_refuses_nodes_off_spec(demo_config, node):
+    with pytest.raises(ModelError, match=rf"^node \({node[0]}, {node[1]}\) outside spec$"):
+        dataclasses.replace(demo_config, nodes=((1, 1), node))
+
+
 def test_load_config_refuses_target_kernel_of_wrong_shape(tmp_path):
     shutil.copy(daglm.data_path("demo_2x2.json"), tmp_path / "model.json")
     (tmp_path / "target.json").write_text(json.dumps({
@@ -325,6 +331,20 @@ def test_coverage_study_plugin_mean(demo_config):
     assert np.all(result.estimates[(1, 2)] <= result.uppers[(1, 2)])
     again = coverage_study(config, kind="plugin", which="mean")
     assert np.array_equal(result.covered[(1, 2)], again.covered[(1, 2)])
+
+
+def test_studies_refuse_unknown_kind_or_statistic_before_sampling(monkeypatch, demo_config):
+    def refuse(*args):
+        raise AssertionError("sampled before checking the arguments")
+
+    monkeypatch.setattr(simulation, "_sample_block", refuse)
+    config = dataclasses.replace(demo_config, replicates=500)
+    for study in (coverage_study, anscombe_study):
+        with pytest.raises(ModelError, match=r"^unknown estimator kind 'median'$"):
+            study(config, "median")
+        with pytest.raises(ModelError,
+                           match=r"^which must be 'mean' or 'variance', got 'median'$"):
+            study(config, "plugin", which="median")
 
 
 def test_binomial_tail_coverage_rule():

@@ -1,7 +1,7 @@
 """The Monte-Carlo studies draw their replicates in blocks and reduce every
-replicate together over one replicate x path table. These tests hold them to
-the per-replicate loop they replaced, row by row and refusal by refusal, and
-the table to the stack of each replicate's own dataset."""
+replicate together over one table of (replicate, path) entries. These tests
+hold them to the per-replicate loop they replaced, row by row and refusal by
+refusal, and the table to the stack of each replicate's own dataset."""
 
 import dataclasses
 import tracemalloc
@@ -34,17 +34,11 @@ WHICH = ("mean", "variance")
 # the per-replicate loops the studies ran before, kept as the reference
 
 def stack(groups):
-    """The table of several datasets' groups, one replicate each, over the
-    union of their paths in lexicographic order."""
-    paths = np.concatenate([g.paths for g in groups])
-    union, inverse = np.unique(paths, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    rows = np.repeat(np.arange(len(groups)), [len(g.paths) for g in groups])
-    counts = np.zeros((len(groups), len(union)), dtype=np.int64)
-    counts[rows, inverse] = np.concatenate([g.counts for g in groups])
-    sums = np.zeros((len(groups), len(union), PathGroups.ORDER + 1))
-    sums[rows, inverse] = np.concatenate([g.sums for g in groups])
-    return PathGroups(union, counts, sums)
+    """The table of several datasets' groups, one replicate each, in
+    replicate order."""
+    replicate = np.repeat(np.arange(len(groups)), [len(g.paths) for g in groups])
+    return PathGroups(*(np.concatenate([getattr(g, f) for g in groups])
+                        for f in ("paths", "counts", "sums")), replicate, len(groups))
 
 
 def interval(data, i, j, kind, kernel, target, which, level):
@@ -357,9 +351,10 @@ def test_study_rows_do_not_depend_on_the_other_replicates(kind, which):
 # a column's reduction: each cell is the reduction of its own paths
 
 def through(table, j, i):
-    """The table of the paths through node (i, j) alone."""
+    """The table of the entries through node (i, j) alone."""
     at = table.paths[:, j - 1] == i
-    return PathGroups(table.paths[at], table.counts[:, at], table.sums[:, at])
+    return PathGroups(table.paths[at], table.counts[at], table.sums[at], table.replicate[at],
+                      table.replicates)
 
 
 def cell_outcomes(column, which, l):
@@ -391,8 +386,8 @@ def cell_outcomes(column, which, l):
 )
 @settings(max_examples=25, deadline=None)
 def test_a_cell_is_the_table_of_its_own_paths(seed, sparsify, n, replicates):
-    # each cell sum adds its paths in path order, so the paths of other
-    # nodes, and paths that a replicate never saw, change no bit of a cell
+    # each cell sum adds its entries in path order, so the entries of
+    # other nodes change no bit of a cell
     config = random_config(seed, sparsify, n, replicates)
     table = simulation._replicate_table(config)
     for kind in KINDS:
@@ -420,6 +415,33 @@ def test_coverage_study_holds_grouped_replicates_only(demo_config):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("kind, which", [("naive", "mean"), ("weighted", "variance")])
+def test_table_holds_only_the_pairs_that_have_records(kind, which):
+    # 100 replicates of 50 records over 6^5 = 7776 paths hold at most 5000
+    # (replicate, path) pairs; a table over the union of the paths for every
+    # replicate would hold over 100 times as many. At seed 1 every replicate
+    # visits every node, so the study runs to its result
+    spec = daglm.DagSpec(levels=(6,) * 5)
+    config = daglm.ExperimentConfig(
+        spec=spec, kernel=daglm.uniform_kernel(spec),
+        quality=gaussian_grid(spec, np.zeros((6, 5)), np.ones((6, 5))),
+        n=50, seed=1, replicates=100,
+    )
+    table = simulation._replicate_table(config)
+    assert table.replicates == 100 and (table.counts >= 1).all()
+    order = np.lexsort((*table.paths.T[::-1], table.replicate))
+    assert np.array_equal(order, np.arange(len(order)))
+    assert len(np.unique(np.column_stack([table.replicate, table.paths]), axis=0)) == len(order)
+    tracemalloc.start()
+    try:
+        result = simulation.coverage_study(config, kind, which=which)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.nodes) == 30
+    assert peak < 16 * 2**20, peak
 
 
 def test_replicate_table_holds_no_study_wide_records(demo_config):
@@ -473,7 +495,8 @@ def test_replicate_table_is_the_stack_of_the_datasets(seed, sparsify, n, replica
     expected = stack(
         [simulation.sample_dataset(config, rep).groups for rep in range(replicates)]
     )
-    for field in ("paths", "counts", "sums"):
+    assert got.replicates == expected.replicates == replicates
+    for field in ("paths", "counts", "sums", "replicate"):
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
