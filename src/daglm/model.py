@@ -457,11 +457,12 @@ def _shift_moments(moments: np.ndarray, offset: float) -> np.ndarray:
     return (binomials * np.float64(offset) ** gaps) @ moments
 
 
-def _moments_to(moments: np.ndarray, order: int) -> np.ndarray:
-    """The moments 0..``order`` of moments 0..K; refuses an order above K."""
+def _moments_to(moments: np.ndarray, order: int, owner: str = "") -> np.ndarray:
+    """The moments 0..``order`` of moments 0..K; refuses an order above K,
+    the refusal starting with ``owner``."""
     n = len(moments)
     if order >= n:
-        raise ModelError(f"moment order {n} not available (have m1..m{n - 1})")
+        raise ModelError(f"{owner}moment order {n} not available (have m1..m{n - 1})")
     return moments[: max(order + 1, 0)]
 
 
@@ -601,7 +602,6 @@ class QualityModel:
     nodes: dict[tuple[int, int], NodeQuality] = field(default_factory=dict)
     _references: dict[int, float] = field(init=False, repr=False, compare=False)
     _prefix: list = field(init=False, repr=False, compare=False)
-    _centred: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pair: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
@@ -626,27 +626,27 @@ class QualityModel:
 
     def _centred_moments(self, i: int, j: int, order: int) -> np.ndarray:
         """Moments (m_0..m_order) of node (i, j) about its column's
-        reference, computed once; refuses as :meth:`node` and
-        :meth:`NodeQuality.raw_moments`."""
-        if (i, j) not in self._centred:
-            q = self.node(i, j)
-            self._centred[(i, j)] = _shift_moments(q._central, q.mean_value - self._references[j])
-        return _moments_to(self._centred[(i, j)], order)
+        reference, one Pascal product; refuses as :meth:`node`, and as
+        :meth:`NodeQuality.raw_moments`, naming the node."""
+        q = self.node(i, j)
+        moments = _shift_moments(q._central, q.mean_value - self._references[j])
+        return _moments_to(moments, order, f"node ({i}, {j}): ")
 
-    def _moment_table(self, levels: tuple[int, ...], order: int) -> tuple[np.ndarray, np.ndarray]:
-        """The moments to ``order`` of every node of ``levels`` about its
-        column's reference, one row per node column by column, and which
-        nodes :meth:`_centred_moments` refuses (a spec missing or short of
-        ``order``), whose rows hold 0; built on first use and kept."""
-        if (levels, order) not in self._tables:
+    def _moment_table(self, levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The moments to ``MAX_MOMENT_ORDER`` of every node of ``levels``
+        about its column's reference, one row per node column by column, 0
+        beyond the order its spec reaches; and that order per node, -1 (a
+        row of 0) without a spec. Built on first use per shape and kept."""
+        if levels not in self._tables:
             nodes = _nodes(levels)
-            marked = np.array([n not in self.nodes or len(self.nodes[n]._central) <= order
-                               for n in nodes])
-            table = np.zeros((len(nodes), order + 1))
-            for row in np.flatnonzero(~marked).tolist():
-                table[row] = self._centred_moments(*nodes[row], order)
-            self._tables[(levels, order)] = _frozen(table), _frozen(marked)
-        return self._tables[(levels, order)]
+            table = np.zeros((len(nodes), MAX_MOMENT_ORDER + 1))
+            orders = np.full(len(nodes), -1)
+            for row, node in enumerate(nodes):
+                if node in self.nodes:
+                    orders[row] = min(len(self.nodes[node]._central) - 1, MAX_MOMENT_ORDER)
+                    table[row, : orders[row] + 1] = self._centred_moments(*node, orders[row])
+            self._tables[levels] = _frozen(table), _frozen(orders)
+        return self._tables[levels]
 
     def _reference(self, c: int) -> float:
         """R, the sum of the references of columns 1..c, added in order once."""

@@ -20,9 +20,9 @@ node's sums at once, its weightings stacked on a leading axis.
 
 What one object alone determines is built on first use and kept on it: a
 kernel's entries, their support, its node marginals and the nodes on its
-support paths, and a quality model's node moments per shape and order
+support paths, and a quality model's node moments per shape
 (:meth:`QualityModel._moment_table`) and, in one slot, every node's sums
-for the last (kernel, target) pair asked about (:func:`_pair_sums`).
+for the last (kernel, target) pair asked about, to order 4 (:func:`_pair_sums`).
 
 Support is decided entrywise as by the enumeration (entries at or below
 ``SUPPORT_ZERO`` count as 0), and the refusals are the enumeration's: a node
@@ -154,16 +154,6 @@ def exact_conditional_moments(
 #: n! for the orders up to MAX_MOMENT_ORDER
 _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_MOMENT_ORDER + 1)], dtype=float)
 
-def _tilted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """T^2/Q: a path's target probability times its ratio."""
-    return t * t / q
-
-
-def _reweighted(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Q (T/Q): a path's source probability times its ratio."""
-    return q * (t / q)
-
-
 def _read(
     kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
 ) -> tuple[int, list[float]] | None:
@@ -181,7 +171,7 @@ def _read(
     marginals = [float(k._marginals[row]) for k in kernels]
     if min(marginals) <= SUPPORT_ZERO:
         raise _null_event(i, j)
-    _, marked = quality._moment_table(kernel.levels, order)
+    marked = quality._moment_table(kernel.levels)[1] < order
     if marked.any():
         nodes = np.array(_nodes(kernel.levels))
         rows = np.flatnonzero(marked & _on_paths(kernel, (nodes[:, 1] != j) | (nodes[:, 0] == i)))
@@ -232,35 +222,34 @@ def _path_sums(
 
 
 def _pair_sums(
-    kernel: TransitionKernel, target: TransitionKernel, quality: QualityModel,
-    entry: Callable[[np.ndarray, np.ndarray], np.ndarray], order: int, width: int,
+    kernel: TransitionKernel, target: TransitionKernel, quality: QualityModel
 ) -> np.ndarray:
     """For every node, the sum over the support paths through it of the
     path weight times E[U^a | path] E[U^b | path], U = b - R, for a up to
-    ``order`` and b below ``width``, as (node, 2, a, b): the sum of
+    ``MAX_MOMENT_ORDER`` and b up to 2, as (node, 3, a, b): the sum of
     E[U^a U'^b | path] for a copy U' of U independent given the path. One
-    pass runs two weightings on the support of ``kernel``, 0 off it: the
-    entries t of ``target``, and ``entry(q, t)`` of t and the kernel's q.
+    pass runs three weightings on the support of ``kernel``, 0 off it: the
+    entries t of ``target``, the tilted T^2/Q and Q (T/Q), q the kernel's.
 
-    Built on first use per (entry, order, width) and kept in the quality
-    model's one slot, which holds the (kernel, target) pair it was built
-    for and is replaced when another pair is asked about. :func:`_read`
-    refuses a node whose paths meet an unreadable spec before its row is read."""
+    Refuses non-equivalent measures; built after that check and kept,
+    read-only, in the quality model's one slot, which holds the (kernel,
+    target) pair it was built for and is replaced when another pair is
+    asked about. A caller reads its row to its own order once :func:`_read`
+    has refused a node whose paths meet a spec short of that order."""
     slot = quality._pair
     if slot is None or slot[0] is not kernel or slot[1] is not target:
-        slot = kernel, target, {}
-        object.__setattr__(quality, "_pair", slot)
-    kept, key = slot[2], (entry, order, width)
-    if key not in kept:
-        on, fact = kernel._support, _FACTORIALS[: order + 1]
+        if not kernels_equivalent(kernel, target):
+            raise ModelError("measures not equivalent")
+        on, fact = kernel._support, _FACTORIALS
         q, t = np.where(on, kernel._entries, 1.0), target._entries
-        entries = np.where(on, np.stack([t, entry(q, t)]), 0.0)
-        e = quality._moment_table(kernel.levels, order)[0] / fact
-        table = (e[:, :, None] * e[:, None, :width]).reshape(len(e), -1)
-        sums = _path_sums(kernel.levels, entries, table, (order + 1, width))
-        sums = np.moveaxis(sums, -1, 0).reshape(len(e), 2, order + 1, width)
-        kept[key] = _frozen(sums * (fact[:, None] * fact[:width]))
-    return kept[key]
+        entries = np.where(on, np.stack([t, t * t / q, q * (t / q)]), 0.0)
+        e = quality._moment_table(kernel.levels)[0] / fact
+        table = (e[:, :, None] * e[:, None, :3]).reshape(len(e), -1)
+        sums = _path_sums(kernel.levels, entries, table, (len(fact), 3))
+        sums = np.moveaxis(sums, -1, 0).reshape(len(e), 3, len(fact), 3)
+        slot = kernel, target, _frozen(sums * (fact[:, None] * fact[:3]))
+        object.__setattr__(quality, "_pair", slot)
+    return slot[2]
 
 
 def _closed_form_sums(
@@ -282,19 +271,19 @@ def _closed_form_sums(
       source probability is its T^2/Q product times p_Q / p_T^2, the node
       marginals.
 
-    Refuses non-equivalent measures, then as :func:`_read`, and a node on
-    no support path as a null event. Only then does it read the node's row
-    of :func:`_pair_sums` under T and the tilted T^2/Q, both about R, and
-    move ``x`` from R to mu on both axes (:func:`_shift_moments`).
+    Refuses as :func:`_pair_sums` (non-equivalent measures), then as
+    :func:`_read`, and a node on no support path as a null event. Only then
+    does it read the node's row under T and the tilted T^2/Q, both about R,
+    to ``order``, and move ``x`` from R to mu on both axes
+    (:func:`_shift_moments`).
     """
-    if not kernels_equivalent(kernel, target):
-        raise ModelError("measures not equivalent")
+    sums = _pair_sums(kernel, target, quality)
     found = _read((kernel, target), quality, j, i, order)
     if found is None:
         raise _null_event(i, j)
     row, (p_q, p_t) = found
-    sums, tilted = _pair_sums(kernel, target, quality, _tilted, order, 3)[row]
-    y = sums[:, 0] / p_t
+    y = sums[row, 0, : order + 1, 0] / p_t
+    tilted = sums[row, 1, : order + 1]
     x = _shift_moments(_shift_moments(tilted, -y[1]).T, -y[1]).T
     return quality._reference(len(kernel.levels)) + y[1], y, x * (p_q / p_t**2)
 
@@ -312,23 +301,22 @@ def verify_measure_change(
     Compares E[f(b)·C | node] under ``kernel`` against E[f(b) | node] under
     ``target``, where C is the ratio of conditional path probabilities and
     f(b) is (b - R)^k, k = 1 (``"b"``) or 2 (``"b2"``). The two sides are
-    separate weightings of the node's row of :func:`_pair_sums`, read after
-    the refusals of :func:`_closed_form_sums`: the left runs under the
-    entrywise product Q (T/Q), its ratios formed on the source support, and
-    mixes by the source marginal; the right runs under T and mixes by the
-    target marginal. So a small residual certifies the identity. A node on
-    no support path has residual 0.
+    separate weightings of the node's row of :func:`_pair_sums`, read at
+    order k after the refusals of :func:`_closed_form_sums`: the left runs
+    under the entrywise product Q (T/Q), its ratios formed on the source
+    support, and mixes by the source marginal; the right runs under T and
+    mixes by the target marginal. So a small residual certifies the
+    identity. A node on no support path has residual 0.
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
-    if not kernels_equivalent(kernel, target):
-        raise ModelError("measures not equivalent")
     order = 1 if f == "b" else 2
+    sums = _pair_sums(kernel, target, quality)
     found = _read((kernel, target), quality, j, i, order)
     if found is None:
         return 0.0
     row, (p_q, p_t) = found
-    rhs, ratio_sum = _pair_sums(kernel, target, quality, _reweighted, order, 1)[row, :, order, 0]
+    rhs, _, ratio_sum = sums[row, :, order, 0]
     # a path's ratio C is its product of entrywise ratios times p_q / p_t
     lhs = ratio_sum * (p_q / p_t) / p_q
     return abs(float(lhs - rhs / p_t))
@@ -350,19 +338,19 @@ def exact_estimator_targets(
     """
     _check_same_shape(kernel, target)
     spec = kernel.spec()
-    table, marked = quality._moment_table(spec.levels, 2)
+    table, orders = quality._moment_table(spec.levels)
     reached = kernel._marginals > SUPPORT_ZERO
     fine = target._on_support & (target._marginals > SUPPORT_ZERO)
     nodes = _nodes(spec.levels)
     # only a node that is not fine, or any node when a spec is unreadable,
     # can refuse
-    for row in np.flatnonzero(reached & (~fine | marked.any())).tolist():
+    for row in np.flatnonzero(reached & (~fine | (orders < 2).any())).tolist():
         i, j = nodes[row]
         if _read((target,), quality, j, i, 2) is None:
             raise _null_event(i, j)
     fact = _FACTORIALS[:3]
     entries = np.where(target._support, target._entries, 0.0)
-    sums = _path_sums(spec.levels, entries, table / fact, (3,))
+    sums = _path_sums(spec.levels, entries, table[:, :3] / fact, (3,))
     m = sums * fact[:, None] / np.where(reached, target._marginals, np.nan)
     means = np.full((spec.r_max, spec.c), np.nan)
     variances = np.full((spec.r_max, spec.c), np.nan)

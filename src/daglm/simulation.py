@@ -235,9 +235,12 @@ def _sample_block(
             drawn = np.flatnonzero(visits[:, i - 1])
             if drawn.size:
                 node = config.quality.node(i, j)
-                values[np.flatnonzero(col == i)] = np.concatenate(
-                    [node.sample(rngs[k], visits[k, i - 1]) for k in drawn]
-                )
+                try:
+                    values[np.flatnonzero(col == i)] = np.concatenate(
+                        [node.sample(rngs[k], visits[k, i - 1]) for k in drawn]
+                    )
+                except ModelError as err:
+                    raise ModelError(f"node ({i}, {j}): {err}") from None
         responses += values  # each record visits one node of the column
     if not np.isfinite(responses).all():
         raise DataError("responses must be finite")

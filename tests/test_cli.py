@@ -203,6 +203,31 @@ def test_simulate_round_trips_quoted_labels_across_blocks(capsys, tmp_path):
     assert data.responses.tobytes() == want.responses.tobytes()
 
 
+def test_short_spec_refusals_name_their_node(capsys, workdir, tmp_path):
+    # node (1, 1) holds only m1 and m2: validate skips the variance checks,
+    # and simulate cannot draw its values; both name the node
+    doc = json.loads((workdir / "demo_2x2.json").read_text(encoding="utf-8"))
+    doc["quality"]["1,1"] = {"kind": "empirical-moments", "moments": [0, 2]}
+    model = tmp_path / "short.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        ["validate", "--model", model, "--n", "50", "--replicates", "5"], capsys,
+    )
+    assert code == 0, err
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    assert rows["asymptotic-psd"]["detail"] == (
+        "skipped variance-target checks: node (1, 1): moment order 3 not available "
+        "(have m1..m2)"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model-ref": "short.json", "n": 50, "seed": 1}),
+                      encoding="utf-8")
+    code, out, err = run(["simulate", "--config", config, "--out", tmp_path / "s.csv"],
+                         capsys)
+    assert code == 3
+    assert "node (1, 1): cannot sample from an empirical-moments quality spec" in err
+
+
 def test_estimate_from_simulated_csv_matches_in_memory(capsys, workdir, tmp_path):
     data_csv = tmp_path / "sim.csv"
     report_json = tmp_path / "report.json"

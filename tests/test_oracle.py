@@ -539,6 +539,51 @@ def test_recursion_refuses_where_enumeration_does(seed, sparsify, pick):
         assert False in seen  # another level of the deleted node's column never reads it
 
 
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]),
+       pick=st.integers(0, 10**6), k=st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_short_spec_refuses_only_the_variance_forms_that_meet_it(seed, sparsify, pick, k):
+    # one node's spec is cut to its first k < 4 raw moments: the targets, the
+    # mean forms and both residuals read it to order 2 and keep their values;
+    # the variance forms, read to order 4, refuse, naming it as the
+    # enumeration does, exactly at the nodes whose support paths meet it,
+    # and keep their values elsewhere
+    rng = np.random.default_rng(seed)
+    spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
+    nodes = dict(quality.nodes)
+    a, b = cut = sorted(nodes)[pick % len(nodes)]
+    nodes[cut] = daglm.NodeQuality.from_raw_moments(nodes[cut].raw_moments(k)[1:])
+    short = daglm.QualityModel(nodes=nodes)
+
+    def close(got, want):
+        if refused(got) or refused(want):
+            assert got == want
+        else:
+            assert_relatively_close(got, want, rel=1e-12)
+
+    got, want = (outcome(exact_estimator_targets, kernel, target, q) for q in (short, quality))
+    if refused(got) or refused(want):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert (np.isnan(g) == np.isnan(w)).all()
+            close(g[~np.isnan(w)], w[~np.isnan(w)])
+    refusal = ("ModelError", f"node {cut}: moment order {k + 1} not available (have m1..m{k})")
+    for i, j in nodes_of(spec):
+        meets = any(path[b - 1] == a for path in daglm.enumerate_support_paths(kernel, j, i))
+        if meets:
+            assert outcome(exact_conditional_moments, kernel, short, j, i, 4) == refusal
+        for name, fn in CLOSED_FORMS.items():
+            got, want = (outcome(fn, kernel, target, q, i, j) for q in (short, quality))
+            if name.startswith("variance") and meets:
+                assert got == refusal, name
+            else:
+                close(*(r if refused(r) else r.value for r in (got, want)))
+        for f in ("b", "b2"):
+            close(*(outcome(verify_measure_change, kernel, target, q, j, i, f)
+                    for q in (short, quality)))
+
+
 @given(seed=st.integers(0, 100_000), pick=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_targets_refuse_as_the_first_refusing_node(seed, pick):
@@ -693,14 +738,18 @@ def test_exact_layer_tables_are_built_on_first_use():
     built = (daglm.uniform_kernel(model.spec), daglm.QualityModel(model.quality.nodes))
     for kernel, quality in ((model.kernel, model.quality), (config.kernel, config.quality), built):
         assert not tables & vars(kernel).keys()
-        assert not quality._tables and not quality._centred and quality._pair is None
+        assert not quality._tables and quality._pair is None
+        assert not hasattr(quality, "_centred")  # node moments are kept only in the table
     target = daglm.uniform_kernel(model.spec)
     asym_var_mean_known(model.kernel, target, model.quality, 1, 2)
     assert tables <= vars(model.kernel).keys()
     assert tables - {"_on_support"} <= vars(target).keys()  # read off the source's support
-    assert model.quality._tables
+    assert list(model.quality._tables) == [model.spec.levels]
     kernel, aim, kept = model.quality._pair
-    assert kernel is model.kernel and aim is target and len(kept) == 1
+    assert kernel is model.kernel and aim is target
+    # one read-only array: (node, weighting, order, width)
+    assert isinstance(kept, np.ndarray) and kept.shape == (4, 3, 5, 3)
+    assert not kept.flags.writeable
     assert not tables & vars(config.kernel).keys() and not config.quality._tables
     assert config.quality._pair is None
 
@@ -754,17 +803,17 @@ def test_quality_keeps_the_sums_of_one_pair():
     assert quality._pair[0] is kernel and quality._pair[1] is kernel
 
 
-def test_one_pass_per_weighting_and_order(monkeypatch):
+def test_one_pass_per_pair(monkeypatch):
     # the four closed forms and both residuals at every node of a random
-    # 4 x 5 model run one all-node pass per weighting and order: the tilted
-    # pair at orders 2 and 4, and the measure change at orders 1 and 2
+    # 4 x 5 model run one all-node pass, its three weightings stacked, to
+    # order 4 and width 3; asking about a second pair runs exactly one more
     spec, kernel, _, _, quality = grid_model(np.random.default_rng(45), 4, 5)
     target = daglm.uniform_kernel(spec)
     passes = []
     path_sums = oracle._path_sums
 
     def counted(levels, entries, table, shape):
-        passes.append(shape)
+        passes.append((entries.shape[0], shape))
         return path_sums(levels, entries, table, shape)
 
     monkeypatch.setattr(oracle, "_path_sums", counted)
@@ -773,5 +822,8 @@ def test_one_pass_per_weighting_and_order(monkeypatch):
             fn(kernel, target, quality, i, j)
         for f in ("b", "b2"):
             verify_measure_change(kernel, target, quality, j, i, f)
-    # (order + 1, width): tilted (3, 3) and (5, 3), measure change (2, 1) and (3, 1)
-    assert sorted(passes) == [(2, 1), (3, 1), (3, 3), (5, 3)]
+    assert passes == [(3, (5, 3))]
+    for i, j in nodes_of(spec):
+        asym_var_mean_known(kernel, kernel, quality, i, j)
+        verify_measure_change(kernel, kernel, quality, j, i, "b2")
+    assert passes == [(3, (5, 3))] * 2
