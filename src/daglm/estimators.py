@@ -20,12 +20,12 @@ The reductions run over a table of replicates (a study's, built by
 :func:`simulation._replicate_table`) with one entry per (replicate, path)
 pair that holds records; one dataset is the table of one replicate. A path
 lies in one node of each column, so a table is reduced one column at a
-time, all of its levels at once (:func:`_column`): each per-cell sum is one
-``np.bincount`` over (replicate, level), which adds a cell's entries one
-after another in path order. So each cell is the same bits as the
-reduction of that replicate's paths through that node alone. Nothing is
-refused during a reduction: each check masks the cells it refuses
-(:class:`_Check`), and each caller reads the masks in its own order.
+time, all of its levels and distinct paths at once (:func:`_column`): each
+per-cell sum is one ``np.bincount`` over (replicate, level), which adds a
+cell's entries one after another in path order. So each cell is the same
+bits as the reduction of that replicate's paths through that node alone.
+Nothing is refused during a reduction: each check masks the cells it
+refuses (:class:`_Check`), and each caller reads the masks in its own order.
 
 All functions are pure; datasets are immutable.
 """
@@ -45,8 +45,8 @@ from .model import (
     PathGroups,
     TransitionKernel,
     _node_row,
-    conditional_path_probabilities,
     kernels_equivalent,
+    path_probabilities,
 )
 
 #: variances this far below zero are attributed to rounding and clipped
@@ -151,7 +151,7 @@ class _Column:
     def flagged(self, mask: np.ndarray, r: int, l: int) -> list:
         """The paths of the entries of cell (r, l) that ``mask`` (E,) flags."""
         at = mask & (self.level == l) & (self.table.replicate == r)
-        return [tuple(p) for p in self.table.paths[at].tolist()]
+        return [tuple(p) for p in self.table.paths[self.table.path[at]].tolist()]
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, ...]:
@@ -213,19 +213,23 @@ def _column(
             raise ModelError("measures not equivalent")
     elif kind == KIND_PLUGIN and target is None:
         raise ModelError("plugin estimator needs a target kernel")
-    counts, paths = table.counts, table.paths
-    level = paths[:, j - 1] - 1
+    counts, size, levels = table.counts, len(table.path), table.paths[:, j - 1] - 1
+    level = levels[table.path]
     cells = table.replicate * width + level
     n = np.bincount(cells, counts, table.replicates * width).reshape(table.replicates, width)
-    column = _Column(table, j, kind, level, cells, n, np.maximum(n, 1.0), np.ones(len(paths)), ())
+    column = _Column(table, j, kind, level, cells, n, np.maximum(n, 1.0), np.ones(size), ())
     checks = [_Check(n == 0, NoDataError, lambda r, l: f"no data at node ({l + 1}, {j})",
                      "no-data")]
 
-    def null_event(k: TransitionKernel) -> _Check:
-        start = _node_row(k.levels, j, 1)
-        return _Check(np.broadcast_to(k._marginals[start: start + width] <= SUPPORT_ZERO, n.shape),
-                      StatisticalError, lambda r, l: "conditioning on null event: "
-                      f"node ({l + 1}, {j}) is unreachable")
+    def conditional(k: TransitionKernel) -> tuple[np.ndarray, np.ndarray, _Check]:
+        # per distinct path, then per entry; 0 through a null event
+        marginal = k._marginals[_node_row(k.levels, j, 1):][:width]
+        prob, supported = path_probabilities(k, table.paths)
+        cond = np.divide(prob, marginal[levels], out=np.zeros(len(prob)),
+                         where=marginal[levels] > SUPPORT_ZERO)
+        return cond[table.path], supported[table.path], _Check(
+            np.broadcast_to(marginal <= SUPPORT_ZERO, n.shape), StatisticalError,
+            lambda r, l: f"conditioning on null event: node ({l + 1}, {j}) is unreachable")
 
     def outside(supported: np.ndarray, message: Callable[[tuple], str]) -> _Check:
         return _Check(column.sum(~supported) > 0, StatisticalError,
@@ -233,15 +237,13 @@ def _column(
 
     ratio = column.ratio
     if kind == KIND_WEIGHTED:
-        cond_q, supported = conditional_path_probabilities(kernel, paths, j)
-        checks += [null_event(kernel),
-                   outside(supported, lambda p: f"path {p} outside the source kernel's support")]
-        cond_t, _ = conditional_path_probabilities(target, paths, j)
-        checks.append(null_event(target))
-        ratio = np.divide(cond_t, cond_q, out=np.zeros(len(paths)), where=cond_q > 0.0)
+        (cond_q, supported, null_q), (cond_t, _, null_t) = map(conditional, (kernel, target))
+        unsupported = outside(supported, lambda p: f"path {p} outside the source kernel's support")
+        checks += [null_q, unsupported, null_t]
+        ratio = np.divide(cond_t, cond_q, out=np.zeros(size), where=cond_q > 0.0)
     elif kind == KIND_PLUGIN:
-        cond, supported = conditional_path_probabilities(target, paths, j)
-        checks += [null_event(target),
+        cond, supported, null = conditional(target)
+        checks += [null,
                    outside(supported, lambda p: f"target measure excludes observed path {p}")]
         ratio = cond * column.at(n) / counts
         # the normalization is undefined where the observed paths do not carry

@@ -342,20 +342,19 @@ def conditional_path_probability(
     kernel: TransitionKernel, path: PathLike, j: int, i: int
 ) -> float:
     """Probability of ``path`` given that the path passes through (i, j):
-    one row of :func:`conditional_path_probabilities`."""
+    its :func:`path_probabilities` over the node's marginal."""
     nodes = validate_path(path, kernel.spec())
-    if node_marginal(kernel, j, i) <= SUPPORT_ZERO:
+    if (marginal := node_marginal(kernel, j, i)) <= SUPPORT_ZERO:
         raise _null_event(i, j)
-    (prob,), _ = conditional_path_probabilities(kernel, np.array([nodes]), j)
-    return float(prob) if nodes[j - 1] == i else 0.0
+    (prob,), _ = path_probabilities(kernel, np.array([nodes]))
+    return float(prob / marginal) if nodes[j - 1] == i else 0.0
 
 
-def conditional_path_probabilities(
-    kernel: TransitionKernel, paths: np.ndarray, j: int
+def path_probabilities(
+    kernel: TransitionKernel, paths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of the rows of an (m, c) array of 1-based paths, each
-    given that the path passes through its own node of column j; 0 through
-    a null event (marginal at or below ``SUPPORT_ZERO``), which callers refuse.
+    the product of its factors in column order.
 
     Also returns a mask of the paths in the kernel's support, decided
     entrywise as in :func:`enumerate_support_paths`: every factor of the
@@ -371,9 +370,7 @@ def conditional_path_probabilities(
         factor = step[rows[:, k], rows[:, k + 1]]
         prob = prob * factor
         supported = supported & (factor > SUPPORT_ZERO)
-    marginal = kernel._marginals[_node_row(kernel.levels, j, 1) + rows[:, j - 1]]
-    reachable = marginal > SUPPORT_ZERO
-    return np.divide(prob, marginal, out=np.zeros(len(prob)), where=reachable), supported
+    return prob, supported
 
 
 def enumerate_support_paths(
@@ -462,7 +459,7 @@ def _moments_to(moments: np.ndarray, order: int, owner: str = "") -> np.ndarray:
     the refusal starting with ``owner``."""
     n = len(moments)
     if order >= n:
-        raise ModelError(f"{owner}moment order {n} not available (have m1..m{n - 1})")
+        raise ModelError(f"{owner}moment order {order} not available (have m1..m{n - 1})")
     return moments[: max(order + 1, 0)]
 
 
@@ -694,21 +691,18 @@ def _group_records(
     paths: np.ndarray,
     responses: np.ndarray,
     levels: Sequence[int],
-    replicate: np.ndarray | None = None,
-    replicates: int = 1,
+    replicate: np.ndarray | int,
+    replicates: int,
 ) -> "PathGroups":
-    """Records grouped by distinct path: the groups of one dataset, or, with
-    each record's ``replicate``, the table of ``replicates`` replicates,
-    one entry per (replicate, path) pair that holds records. Every entry
-    sums its records in record order: first the responses, then the powers
-    of their deviations from the entry's mean."""
+    """Records grouped by (replicate, path): the table of ``replicates``
+    replicates, each record in its ``replicate`` (or all in one), with one
+    entry per pair that holds records. Every entry sums its records in
+    record order: first the responses, then the powers of their deviations
+    from the entry's mean."""
     distinct, cells = _path_cells(paths, levels)
-    owner = np.zeros(len(distinct), dtype=np.int64)  # each entry's replicate
-    if replicate is not None:
-        m = len(distinct)
-        held, cells = _held(replicate * m + cells, replicates * m)
-        owner, path = np.divmod(held, m)
-        distinct = distinct[path]
+    m = len(distinct)
+    held, cells = _held(replicate * m + cells, replicates * m)
+    owner, path = np.divmod(held, m)
     size = len(owner)
     counts = np.bincount(cells, minlength=size)
     sums = np.empty((size, PathGroups.ORDER + 1))
@@ -718,7 +712,7 @@ def _group_records(
     for k in range(1, PathGroups.ORDER + 1):
         sums[:, k] = np.bincount(cells, weights=power, minlength=size)
         power = power * deviation
-    return PathGroups(distinct, counts, sums, owner, replicates)
+    return PathGroups(distinct, path, counts, sums, owner, replicates)
 
 
 @dataclass(frozen=True)
@@ -727,25 +721,27 @@ class PathGroups:
     only summary of a dataset the estimators and plug-in asymptotic
     variances need.
 
-    A table holds one entry per (replicate, path) pair that has records,
-    sorted by replicate and then lexicographically by path: the path
-    ``paths[e]`` (an (E, c) array), its ``replicate[e]`` of the table's
-    ``replicates``, the number ``counts[e]`` (at least 1) of its records,
-    ``sums[e, 0]``, the sum of b over them, and ``sums[e, k]`` for
+    A table lists its distinct paths once each in ``paths`` (an (m, c)
+    array in lexicographic order) and holds one entry per (replicate, path)
+    pair that has records, sorted by replicate and then by path: its path's
+    row ``path[e]``, its ``replicate[e]`` of the table's ``replicates``, the
+    number ``counts[e]`` (at least 1) of its records, ``sums[e, 0]``, the
+    sum of b over them, and ``sums[e, k]`` for
     k = 1..ORDER, the sum of (b - mean)**k about their mean as rounded,
     ``sums[e, 0] / counts[e]`` (so column 1 is that rounding times the
     count). Centred sums do not cancel under a shift of the response
     (Chan, Golub & LeVeque 1983).
 
     A dataset's groups (:attr:`PathDataset.groups`) are the table of one
-    replicate, its distinct paths; a study's (:func:`_group_records` with
-    each record's replicate) hold every replicate. The estimators reduce a
-    table one column at a time, all of its levels at once.
+    replicate; a study's (:func:`simulation._replicate_table`) hold every
+    replicate. The estimators reduce a table one column at a time, all of
+    its levels at once, and each path's kernel products once.
     """
 
     ORDER = 4
 
     paths: np.ndarray
+    path: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
     replicate: np.ndarray
@@ -812,26 +808,21 @@ class PathDataset:
     def n(self) -> int:
         return self.paths.shape[0]
 
-    def count(self, j: int, i: int) -> int:
-        self.spec._check_node(j, i)
-        groups = self.groups
-        return int(groups.counts[groups.paths[:, j - 1] == i].sum())
-
     @cached_property
     def groups(self) -> PathGroups:
         """The records grouped by distinct path; computed on first use and
         kept, since the dataset never changes."""
-        return _group_records(self.paths, self.responses, self.spec.levels)
+        return _group_records(self.paths, self.responses, self.spec.levels, 0, 1)
 
 
 def _joint_counts(data: PathDataset, columns: Sequence[int]) -> np.ndarray:
     """Number of records at each combination of levels of ``columns``
     (1-based), an array with one axis per column: one ``bincount`` over the
-    distinct paths of ``data.groups``, weighted by their counts."""
+    entries of ``data.groups``, weighted by their counts."""
     groups = data.groups
     shape = tuple(data.spec.levels[j - 1] for j in columns)
     cell = np.ravel_multi_index(tuple(groups.paths[:, j - 1] - 1 for j in columns), shape)
-    counts = np.bincount(cell, weights=groups.counts, minlength=math.prod(shape))
+    counts = np.bincount(cell[groups.path], weights=groups.counts, minlength=math.prod(shape))
     return counts.reshape(shape)
 
 

@@ -67,9 +67,9 @@ from .model import (
     _on_paths,
     _shift_moments,
     _split,
-    conditional_path_probabilities,
     kernels_equivalent,
     node_marginal,
+    path_probabilities,
     support_path_array,
 )
 
@@ -122,7 +122,7 @@ def support_table(
     for kernel in kernels:
         if node_marginal(kernel, j, i) <= SUPPORT_ZERO:
             raise _null_event(i, j)
-    probs = [conditional_path_probabilities(k, paths, j)[0] for k in kernels]
+    probs = [path_probabilities(k, paths)[0] / node_marginal(k, j, i) for k in kernels]
     return paths, probs, _path_moment_table(quality._centred_moments, paths, order)
 
 

@@ -9,7 +9,7 @@ any parallel driver only needs to merge results by replicate index.
 A study draws its replicates in blocks of consecutive replicates, about
 ``_BLOCK_RECORDS`` records each, and groups each block by (replicate, path)
 as it is drawn, keeping only the counts and sums of the pairs that hold
-records; the blocks, one after another, make one table of replicates.
+records; the blocks make one table of replicates that lists each path once.
 Within a block every replicate still draws from its own stream exactly what
 :func:`sample_dataset`, the block of one replicate, draws. Estimates,
 asymptotic variances and intervals are then reduced for all replicates
@@ -48,6 +48,7 @@ from .model import (
     TransitionKernel,
     _frozen,
     _group_records,
+    _path_cells,
     _reachable_nodes,
     uniform_kernel,
 )
@@ -273,16 +274,21 @@ def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:
 def _replicate_table(config: ExperimentConfig) -> PathGroups:
     """Every replicate of a study in one table, drawn and grouped block by
     block (the records of a block are then dropped); the blocks' entries
-    follow one another in replicate order."""
+    follow one another in replicate order, their paths numbered once more."""
     per_block = max(1, _BLOCK_RECORDS // config.n)
-    blocks = []
+    blocks, offset = [], 0
     for start in range(0, config.replicates, per_block):
         stop = min(start + per_block, config.replicates)
         replicate, paths, responses = _sample_block(config, start, stop)
         block = _group_records(paths, responses, config.spec.levels, replicate, stop - start)
-        blocks.append((block.paths, block.counts, block.sums, start + block.replicate))
-    paths, counts, sums, replicate = (np.concatenate(field) for field in zip(*blocks))
-    return PathGroups(paths, counts, sums, replicate, config.replicates)
+        blocks.append((block.paths, offset + block.path, block.counts, block.sums,
+                       start + block.replicate))
+        offset += len(block.paths)
+    fields = list(zip(*blocks))  # each field's blocks are dropped once it is joined
+    blocks.clear()
+    paths, path, counts, sums, replicate = (np.concatenate(fields.pop(0)) for _ in range(5))
+    distinct, index = _path_cells(paths, config.spec.levels)
+    return PathGroups(distinct, index[path], counts, sums, replicate, config.replicates)
 
 
 def _per_column(config: ExperimentConfig, kind: str, target: TransitionKernel, nodes,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import daglm
-from daglm import tabular
+from daglm import simulation, tabular
 from daglm.cli import run_command
 from daglm.estimators import cell_estimate
 from daglm.simulation import load_config, sample_dataset
@@ -216,7 +217,7 @@ def test_short_spec_refusals_name_their_node(capsys, workdir, tmp_path):
     assert code == 0, err
     rows = {r["name"]: r for r in json.loads(out)["rows"]}
     assert rows["asymptotic-psd"]["detail"] == (
-        "skipped variance-target checks: node (1, 1): moment order 3 not available "
+        "skipped variance-target checks: node (1, 1): moment order 4 not available "
         "(have m1..m2)"
     )
     config = tmp_path / "config.json"
@@ -479,12 +480,14 @@ def test_estimate_computes_each_cells_weights_once(
     capsys, monkeypatch, workdir, tmp_path, estimator, per_column
 ):
     # the point estimates and both asymptotic variances of every cell of a
-    # column share one weights pass per column; the weighted kind needs the
-    # source and the target
+    # column share one weights pass per column (the weighted kind needs the
+    # source and the target), and each pass runs over the table's distinct
+    # paths only: a study's table lists a path once, however many
+    # replicates hold it
     data_path = tmp_path / "sim.csv"
     assert run(["simulate", "--config", workdir / "demo_config.json",
                 "--out", data_path], capsys)[0] == 0
-    calls = count_calls(monkeypatch, daglm.model.conditional_path_probabilities)
+    calls = count_calls(monkeypatch, daglm.model.path_probabilities)
     code, out, err = run(
         ["estimate", "--data", data_path, "--estimator", estimator,
          "--model", workdir / "demo_2x2.json"],
@@ -494,6 +497,13 @@ def test_estimate_computes_each_cells_weights_once(
     cells = [r for r in json.loads(out)["rows"] if r["count"] > 0]
     assert len(cells) == 4
     assert len(calls) == per_column * len({r["column"] for r in cells})
+    assert all(len(paths) <= 4 for _, paths in calls)  # the 2 x 2 demo has four paths
+    config = dataclasses.replace(load_config(workdir / "demo_config.json"), n=300, replicates=100)
+    table = simulation._replicate_table(config)
+    assert len(table.path) > len(table.paths)
+    calls.clear()
+    simulation.coverage_study(config, estimator)
+    assert calls and all(len(paths) <= len(table.paths) for _, paths in calls)
 
 
 def test_compare_report_and_pair_restriction(capsys, workdir):
@@ -678,7 +688,7 @@ def test_discretize_workflow(capsys, workdir, tmp_path):
     # quintile binning is balanced by construction
     for j in (1, 2):
         for i in range(1, 6):
-            assert data.count(j, i) == 84
+            assert (data.paths[:, j - 1] == i).sum() == 84
 
 
 def test_validate_demo_model_passes(capsys, workdir):

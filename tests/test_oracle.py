@@ -568,7 +568,7 @@ def test_short_spec_refuses_only_the_variance_forms_that_meet_it(seed, sparsify,
         for g, w in zip(got, want):
             assert (np.isnan(g) == np.isnan(w)).all()
             close(g[~np.isnan(w)], w[~np.isnan(w)])
-    refusal = ("ModelError", f"node {cut}: moment order {k + 1} not available (have m1..m{k})")
+    refusal = ("ModelError", f"node {cut}: moment order 4 not available (have m1..m{k})")
     for i, j in nodes_of(spec):
         meets = any(path[b - 1] == a for path in daglm.enumerate_support_paths(kernel, j, i))
         if meets:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import daglm
 from daglm import simulation
@@ -35,10 +35,25 @@ WHICH = ("mean", "variance")
 
 def stack(groups):
     """The table of several datasets' groups, one replicate each, in
-    replicate order."""
-    replicate = np.repeat(np.arange(len(groups)), [len(g.paths) for g in groups])
-    return PathGroups(*(np.concatenate([getattr(g, f) for g in groups])
-                        for f in ("paths", "counts", "sums")), replicate, len(groups))
+    replicate order, over the distinct paths of all of them."""
+    distinct, path = np.unique(np.concatenate([g.paths[g.path] for g in groups]), axis=0,
+                               return_inverse=True)
+    replicate = np.repeat(np.arange(len(groups)), [len(g.path) for g in groups])
+    counts, sums = (np.concatenate([getattr(g, f) for g in groups]) for f in ("counts", "sums"))
+    return PathGroups(distinct, path.reshape(-1), counts, sums, replicate, len(groups))
+
+
+def assert_table_rules(table, config):
+    """Each distinct path of the study's table is listed once, in
+    lexicographic order, and some entry indexes it; the entries run by
+    replicate and then by path, one per (replicate, path) pair, and their
+    paths are those of the replicates' own datasets, one after another."""
+    assert np.array_equal(np.unique(table.paths, axis=0), table.paths)
+    assert np.array_equal(np.unique(table.path), np.arange(len(table.paths)))
+    assert (np.diff(table.replicate * len(table.paths) + table.path) > 0).all()
+    groups = [simulation.sample_dataset(config, rep).groups for rep in range(config.replicates)]
+    assert np.array_equal(table.paths[table.path],
+                          np.concatenate([g.paths[g.path] for g in groups]))
 
 
 def interval(data, i, j, kind, kernel, target, which, level):
@@ -351,10 +366,11 @@ def test_study_rows_do_not_depend_on_the_other_replicates(kind, which):
 # a column's reduction: each cell is the reduction of its own paths
 
 def through(table, j, i):
-    """The table of the entries through node (i, j) alone."""
-    at = table.paths[:, j - 1] == i
-    return PathGroups(table.paths[at], table.counts[at], table.sums[at], table.replicate[at],
-                      table.replicates)
+    """The table of the entries through node (i, j) alone, over their paths."""
+    kept = table.paths[:, j - 1] == i
+    at = kept[table.path]
+    return PathGroups(table.paths[kept], (np.cumsum(kept) - 1)[table.path[at]], table.counts[at],
+                      table.sums[at], table.replicate[at], table.replicates)
 
 
 def cell_outcomes(column, which, l):
@@ -431,9 +447,10 @@ def test_table_holds_only_the_pairs_that_have_records(kind, which):
     )
     table = simulation._replicate_table(config)
     assert table.replicates == 100 and (table.counts >= 1).all()
-    order = np.lexsort((*table.paths.T[::-1], table.replicate))
-    assert np.array_equal(order, np.arange(len(order)))
-    assert len(np.unique(np.column_stack([table.replicate, table.paths]), axis=0)) == len(order)
+    assert_table_rules(table, config)
+    with pytest.MonkeyPatch.context() as mp:  # five blocks of 20 replicates
+        mp.setattr(simulation, "_BLOCK_RECORDS", 1000)
+        assert_table_rules(simulation._replicate_table(config), config)
     tracemalloc.start()
     try:
         result = simulation.coverage_study(config, kind, which=which)
@@ -487,16 +504,23 @@ def mixed_quality_config(seed, sparsify, n, replicates):
     n=st.sampled_from([1, 7, simulation._BLOCK_RECORDS // 3,
                        simulation._BLOCK_RECORDS + 5]),
     replicates=st.integers(1, 8),
+    # blocks of 8 records put a few paths in each block, so the blocks'
+    # distinct paths differ and are numbered again across blocks
+    block=st.sampled_from([simulation._BLOCK_RECORDS, 8]),
 )
 @settings(max_examples=25, deadline=None)
-def test_replicate_table_is_the_stack_of_the_datasets(seed, sparsify, n, replicates):
+@example(seed=0, sparsify=0.0, n=7, replicates=5, block=8)
+def test_replicate_table_is_the_stack_of_the_datasets(seed, sparsify, n, replicates, block):
     config = mixed_quality_config(seed, sparsify, n, replicates)
-    got = simulation._replicate_table(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK_RECORDS", block)
+        got = simulation._replicate_table(config)
     expected = stack(
         [simulation.sample_dataset(config, rep).groups for rep in range(replicates)]
     )
     assert got.replicates == expected.replicates == replicates
-    for field in ("paths", "counts", "sums", "replicate"):
+    assert_table_rules(got, config)
+    for field in ("paths", "path", "counts", "sums", "replicate"):
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
@@ -517,7 +541,7 @@ def test_unreachable_node_needs_no_quality_spec(demo_spec):
         replicates=100, target=kernel,
     )
     data = simulation.sample_dataset(config, 3)
-    assert data.count(1, 2) == 0 and data.count(1, 1) == 300
+    assert (data.paths[:, 0] == 1).sum() == 300
     result = simulation.coverage_study(config, "naive")
     assert result.nodes == ((1, 1), (1, 2), (2, 2))
     with pytest.raises(daglm.ModelError, match=r"no quality spec for node \(2, 1\)"):

@@ -288,8 +288,8 @@ def test_bundled_toothgrowth_loads():
     spec, data = load_table(daglm.data_path("toothgrowth.csv")).to_path_dataset()
     assert spec.labels == (("OJ", "VC"), ("0.5", "1", "2"))
     assert data.n == 60
-    assert data.count(1, 1) == 30  # thirty OJ rows
-    assert data.count(2, 3) == 20  # twenty high-dose rows
+    assert (data.paths[:, 0] == 1).sum() == 30  # thirty OJ rows
+    assert (data.paths[:, 1] == 3).sum() == 20  # twenty high-dose rows
 
 
 # ---------------------------------------------------------------------------
