@@ -288,6 +288,18 @@ def test_path_dataset_keeps_handed_over_arrays_and_copies_the_rest():
                                 frozen_view)
 
 
+def test_path_dataset_counts(demo_data):
+    # the records through node (i, j), counted from the paths and from the
+    # groups: each entry's count lands on its path's levels
+    groups = demo_data.groups
+    for j, r in enumerate(demo_data.spec.levels, start=1):
+        through = [(demo_data.paths[:, j - 1] == i).sum() for i in range(1, r + 1)]
+        assert sum(through) == demo_data.n
+        grouped = np.bincount(groups.paths[groups.path, j - 1], weights=groups.counts,
+                              minlength=r + 1)[1:]
+        assert grouped.tolist() == through
+
+
 # ---------------------------------------------------------------------------
 # grouping by path: a bincount over the dense path key, held to the stable
 # argsort (np.unique) it replaced
