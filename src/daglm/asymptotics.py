@@ -27,9 +27,9 @@ The closed forms (:func:`_closed_form`, behind the four ``asym_var_*``)
 fold every regime into one block per node. Its entries are sums over the
 support paths, which the forward-backward recursion of :mod:`daglm.oracle`
 gives under the target kernel T and the tilted T^2/Q without listing the
-paths: a path's weight C^2 p is its T^2/Q product times p_Q / p_T^2, the
-node marginals. The node moments they read are realizable, as every
-``NodeQuality`` checks when it is built.
+paths; :func:`daglm.oracle._pair_table` forms the blocks of every node at
+once, and each closed form reads its own. The node moments they read are
+realizable, as every ``NodeQuality`` checks when it is built.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from .model import (
     QualityModel,
     TransitionKernel,
     _frozen,
+    _null_event,
 )
-from .oracle import _closed_form_sums
+from .oracle import _pair_table, _read
 
 REGIME_KNOWN = "knownQ"
 REGIME_UNKNOWN = "unknownQ"
@@ -104,26 +105,18 @@ def _closed_form(
     regime: str,
 ) -> AsymptoticVariance:
     """The closed-form asymptotic variance of the ``which`` statistic at
-    node (i, j), folded into one 1x1 block of weight 1.
-
-    With Y = b - mu and phi = Y^d (d = 1 for the mean, 2 for the
-    variance) plus a constant k (mu, or -mu^2), both regimes read the
-    node's row of :func:`_closed_form_sums`: mu, the T moments y of b - R
-    and the sums x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]], which the
-    all-node pass takes about R and the row shifts to mu. The within-path term
-    E[C^2 Var[Y^d | path]] is x[2d, 0] - x[d, d], and it is the whole of
-    the unknown-source variance. The known-source variance adds the
-    between-path term Var[C E[phi | path]]: x[d, d] - m^2 + 2k (x[d, 0] - m)
-    + k^2 (x[0, 0] - 1), with m = E_T[Y^d] and E[C] = 1. That last term rounds
-    at k^2 E[C^2], which at a far mean swamps a small Var[C]. The block is
-    checked and clipped as the plug-in blocks are (:func:`_avs`).
+    node (i, j), folded into one 1x1 block of weight 1: the node's entry of
+    :func:`daglm.oracle._pair_table`, read after its refusals, those of
+    :func:`daglm.oracle._read` at order 2 (mean) or 4 (variance) and a node
+    on no support path as a null event. The block is checked and clipped as
+    the plug-in blocks are (:func:`_avs`).
     """
     d = 1 if which == "mean" else 2
-    mu, y, x = _closed_form_sums(kernel, target, quality, j, i, 2 * d)
-    block = x[2 * d, 0] - x[d, d]
-    if regime == REGIME_KNOWN:
-        m, k = (0.0, mu) if d == 1 else (y[2] - y[1] * y[1], -mu * mu)
-        block += x[d, d] - m * m + 2.0 * k * (x[d, 0] - m) + k * k * (x[0, 0] - 1.0)
+    table = _pair_table(kernel, target, quality)
+    row = _read((kernel, target), quality, j, i, 2 * d)
+    if row is None:
+        raise _null_event(i, j)
+    block = table[row, 2 * d - 2 + (regime == REGIME_KNOWN)]
     if block < -PSD_ATOL:
         raise StatisticalError(f"negative asymptotic variance block at node {(i, j)} "
                                f"(lowest {block:.3g})")

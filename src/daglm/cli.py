@@ -367,7 +367,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_compare(args) -> int:
     """Within-column differences of the rows ``estimate`` reports for the
-    same flags; the two cells' standard errors add in quadrature."""
+    same flags; the two cells' standard errors add in quadrature, and a
+    level less itself is exactly 0, of standard error 0."""
     table, spec, data, model = _load_inputs(args)
     _report_markov(args, data)
 
@@ -430,7 +431,7 @@ def _cmd_compare(args) -> int:
                 if se_a is None or se_b is None:
                     row["flags"].append("ci-unavailable")
                 else:
-                    se = math.sqrt(se_a * se_a + se_b * se_b)
+                    se = 0.0 if i == i2 else math.sqrt(se_a * se_a + se_b * se_b)
                     row |= {"se": se, "lower": diff - z * se, "upper": diff + z * se}
             rows.append(row)
     doc = compare_document(

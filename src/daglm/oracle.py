@@ -21,8 +21,9 @@ node's sums at once, its weightings stacked on a leading axis.
 What one object alone determines is built on first use and kept on it: a
 kernel's entries, their support, its node marginals and the nodes on its
 support paths, and a quality model's node moments per shape
-(:meth:`QualityModel._moment_table`) and, in one slot, every node's sums
-for the last (kernel, target) pair asked about, to order 4 (:func:`_pair_sums`).
+(:meth:`QualityModel._moment_table`) and, in one slot, for the last (kernel,
+target) pair asked about, every node's four closed-form blocks and two
+measure-change residuals (:func:`_pair_table`), from one pass to order 4.
 
 Support is decided entrywise as by the enumeration (entries at or below
 ``SUPPORT_ZERO`` count as 0), and the refusals are the enumeration's: a node
@@ -32,8 +33,9 @@ asked about. A 0/1 reachability pass decides that, and runs only when some
 spec is missing or short. The pass reads every node's moments; a node off
 those support paths adds exact zeros to the sums.
 
-The closed forms of :mod:`daglm.asymptotics` read their sums, already
-weighted and rescaled, from :func:`_closed_form_sums`.
+:func:`_pair_table` holds all of the closed-form arithmetic: the closed
+forms of :mod:`daglm.asymptotics` and :func:`verify_measure_change` each
+read one entry of their node's row.
 
 ``path_raw_moments``, ``support_table`` and ``exact_conditional_moments`` sum
 over every support path explicitly and refuse models beyond the enumeration
@@ -65,6 +67,7 @@ from .model import (
     _nodes,
     _null_event,
     _on_paths,
+    _pascal,
     _shift_moments,
     _split,
     kernels_equivalent,
@@ -156,20 +159,18 @@ _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_MOMENT_ORDER + 1)],
 
 def _read(
     kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
-) -> tuple[int, list[float]] | None:
-    """The row of node (i, j) in the tables with one row per node and its
-    marginal under each of ``kernels``; None when no support path of
-    ``kernels[0]`` passes through the node. Refuses in the enumeration's
-    order: a node outside the shape, a marginal at or below
-    ``SUPPORT_ZERO``, then the first node, column by column, on the node's
-    support paths whose spec cannot be read to ``order``; those paths are
-    walked only when some spec cannot be read."""
+) -> int | None:
+    """The row of node (i, j) in the tables with one row per node; None
+    when no support path of ``kernels[0]`` passes through the node. Refuses
+    in the enumeration's order: a node outside the shape, a marginal at or
+    below ``SUPPORT_ZERO``, then the first node, column by column, on the
+    node's support paths whose spec cannot be read to ``order``; those
+    paths are walked only when some spec cannot be read."""
     kernel = kernels[0]
     row = _node_row(kernel.levels, j, i)
     if not kernel._on_support[row]:
         return None
-    marginals = [float(k._marginals[row]) for k in kernels]
-    if min(marginals) <= SUPPORT_ZERO:
+    if min(k._marginals[row] for k in kernels) <= SUPPORT_ZERO:
         raise _null_event(i, j)
     marked = quality._moment_table(kernel.levels)[1] < order
     if marked.any():
@@ -177,7 +178,7 @@ def _read(
         rows = np.flatnonzero(marked & _on_paths(kernel, (nodes[:, 1] != j) | (nodes[:, 0] == i)))
         if len(rows):
             quality._centred_moments(*nodes[rows[0]].tolist(), order)  # refuses
-    return row, marginals
+    return row
 
 
 @functools.cache
@@ -221,21 +222,37 @@ def _path_sums(
                            for a, b in zip(ahead, behind)], axis=-1)
 
 
-def _pair_sums(
+def _pair_table(
     kernel: TransitionKernel, target: TransitionKernel, quality: QualityModel
 ) -> np.ndarray:
-    """For every node, the sum over the support paths through it of the
-    path weight times E[U^a | path] E[U^b | path], U = b - R, for a up to
-    ``MAX_MOMENT_ORDER`` and b up to 2, as (node, 3, a, b): the sum of
-    E[U^a U'^b | path] for a copy U' of U independent given the path. One
-    pass runs three weightings on the support of ``kernel``, 0 off it: the
-    entries t of ``target``, the tilted T^2/Q and Q (T/Q), q the kernel's.
+    """Every node's closed-form asymptotic variance blocks and
+    measure-change residuals, as (node, 6): the mean's unknown- and
+    known-source blocks, the variance's two, and the residuals of f = b - R
+    and (b - R)^2 (:func:`verify_measure_change`).
+
+    One pass runs three weightings on the support of ``kernel``, 0 off it:
+    the entries t of ``target``, the tilted T^2/Q and Q (T/Q), q the
+    kernel's. It sums, over the support paths through each node, the path
+    weight times E[U^a | path] E[U^b | path], U = b - R, a up to
+    ``MAX_MOMENT_ORDER`` and b up to 2. The T sums give y = E_T[U^k | node]
+    and the target mean mu = R + y[1]. A path's C^2 p, C its ratio of target
+    to source conditional probability, is its T^2/Q product times
+    p_Q / p_T^2, the node marginals; so the tilted sums, moved from R to mu
+    on both axes (a Pascal product per axis), give
+    x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]], Y = b - mu. With
+    phi = Y^d (d = 1 for the mean, 2 for the variance) plus k (mu, or
+    -mu^2), the unknown-source block is the within-path term
+    E[C^2 Var[Y^d | path]] = x[2d, 0] - x[d, d]. The known-source block adds
+    the between-path term Var[C E[phi | path]], x[d, d] - m^2
+    + 2k (x[d, 0] - m) + k^2 (x[0, 0] - 1) with m = E_T[Y^d], which rounds
+    at k^2 E[C^2] and so, at a far mean, swamps a small Var[C].
 
     Refuses non-equivalent measures; built after that check and kept,
-    read-only, in the quality model's one slot, which holds the (kernel,
-    target) pair it was built for and is replaced when another pair is
-    asked about. A caller reads its row to its own order once :func:`_read`
-    has refused a node whose paths meet a spec short of that order."""
+    read-only, in the quality model's one slot, replaced when another
+    (kernel, target) pair is asked about. An entry is read only after
+    :func:`_read` at the order it needs (2d, or k for f = (b - R)^k), so
+    the rows of nodes off the support, at a marginal at or below
+    ``SUPPORT_ZERO`` or whose paths meet a short spec are never read."""
     slot = quality._pair
     if slot is None or slot[0] is not kernel or slot[1] is not target:
         if not kernels_equivalent(kernel, target):
@@ -247,45 +264,30 @@ def _pair_sums(
         table = (e[:, :, None] * e[:, None, :3]).reshape(len(e), -1)
         sums = _path_sums(kernel.levels, entries, table, (len(fact), 3))
         sums = np.moveaxis(sums, -1, 0).reshape(len(e), 3, len(fact), 3)
-        slot = kernel, target, _frozen(sums * (fact[:, None] * fact[:3]))
+        sums *= fact[:, None] * fact[:3]
+        p_q, p_t = kernel._marginals[:, None], target._marginals[:, None]
+        with np.errstate(all="ignore"):  # rows never read divide by ~0
+            y = sums[:, 0, :3, 0] / p_t
+            mu = quality._reference(len(kernel.levels)) + y[:, 1]
+            binomials, gaps = _pascal(len(fact))
+            pascal = binomials * (-y[:, 1, None, None]) ** gaps
+            scale = p_q / np.float_power(p_t, 2)
+
+            def about_mu(n):  # x to order n - 1 on the first axis
+                x = (pascal[:, :n, :n] @ sums[:, 1, :n]).swapaxes(1, 2)
+                return (pascal[:, :3, :3] @ x).swapaxes(1, 2) * scale[:, :, None]
+
+            answers = []
+            for d, x, m, k in ((1, about_mu(3), 0.0, mu),
+                               (2, about_mu(5), y[:, 2] - y[:, 1] * y[:, 1], -mu * mu)):
+                block = x[:, 2 * d, 0] - x[:, d, d]
+                answers += [block, block + (x[:, d, d] - m * m + 2.0 * k * (x[:, d, 0] - m)
+                                            + k * k * (x[:, 0, 0] - 1.0))]
+            rhs, ratio_sums = sums[:, 0, 1:3, 0], sums[:, 2, 1:3, 0]
+            residuals = np.abs(ratio_sums * (p_q / p_t) / p_q - rhs / p_t)
+        slot = kernel, target, _frozen(np.column_stack(answers + [residuals]))
         object.__setattr__(quality, "_pair", slot)
     return slot[2]
-
-
-def _closed_form_sums(
-    kernel: TransitionKernel,
-    target: TransitionKernel,
-    quality: QualityModel,
-    j: int,
-    i: int,
-    order: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The path sums behind the closed-form asymptotic variances at node
-    (i, j), each an expectation under ``kernel`` given the node, with C the
-    path's ratio of target to source conditional probability:
-
-    - ``mu`` = R + y[1], the target mean E_T[b | node];
-    - ``y``, E_T[(b - R)^k | node] for k = 0..order;
-    - ``x`` (order + 1, 3), E[C^2 E[Y^a | path] E[Y^b | path]] for
-      Y = b - mu, a = 0..order and b = 0..2, since a path's C^2 times its
-      source probability is its T^2/Q product times p_Q / p_T^2, the node
-      marginals.
-
-    Refuses as :func:`_pair_sums` (non-equivalent measures), then as
-    :func:`_read`, and a node on no support path as a null event. Only then
-    does it read the node's row under T and the tilted T^2/Q, both about R,
-    to ``order``, and move ``x`` from R to mu on both axes
-    (:func:`_shift_moments`).
-    """
-    sums = _pair_sums(kernel, target, quality)
-    found = _read((kernel, target), quality, j, i, order)
-    if found is None:
-        raise _null_event(i, j)
-    row, (p_q, p_t) = found
-    y = sums[row, 0, : order + 1, 0] / p_t
-    tilted = sums[row, 1, : order + 1]
-    x = _shift_moments(_shift_moments(tilted, -y[1]).T, -y[1]).T
-    return quality._reference(len(kernel.levels)) + y[1], y, x * (p_q / p_t**2)
 
 
 def verify_measure_change(
@@ -301,25 +303,20 @@ def verify_measure_change(
     Compares E[f(b)·C | node] under ``kernel`` against E[f(b) | node] under
     ``target``, where C is the ratio of conditional path probabilities and
     f(b) is (b - R)^k, k = 1 (``"b"``) or 2 (``"b2"``). The two sides are
-    separate weightings of the node's row of :func:`_pair_sums`, read at
-    order k after the refusals of :func:`_closed_form_sums`: the left runs
+    separate weightings of the pass of :func:`_pair_table`: the left runs
     under the entrywise product Q (T/Q), its ratios formed on the source
-    support, and mixes by the source marginal; the right runs under T and
-    mixes by the target marginal. So a small residual certifies the
-    identity. A node on no support path has residual 0.
+    support, and mixes by the source marginal (a path's C is its product of
+    entrywise ratios times p_Q / p_T); the right runs under T and mixes by
+    the target marginal. So a small residual certifies the identity.
+    Refuses non-equivalent measures, then as :func:`_read` at order k; a
+    node on no support path has residual 0, any other reads its entry.
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
     order = 1 if f == "b" else 2
-    sums = _pair_sums(kernel, target, quality)
-    found = _read((kernel, target), quality, j, i, order)
-    if found is None:
-        return 0.0
-    row, (p_q, p_t) = found
-    rhs, _, ratio_sum = sums[row, :, order, 0]
-    # a path's ratio C is its product of entrywise ratios times p_q / p_t
-    lhs = ratio_sum * (p_q / p_t) / p_q
-    return abs(float(lhs - rhs / p_t))
+    table = _pair_table(kernel, target, quality)
+    row = _read((kernel, target), quality, j, i, order)
+    return 0.0 if row is None else float(table[row, 3 + order])
 
 
 def exact_estimator_targets(

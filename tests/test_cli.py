@@ -548,6 +548,8 @@ def test_compare_same_level_pair_is_exactly_zero(capsys, workdir):
     assert len(doc["rows"]) == 2
     for row in doc["rows"]:
         assert row["difference"] == 0.0
+        # a cell less itself is exactly 0: no standard error, no width
+        assert row["se"] == row["lower"] == row["upper"] == 0.0
         assert row["label_a"] == row["label_b"] == "OJ"
 
 

@@ -21,7 +21,6 @@ from daglm.asymptotics import (
 )
 from daglm.model import SUPPORT_ZERO
 from daglm.oracle import (
-    _closed_form_sums,
     exact_conditional_moments,
     exact_estimator_targets,
     path_raw_moments,
@@ -533,7 +532,7 @@ def test_recursion_refuses_where_enumeration_does(seed, sparsify, pick):
             want = outcome(enumerated_measure_change, kernel, target, missing, j, i, f)
             assert got == want if refused(want) else got <= 1e-10
         want = outcome(exact_conditional_moments, target, missing, j, i)
-        got = outcome(_closed_form_sums, target, target, missing, j, i, 2)
+        got = outcome(asym_var_mean_unknown, target, target, missing, i, j)
         assert got == want if refused(want) else not refused(got)
     if sparsify == 0.0:
         assert False in seen  # another level of the deleted node's column never reads it
@@ -747,8 +746,8 @@ def test_exact_layer_tables_are_built_on_first_use():
     assert list(model.quality._tables) == [model.spec.levels]
     kernel, aim, kept = model.quality._pair
     assert kernel is model.kernel and aim is target
-    # one read-only array: (node, weighting, order, width)
-    assert isinstance(kept, np.ndarray) and kept.shape == (4, 3, 5, 3)
+    # one read-only array: four closed-form blocks and two residuals per node
+    assert isinstance(kept, np.ndarray) and kept.shape == (4, 6)
     assert not kept.flags.writeable
     assert not tables & vars(config.kernel).keys() and not config.quality._tables
     assert config.quality._pair is None
@@ -827,3 +826,23 @@ def test_one_pass_per_pair(monkeypatch):
         asym_var_mean_known(kernel, kernel, quality, i, j)
         verify_measure_change(kernel, kernel, quality, j, i, "b2")
     assert passes == [(3, (5, 3))] * 2
+
+
+def test_a_built_slot_does_no_arithmetic_per_call(monkeypatch):
+    # once one node has built the slot, the four closed forms and both
+    # residuals at every node read their entries: no Pascal shift runs per
+    # call, and the answers equal those of fresh objects, bit for bit
+    spec, kernel, target, quality = random_model(np.random.default_rng(7))
+    fresh = daglm.QualityModel(dict(quality.nodes))
+    asym_var_mean_known(kernel, target, quality, 1, 1)
+
+    def refuse(*args):
+        raise AssertionError("a Pascal shift ran after the slot was built")
+
+    for module in (oracle, daglm.model):
+        monkeypatch.setattr(module, "_pascal", refuse)
+    monkeypatch.setattr(oracle, "_shift_moments", refuse)
+    got = [node_outcomes(kernel, target, quality, i, j) for i, j in nodes_of(spec)]
+    monkeypatch.undo()
+    assert not any(refused(r) for r in itertools.chain(*got))
+    assert got == [node_outcomes(kernel, target, fresh, i, j) for i, j in nodes_of(spec)]
