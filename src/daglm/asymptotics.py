@@ -58,10 +58,12 @@ from .model import (
     _frozen,
     _null_event,
 )
-from .oracle import _pair_table, _read
+from .oracle import _pair_row
 
 REGIME_KNOWN = "knownQ"
 REGIME_UNKNOWN = "unknownQ"
+#: the weight of every closed form's one block, one shared array
+_UNIT = _frozen(np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ class AsymptoticVariance:
     known-source plug-in form have one block, the paths folded into it; an
     unknown-source plug-in form has one per observed path. ``contraction``
     (m,) holds the weight of each block, and ``value`` is the sum over the
-    blocks of the weight squared times the block.
+    blocks of the weight squared times the block. Both arrays are read-only;
+    a closed form's are a view of its node's kept entry and a shared ones(1).
     """
 
     node: tuple[int, int]
@@ -106,23 +109,22 @@ def _closed_form(
 ) -> AsymptoticVariance:
     """The closed-form asymptotic variance of the ``which`` statistic at
     node (i, j), folded into one 1x1 block of weight 1: the node's entry of
-    :func:`daglm.oracle._pair_table`, read after its refusals, those of
-    :func:`daglm.oracle._read` at order 2 (mean) or 4 (variance) and a node
-    on no support path as a null event. The block is checked and clipped as
-    the plug-in blocks are (:func:`_avs`).
+    :func:`daglm.oracle._pair_table`, read after the refusals of
+    :func:`daglm.oracle._pair_row` at order 2 (mean) or 4 (variance) and a
+    node on no support path as a null event. The block is checked and
+    clipped as the plug-in blocks are (:func:`_avs`).
     """
     d = 1 if which == "mean" else 2
-    table = _pair_table(kernel, target, quality)
-    row = _read((kernel, target), quality, j, i, 2 * d)
+    table, row = _pair_row((kernel, target), quality, j, i, 2 * d)
     if row is None:
         raise _null_event(i, j)
-    block = table[row, 2 * d - 2 + (regime == REGIME_KNOWN)]
+    col = 2 * d - 2 + (regime == REGIME_KNOWN)
+    block = table.item(row, col)
     if block < -PSD_ATOL:
         raise StatisticalError(f"negative asymptotic variance block at node {(i, j)} "
                                f"(lowest {block:.3g})")
-    return AsymptoticVariance((i, j), which, regime, max(float(block), 0.0),
-                              _frozen(np.array([[block]])), _frozen(np.ones(1)),
-                              clipped=bool(block < 0.0))
+    return AsymptoticVariance((i, j), which, regime, max(block, 0.0),
+                              table[row:row + 1, col:col + 1], _UNIT, clipped=block < 0.0)
 
 
 def asym_var_mean_known(

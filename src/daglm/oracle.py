@@ -33,9 +33,9 @@ asked about. A 0/1 reachability pass decides that, and runs only when some
 spec is missing or short. The pass reads every node's moments; a node off
 those support paths adds exact zeros to the sums.
 
-:func:`_pair_table` holds all of the closed-form arithmetic: the closed
-forms of :mod:`daglm.asymptotics` and :func:`verify_measure_change` each
-read one entry of their node's row.
+:func:`_pair_table` holds all of the closed-form arithmetic and each node's
+readable order; a closed form or residual reads that order and one entry,
+and walks :func:`_read`, which words every refusal, only above that order.
 
 ``path_raw_moments``, ``support_table`` and ``exact_conditional_moments`` sum
 over every support path explicitly and refuse models beyond the enumeration
@@ -164,8 +164,8 @@ def _read(
     when no support path of ``kernels[0]`` passes through the node. Refuses
     in the enumeration's order: a node outside the shape, a marginal at or
     below ``SUPPORT_ZERO``, then the first node, column by column, on the
-    node's support paths whose spec cannot be read to ``order``; those
-    paths are walked only when some spec cannot be read."""
+    node's support paths whose spec cannot be read to ``order``, walked only
+    then. Run only above a node's stored order (:func:`_pair_row`)."""
     kernel = kernels[0]
     row = _node_row(kernel.levels, j, i)
     if not kernel._on_support[row]:
@@ -225,10 +225,11 @@ def _path_sums(
 def _pair_table(
     kernel: TransitionKernel, target: TransitionKernel, quality: QualityModel
 ) -> np.ndarray:
-    """Every node's closed-form asymptotic variance blocks and
-    measure-change residuals, as (node, 6): the mean's unknown- and
-    known-source blocks, the variance's two, and the residuals of f = b - R
-    and (b - R)^2 (:func:`verify_measure_change`).
+    """Every node's closed-form asymptotic variance blocks, measure-change
+    residuals and readable order, as (node, 7): the mean's unknown- and
+    known-source blocks, the variance's two, the residuals of f = b - R and
+    (b - R)^2 (:func:`verify_measure_change`), and the order read with no
+    refusal: the shape's lowest spec order where :func:`_read` answers, else -1.
 
     One pass runs three weightings on the support of ``kernel``, 0 off it:
     the entries t of ``target``, the tilted T^2/Q and Q (T/Q), q the
@@ -249,9 +250,9 @@ def _pair_table(
 
     Refuses non-equivalent measures; built after that check and kept,
     read-only, in the quality model's one slot, replaced when another
-    (kernel, target) pair is asked about. An entry is read only after
-    :func:`_read` at the order it needs (2d, or k for f = (b - R)^k), so
-    the rows of nodes off the support, at a marginal at or below
+    (kernel, target) pair is asked about. An entry is read only through
+    :func:`_pair_row` at the order it needs (2d, or k for f = (b - R)^k),
+    so the rows of nodes off the support, at a marginal at or below
     ``SUPPORT_ZERO`` or whose paths meet a short spec are never read."""
     slot = quality._pair
     if slot is None or slot[0] is not kernel or slot[1] is not target:
@@ -285,9 +286,24 @@ def _pair_table(
                                             + k * k * (x[:, 0, 0] - 1.0))]
             rhs, ratio_sums = sums[:, 0, 1:3, 0], sums[:, 2, 1:3, 0]
             residuals = np.abs(ratio_sums * (p_q / p_t) / p_q - rhs / p_t)
-        slot = kernel, target, _frozen(np.column_stack(answers + [residuals]))
+        readable = np.where(kernel._on_support & (np.minimum(p_q, p_t)[:, 0] > SUPPORT_ZERO),
+                            quality._moment_table(kernel.levels)[1].min(), -1)
+        slot = kernel, target, _frozen(np.column_stack(answers + [residuals, readable]))
         object.__setattr__(quality, "_pair", slot)
     return slot[2]
+
+
+def _pair_row(
+    kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
+) -> tuple[np.ndarray, int | None]:
+    """The :func:`_pair_table` of ``kernels`` (source, target) and node (i, j)'s
+    row. Refuses as it, then a node outside the shape; only above the node's
+    stored order, returns :func:`_read` at ``order`` (None off the support)."""
+    table = _pair_table(*kernels, quality)
+    row = _node_row(kernels[0].levels, j, i)
+    if order > table.item(row, 6):
+        row = _read(kernels, quality, j, i, order)
+    return table, row
 
 
 def verify_measure_change(
@@ -308,15 +324,14 @@ def verify_measure_change(
     support, and mixes by the source marginal (a path's C is its product of
     entrywise ratios times p_Q / p_T); the right runs under T and mixes by
     the target marginal. So a small residual certifies the identity.
-    Refuses non-equivalent measures, then as :func:`_read` at order k; a
-    node on no support path has residual 0, any other reads its entry.
+    Refuses as :func:`_pair_row` at order k; a node on no support path has
+    residual 0, any other reads its entry.
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
     order = 1 if f == "b" else 2
-    table = _pair_table(kernel, target, quality)
-    row = _read((kernel, target), quality, j, i, order)
-    return 0.0 if row is None else float(table[row, 3 + order])
+    table, row = _pair_row((kernel, target), quality, j, i, order)
+    return 0.0 if row is None else table.item(row, 3 + order)
 
 
 def exact_estimator_targets(

@@ -746,9 +746,11 @@ def test_exact_layer_tables_are_built_on_first_use():
     assert list(model.quality._tables) == [model.spec.levels]
     kernel, aim, kept = model.quality._pair
     assert kernel is model.kernel and aim is target
-    # one read-only array: four closed-form blocks and two residuals per node
-    assert isinstance(kept, np.ndarray) and kept.shape == (4, 6)
+    # one read-only array: four closed-form blocks, two residuals and the
+    # order readable without a refusal per node, 4 for the demo's specs
+    assert isinstance(kept, np.ndarray) and kept.shape == (4, 7)
     assert not kept.flags.writeable
+    assert kept[:, 6].tolist() == [4.0] * 4
     assert not tables & vars(config.kernel).keys() and not config.quality._tables
     assert config.quality._pair is None
 
@@ -758,9 +760,12 @@ def test_exact_layer_tables_are_built_on_first_use():
 @settings(max_examples=10, deadline=None)
 def test_one_slot_answers_interleaved_pairs_as_fresh_objects(seed, sparsify, pick):
     # node by node, one quality object is asked about two (kernel, target)
-    # pairs in turn, with a non-equivalent target and a quality model that
-    # lost a spec in between: every value and refusal equals that of
-    # freshly built objects, bit for bit
+    # pairs in turn, with a non-equivalent target, a quality model that
+    # lost a spec and one whose spec on the support stops at order 2 in
+    # between: every value and refusal equals that of freshly built
+    # objects, bit for bit; under the short spec the order-2 calls answer
+    # where the full specs do, and the variance forms at the cut node
+    # refuse, naming it
     rng = np.random.default_rng(seed)
     spec, kernel, target, quality = random_model(rng, sparsify=sparsify)
     entries = [(k, row, col) for k, step in enumerate(target.steps)
@@ -776,12 +781,26 @@ def test_one_slot_answers_interleaved_pairs_as_fresh_objects(seed, sparsify, pic
     nodes = dict(quality.nodes)
     del nodes[sorted(nodes)[pick % len(nodes)]]
     missing = daglm.QualityModel(nodes=nodes)
+    on_support = [n for n in nodes_of(spec) if daglm.enumerate_support_paths(kernel, n[1], n[0])]
+    cut = on_support[pick % len(on_support)]
+    short_nodes = dict(quality.nodes)
+    short_nodes[cut] = daglm.NodeQuality.from_raw_moments(quality.nodes[cut].raw_moments(2)[1:])
+    short = daglm.QualityModel(nodes=short_nodes)
+    pairs = ((target, quality), (other, quality), (target, missing), (target, short),
+             (kernel, quality), (target, missing), (kernel, short))
     for i, j in nodes_of(spec):
-        for aim, specs in ((target, quality), (other, quality), (target, missing),
-                           (kernel, quality), (target, missing)):
+        outcomes = []
+        for aim, specs in pairs:
             got = node_outcomes(kernel, aim, specs, i, j)
             fresh = daglm.QualityModel(dict(specs.nodes))
             assert got == node_outcomes(rebuilt(kernel), rebuilt(aim), fresh, i, j)
+            outcomes.append(got)
+        for full, cut_short in ((outcomes[0], outcomes[3]), (outcomes[4], outcomes[6])):
+            assert [refused(full[k]) for k in (0, 2, 4, 5)] == \
+                [refused(cut_short[k]) for k in (0, 2, 4, 5)]
+            if (i, j) == cut:
+                text = f"node {cut}: moment order 4 not available (have m1..m2)"
+                assert cut_short[1] == cut_short[3] == ("ModelError", text)
     assert quality._pair[0] is kernel and quality._pair[1] is kernel
 
 
@@ -846,3 +865,33 @@ def test_a_built_slot_does_no_arithmetic_per_call(monkeypatch):
     monkeypatch.undo()
     assert not any(refused(r) for r in itertools.chain(*got))
     assert got == [node_outcomes(kernel, target, fresh, i, j) for i, j in nodes_of(spec)]
+
+
+def test_a_warm_call_does_not_walk(monkeypatch):
+    # on a model whose specs all reach order 4, once one node has built the
+    # slot no closed form or residual runs the refusal walk: each reads its
+    # node's stored order and one entry, and every value, block,
+    # contraction, clipped flag and residual equals that of fresh objects,
+    # bit for bit
+    spec, kernel, target, quality = random_model(np.random.default_rng(11))
+    fresh = daglm.QualityModel(dict(quality.nodes))
+    asym_var_mean_known(kernel, target, quality, 1, 1)
+
+    def refuse(*args):
+        raise AssertionError("a warm call walked the refusal path")
+
+    for module in (oracle, daglm.asymptotics):
+        monkeypatch.setattr(module, "_read", refuse, raising=False)
+
+    def answers(quality):
+        out = []
+        for i, j in nodes_of(spec):
+            for fn in CLOSED_FORMS.values():
+                av = fn(kernel, target, quality, i, j)
+                out.append((av.value, av.blocks.tobytes(), av.contraction.tobytes(), av.clipped))
+            out += [verify_measure_change(kernel, target, quality, j, i, f) for f in ("b", "b2")]
+        return out
+
+    got = answers(quality)
+    monkeypatch.undo()
+    assert got == answers(fresh)
