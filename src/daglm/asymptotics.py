@@ -58,7 +58,7 @@ from .model import (
     _frozen,
     _null_event,
 )
-from .oracle import _pair_row
+from .oracle import _COLUMNS, _pair_row
 
 REGIME_KNOWN = "knownQ"
 REGIME_UNKNOWN = "unknownQ"
@@ -114,11 +114,10 @@ def _closed_form(
     node on no support path as a null event. The block is checked and
     clipped as the plug-in blocks are (:func:`_avs`).
     """
-    d = 1 if which == "mean" else 2
-    table, row = _pair_row((kernel, target), quality, j, i, 2 * d)
+    table, row = _pair_row((kernel, target), quality, j, i, 2 if which == "mean" else 4)
     if row is None:
         raise _null_event(i, j)
-    col = 2 * d - 2 + (regime == REGIME_KNOWN)
+    col = _COLUMNS[which, regime]
     block = table.item(row, col)
     if block < -PSD_ATOL:
         raise StatisticalError(f"negative asymptotic variance block at node {(i, j)} "

@@ -520,7 +520,7 @@ def _cmd_validate(args) -> int:
             "value": float(len(reachable)), "threshold": float(len(reachable)),
             "detail": "exact targets at all reachable nodes",
         })
-    except ModelError as exc:
+    except (ModelError, StatisticalError) as exc:
         rows.append({
             "name": "estimator-targets-finite", "passed": False, "value": None,
             "threshold": None, "detail": str(exc),

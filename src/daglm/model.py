@@ -553,10 +553,6 @@ class NodeQuality:
             return _moments_to(np.array((1.0,) + self.moments), order)
         return _moments_to(_shift_moments(self._central, self.mean_value), order)
 
-    @property
-    def variance_value(self) -> float:
-        return float(self._central[2])
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent values; moments-only specs cannot be
         sampled."""

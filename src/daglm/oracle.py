@@ -22,8 +22,8 @@ What one object alone determines is built on first use and kept on it: a
 kernel's entries, their support, its node marginals and the nodes on its
 support paths, and a quality model's node moments per shape
 (:meth:`QualityModel._moment_table`) and, in one slot, for the last (kernel,
-target) pair asked about, every node's four closed-form blocks and two
-measure-change residuals (:func:`_pair_table`), from one pass to order 4.
+target) pair asked about, every node's closed-form blocks, residuals and
+targets (:func:`_pair_table`), from one pass to order 4.
 
 Support is decided entrywise as by the enumeration (entries at or below
 ``SUPPORT_ZERO`` count as 0), and the refusals are the enumeration's: a node
@@ -222,86 +222,96 @@ def _path_sums(
                            for a, b in zip(ahead, behind)], axis=-1)
 
 
+#: the columns of :func:`_pair_table`, by name
+_COLUMNS = {name: k for k, name in enumerate((
+    ("mean", "unknownQ"), ("mean", "knownQ"), ("variance", "unknownQ"), ("variance", "knownQ"),
+    "b", "b2", "readable", "target mean", "target variance"))}
+
+
 def _pair_table(
     kernel: TransitionKernel, target: TransitionKernel, quality: QualityModel
-) -> np.ndarray:
-    """Every node's closed-form asymptotic variance blocks, measure-change
-    residuals and readable order, as (node, 7): the mean's unknown- and
-    known-source blocks, the variance's two, the residuals of f = b - R and
-    (b - R)^2 (:func:`verify_measure_change`), and the order read with no
-    refusal: the shape's lowest spec order where :func:`_read` answers, else -1.
+) -> tuple[np.ndarray | None, bool]:
+    """Every node's closed-form blocks by (statistic, regime), residuals by
+    f, readable order (the shape's lowest spec order where :func:`_read`
+    answers, else -1) and target mean and variance, as (node, 9) in the
+    columns ``_COLUMNS`` names; and whether the pair is equivalent. A pair
+    of two shapes is not, and has no table.
 
-    One pass runs three weightings on the support of ``kernel``, 0 off it:
-    the entries t of ``target``, the tilted T^2/Q and Q (T/Q), q the
-    kernel's. It sums, over the support paths through each node, the path
-    weight times E[U^a | path] E[U^b | path], U = b - R, a up to
-    ``MAX_MOMENT_ORDER`` and b up to 2. The T sums give y = E_T[U^k | node]
-    and the target mean mu = R + y[1]. A path's C^2 p, C its ratio of target
-    to source conditional probability, is its T^2/Q product times
-    p_Q / p_T^2, the node marginals; so the tilted sums, moved from R to mu
-    on both axes (a Pascal product per axis), give
-    x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]], Y = b - mu. With
-    phi = Y^d (d = 1 for the mean, 2 for the variance) plus k (mu, or
-    -mu^2), the unknown-source block is the within-path term
+    One pass runs three weightings: the entries t of ``target`` on its own
+    support, and the tilted T^2/Q and Q (T/Q) on the support of ``kernel``,
+    q the kernel's, each 0 off its support. It sums, over the support paths
+    through each node, the path weight times E[U^a | path] E[U^b | path],
+    U = b - R, a up to ``MAX_MOMENT_ORDER`` and b up to 2. The T sums give
+    y = E_T[U^k | node], the target mean mu = R + y[1] and variance
+    y[2] - y[1]^2. A path's C^2 p, C its ratio of target to source
+    conditional probability, is its T^2/Q product times p_Q / p_T^2, the
+    node marginals; so the tilted sums, moved from R to mu on both axes (a
+    Pascal product per axis), give x[a, b] = E[C^2 E[Y^a | path] E[Y^b | path]],
+    Y = b - mu. With phi = Y^d (d = 1 for the mean, 2 for the variance)
+    plus k (mu, or -mu^2), the unknown-source block is the within-path term
     E[C^2 Var[Y^d | path]] = x[2d, 0] - x[d, d]. The known-source block adds
     the between-path term Var[C E[phi | path]], x[d, d] - m^2
     + 2k (x[d, 0] - m) + k^2 (x[0, 0] - 1) with m = E_T[Y^d], which rounds
     at k^2 E[C^2] and so, at a far mean, swamps a small Var[C].
 
-    Refuses non-equivalent measures; built after that check and kept,
-    read-only, in the quality model's one slot, replaced when another
-    (kernel, target) pair is asked about. An entry is read only through
-    :func:`_pair_row` at the order it needs (2d, or k for f = (b - R)^k),
-    so the rows of nodes off the support, at a marginal at or below
-    ``SUPPORT_ZERO`` or whose paths meet a short spec are never read."""
+    Kept with the flag, read-only, in the quality model's one slot, replaced
+    when another pair is asked about. A closed form or residual is read only
+    through :func:`_pair_row`, which refuses a pair not equivalent, at the
+    order it needs (2d, or k for f = (b - R)^k), the targets after the
+    refusals of :func:`exact_estimator_targets`; so the rows of nodes off the
+    support, at a marginal at or below ``SUPPORT_ZERO`` or whose paths meet a
+    short spec are never read."""
+    if kernel.levels != target.levels:
+        return None, False
     slot = quality._pair
-    if slot is None or slot[0] is not kernel or slot[1] is not target:
-        if not kernels_equivalent(kernel, target):
-            raise ModelError("measures not equivalent")
-        on, fact = kernel._support, _FACTORIALS
-        q, t = np.where(on, kernel._entries, 1.0), target._entries
-        entries = np.where(on, np.stack([t, t * t / q, q * (t / q)]), 0.0)
-        e = quality._moment_table(kernel.levels)[0] / fact
-        table = (e[:, :, None] * e[:, None, :3]).reshape(len(e), -1)
-        sums = _path_sums(kernel.levels, entries, table, (len(fact), 3))
-        sums = np.moveaxis(sums, -1, 0).reshape(len(e), 3, len(fact), 3)
-        sums *= fact[:, None] * fact[:3]
-        p_q, p_t = kernel._marginals[:, None], target._marginals[:, None]
-        with np.errstate(all="ignore"):  # rows never read divide by ~0
-            y = sums[:, 0, :3, 0] / p_t
-            mu = quality._reference(len(kernel.levels)) + y[:, 1]
-            binomials, gaps = _pascal(len(fact))
-            pascal = binomials * (-y[:, 1, None, None]) ** gaps
-            scale = p_q / np.float_power(p_t, 2)
+    if slot is not None and slot[0] is kernel and slot[1] is target:
+        return slot[2:]
+    on, fact = kernel._support, _FACTORIALS
+    q, t = np.where(on, kernel._entries, 1.0), target._entries
+    entries = np.where([target._support, on, on], [t, t * t / q, q * (t / q)], 0.0)
+    e = quality._moment_table(kernel.levels)[0] / fact
+    table = (e[:, :, None] * e[:, None, :3]).reshape(len(e), -1)
+    sums = _path_sums(kernel.levels, entries, table, (len(fact), 3))
+    sums = np.moveaxis(sums, -1, 0).reshape(len(e), 3, len(fact), 3)
+    sums *= fact[:, None] * fact[:3]
+    p_q, p_t = kernel._marginals[:, None], target._marginals[:, None]
+    with np.errstate(all="ignore"):  # rows never read divide by ~0
+        y = sums[:, 0, :3, 0] / p_t
+        mu = quality._reference(len(kernel.levels)) + y[:, 1]
+        variance = y[:, 2] - y[:, 1] * y[:, 1]
+        binomials, gaps = _pascal(len(fact))
+        pascal = binomials * (-y[:, 1, None, None]) ** gaps
+        scale = p_q / np.float_power(p_t, 2)
 
-            def about_mu(n):  # x to order n - 1 on the first axis
-                x = (pascal[:, :n, :n] @ sums[:, 1, :n]).swapaxes(1, 2)
-                return (pascal[:, :3, :3] @ x).swapaxes(1, 2) * scale[:, :, None]
+        def about_mu(n):  # x to order n - 1 on the first axis
+            x = (pascal[:, :n, :n] @ sums[:, 1, :n]).swapaxes(1, 2)
+            return (pascal[:, :3, :3] @ x).swapaxes(1, 2) * scale[:, :, None]
 
-            answers = []
-            for d, x, m, k in ((1, about_mu(3), 0.0, mu),
-                               (2, about_mu(5), y[:, 2] - y[:, 1] * y[:, 1], -mu * mu)):
-                block = x[:, 2 * d, 0] - x[:, d, d]
-                answers += [block, block + (x[:, d, d] - m * m + 2.0 * k * (x[:, d, 0] - m)
-                                            + k * k * (x[:, 0, 0] - 1.0))]
-            rhs, ratio_sums = sums[:, 0, 1:3, 0], sums[:, 2, 1:3, 0]
-            residuals = np.abs(ratio_sums * (p_q / p_t) / p_q - rhs / p_t)
-        readable = np.where(kernel._on_support & (np.minimum(p_q, p_t)[:, 0] > SUPPORT_ZERO),
-                            quality._moment_table(kernel.levels)[1].min(), -1)
-        slot = kernel, target, _frozen(np.column_stack(answers + [residuals, readable]))
-        object.__setattr__(quality, "_pair", slot)
-    return slot[2]
+        answers = []
+        for d, x, m, k in ((1, about_mu(3), 0.0, mu), (2, about_mu(5), variance, -mu * mu)):
+            block = x[:, 2 * d, 0] - x[:, d, d]
+            answers += [block, block + (x[:, d, d] - m * m + 2.0 * k * (x[:, d, 0] - m)
+                                        + k * k * (x[:, 0, 0] - 1.0))]
+        rhs, ratio_sums = sums[:, 0, 1:3, 0], sums[:, 2, 1:3, 0]
+        residuals = np.abs(ratio_sums * (p_q / p_t) / p_q - rhs / p_t)
+    readable = np.where(kernel._on_support & (np.minimum(p_q, p_t)[:, 0] > SUPPORT_ZERO),
+                        quality._moment_table(kernel.levels)[1].min(), -1)
+    slot = kernel, target, _frozen(np.column_stack(answers + [residuals, readable, mu, variance]))
+    object.__setattr__(quality, "_pair", slot + (kernels_equivalent(kernel, target),))
+    return quality._pair[2:]
 
 
 def _pair_row(
     kernels: Sequence[TransitionKernel], quality: QualityModel, j: int, i: int, order: int
 ) -> tuple[np.ndarray, int | None]:
     """The :func:`_pair_table` of ``kernels`` (source, target) and node (i, j)'s
-    row. Refuses as it, then a node outside the shape; only above the node's
-    stored order, returns :func:`_read` at ``order`` (None off the support)."""
-    table = _pair_table(*kernels, quality)
+    row. Refuses a pair not equivalent, then a node outside the shape; only
+    above its stored order, returns :func:`_read` at ``order`` (None off the support)."""
+    table, equivalent = _pair_table(*kernels, quality)
+    if not equivalent:
+        raise ModelError("measures not equivalent")
     row = _node_row(kernels[0].levels, j, i)
-    if order > table.item(row, 6):
+    if order > table.item(row, _COLUMNS["readable"]):
         row = _read(kernels, quality, j, i, order)
     return table, row
 
@@ -329,9 +339,8 @@ def verify_measure_change(
     """
     if f not in ("b", "b2"):
         raise ModelError(f"f must be 'b' or 'b2', got {f!r}")
-    order = 1 if f == "b" else 2
-    table, row = _pair_row((kernel, target), quality, j, i, order)
-    return 0.0 if row is None else table.item(row, 3 + order)
+    table, row = _pair_row((kernel, target), quality, j, i, 1 if f == "b" else 2)
+    return 0.0 if row is None else table.item(row, _COLUMNS[f])
 
 
 def exact_estimator_targets(
@@ -340,8 +349,8 @@ def exact_estimator_targets(
     quality: QualityModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limits of the reweighted estimators: conditional means and variances
-    of b under ``target`` for every node, as (r_max, c) matrices, from one
-    forward-backward pass under ``target``: R + m_1 and m_2 - m_1^2 for m of b - R.
+    of b under ``target`` for every node, as (r_max, c) matrices, read from
+    the pass of :func:`_pair_table`: R + m_1 and m_2 - m_1^2 for m of b - R.
 
     Nodes unreachable under ``kernel`` (no data would ever arrive there) and
     level slots beyond a column's range hold NaN. The refusal raised is that
@@ -350,7 +359,7 @@ def exact_estimator_targets(
     """
     _check_same_shape(kernel, target)
     spec = kernel.spec()
-    table, orders = quality._moment_table(spec.levels)
+    orders = quality._moment_table(spec.levels)[1]
     reached = kernel._marginals > SUPPORT_ZERO
     fine = target._on_support & (target._marginals > SUPPORT_ZERO)
     nodes = _nodes(spec.levels)
@@ -360,13 +369,9 @@ def exact_estimator_targets(
         i, j = nodes[row]
         if _read((target,), quality, j, i, 2) is None:
             raise _null_event(i, j)
-    fact = _FACTORIALS[:3]
-    entries = np.where(target._support, target._entries, 0.0)
-    sums = _path_sums(spec.levels, entries, table[:, :3] / fact, (3,))
-    m = sums * fact[:, None] / np.where(reached, target._marginals, np.nan)
-    means = np.full((spec.r_max, spec.c), np.nan)
-    variances = np.full((spec.r_max, spec.c), np.nan)
+    table = _pair_table(kernel, target, quality)[0]
+    means, variances = (np.full((spec.r_max, spec.c), np.nan) for _ in range(2))
     at = tuple(np.array(nodes).T - 1)
-    means[at] = quality._reference(spec.c) + m[1]
-    variances[at] = m[2] - m[1] * m[1]
+    means[at] = np.where(reached, table[:, _COLUMNS["target mean"]], np.nan)
+    variances[at] = np.where(reached, table[:, _COLUMNS["target variance"]], np.nan)
     return means, variances

@@ -18,7 +18,8 @@ replicate's cells depend only on its own stream: they are the same bits as
 the single-dataset estimate, asymptotic variance and interval of that
 replicate, whichever other replicates the study holds. Each check masks
 the cells it refuses, and a study raises the refusal that a loop over
-replicates, then nodes, then checks meets first.
+replicates, then nodes, then checks meets first. A config resolves its
+target kernel when it is built, so all of its studies share one exact pass.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ _CONFIG_FIELDS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a simulation study needs, in one immutable record."""
+    """Everything a simulation study needs, in one immutable record. The
+    ``target`` is resolved when it is built ("uniform" to the uniform kernel
+    of ``spec``), so an unknown target string is refused here."""
 
     spec: DagSpec
     kernel: TransitionKernel
@@ -90,11 +93,14 @@ class ExperimentConfig:
             raise ModelError("seed must fit in 64 bits")
         if not 0.0 < self.level < 1.0:
             raise ModelError(f"level {self.level} outside (0, 1)")
+        if not self.estimators:
+            raise ModelError("estimators must name at least one estimator, got []")
         for name in self.estimators:
             if name not in _ESTIMATOR_NAMES:
                 raise ModelError(f"unknown estimator {name!r}")
+        object.__setattr__(self, "target", _target_kernel(self.target, self.spec))
         for role, kernel in (("kernel", self.kernel), ("target kernel", self.target)):
-            if isinstance(kernel, TransitionKernel) and kernel.levels != self.spec.levels:
+            if kernel.levels != self.spec.levels:
                 raise ModelError(
                     f"{role} levels {kernel.levels} do not match the spec's "
                     f"levels {self.spec.levels}"
@@ -268,7 +274,22 @@ def _study_nodes(config: ExperimentConfig) -> tuple[tuple[int, int], ...]:
 def _effective_target(config: ExperimentConfig, kind: str) -> TransitionKernel:
     # the naive estimator is only consistent for the source kernel's own
     # conditional moments, so its study target is the source kernel
-    return config.kernel if kind == "naive" else _target_kernel(config.target, config.spec)
+    return config.kernel if kind == "naive" else config.target
+
+
+def _study_setup(config: ExperimentConfig, kind: str, which: str, minimum: int,
+                 study: str) -> tuple[TransitionKernel, tuple, np.ndarray]:
+    """A study's target, its nodes and the (r_max, c) grid of exact ``which``
+    targets. Refuses fewer than ``minimum`` replicates, naming the ``study``,
+    then an unknown kind or statistic, then as :func:`exact_estimator_targets`."""
+    if config.replicates < minimum:
+        raise StatisticalError(f"{study} studies need >= {minimum} replicates, "
+                               f"got {config.replicates}")
+    _canonical_kind(kind)
+    _check_which(which)
+    target = _effective_target(config, kind)
+    means, variances = exact_estimator_targets(config.kernel, target, config.quality)
+    return target, _study_nodes(config), means if which == "mean" else variances
 
 
 def _replicate_table(config: ExperimentConfig) -> PathGroups:
@@ -291,13 +312,15 @@ def _replicate_table(config: ExperimentConfig) -> PathGroups:
     return PathGroups(distinct, index[path], counts, sums, replicate, config.replicates)
 
 
-def _per_column(config: ExperimentConfig, kind: str, target: TransitionKernel, nodes,
-                reduce) -> dict:
-    """``reduce`` of the reduction of each column that holds a study node,
-    over the replicate table of the study, one column after another."""
+def _per_node(config: ExperimentConfig, kind: str, target: TransitionKernel, nodes,
+              reduce) -> dict:
+    """Each study node's slices of the (R, r) arrays that ``reduce`` returns
+    after a column's checks; raises the refusal that the study's loop meets first."""
     table = _replicate_table(config)
-    return {j: reduce(_column(table, config.spec.levels[j - 1], j, kind, config.kernel, target))
-            for j in dict.fromkeys(j for _, j in nodes)}
+    columns = {j: reduce(_column(table, config.spec.levels[j - 1], j, kind, config.kernel, target))
+               for j in dict.fromkeys(j for _, j in nodes)}
+    _raise_first([(columns[j][0], i - 1) for i, j in nodes])
+    return {(i, j): [a[:, i - 1] for a in columns[j][1:]] for i, j in nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +374,9 @@ def coverage_study(
 ) -> CoverageResult:
     """Simulate, estimate and cover: the fraction of replicates whose CI
     contains the exact estimator target."""
-    if config.replicates < 100:
-        raise StatisticalError(
-            f"coverage studies need >= 100 replicates, got {config.replicates}"
-        )
-    _canonical_kind(kind)
-    _check_which(which)
+    target, nodes, grid = _study_setup(config, kind, which, 100, "coverage")
     if level is None:
         level = config.level
-    target = _effective_target(config, kind)
-    nodes = _study_nodes(config)
-    mean_targets, var_targets = exact_estimator_targets(
-        config.kernel, target, config.quality
-    )
-    grid = mean_targets if which == "mean" else var_targets
     targets = {(i, j): float(grid[i - 1, j - 1]) for i, j in nodes}
 
     z = _quantile(level)
@@ -376,9 +388,8 @@ def coverage_study(
         return (column.checks + av.checks + checks + (av.finite,), point,
                 *_limits(point, av.value, column.size, z))
 
-    columns = _per_column(config, kind, target, nodes, reduce)
-    _raise_first([(columns[j][0], i - 1) for i, j in nodes])
-    est, low, up = ({(i, j): columns[j][k][:, i - 1] for i, j in nodes} for k in (1, 2, 3))
+    cells = _per_node(config, kind, target, nodes, reduce)
+    est, low, up = ({node: cells[node][k] for node in nodes} for k in range(3))
     cov = {node: (low[node] <= targets[node]) & (targets[node] <= up[node])
            for node in nodes}
     return CoverageResult(
@@ -426,19 +437,9 @@ def anscombe_study(
 ) -> dict[tuple[int, int], NormalityDiagnostics]:
     """Standardize the estimator error by the closed-form asymptotic
     variance and report how close to standard normal it looks."""
-    if config.replicates < 500:
-        raise StatisticalError(
-            f"normality studies need >= 500 replicates, got {config.replicates}"
-        )
     if kind is None:
         kind = config.estimators[0]
-    _canonical_kind(kind)
-    _check_which(which)
-    target = _effective_target(config, kind)
-    nodes = _study_nodes(config)
-    mean_t, var_t = exact_estimator_targets(config.kernel, target, config.quality)
-    grid = mean_t if which == "mean" else var_t
-
+    target, nodes, grid = _study_setup(config, kind, which, 500, "normality")
     regime = _kind_regime(kind)
     avs = {
         (i, j): _closed_form(config.kernel, target, config.quality, i, j, which, regime).value
@@ -451,14 +452,12 @@ def anscombe_study(
         return (column.checks + checks,
                 np.sqrt(column.n) * (value - grid[: column.n.shape[1], column.j - 1]))
 
-    columns = _per_column(config, kind, target, nodes, reduce)
-    _raise_first([(columns[j][0], i - 1) for i, j in nodes])
-    raw = {(i, j): columns[j][1][:, i - 1] for i, j in nodes}
+    cells = _per_node(config, kind, target, nodes, reduce)
     out = {}
     for node in nodes:
-        av = avs[node]
+        av, (raw,) = avs[node], cells[node]
         degenerate = av <= 0.0
-        statistics = raw[node] if degenerate else raw[node] / math.sqrt(av)
+        statistics = raw if degenerate else raw / math.sqrt(av)
         if degenerate:
             skew = float("nan")
             ks = float("nan")
@@ -470,7 +469,7 @@ def anscombe_study(
             which=which,
             target_value=float(grid[node[0] - 1, node[1] - 1]),
             av_value=av,
-            raw=raw[node],
+            raw=raw,
             statistics=statistics,
             mean=float(np.mean(statistics)),
             variance=float(np.var(statistics)),

@@ -729,6 +729,33 @@ def test_validate_model_with_unreachable_level_passes(capsys, workdir, tmp_path)
     assert 0 < rows["kernel-recovery"]["value"] < 0.02
 
 
+def test_validate_reports_a_target_that_misses_a_reached_node(capsys, workdir, tmp_path):
+    # the target gives no mass to level 2 of column 1, which the source
+    # reaches: the targets row fails with the refusal's text, and the
+    # report is still written before validate exits 4
+    doc = json.loads((workdir / "demo_2x2.json").read_text(encoding="utf-8"))
+    doc["initial"] = [1.0, 0.0]
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        ["validate", "--model", workdir / "demo_2x2.json", "--target-kernel", target,
+         "--n", "300", "--replicates", "100", "--out", report],
+        capsys,
+    )
+    assert code == 4
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    check_report(doc)
+    rows = {r["name"]: r for r in doc["rows"]}
+    assert rows["estimator-targets-finite"] == {
+        "name": "estimator-targets-finite", "passed": False, "value": None,
+        "threshold": None, "detail": "conditioning on null event: node (2, 1) is unreachable",
+    }
+    failed = [name for name, row in rows.items() if not row["passed"]]
+    assert failed == ["measure-change-identity", "estimator-targets-finite"]
+    assert err.splitlines()[-1] == f"validation failed: {', '.join(failed)}"
+
+
 def test_validate_model_with_far_node_means_passes(capsys, workdir, tmp_path):
     # every node mean moved by 1000.1, and kernel entries that are not
     # dyadic, so the moved means and the ratios round: the measure-change

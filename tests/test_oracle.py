@@ -744,13 +744,14 @@ def test_exact_layer_tables_are_built_on_first_use():
     assert tables <= vars(model.kernel).keys()
     assert tables - {"_on_support"} <= vars(target).keys()  # read off the source's support
     assert list(model.quality._tables) == [model.spec.levels]
-    kernel, aim, kept = model.quality._pair
-    assert kernel is model.kernel and aim is target
-    # one read-only array: four closed-form blocks, two residuals and the
-    # order readable without a refusal per node, 4 for the demo's specs
-    assert isinstance(kept, np.ndarray) and kept.shape == (4, 7)
+    kernel, aim, kept, equivalent = model.quality._pair
+    assert kernel is model.kernel and aim is target and equivalent
+    # one read-only array: four closed-form blocks, two residuals, the
+    # order readable without a refusal, 4 for the demo's specs, and the
+    # target mean and variance per node
+    assert isinstance(kept, np.ndarray) and kept.shape == (4, 9)
     assert not kept.flags.writeable
-    assert kept[:, 6].tolist() == [4.0] * 4
+    assert kept[:, oracle._COLUMNS["readable"]].tolist() == [4.0] * 4
     assert not tables & vars(config.kernel).keys() and not config.quality._tables
     assert config.quality._pair is None
 
@@ -822,9 +823,12 @@ def test_quality_keeps_the_sums_of_one_pair():
 
 
 def test_one_pass_per_pair(monkeypatch):
-    # the four closed forms and both residuals at every node of a random
-    # 4 x 5 model run one all-node pass, its three weightings stacked, to
-    # order 4 and width 3; asking about a second pair runs exactly one more
+    # the targets and, at every node of a random 4 x 5 model, the four
+    # closed forms and both residuals run one all-node pass, its three
+    # weightings stacked, to order 4 and width 3; asking about a second
+    # pair runs exactly one more, and so does a target of the same shape
+    # that is not equivalent: its targets answer, its closed forms and
+    # residuals refuse
     spec, kernel, _, _, quality = grid_model(np.random.default_rng(45), 4, 5)
     target = daglm.uniform_kernel(spec)
     passes = []
@@ -835,16 +839,74 @@ def test_one_pass_per_pair(monkeypatch):
         return path_sums(levels, entries, table, shape)
 
     monkeypatch.setattr(oracle, "_path_sums", counted)
+    exact_estimator_targets(kernel, target, quality)
     for i, j in nodes_of(spec):
         for fn in CLOSED_FORMS.values():
             fn(kernel, target, quality, i, j)
         for f in ("b", "b2"):
             verify_measure_change(kernel, target, quality, j, i, f)
+    exact_estimator_targets(kernel, target, quality)
     assert passes == [(3, (5, 3))]
     for i, j in nodes_of(spec):
         asym_var_mean_known(kernel, kernel, quality, i, j)
         verify_measure_change(kernel, kernel, quality, j, i, "b2")
+    exact_estimator_targets(kernel, kernel, quality)
     assert passes == [(3, (5, 3))] * 2
+    steps = [s.copy() for s in target.steps]
+    steps[0][0] = np.eye(5)[0]
+    other = daglm.TransitionKernel(target.initial, tuple(steps))
+    assert other.levels == kernel.levels and not daglm.kernels_equivalent(kernel, other)
+    means, variances = exact_estimator_targets(kernel, other, quality)
+    want_means, want_variances = enumerated_targets(kernel, other, quality)
+    assert_relatively_close(means, want_means)
+    assert_relatively_close(variances, want_variances)
+    unequal = ("ModelError", "measures not equivalent")
+    for i, j in nodes_of(spec):
+        for fn in CLOSED_FORMS.values():
+            assert outcome(fn, kernel, other, quality, i, j) == unequal
+        for f in ("b", "b2"):
+            assert outcome(verify_measure_change, kernel, other, quality, j, i, f) == unequal
+    assert passes == [(3, (5, 3))] * 3
+
+
+def lone_targets(kernel, target, quality):
+    """The estimator targets from a pass of their own under ``target``
+    alone, to order 2, each node's sums divided by its target marginal
+    where ``kernel`` reaches it: the reference for the bits that the
+    pair's pass keeps."""
+    spec = kernel.spec()
+    reached = kernel._marginals > SUPPORT_ZERO
+    fact = oracle._FACTORIALS[:3]
+    entries = np.where(target._support, target._entries, 0.0)
+    table = quality._moment_table(spec.levels)[0][:, :3] / fact
+    sums = oracle._path_sums(spec.levels, entries, table, (3,))
+    m = sums * fact[:, None] / np.where(reached, target._marginals, np.nan)
+    means = np.full((spec.r_max, spec.c), np.nan)
+    variances = np.full((spec.r_max, spec.c), np.nan)
+    at = tuple(np.array(nodes_of(spec)).T - 1)
+    means[at] = quality._reference(spec.c) + m[1]
+    variances[at] = m[2] - m[1] * m[1]
+    return means, variances
+
+
+@given(seed=st.integers(0, 100_000), sparsify=st.sampled_from([0.0, 0.3]),
+       shifts=st.lists(st.sampled_from([0.0, 1e3, 1e6]), min_size=4, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_slot_targets_are_the_bits_of_a_lone_target_pass(seed, sparsify, shifts):
+    # under the drawn target, the uniform one (not equivalent where the
+    # kernel is sparse) and the source itself, with column means moved far,
+    # the targets read from the pair's pass equal, bit for bit, those of a
+    # pass under the target alone
+    rng = np.random.default_rng(seed)
+    spec, kernel, drawn, quality = random_model(rng, sparsify=sparsify)
+    moved = daglm.QualityModel({
+        (i, j): daglm.NodeQuality.gaussian(q.mean + shifts[j - 1], q.variance)
+        for (i, j), q in quality.nodes.items()
+    })
+    for target in (drawn, daglm.uniform_kernel(spec), kernel):
+        got = exact_estimator_targets(kernel, target, moved)
+        want = lone_targets(kernel, target, moved)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_a_built_slot_does_no_arithmetic_per_call(monkeypatch):

@@ -193,21 +193,25 @@ def test_load_config_refuses_target_kernel_of_wrong_shape(tmp_path):
 
 
 def test_resolve_target(demo_config, demo_uniform, demo_kernel):
-    # a study's target: the config's, except the source kernel for naive
+    # a config resolves its target once, when it is built: "uniform" to
+    # the uniform kernel of its spec, a kernel to itself, and an unknown
+    # name is refused there; a study's target is the config's, except the
+    # source kernel for naive
     resolved = _effective_target(demo_config, "plugin")
+    assert resolved is demo_config.target
     assert np.array_equal(resolved.initial, demo_uniform.initial)
+    assert dataclasses.replace(demo_config, n=10).target is resolved
     assert _effective_target(demo_config, "naive") is demo_config.kernel
     explicit = daglm.ExperimentConfig(
         spec=demo_config.spec, kernel=demo_config.kernel,
         quality=demo_config.quality, n=10, seed=1, target=demo_kernel,
     )
     assert _effective_target(explicit, "plugin") is demo_kernel
-    bad = daglm.ExperimentConfig(
-        spec=demo_config.spec, kernel=demo_config.kernel,
-        quality=demo_config.quality, n=10, seed=1, target="zipf",
-    )
-    with pytest.raises(ModelError, match="zipf"):
-        _effective_target(bad, "plugin")
+    with pytest.raises(ModelError, match=r"^unknown target kernel 'zipf'$"):
+        daglm.ExperimentConfig(
+            spec=demo_config.spec, kernel=demo_config.kernel,
+            quality=demo_config.quality, n=10, seed=1, target="zipf",
+        )
 
 
 def test_load_config_bundled_demo():
@@ -307,6 +311,27 @@ def test_load_config_rejects_bad_files(tmp_path, capsys):
         capsys.readouterr()
         assert run_command(argv) == 3
         assert capsys.readouterr().err == f"error: {refused}: {refusal}\n"
+
+
+def test_config_refuses_empty_estimators(capsys, demo_config, tmp_path):
+    # an empty estimators list is refused where the config is built, not
+    # by the first study that reads config.estimators[0]
+    refusal = "estimators must name at least one estimator, got []"
+    with pytest.raises(ModelError) as info:
+        dataclasses.replace(demo_config, estimators=())
+    assert str(info.value) == refusal
+    shutil.copy(daglm.data_path("demo_2x2.json"), tmp_path / "model.json")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"model-ref": "model.json", "n": 5, "seed": 0,
+                                 "estimators": []}), encoding="utf-8")
+    with pytest.raises(ModelError) as info:
+        load_config(empty)
+    assert str(info.value) == f"{empty}: {refusal}"
+    capsys.readouterr()
+    assert run_command(["simulate", "--config", str(empty),
+                        "--out", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {empty}: {refusal}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_coverage_study_needs_replicates(demo_config):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import daglm
-from daglm import simulation
+from daglm import oracle, simulation
 from daglm.asymptotics import (
     REGIME_KNOWN,
     _avs,
@@ -415,6 +415,34 @@ def test_a_cell_is_the_table_of_its_own_paths(seed, sparsify, n, replicates):
                 for which in WHICH:
                     assert cell_outcomes(whole, which, i - 1) == \
                         cell_outcomes(alone, which, i - 1), (kind, which, i, j)
+
+
+# ---------------------------------------------------------------------------
+# one (kernel, target) pair per config
+
+def test_studies_of_one_config_build_the_slot_once(monkeypatch, demo_config):
+    # a config resolves its "uniform" target once, so a plugin/mean and
+    # then a weighted/variance study ask about one pair: its exact
+    # targets come from one pass, and the second study reads them
+    config = dataclasses.replace(demo_config, replicates=100, n=300,
+                                 quality=daglm.QualityModel(dict(demo_config.quality.nodes)))
+    passes = []
+    path_sums = oracle._path_sums
+
+    def counted(*args):
+        passes.append(args[1].shape[0])
+        return path_sums(*args)
+
+    monkeypatch.setattr(oracle, "_path_sums", counted)
+    first = simulation.coverage_study(config, "plugin", which="mean")
+    second = simulation.coverage_study(config, "weighted", which="variance")
+    assert passes == [3]
+    kernel, target, _, _ = config.quality._pair
+    assert kernel is config.kernel and target is config.target
+    means, variances = exact_estimator_targets(config.kernel, config.target, config.quality)
+    assert first.targets == {(i, j): means[i - 1, j - 1] for i, j in first.nodes}
+    assert second.targets == {(i, j): variances[i - 1, j - 1] for i, j in second.nodes}
+    assert passes == [3]
 
 
 # ---------------------------------------------------------------------------
